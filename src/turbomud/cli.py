@@ -18,7 +18,8 @@ import numpy as np
 
 from .channel import make_equicorrelated
 from .errors import ConfigError, TurbomudError
-from .harness import (OUT_DIR_ENV, PRESETS, resolve_config, run_scenario)
+from .harness import (OUT_DIR_ENV, PRESETS, read_kv_file, resolve_config,
+                      run_scenario)
 from .siso_ddf import DdfPrecompute, ddf_pass, detection_order
 from .siso_discrete import ext_one_shot
 from .siso_gaussian import GaussianPrior, ext_flooding, ext_hybrid
@@ -90,34 +91,25 @@ def _out_path(args):
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), f"{stem}.csv")
 
 
-def _read_kv(path):
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, val = (s.strip() for s in line.split("=", 1))
-                values[key] = val
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-    return values
+def _floats(kv, key, n):
+    """Comma-separated float list of exactly n entries."""
+    vals = np.array([float(s) for s in kv[key].split(",")])
+    if len(vals) != n:
+        raise ConfigError(f"{key}: expected {n} values, got {len(vals)}")
+    return vals
 
 
 def _cmd_detect(args):
     """Instance file keys: users, rho, sigma2, amps, r, priors, detector."""
-    kv = _read_kv(args.config)
+    kv = read_kv_file(args.config)
     try:
         K = int(kv.get("users", 1))
         rho = float(kv.get("rho", 0.0))
         sigma2 = float(kv.get("sigma2", 1.0))
-        amps = np.array([float(s) for s in kv["amps"].split(",")]) \
-            if "amps" in kv else None
+        amps = _floats(kv, "amps", K) if "amps" in kv else None
         ch = make_equicorrelated(K, rho, amplitudes=amps, sigma2=sigma2)
-        r = np.array([float(s) for s in kv["r"].split(",")])
-        priors = np.array([float(s) for s in kv["priors"].split(",")]) \
-            if "priors" in kv else np.zeros(K)
+        r = _floats(kv, "r", ch.N)
+        priors = _floats(kv, "priors", K) if "priors" in kv else np.zeros(K)
         kind = kv.get("detector", "gaussian-hybrid")
         fn = _DETECT_ONE_SHOT[kind]
     except (KeyError, ValueError) as exc:

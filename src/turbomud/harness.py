@@ -122,8 +122,8 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
 
-def parse_config_text(text):
-    """Flat ``key = value`` lines with # comments -> ScenarioConfig."""
+def parse_kv_text(text):
+    """Flat ``key = value`` lines with # comments -> dict of value strings."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -133,7 +133,21 @@ def parse_config_text(text):
             raise ConfigError(f"line {lineno}: expected key = value")
         key, val = (s.strip() for s in line.split("=", 1))
         values[key] = val
-    return config_from_dict(values)
+    return values
+
+
+def read_kv_file(path):
+    """``parse_kv_text`` of a file; unreadable files are config errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_kv_text(fh.read())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
+def parse_config_text(text):
+    """Flat ``key = value`` lines with # comments -> ScenarioConfig."""
+    return config_from_dict(parse_kv_text(text))
 
 
 def config_from_dict(values):
@@ -184,11 +198,7 @@ def config_from_dict(values):
 
 
 def load_config(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config_text(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    return config_from_dict(read_kv_file(path))
 
 
 # ----------------------------------------------------------------------

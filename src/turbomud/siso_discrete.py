@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .siso_gaussian import (FLOODING, HYBRID, SCHEDULES, SEQUENTIAL,
-                            clamp_llr)
+from .siso_gaussian import SCHEDULES, _turbo_iteration, clamp_llr
 
 # Belief means are clamped into [-1 + MEAN_CLEARANCE, 1 - MEAN_CLEARANCE]
 # after every tanh so the entropy terms stay finite.
@@ -238,50 +237,24 @@ class DiscreteTurboLoop:
         self.iteration = 0
 
     def iterate(self, ch):
-        from .coding import LlrFrame
+        eta_r = self.r @ McColumns.from_channel(ch).eta  # (T, K): eta_k^T r_t
+        K = self.M.shape[1]
 
-        mc = McColumns.from_channel(ch)
-        eta_r = self.r @ mc.eta  # (T, K): eta_k^T r_t
-        T, K = self.M.shape
-        info = [None] * K
-        llr_mud = np.empty((T, K))
-        use_hook = self.iteration == 0 and self.hook is not None
-        if self.schedule == FLOODING:
-            if use_hook:
-                llr_pos = self.hook(ch, self.M, self.llr_dec)
-            else:
-                for _ in range(self.I):
-                    llr_pos = _sweep_block(ch, eta_r, self.llr_dec, self.M,
-                                           range(K))
-            llr_mud[:] = clamp_llr(llr_pos - self.llr_dec)
-            new_dec = np.empty((T, K))
-            for k in range(K):
-                new_dec[:, k], info[k] = self.decoder.decode_user(
-                    k, llr_mud[:, k])
-        else:
-            new_dec = self.llr_dec.copy()
-            for k in range(K):
-                work_dec = new_dec if self.schedule == SEQUENTIAL else \
-                    self.llr_dec.copy()
-                work_dec[:, k] = 0.0
-                rotated = list(range(k, K)) + list(range(k))
-                if use_hook:
-                    llr_pos = self.hook(ch, self.M, work_dec)
-                else:
-                    for _ in range(self.I):
-                        llr_pos = _sweep_block(ch, eta_r, work_dec, self.M,
-                                               rotated)
-                llr_mud[:, k] = clamp_llr(llr_pos[:, k] - work_dec[:, k])
-                if self.schedule == SEQUENTIAL:
-                    new_dec[:, k], info[k] = self.decoder.decode_user(
-                        k, llr_mud[:, k])
-            if self.schedule == HYBRID:
-                for k in range(K):
-                    new_dec[:, k], info[k] = self.decoder.decode_user(
-                        k, llr_mud[:, k])
-        self.llr_dec = new_dec
+        def posterior(ch, dec, order):
+            if self.iteration == 0 and self.hook is not None:
+                return self.hook(ch, self.M, dec)
+            for _ in range(self.I):
+                llr_pos = _sweep_block(ch, eta_r, dec, self.M, order)
+            return llr_pos
+
+        frame = _turbo_iteration(
+            ch, self.decoder, self.schedule, self.llr_dec,
+            lambda ch, dec: posterior(ch, dec, range(K)) - dec,
+            lambda ch, work, k: posterior(
+                ch, work, list(range(k, K)) + list(range(k)))[:, k])
+        self.llr_dec = frame.llr_dec
         self.iteration += 1
-        return LlrFrame.from_exchange(llr_mud, self.llr_dec, info)
+        return frame
 
 
 def run_schedule_disc(ch, obs, decoder, schedule, J, I=DEFAULT_INNER_ITERS,

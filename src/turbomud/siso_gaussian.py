@@ -4,12 +4,21 @@ The detector postulates a Gaussian prior N(btilde, W) built from the
 decoder's soft bits (W = diag(1 - btilde^2)), a Gaussian channel
 p(r|b) = N(S A b, sigma2 I) and a Gaussian belief Q(b) = N(mu, Sigma),
 then minimizes the free energy exactly.  Extrinsic log-likelihood
-ratios are extracted under three schedules:
+ratios come in two forms that give the same LLRs:
 
-* hybrid / sequential: per-user leave-one-out priors (user k's own
-  prior forced uninformative), LLR = 2 mu'_k / (1 - alpha_k);
-* flooding: one shared solve with the full prior, per-user extrinsic
-  by Gaussian division, LLR = 2 mucheck_k / (1 - alphacheck_k).
+* leave-one-out: user k's own prior forced uninformative,
+  LLR = 2 mu'_k / (1 - alpha_k);
+* Gaussian division: one shared solve with the full prior, the own
+  prior divided out, LLR = 2 mucheck_k / (1 - alphacheck_k).
+
+The own prior moves only C_kk of C = A W A + sigma2 R^{-1}, so by
+Sherman-Morrison it divides mu'_k and 1 - alpha_k by one common factor
+and leaves their ratio unchanged.  The hybrid schedule (every user
+leave-one-out against the same priors) therefore equals flooding and
+runs on the shared solve; sequential differs through its fresher
+priors.  For the discrete family the schedules stay distinct: the
+mean-field sweeps feed a user's own prior back to it through the other
+users' beliefs.
 
 The classical two-stage soft-interference-cancellation + MMSE detector
 is re-implemented independently in ``wang_poor_oracle`` as a
@@ -47,6 +56,49 @@ def clamp_llr(llr):
 def soft_bits(llr):
     """Decoder LLRs -> soft bit means tanh(LLR/2), clamped first."""
     return np.tanh(clamp_llr(np.asarray(llr, dtype=float)) / 2.0)
+
+
+def _turbo_iteration(ch, decoder, schedule, llr_dec, ext_all, ext_user,
+                     after_user=None):
+    """One outer detector/decoder exchange under ``schedule``.
+
+    The family supplies unclamped extrinsics: ``ext_all(ch, dec)`` of
+    every user given decoder LLRs ``dec``, and ``ext_user(ch, work, k)``
+    of user k given decoder LLRs ``work`` with column k zeroed.  Hybrid
+    detects every user from the previous iteration's decoder LLRs, then
+    decodes all, as flooding does; sequential decodes each user right
+    after detecting it and then calls ``after_user(k, llr_mud_k,
+    llr_dec_k)``, if given, for the channel of the users that follow.
+    ``llr_dec`` is left unchanged; the frame's ``llr_dec`` is the new
+    decoder state.
+    """
+    from .coding import LlrFrame
+
+    T, K = llr_dec.shape
+    new_dec = np.array(llr_dec, dtype=float)
+    info = [None] * K
+    if schedule == FLOODING:
+        llr_mud = clamp_llr(ext_all(ch, llr_dec))
+    else:
+        llr_mud = np.empty((T, K))
+    if schedule == HYBRID:
+        for k in range(K):
+            llr_mud[:, k] = clamp_llr(ext_user(ch, _without_user(llr_dec, k),
+                                               k))
+    for k in range(K):
+        if schedule == SEQUENTIAL:
+            llr_mud[:, k] = clamp_llr(ext_user(ch, _without_user(new_dec, k),
+                                               k))
+        new_dec[:, k], info[k] = decoder.decode_user(k, llr_mud[:, k])
+        if schedule == SEQUENTIAL and after_user is not None:
+            ch = after_user(k, llr_mud[:, k], new_dec[:, k])
+    return LlrFrame.from_exchange(llr_mud, new_dec, info)
+
+
+def _without_user(llr_dec, k):
+    work = llr_dec.copy()
+    work[:, k] = 0.0
+    return work
 
 
 def _clamp_soft(btilde):
@@ -292,9 +344,10 @@ def loo_ext_block(ch, Y, Btilde, k):
 class GaussianTurboLoop:
     """Stateful detector/decoder exchange, one outer iteration at a time.
 
-    The soft-bit priors persist across iterations; the channel is an
-    argument of ``iterate`` so the joint-estimation loop can refresh
-    amplitude and noise estimates between iterations.
+    The decoder LLRs, and with them the soft-bit priors, persist across
+    iterations; the channel is an argument of ``iterate`` so the
+    joint-estimation loop can refresh amplitude and noise estimates
+    between iterations, or between users with ``after_user``.
     """
 
     def __init__(self, obs, decoder, schedule, K):
@@ -303,34 +356,20 @@ class GaussianTurboLoop:
         self.Y = obs.y
         self.decoder = decoder
         self.schedule = schedule
-        self.Btilde = np.zeros((self.Y.shape[0], K))
+        self.llr_dec = np.zeros((self.Y.shape[0], K))
 
-    def iterate(self, ch):
-        from .coding import LlrFrame
-
-        T, K = self.Btilde.shape
-        llr_mud = np.empty((T, K))
-        llr_dec = np.empty((T, K))
-        info = [None] * K
-        if self.schedule == FLOODING:
-            llr_mud[:] = clamp_llr(flooding_ext_block(ch, self.Y, self.Btilde))
-        elif self.schedule == HYBRID:
-            for k in range(K):
-                llr_mud[:, k] = clamp_llr(loo_ext_block(ch, self.Y,
-                                                        self.Btilde, k))
-        else:
-            for k in range(K):
-                llr_mud[:, k] = clamp_llr(loo_ext_block(ch, self.Y,
-                                                        self.Btilde, k))
-                llr_dec[:, k], info[k] = self.decoder.decode_user(
-                    k, llr_mud[:, k])
-                self.Btilde[:, k] = soft_bits(llr_dec[:, k])
-        if self.schedule != SEQUENTIAL:
-            for k in range(K):
-                llr_dec[:, k], info[k] = self.decoder.decode_user(
-                    k, llr_mud[:, k])
-            self.Btilde = soft_bits(llr_dec)
-        return LlrFrame.from_exchange(llr_mud, llr_dec, info)
+    def iterate(self, ch, after_user=None):
+        """One outer iteration; see ``_turbo_iteration`` for ``after_user``."""
+        # Leave-one-out extrinsics equal the Gaussian-division ones (module
+        # docstring), so hybrid takes the one shared solve, not K solves.
+        schedule = FLOODING if self.schedule == HYBRID else self.schedule
+        frame = _turbo_iteration(
+            ch, self.decoder, schedule, self.llr_dec,
+            lambda ch, dec: flooding_ext_block(ch, self.Y, soft_bits(dec)),
+            lambda ch, work, k: loo_ext_block(ch, self.Y, soft_bits(work), k),
+            after_user)
+        self.llr_dec = frame.llr_dec
+        return frame
 
 
 def run_schedule_gauss(ch, obs, decoder, schedule, J):
@@ -339,9 +378,10 @@ def run_schedule_gauss(ch, obs, decoder, schedule, J):
     Sequential interleaves detection and decoding user by user (the
     freshest priors feed each detection); flooding detects all users
     from the shared solve then decodes all; hybrid detects all users
-    with leave-one-out priors then decodes all.  Soft bits are updated
-    as tanh(LLR_dec / 2) throughout.  Returns one LlrFrame per outer
-    iteration.
+    with leave-one-out priors then decodes all, which for Gaussian
+    beliefs yields the flooding extrinsics and so runs as flooding.
+    Soft bits are updated as tanh(LLR_dec / 2) throughout.  Returns one
+    LlrFrame per outer iteration.
     """
     loop = GaussianTurboLoop(obs, decoder, schedule, ch.K)
     return [loop.iterate(ch) for _ in range(J)]

@@ -197,17 +197,15 @@ def run_varem(ch_true, obs, detector_family, schedule, J, decoder, state0,
     1 - b_hat^2, and then runs the closed-form M step.  Returns the
     frame history and the EmState trajectory (initial state included).
 
-    ``mstep_per_user`` moves the M step inside the sequential
-    schedule's user loop (refreshed parameters right after each user's
-    decode) instead of once per outer iteration; only the Gaussian
-    family supports it.
+    ``mstep_per_user`` instead refreshes column k of b_hat and runs the
+    M step right after each user k decodes, so the following users are
+    detected with the new estimates; the trajectory keeps one state per
+    outer iteration.  Only the sequential Gaussian detector supports it.
     """
-    if mstep_per_user:
-        if detector_family != GAUSSIAN or schedule != "sequential":
-            raise ValueError("per-user M-step cadence requires the "
-                             "sequential Gaussian detector")
-        return _run_varem_per_user(ch_true, obs, J, decoder, state0,
-                                   update_amplitudes, update_sigma2)
+    if mstep_per_user and (detector_family != GAUSSIAN
+                           or schedule != "sequential"):
+        raise ValueError("per-user M-step cadence requires the "
+                         "sequential Gaussian detector")
     state = state0
     trajectory = [state]
     frames = []
@@ -221,49 +219,31 @@ def run_varem(ch_true, obs, detector_family, schedule, J, decoder, state0,
         mstep = mstep_disc
     else:
         raise ValueError(f"unknown detector family {detector_family!r}")
+    b_hat = np.zeros(obs.y.shape)
+
+    def mstep_after(users, llr_mud, llr_dec):
+        """M step after refreshing the posterior means of ``users``."""
+        nonlocal state
+        b_hat[:, users] = np.tanh(clamp_llr(llr_mud + llr_dec) / 2.0)
+        state = mstep(ch_true.S, obs, PosteriorSummary.from_means(b_hat),
+                      state, update_amplitudes=update_amplitudes,
+                      update_sigma2=update_sigma2)
+        return _estimated_channel(ch_true, state)
+
     for _ in range(J):
-        ch_est = ch_true.with_params(a=np.maximum(state.a_hat, 1e-6),
-                                     sigma2=state.sigma2_hat)
-        frame = loop.iterate(ch_est)
-        b_hat = np.tanh(clamp_llr(frame.llr_post) / 2.0)
-        post = PosteriorSummary.from_means(b_hat)
-        if update_amplitudes or update_sigma2:
-            state = mstep(ch_true.S, obs, post, state,
-                          update_amplitudes=update_amplitudes,
-                          update_sigma2=update_sigma2)
+        ch_est = _estimated_channel(ch_true, state)
+        if mstep_per_user:
+            frame = loop.iterate(ch_est, after_user=mstep_after)
+        else:
+            frame = loop.iterate(ch_est)
+            if update_amplitudes or update_sigma2:
+                mstep_after(slice(None), frame.llr_mud, frame.llr_dec)
         frames.append(frame)
         trajectory.append(state)
     return frames, trajectory
 
 
-def _run_varem_per_user(ch_true, obs, J, decoder, state0,
-                        update_amplitudes, update_sigma2):
-    """Sequential Gaussian E steps with an M step after every user."""
-    from .coding import LlrFrame
-    from .siso_gaussian import loo_ext_block, soft_bits
-
-    state = state0
-    trajectory = [state]
-    frames = []
-    T, K = obs.y.shape
-    Btilde = np.zeros((T, K))
-    b_hat = np.zeros((T, K))
-    for _ in range(J):
-        llr_mud = np.empty((T, K))
-        llr_dec = np.empty((T, K))
-        info = [None] * K
-        for k in range(K):
-            ch_est = ch_true.with_params(a=np.maximum(state.a_hat, 1e-6),
-                                         sigma2=state.sigma2_hat)
-            llr_mud[:, k] = clamp_llr(loo_ext_block(ch_est, obs.y, Btilde, k))
-            llr_dec[:, k], info[k] = decoder.decode_user(k, llr_mud[:, k])
-            Btilde[:, k] = soft_bits(llr_dec[:, k])
-            b_hat[:, k] = np.tanh(clamp_llr(llr_mud[:, k]
-                                            + llr_dec[:, k]) / 2.0)
-            state = mstep_gauss(ch_true.S, obs,
-                                PosteriorSummary.from_means(b_hat), state,
-                                update_amplitudes=update_amplitudes,
-                                update_sigma2=update_sigma2)
-        frames.append(LlrFrame.from_exchange(llr_mud, llr_dec, info))
-        trajectory.append(state)
-    return frames, trajectory
+def _estimated_channel(ch_true, state):
+    """True geometry with the current amplitude and noise estimates."""
+    return ch_true.with_params(a=np.maximum(state.a_hat, 1e-6),
+                               sigma2=state.sigma2_hat)

@@ -1,3 +1,5 @@
+import pytest
+
 from turbomud.cli import cli_main
 
 
@@ -129,3 +131,15 @@ def test_out_dir_env_default(tmp_path, monkeypatch, capsys):
     """)
     assert cli_main(["simulate", str(cfg)]) == 0
     assert (tmp_path / "mini.cfg.csv").exists()
+
+
+@pytest.mark.parametrize("body", [
+    "users = 2\nrho 0.5\nr = 0.3,-0.9\n",           # line without '='
+    "users = 2\nr = 0.3,-0.9,0.1\n",                # r longer than N
+    "users = 2\nr = 0.3,-0.9\npriors = 1\n",        # one prior for two users
+])
+def test_detect_malformed_instance_exit_code(tmp_path, capsys, body):
+    inst = tmp_path / "instance.cfg"
+    inst.write_text(body)
+    assert cli_main(["detect", str(inst)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")

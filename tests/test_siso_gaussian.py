@@ -174,6 +174,17 @@ class TestFlooding:
         np.testing.assert_allclose(ext_flooding(ch, y, prior).llr_mud,
                                    ext_hybrid(ch, prior, y=y).llr_mud,
                                    rtol=1e-10)
+        # with informative priors too: the own prior moves only C_kk,
+        # which leaves 2 mu / (1 - alpha) unchanged (Sherman-Morrison)
+        for _ in range(100):
+            K = int(rng.choice([2, 4, 8]))
+            ch = random_channel(rng, K, equicorrelated=bool(rng.integers(2)))
+            y = rng.standard_normal(K)
+            prior = random_prior(rng, K)
+            hyb = ext_hybrid(ch, prior, y=y).llr_mud
+            flood = ext_flooding(ch, y, prior).llr_mud
+            scale = np.maximum(np.abs(hyb), 1.0)
+            assert np.max(np.abs(flood - hyb) / scale) < 1e-9
 
     def test_single_user_prior_independent(self):
         ch = make_equicorrelated(1, 0.0, amplitudes=[1.1], sigma2=0.3)
@@ -211,14 +222,18 @@ class TestBlockPaths:
         Y = rng.standard_normal((T, 4))
         Btilde = rng.uniform(-0.9, 0.9, size=(T, 4))
         flood = flooding_ext_block(ch, Y, Btilde)
+        loo = np.stack([loo_ext_block(ch, Y, Btilde, k) for k in range(4)],
+                       axis=1)
+        scale = np.maximum(np.abs(loo), 1.0)
+        assert np.max(np.abs(flood - loo) / scale) < 1e-9
         for t in range(T):
             prior = GaussianPrior(btilde=Btilde[t])
             np.testing.assert_allclose(
                 flood[t], ext_flooding(ch, Y[t], prior).llr_mud, rtol=1e-10)
             for k in range(4):
                 np.testing.assert_allclose(
-                    loo_ext_block(ch, Y, Btilde, k)[t],
-                    ext_hybrid(ch, prior, y=Y[t]).llr_mud[k], rtol=1e-10)
+                    loo[t, k], ext_hybrid(ch, prior, y=Y[t]).llr_mud[k],
+                    rtol=1e-10)
 
 
 class TestRunSchedule:

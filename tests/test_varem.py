@@ -3,6 +3,7 @@ import pytest
 
 from turbomud.channel import SymbolBlock, make_equicorrelated, transmit
 from turbomud.coding import IdentityDecoder
+from turbomud.siso_gaussian import run_schedule_gauss
 from turbomud.varem import (EmState, PosteriorSummary, em_objective,
                             em_objective_grad_a, initial_sigma2, mstep_disc,
                             mstep_gauss, run_varem)
@@ -208,6 +209,19 @@ class TestRunVarem:
                                  mstep_per_user=True)
         assert len(frames) == 3
         assert abs(traj[-1].sigma2_hat - 0.1) < 0.5 * 0.1
+        # with nothing to update and the true parameters, the per-user
+        # M step is a no-op and the plain sequential schedule results
+        true_state = EmState(a_hat=ch.a, sigma2_hat=ch.sigma2,
+                             a_tilde=ch.a, varsigma2=0.0, T=200)
+        frames, _ = run_varem(ch, obs, "gaussian", "sequential", 3,
+                              IdentityDecoder(), true_state,
+                              update_amplitudes=False, update_sigma2=False,
+                              mstep_per_user=True)
+        plain = run_schedule_gauss(ch, obs, IdentityDecoder(), "sequential",
+                                   3)
+        for got, want in zip(frames, plain, strict=True):
+            np.testing.assert_array_equal(got.llr_mud, want.llr_mud)
+            np.testing.assert_array_equal(got.llr_dec, want.llr_dec)
         with pytest.raises(ValueError):
             run_varem(ch, obs, "gaussian", "flooding", 1, IdentityDecoder(),
                       state0, mstep_per_user=True)
