@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .channel import make_equicorrelated
-from .errors import ConfigError, TurbomudError
+from .errors import ConfigError, InvalidCorrelation, TurbomudError
 from .harness import (OUT_DIR_ENV, PRESETS, read_kv_file, resolve_config,
                       run_scenario)
 from .siso_ddf import DdfPrecompute, ddf_pass, detection_order
@@ -104,6 +104,8 @@ def _cmd_detect(args):
     kv = read_kv_file(args.config)
     try:
         K = int(kv.get("users", 1))
+        if K < 1:
+            raise ConfigError("users: must be >= 1")
         rho = float(kv.get("rho", 0.0))
         sigma2 = float(kv.get("sigma2", 1.0))
         amps = _floats(kv, "amps", K) if "amps" in kv else None
@@ -112,7 +114,7 @@ def _cmd_detect(args):
         priors = _floats(kv, "priors", K) if "priors" in kv else np.zeros(K)
         kind = kv.get("detector", "gaussian-hybrid")
         fn = _DETECT_ONE_SHOT[kind]
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, InvalidCorrelation) as exc:
         raise ConfigError(f"bad instance description: {exc}") from None
     y = ch.S.T @ r
     llrs = fn(ch, r, y, priors)

@@ -6,10 +6,12 @@ The bit-to-symbol map is fixed globally as 0 -> +1, 1 -> -1, and every
 LLR in the package is log p(b = +1) / p(b = -1); the decoder consumes
 coded-symbol LLRs from the detector and returns coded-symbol extrinsic
 LLRs (posterior minus the channel input at the same position), plus
-info-bit posteriors for error counting.
+info-bit posteriors for error counting.  Both ``bcjr_decode`` and
+``decode_user`` also take a batch of users, decoded in one trellis pass.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,8 +62,11 @@ class ConvCode:
         tail = self.memory if self.termination == TERMINATED else 0
         return 2 * (n_info + tail)
 
+    @cached_property
     def _tables(self):
-        """next_state[s, u], coded symbols out_pm[s, u, 2] in {+1, -1}."""
+        """next_state[s, u], coded symbols out_pm[s, u, 2] in {+1, -1} and
+        pred[ns, j], flat index 2 s + u of the j-th of the two edges into ns.
+        """
         m = self.memory
         g = [int(s, 2) for s in self.generators]
         S = self.n_states
@@ -74,7 +79,10 @@ class ConvCode:
                     bit = bin(window & g[j]).count("1") & 1
                     out_pm[s, u, j] = 1.0 - 2.0 * bit
                 next_state[s, u] = (u << (m - 1)) | (s >> 1) if m > 0 else 0
-        return next_state, out_pm
+        pred = np.argsort(next_state.ravel(), kind="stable").reshape(S, 2)
+        for table in (next_state, out_pm, pred):
+            table.flags.writeable = False  # shared by every call on the code
+        return next_state, out_pm, pred
 
 
 def encode(code, info_bits):
@@ -86,7 +94,7 @@ def encode(code, info_bits):
     info_bits = np.asarray(info_bits, dtype=int)
     if info_bits.ndim != 1 or info_bits.size < 1:
         raise ValueError("info_bits must be a nonempty 1-D array")
-    next_state, out_pm = code._tables()
+    next_state, out_pm, _ = code._tables
     bits = info_bits
     if code.termination == TERMINATED:
         bits = np.concatenate([bits, np.zeros(code.memory, dtype=int)])
@@ -108,77 +116,74 @@ class BcjrResult:
 def bcjr_decode(code, channel_llrs, prior_info_llrs=None):
     """Exact log-domain APP decoding over the code trellis.
 
-    ``channel_llrs`` holds one LLR per coded symbol; an optional prior
-    may be supplied per information bit.  Forward/backward metrics are
-    renormalized every step (a pure shift in the log domain, so LLRs
-    are unchanged) and all sums use exact log-sum-exp, not the max-log
-    approximation.
+    ``channel_llrs`` holds one LLR per coded symbol, one block ``(n,)``
+    or a batch ``(B, n)``; an optional prior per information bit is
+    ``(n_info,)`` or ``(B, n_info)`` to match, and results keep that
+    leading shape.  The forward and backward recursions advance in one
+    loop, each step an exact two-edge log-sum-exp (not max-log) per
+    state, renormalized (a pure log-domain shift, so LLRs are unchanged).
     """
     Lc = np.asarray(channel_llrs, dtype=float)
-    if Lc.ndim != 1 or Lc.size % 2 != 0:
+    if Lc.ndim not in (1, 2) or Lc.shape[-1] % 2 != 0:
         raise LengthMismatch("channel LLRs must pair up per trellis step")
-    n_steps = Lc.size // 2
+    n_steps = Lc.shape[-1] // 2
     tail = code.memory if code.termination == TERMINATED else 0
     n_info = n_steps - tail
     if n_info < 1:
         raise LengthMismatch("no information positions in channel LLR array")
-    La = np.zeros(n_info) if prior_info_llrs is None else \
-        np.asarray(prior_info_llrs, dtype=float)
-    if La.shape != (n_info,):
+    La = np.zeros(Lc.shape[:-1] + (n_info,)) if prior_info_llrs is None \
+        else np.asarray(prior_info_llrs, dtype=float)
+    if La.shape != Lc.shape[:-1] + (n_info,):
         raise LengthMismatch(
-            f"prior length {La.shape} does not match {n_info} info bits"
+            f"prior shape {La.shape} does not match {n_info} info bits"
         )
 
-    next_state, out_pm = code._tables()
+    next_state, out_pm, pred = code._tables
     S = code.n_states
-    Lc2 = Lc.reshape(n_steps, 2)
+    Lc2 = Lc.reshape(-1, n_steps, 2)
+    B = Lc2.shape[0]
 
-    # branch metrics: gamma[t, s, u]
-    gamma = 0.5 * (out_pm[None, :, :, 0] * Lc2[:, None, None, 0]
-                   + out_pm[None, :, :, 1] * Lc2[:, None, None, 1])
+    # branch metrics: gamma[b, t, s, u]
+    gamma = 0.5 * (out_pm[:, :, 0] * Lc2[:, :, None, None, 0]
+                   + out_pm[:, :, 1] * Lc2[:, :, None, None, 1])
     upm = np.array([1.0, -1.0])  # bit 0 -> +1
-    gamma[:n_info] += 0.5 * upm[None, None, :] * La[:, None, None]
-    gamma[n_info:, :, 1] = -np.inf  # tail forced to the flushing input
+    gamma[:, :n_info] += 0.5 * upm * La.reshape(B, n_info, 1, 1)
+    gamma[:, n_info:, :, 1] = -np.inf  # tail forced to the flushing input
 
-    alpha = np.full((n_steps + 1, S), -np.inf)
-    alpha[0, 0] = 0.0
+    # fused step t: v[t] = [alpha_t | beta_{n-t}] of each block; row j of
+    # idx/gam is the j-th edge into a state (alpha, step t, through pred)
+    # or out of it with input j (beta, step n-1-t, through next_state)
+    idx = np.concatenate([pred.T // 2, S + next_state.T], axis=1)
+    idx = idx[:, None] + 2 * S * np.arange(B)[:, None]
+    by_t = gamma.transpose(1, 0, 2, 3)
+    gam = np.concatenate(
+        [by_t.reshape(n_steps, B, 2 * S)[:, :, pred.T].transpose(0, 2, 1, 3),
+         by_t[::-1].transpose(0, 3, 1, 2)], axis=3)
+    v = np.full((n_steps + 1, B, 2, S), -np.inf)
+    v[0, :, :, 0] = 0.0
+    if code.termination == TRUNCATED:
+        v[0, :, 1] = 0.0
     for t in range(n_steps):
-        nxt = np.full(S, -np.inf)
-        cand = alpha[t][:, None] + gamma[t]
-        np.logaddexp.at(nxt, next_state.ravel(), cand.ravel())
-        alpha[t + 1] = nxt - np.max(nxt)
+        c = v[t].take(idx) + gam[t]
+        w = np.logaddexp(c[0], c[1]).reshape(B, 2, S)
+        np.subtract(w, np.maximum.reduce(w, axis=2, keepdims=True),
+                    out=v[t + 1])
+    del gam  # free the step-ordered copy before the edge pass: peak memory
 
-    beta = np.full((n_steps + 1, S), -np.inf)
-    if code.termination == TERMINATED:
-        beta[n_steps, 0] = 0.0
-    else:
-        beta[n_steps] = 0.0
-    for t in range(n_steps - 1, -1, -1):
-        cand = gamma[t] + beta[t + 1][next_state]
-        b = np.logaddexp(cand[:, 0], cand[:, 1])
-        beta[t] = b - np.max(b)
+    # edge mass: e[b, t, s, u] = alpha[t, s] + gamma[t, s, u] + beta[t+1, ns]
+    edge = v[:-1, :, 0].transpose(1, 0, 2)[..., None] + gamma
+    edge += v[-2::-1, :, 1].transpose(1, 0, 2)[:, :, next_state.ravel()] \
+        .reshape(B, n_steps, S, 2)
 
-    # edge mass: e[t, s, u] = alpha[t, s] + gamma[t, s, u] + beta[t+1, ns]
-    edge = alpha[:-1, :, None] + gamma
-    edge += beta[1:, :][:, next_state.ravel()].reshape(n_steps, S, 2)
+    def _llr(sign):
+        pos = _logsumexp2(np.where(sign > 0, edge, -np.inf).reshape(-1, 2 * S))
+        neg = _logsumexp2(np.where(sign < 0, edge, -np.inf).reshape(-1, 2 * S))
+        return (pos - neg).reshape(B, n_steps)
 
-    def _llr(mask_pm):
-        pos = np.where(mask_pm > 0, edge, -np.inf)
-        neg = np.where(mask_pm < 0, edge, -np.inf)
-        return (_logsumexp2(pos.reshape(n_steps, -1))
-                - _logsumexp2(neg.reshape(n_steps, -1)))
-
-    posterior = np.empty_like(Lc2)
-    posterior[:, 0] = _llr(np.broadcast_to(out_pm[None, :, :, 0],
-                                           edge.shape))
-    posterior[:, 1] = _llr(np.broadcast_to(out_pm[None, :, :, 1],
-                                           edge.shape))
-    posterior = posterior.ravel()
-    extrinsic = posterior - Lc
-
-    info_mask = np.broadcast_to(upm[None, None, :], edge.shape)
-    info_posterior = _llr(info_mask)[:n_info]
-    return BcjrResult(extrinsic=extrinsic, posterior=posterior,
+    posterior = np.stack([_llr(out_pm[:, :, 0]), _llr(out_pm[:, :, 1])],
+                         axis=-1).reshape(Lc.shape)
+    info_posterior = _llr(upm)[:, :n_info].reshape(La.shape)
+    return BcjrResult(extrinsic=posterior - Lc, posterior=posterior,
                       info_posterior=info_posterior)
 
 
@@ -252,15 +257,17 @@ class IdentityDecoder:
     """Pass-through decoder: LLR_dec = LLR_mud (no code constraint)."""
 
     def decode_user(self, k, llr_mud):
-        return np.asarray(llr_mud, dtype=float), None
+        """``ConvTurboDecoder.decode_user`` contract; no info posteriors."""
+        llr = np.asarray(llr_mud, dtype=float)
+        return llr, None if llr.ndim == 1 else [None] * llr.shape[1]
 
 
 class ConvTurboDecoder:
     """Per-user convolutional chains behind the detector.
 
-    Owns the code, block length and per-user interleavers; encodes the
-    transmit block and decodes each user's channel-domain LLRs back to
-    channel-domain extrinsics.
+    Owns the code, block length and per-user interleavers (rows of one
+    ``(K, n_coded)`` array); encodes the transmit block and decodes
+    users' channel-domain LLRs back to channel-domain extrinsics.
     """
 
     def __init__(self, code, K, n_info, master_seed=0):
@@ -268,18 +275,27 @@ class ConvTurboDecoder:
         self.K = K
         self.n_info = n_info
         self.n_coded = code.n_coded(n_info)
-        self.perms = user_permutations(self.n_coded, K, master_seed)
+        self.perms = np.array(user_permutations(self.n_coded, K, master_seed))
+        self._inverse = np.argsort(self.perms, axis=1)
 
     def encode_block(self, info_bits):
         """(n_info, K) 0/1 bits -> (n_coded, K) interleaved +/-1 symbols."""
         info_bits = np.asarray(info_bits, dtype=int)
-        out = np.empty((self.n_coded, self.K))
-        for k in range(self.K):
-            out[:, k] = interleave(self.perms[k], encode(self.code,
-                                                         info_bits[:, k]))
-        return out
+        coded = np.array([encode(self.code, u) for u in info_bits.T])
+        return np.take_along_axis(coded, self.perms, -1).T.copy()
 
     def decode_user(self, k, llr_mud):
-        """Channel-domain extrinsic in, channel-domain extrinsic out."""
-        res = bcjr_decode(self.code, deinterleave(self.perms[k], llr_mud))
-        return interleave(self.perms[k], res.extrinsic), res.info_posterior
+        """Channel-domain extrinsics in, channel-domain extrinsics out.
+
+        ``k`` is one user with ``(n_coded,)`` LLRs, or an index over users
+        (``slice(None)``, a list, an array) with a ``(n_coded, |k|)`` block
+        decoded in one batched pass.  Extrinsics keep the input shape;
+        info posteriors are ``(n_info,)`` or ``(|k|, n_info)``.
+        """
+        llr = np.asarray(llr_mud, dtype=float)
+        if llr.T.shape != self.perms[k].shape:
+            raise LengthMismatch(f"LLRs {llr.shape} do not fit users {k!r}")
+        res = bcjr_decode(self.code,
+                          np.take_along_axis(llr.T, self._inverse[k], -1))
+        return (np.take_along_axis(res.extrinsic, self.perms[k], -1).T,
+                res.info_posterior)

@@ -435,17 +435,18 @@ def _simulate_point_frames(ctx, trial_indices):
     errors = np.zeros((J, ch.K), dtype=np.int64)
     em_acc = {}
     bits = 0
+    decoder = IdentityDecoder()
+    if cfg.coded:  # the interleavers depend only on cfg.seed: one per call
+        code = ConvCode(generators=tuple(cfg.generators.split(",")))
+        decoder = ConvTurboDecoder(code, ch.K, cfg.info_bits,
+                                   master_seed=cfg.seed)
     for trial in trial_indices:
         rng = np.random.default_rng([cfg.seed, ctx.snr_index, trial])
         if cfg.coded:
-            code = ConvCode(generators=tuple(cfg.generators.split(",")))
-            decoder = ConvTurboDecoder(code, ch.K, cfg.info_bits,
-                                       master_seed=cfg.seed)
             info = rng.integers(0, 2, size=(cfg.info_bits, ch.K))
             blk = SymbolBlock(b=decoder.encode_block(info))
             truth = 1.0 - 2.0 * info
         else:
-            decoder = IdentityDecoder()
             truth = rng.integers(0, 2, size=(cfg.info_bits, ch.K)) * 2.0 - 1.0
             blk = SymbolBlock(b=truth)
         obs = transmit(ch, blk, rng_seed=[cfg.seed, ctx.snr_index, trial, 1])

@@ -66,11 +66,11 @@ def _turbo_iteration(ch, decoder, schedule, llr_dec, ext_all, ext_user,
     every user given decoder LLRs ``dec``, and ``ext_user(ch, work, k)``
     of user k given decoder LLRs ``work`` with column k zeroed.  Hybrid
     detects every user from the previous iteration's decoder LLRs, then
-    decodes all, as flooding does; sequential decodes each user right
-    after detecting it and then calls ``after_user(k, llr_mud_k,
-    llr_dec_k)``, if given, for the channel of the users that follow.
-    ``llr_dec`` is left unchanged; the frame's ``llr_dec`` is the new
-    decoder state.
+    decodes all users in one batched decoder call, as flooding does;
+    sequential decodes each user right after detecting it and then
+    calls ``after_user(k, llr_mud_k, llr_dec_k)``, if given, for the
+    channel of the users that follow.  ``llr_dec`` is left unchanged;
+    the frame's ``llr_dec`` is the new decoder state.
     """
     from .coding import LlrFrame
 
@@ -85,7 +85,7 @@ def _turbo_iteration(ch, decoder, schedule, llr_dec, ext_all, ext_user,
         for k in range(K):
             llr_mud[:, k] = clamp_llr(ext_user(ch, _without_user(llr_dec, k),
                                                k))
-    for k in range(K):
+    for k in range(K) if schedule == SEQUENTIAL else [slice(None)]:
         if schedule == SEQUENTIAL:
             llr_mud[:, k] = clamp_llr(ext_user(ch, _without_user(new_dec, k),
                                                k))

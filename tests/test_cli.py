@@ -137,6 +137,8 @@ def test_out_dir_env_default(tmp_path, monkeypatch, capsys):
     "users = 2\nrho 0.5\nr = 0.3,-0.9\n",           # line without '='
     "users = 2\nr = 0.3,-0.9,0.1\n",                # r longer than N
     "users = 2\nr = 0.3,-0.9\npriors = 1\n",        # one prior for two users
+    "users = 2\nrho = 1.5\nr = 0.3,-0.9\n",          # rho outside [0, 1)
+    "users = 0\nr = 0.3\n",                         # no users
 ])
 def test_detect_malformed_instance_exit_code(tmp_path, capsys, body):
     inst = tmp_path / "instance.cfg"

@@ -2,9 +2,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from turbomud.coding import (ConvCode, ConvTurboDecoder, bcjr_decode,
-                             deinterleave, encode, interleave,
+from turbomud.coding import (TERMINATED, TRUNCATED, ConvCode,
+                             ConvTurboDecoder, IdentityDecoder, _logsumexp2,
+                             bcjr_decode, deinterleave, encode, interleave,
                              user_permutations)
 from turbomud.errors import InvalidPermutation, LengthMismatch
 
@@ -19,7 +22,8 @@ def exhaustive_map(code, channel_llrs, prior_info_llrs=None):
     + sum u_t La_t / 2) and marginalizes coded and info positions.
     """
     Lc = np.asarray(channel_llrs, dtype=float)
-    n_info = Lc.size // 2 - code.memory
+    n_info = Lc.size // 2 - (code.memory if code.termination == TERMINATED
+                             else 0)
     La = np.zeros(n_info) if prior_info_llrs is None else prior_info_llrs
     words = np.array(list(product((0, 1), repeat=n_info)))
     symbols = np.array([encode(code, w) for w in words])
@@ -37,6 +41,47 @@ def exhaustive_map(code, channel_llrs, prior_info_llrs=None):
         return pos - neg
 
     return marginal(symbols), marginal(upm)
+
+
+def scatter_bcjr(code, Lc, La):
+    """One-block log-MAP with separate forward and backward passes that
+    scatter-add each edge into its next state (test reference: the
+    batched fused decoder must reproduce it bit for bit)."""
+    next_state, out_pm, _ = code._tables
+    S, n_steps = code.n_states, Lc.size // 2
+    n_info = La.size
+    Lc2 = Lc.reshape(n_steps, 2)
+    gamma = 0.5 * (out_pm[None, :, :, 0] * Lc2[:, None, None, 0]
+                   + out_pm[None, :, :, 1] * Lc2[:, None, None, 1])
+    upm = np.array([1.0, -1.0])
+    gamma[:n_info] += 0.5 * upm[None, None, :] * La[:, None, None]
+    gamma[n_info:, :, 1] = -np.inf
+    alpha = np.full((n_steps + 1, S), -np.inf)
+    alpha[0, 0] = 0.0
+    for t in range(n_steps):
+        nxt = np.full(S, -np.inf)
+        cand = alpha[t][:, None] + gamma[t]
+        np.logaddexp.at(nxt, next_state.ravel(), cand.ravel())
+        alpha[t + 1] = nxt - np.max(nxt)
+    beta = np.full((n_steps + 1, S), -np.inf)
+    beta[n_steps, 0] = 0.0
+    if code.termination == TRUNCATED:
+        beta[n_steps] = 0.0
+    for t in range(n_steps - 1, -1, -1):
+        cand = gamma[t] + beta[t + 1][next_state]
+        b = np.logaddexp(cand[:, 0], cand[:, 1])
+        beta[t] = b - np.max(b)
+    edge = alpha[:-1, :, None] + gamma
+    edge += beta[1:, :][:, next_state.ravel()].reshape(n_steps, S, 2)
+
+    def llr(sign):
+        pos = np.where(sign > 0, edge, -np.inf).reshape(n_steps, -1)
+        neg = np.where(sign < 0, edge, -np.inf).reshape(n_steps, -1)
+        return _logsumexp2(pos) - _logsumexp2(neg)
+
+    posterior = np.stack([llr(out_pm[:, :, 0]), llr(out_pm[:, :, 1])],
+                         axis=1).ravel()
+    return posterior, llr(upm)[:n_info]
 
 
 class TestEncode:
@@ -120,6 +165,87 @@ class TestBcjr:
             bcjr_decode(code, np.zeros(20), np.zeros(3))
 
 
+class TestBatchedBcjr:
+    """A (B, n) batch decodes bit for bit like its rows one at a time."""
+
+    @pytest.mark.parametrize("termination", [TERMINATED, TRUNCATED])
+    @pytest.mark.parametrize("gens", [c.generators for c in SCENARIO_CODES])
+    @pytest.mark.parametrize("with_prior", [False, True])
+    def test_batch_equals_rows(self, gens, termination, with_prior):
+        code = ConvCode(generators=gens, termination=termination)
+        rng = np.random.default_rng(7)
+        n_info = 40
+        for B, scale in [(1, 2.0), (3, 0.5), (4, 30.0), (32, 300.0)]:
+            Lc = np.clip(rng.standard_normal((B, code.n_coded(n_info)))
+                         * scale, -30.0, 30.0)
+            Lc[0, :6] = [30.0, -30.0, 30.0, 30.0, -30.0, -30.0]
+            La = rng.standard_normal((B, n_info)) * 3.0 if with_prior \
+                else None
+            batch = bcjr_decode(code, Lc, La)
+            assert batch.extrinsic.shape == Lc.shape
+            assert batch.info_posterior.shape == (B, n_info)
+            for b in range(B):
+                row = bcjr_decode(code, Lc[b], None if La is None else La[b])
+                np.testing.assert_array_equal(batch.extrinsic[b],
+                                              row.extrinsic)
+                np.testing.assert_array_equal(batch.posterior[b],
+                                              row.posterior)
+                np.testing.assert_array_equal(batch.info_posterior[b],
+                                              row.info_posterior)
+
+    @pytest.mark.parametrize("termination", [TERMINATED, TRUNCATED])
+    @pytest.mark.parametrize("gens", [("10011", "11101"), ("111", "101"),
+                                      ("1101", "1011"), ("11", "01")])
+    def test_equals_scatter_reference(self, gens, termination):
+        code = ConvCode(generators=gens, termination=termination)
+        rng = np.random.default_rng(9)
+        n_info = 30
+        Lc = np.clip(rng.standard_normal((5, code.n_coded(n_info)))
+                     * [[0.5], [3.0], [30.0], [300.0], [3.0]], -30.0, 30.0)
+        La = rng.standard_normal((5, n_info)) * 2.0
+        La[4] = 0.0
+        res = bcjr_decode(code, Lc, La)
+        for b in range(5):
+            posterior, info_posterior = scatter_bcjr(code, Lc[b], La[b])
+            np.testing.assert_array_equal(res.posterior[b], posterior)
+            np.testing.assert_array_equal(res.info_posterior[b],
+                                          info_posterior)
+
+    def test_batch_length_mismatch(self):
+        code = ConvCode(generators=("111", "101"))
+        with pytest.raises(LengthMismatch):
+            bcjr_decode(code, np.zeros((3, 7)))
+        with pytest.raises(LengthMismatch):
+            bcjr_decode(code, np.zeros((3, 20)), np.zeros(8))
+        with pytest.raises(LengthMismatch):
+            bcjr_decode(code, np.zeros((3, 20)), np.zeros((2, 8)))
+        with pytest.raises(LengthMismatch):
+            bcjr_decode(code, np.zeros((2, 3, 20)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), L=st.integers(2, 4),
+           termination=st.sampled_from([TERMINATED, TRUNCATED]),
+           n_info=st.integers(1, 6), B=st.integers(1, 3))
+    def test_batch_matches_exhaustive_map(self, data, L, termination,
+                                          n_info, B):
+        nonzero = st.integers(1, 2**L - 1).map(lambda g: format(g, f"0{L}b"))
+        code = ConvCode(generators=(data.draw(nonzero), data.draw(nonzero)),
+                        termination=termination)
+        llrs = st.floats(-30.0, 30.0, allow_nan=False)
+        n = code.n_coded(n_info)
+        Lc = np.array(data.draw(st.lists(llrs, min_size=B * n,
+                                         max_size=B * n))).reshape(B, n)
+        La = np.array(data.draw(st.lists(llrs, min_size=B * n_info,
+                                         max_size=B * n_info)))
+        La = La.reshape(B, n_info)
+        res = bcjr_decode(code, Lc, La)
+        for b in range(B):
+            post_ref, info_ref = exhaustive_map(code, Lc[b], La[b])
+            np.testing.assert_allclose(res.posterior[b], post_ref, atol=1e-9)
+            np.testing.assert_allclose(res.info_posterior[b], info_ref,
+                                       atol=1e-9)
+
+
 class TestInterleaving:
     def test_identity_perm(self):
         x = np.arange(5.0)
@@ -158,3 +284,37 @@ class TestConvTurboDecoder:
             _, info_post = dec.decode_user(k, 30.0 * tx[:, k])
             np.testing.assert_array_equal((info_post < 0).astype(int),
                                           info[:, k])
+
+    @pytest.mark.parametrize("gens", [c.generators for c in SCENARIO_CODES])
+    def test_all_users_equal_per_user(self, gens):
+        dec = ConvTurboDecoder(ConvCode(generators=gens), K=4, n_info=30,
+                               master_seed=3)
+        rng = np.random.default_rng(8)
+        block = np.clip(rng.standard_normal((dec.n_coded, 4)) * 4.0,
+                        -30.0, 30.0)
+        ext, info = dec.decode_user(slice(None), block)
+        assert ext.shape == block.shape and info.shape == (4, 30)
+        for k in range(4):
+            ext_k, info_k = dec.decode_user(k, block[:, k])
+            np.testing.assert_array_equal(ext[:, k], ext_k)
+            np.testing.assert_array_equal(info[k], info_k)
+        sub_ext, sub_info = dec.decode_user([3, 1], block[:, [3, 1]])
+        np.testing.assert_array_equal(sub_ext, ext[:, [3, 1]])
+        np.testing.assert_array_equal(sub_info, info[[3, 1]])
+
+    def test_decode_user_length_mismatch(self):
+        dec = ConvTurboDecoder(ConvCode(generators=("111", "101")), K=2,
+                               n_info=10)
+        with pytest.raises(LengthMismatch):
+            dec.decode_user(slice(None), np.zeros((dec.n_coded - 2, 2)))
+        with pytest.raises(LengthMismatch):
+            dec.decode_user(0, np.zeros(dec.n_coded + 2))
+        with pytest.raises(LengthMismatch):
+            dec.decode_user(slice(None), np.zeros((dec.n_coded, 1)))
+
+    def test_identity_decoder_user_index(self):
+        block = np.arange(6.0).reshape(3, 2)
+        ext, info = IdentityDecoder().decode_user(slice(None), block)
+        np.testing.assert_array_equal(ext, block)
+        assert info == [None, None]
+        assert IdentityDecoder().decode_user(1, block[:, 1])[1] is None
