@@ -21,9 +21,9 @@ from .errors import (ConfigError, DegeneratePrior, DimensionMismatch,
 from .harness import BerReport, ScenarioConfig, run_scenario, single_user_bound
 from .siso_ddf import DdfPrecompute, ddf_aided_discrete, ddf_pass
 from .siso_discrete import DiscreteBelief, run_schedule_disc, serial_update
-from .siso_gaussian import (ExtResult, GaussianPrior, ext_flooding,
-                            ext_hybrid, run_schedule_gauss, solve_gauss,
-                            wang_poor_oracle)
+from .oracle import wang_poor_oracle
+from .siso_gaussian import (GaussianPrior, ext_flooding, ext_hybrid,
+                            run_schedule_gauss, solve_gauss)
 from .varem import EmState, PosteriorSummary, mstep_disc, mstep_gauss, run_varem
 
 __version__ = "0.1.0"

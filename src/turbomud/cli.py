@@ -26,18 +26,17 @@ from .siso_gaussian import GaussianPrior, ext_flooding, ext_hybrid
 
 _DETECT_ONE_SHOT = {
     "gaussian-hybrid": lambda ch, r, y, pl: ext_hybrid(
-        ch, GaussianPrior(np.tanh(pl / 2.0)), y=y).llr_mud,
+        ch, y, GaussianPrior(np.tanh(pl / 2.0))),
     "gaussian-flooding": lambda ch, r, y, pl: ext_flooding(
-        ch, y, GaussianPrior(np.tanh(pl / 2.0))).llr_mud,
-    "one-shot": lambda ch, r, y, pl: ext_one_shot(ch, r, pl).llr_mud,
+        ch, y, GaussianPrior(np.tanh(pl / 2.0))),
+    "one-shot": lambda ch, r, y, pl: ext_one_shot(ch, r, pl),
     "ddf": lambda ch, r, y, pl: _ddf_llrs(ch, y, pl),
 }
 
 
 def _ddf_llrs(ch, y, prior_llr):
     pre = DdfPrecompute.from_channel(ch, detection_order(ch))
-    _, ext = ddf_pass(ch, pre.whiten(ch, y)[0], prior_llr, pre)
-    return ext.llr_mud
+    return ddf_pass(ch, pre.whiten(ch, y)[0], prior_llr, pre)[1]
 
 
 def _build_parser():
@@ -91,33 +90,46 @@ def _out_path(args):
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), f"{stem}.csv")
 
 
-def _floats(kv, key, n):
-    """Comma-separated float list of exactly n entries."""
+def _floats(kv, key, n, default=None):
+    """n comma-separated finite floats; n copies of ``default`` if absent."""
+    if key not in kv and default is not None:
+        return np.full(n, float(default))
     vals = np.array([float(s) for s in kv[key].split(",")])
     if len(vals) != n:
         raise ConfigError(f"{key}: expected {n} values, got {len(vals)}")
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"{key}: values must be finite")
     return vals
 
 
 def _cmd_detect(args):
-    """Instance file keys: users, rho, sigma2, amps, r, priors, detector."""
+    """Instance file keys: users, rho, sigma2, amps, r, priors, detector.
+
+    Numbers must be finite and sigma2 > 0; overflowing LLRs are errors.
+    """
     kv = read_kv_file(args.config)
     try:
         K = int(kv.get("users", 1))
         if K < 1:
             raise ConfigError("users: must be >= 1")
-        rho = float(kv.get("rho", 0.0))
-        sigma2 = float(kv.get("sigma2", 1.0))
-        amps = _floats(kv, "amps", K) if "amps" in kv else None
+        rho = _floats(kv, "rho", 1, 0.0)[0]
+        sigma2 = _floats(kv, "sigma2", 1, 1.0)[0]
+        if sigma2 <= 0:
+            raise ConfigError("sigma2: must be > 0")
+        amps = _floats(kv, "amps", K, 1.0)
         ch = make_equicorrelated(K, rho, amplitudes=amps, sigma2=sigma2)
         r = _floats(kv, "r", ch.N)
-        priors = _floats(kv, "priors", K) if "priors" in kv else np.zeros(K)
+        priors = _floats(kv, "priors", K, 0.0)
         kind = kv.get("detector", "gaussian-hybrid")
         fn = _DETECT_ONE_SHOT[kind]
     except (KeyError, ValueError, InvalidCorrelation) as exc:
         raise ConfigError(f"bad instance description: {exc}") from None
-    y = ch.S.T @ r
-    llrs = fn(ch, r, y, priors)
+    with np.errstate(all="ignore"):
+        y = ch.S.T @ r
+        # an overflowed y is reported as such, not passed to the whitening
+        llrs = fn(ch, r, y, priors) if np.all(np.isfinite(y)) else y
+    if not np.all(np.isfinite(llrs)):
+        raise TurbomudError("instance overflows double precision")
     for k, llr in enumerate(llrs, start=1):
         print(f"user {k}: LLR = {llr:+.6f}")
     return 0

@@ -11,7 +11,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import DegeneratePrior, TooLarge
+from .linalg import spd_inverse
+from .siso_gaussian import EXT_VAR_FLOOR
 
 ENUM_MAX_USERS = 16
 GRID_MAX_USERS = 3
@@ -107,6 +109,34 @@ def exact_ext(ch, r, prior_llrs, k):
             f"extrinsic message mismatch: {seq!r} vs {flood!r}"
         )
     return seq
+
+
+def wang_poor_oracle(ch, y, prior):
+    """Two-stage soft-IC + MMSE detector, coded independently.
+
+    Stage one subtracts the remodulated soft estimates of the other
+    users from the matched filter output; stage two applies the
+    residual-interference MMSE filter.  With the filter output z_k
+    modelled as alpha_k b_k + Gaussian noise of variance
+    alpha_k - alpha_k^2, the extrinsic LLR is 2 z_k / (1 - alpha_k).
+    Returns (llr, z); must match ``siso_gaussian.ext_hybrid``.
+    """
+    y = np.asarray(y, dtype=float)
+    Rinv = spd_inverse(ch.R)
+    Rinv_y = Rinv @ y
+    llr = np.empty(ch.K)
+    z = np.empty(ch.K)
+    for k in range(ch.K):
+        bt_k = prior.btilde.copy()
+        bt_k[k] = 0.0               # own prior forced uninformative
+        C = np.diag(ch.a**2 * (1.0 - bt_k**2)) + ch.sigma2 * Rinv
+        Cinv = spd_inverse(C)
+        z[k] = ch.a[k] * (Cinv[k] @ (Rinv_y - ch.a * bt_k))
+        alpha = ch.a[k] ** 2 * Cinv[k, k]
+        if 1.0 - alpha < EXT_VAR_FLOOR:
+            raise DegeneratePrior(f"1 - alpha = {1 - alpha:.3e} for user {k}")
+        llr[k] = 2.0 * z[k] / (1.0 - alpha)
+    return llr, z
 
 
 def gaussian_conditioning(ch, r, prior="standard_normal"):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidPermutation
 from .siso_discrete import DiscreteBelief, clamp_mean, run_schedule_disc
-from .siso_gaussian import ExtResult, clamp_llr
+from .siso_gaussian import clamp_llr
 
 AMPLITUDE_DESCENDING = "amplitude_descending"
 AS_GIVEN = "as_given"
@@ -92,16 +92,12 @@ def ddf_pass(ch, ybar, prior_llr, pre):
 
     ``ybar`` must be the whitened observation consistent with ``pre``
     (i.e. pre.whiten applied to the matched filter output when a
-    non-trivial order is active).  Returns the belief and the extrinsic
-    LLRs, both in natural user order.
+    non-trivial order is active).  ``ddf_pass_block`` with T = 1;
+    returns the belief and the extrinsic LLRs in natural user order.
     """
-    m_blk, pos_blk = ddf_pass_block(ch, np.atleast_2d(ybar),
-                                    np.atleast_2d(prior_llr), pre)
     prior = np.asarray(prior_llr, dtype=float)
-    llr_mud = pos_blk[0] - prior
-    return DiscreteBelief(m=m_blk[0]), ExtResult(
-        llr_mud=llr_mud, mu=m_blk[0], alpha=np.zeros(ch.K)
-    )
+    m_blk, pos_blk = ddf_pass_block(ch, np.atleast_2d(ybar), prior[None], pre)
+    return DiscreteBelief(m=m_blk[0]), pos_blk[0] - prior
 
 
 def ddf_pass_block(ch, ybar, prior_llr, pre):

@@ -124,23 +124,18 @@ def serial_update(ch, r, prior_llr, q, order=None, callback=None):
     m_k = tanh(LLR_pos(b_k)/2), so the free energy cannot increase.
     Returns the updated belief and the posterior LLRs of the sweep.
     ``callback(m)`` runs after every single-coordinate update.
+    ``_sweep_block`` with T = 1, one user at a time.
     """
-    r = np.asarray(r, dtype=float)
-    prior_llr = np.asarray(prior_llr, dtype=float)
     mc = McColumns.from_channel(ch)
-    eta_r = mc.eta.T @ r
-    m = np.array(q.m if isinstance(q, DiscreteBelief) else q, dtype=float)
+    eta_r = np.atleast_2d(np.asarray(r, dtype=float)) @ mc.eta
+    prior = np.asarray(prior_llr, dtype=float)[None]
+    M = np.array([q.m if isinstance(q, DiscreteBelief) else q], dtype=float)
     llr_pos = np.empty(ch.K)
-    order = range(ch.K) if order is None else order
-    for k in order:
-        # beta_k has a zero k-th entry, so m_k never feeds itself
-        llr_pos[k] = prior_llr[k] + (2.0 / ch.sigma2) * (
-            eta_r[k] - mc.beta[:, k] @ m
-        )
-        m[k] = clamp_mean(np.tanh(clamp_llr(llr_pos[k]) / 2.0))
+    for k in range(ch.K) if order is None else order:
+        llr_pos[k] = _sweep_block(ch, eta_r, prior, M, [k])[0, k]
         if callback is not None:
-            callback(m.copy())
-    return DiscreteBelief(m=m), llr_pos
+            callback(M[0].copy())
+    return DiscreteBelief(m=M[0]), llr_pos
 
 
 def ext_one_shot(ch, r, prior_llr):
@@ -150,24 +145,17 @@ def ext_one_shot(ch, r, prior_llr):
     user's own soft bit zeroed in the cancellation term.  No descent
     guarantee; kept as the classical simplified detector.
     """
-    from .siso_gaussian import ExtResult
-
     r = np.asarray(r, dtype=float)
     btilde = np.tanh(np.asarray(prior_llr, dtype=float) / 2.0)
     mc = McColumns.from_channel(ch)
-    llr = (2.0 / ch.sigma2) * (mc.eta.T @ r - mc.beta.T @ btilde)
-    return ExtResult(llr_mud=llr, mu=np.tanh(llr / 2.0), alpha=np.zeros(ch.K))
+    return (2.0 / ch.sigma2) * (mc.eta.T @ r - mc.beta.T @ btilde)
 
 
 def tanh_sic(ch, r, sweeps):
-    """Uncoded hyperbolic-tangent SIC: serial updates with zero priors."""
+    """Uncoded hyperbolic-tangent SIC: ``tanh_sic_block`` with T = 1."""
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
-    belief = DiscreteBelief(m=np.zeros(ch.K))
-    zeros = np.zeros(ch.K)
-    for _ in range(sweeps):
-        belief, _ = serial_update(ch, r, zeros, belief)
-    return belief
+    return DiscreteBelief(m=tanh_sic_block(ch, r, sweeps)[0])
 
 
 def tanh_sic_block(ch, r_block, sweeps, m0=None, record=False):
@@ -204,6 +192,7 @@ def _sweep_block(ch, eta_r, llr_dec, M, order):
     mc = McColumns.from_channel(ch)
     llr_pos = np.empty_like(llr_dec)
     for k in order:
+        # beta_k has a zero k-th entry, so m_k never feeds itself
         metric = eta_r[:, k] - M @ mc.beta[:, k]
         llr_pos[:, k] = llr_dec[:, k] + (2.0 / ch.sigma2) * metric
         M[:, k] = clamp_mean(np.tanh(clamp_llr(llr_pos[:, k]) / 2.0))

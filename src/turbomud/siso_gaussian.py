@@ -20,17 +20,18 @@ priors.  For the discrete family the schedules stay distinct: the
 mean-field sweeps feed a user's own prior back to it through the other
 users' beliefs.
 
-The classical two-stage soft-interference-cancellation + MMSE detector
-is re-implemented independently in ``wang_poor_oracle`` as a
-cross-check: it must agree with the leave-one-out free-energy path to
-numerical precision.
+Each extrinsic has one kernel over a (T, K) block of intervals;
+``ext_flooding`` and ``ext_hybrid`` call it with T = 1.  Both kernels
+form 2 mu / (1 - alpha) in ``_ext_llr``, which raises DegeneratePrior
+when 1 - alpha falls below EXT_VAR_FLOOR.  The independently coded
+two-stage soft-IC + MMSE cross-check is ``oracle.wang_poor_oracle``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePrior, DimensionMismatch, SingularCovariance
+from .errors import DegeneratePrior, SingularCovariance
 from .detect_linear import GaussianBelief
 from .linalg import spd_inverse, spd_solve
 
@@ -127,23 +128,6 @@ class GaussianPrior:
     def W(self):
         return np.diag(self.w)
 
-    def leave_one_out(self, k):
-        """(btilde_k, w_k): user k's own prior forced uninformative."""
-        bt = self.btilde.copy()
-        bt[k] = 0.0
-        w = 1.0 - bt**2
-        return bt, w
-
-
-@dataclass(frozen=True)
-class ExtResult:
-    """Extrinsic LLRs with the per-user intermediates that formed them."""
-
-    llr_mud: np.ndarray
-    mu: np.ndarray
-    alpha: np.ndarray
-    nu2: np.ndarray = field(default=None)
-
 
 def _gram(ch):
     return (ch.a[:, None] * ch.R) * ch.a[None, :]
@@ -203,105 +187,10 @@ def solve_gauss(ch, r, prior):
     return GaussianBelief(mu=mu, Sigma=Sigma)
 
 
-def _require_y(ch, r, y):
-    if (r is None) == (y is None):
-        raise DimensionMismatch("provide exactly one of r or y")
-    if y is None:
-        y = ch.S.T @ np.asarray(r, dtype=float)
-    return np.asarray(y, dtype=float)
-
-
-def ext_hybrid(ch, prior, r=None, y=None):
-    """Leave-one-out extrinsic LLRs from the free-energy minimizer.
-
-    For each user k the prior of b_k is ignored (mean 0, variance 1)
-    and the exact minimizer is evaluated; the extrinsic LLR is
-    2 mu'_k / [Sigma_k]_kk with [Sigma_k]_kk = 1 - alpha_k.  All K
-    users see the same incoming priors.
-    """
-    y = _require_y(ch, r, y)
-    G = _gram(ch)
-    K = ch.K
-    llr = np.empty(K)
-    mus = np.empty(K)
-    alphas = np.empty(K)
-    for k in range(K):
-        bt_k, w_k = prior.leave_one_out(k)
-        Minv = spd_inverse(G + ch.sigma2 * np.diag(1.0 / w_k))
-        rhs = ch.a * (y - ch.R @ (ch.a * bt_k))
-        mus[k] = Minv[k] @ rhs
-        sigma_kk = ch.sigma2 * Minv[k, k]  # = [ (G/sigma2 + W_k^{-1})^{-1} ]_kk
-        if sigma_kk < EXT_VAR_FLOOR:
-            raise DegeneratePrior(f"extrinsic variance {sigma_kk:.3e} for user {k}")
-        alphas[k] = 1.0 - sigma_kk
-        llr[k] = 2.0 * mus[k] / sigma_kk
-    return ExtResult(llr_mud=llr, mu=mus, alpha=alphas)
-
-
-def wang_poor_oracle(ch, y, prior):
-    """Two-stage soft-IC + MMSE detector, coded independently.
-
-    Stage one subtracts the remodulated soft estimates of the other
-    users from the matched filter output; stage two applies the
-    residual-interference MMSE filter.  With the filter output z_k
-    modelled as alpha_k b_k + Gaussian noise of variance
-    nu_k^2 = alpha_k - alpha_k^2, the extrinsic LLR is
-    2 z_k / (1 - alpha_k).
-    """
-    y = np.asarray(y, dtype=float)
-    Rinv = spd_inverse(ch.R)
-    Rinv_y = Rinv @ y
-    K = ch.K
-    llr = np.empty(K)
-    zs = np.empty(K)
-    alphas = np.empty(K)
-    nu2 = np.empty(K)
-    for k in range(K):
-        bt_k, w_k = prior.leave_one_out(k)
-        C = np.diag(ch.a**2 * w_k) + ch.sigma2 * Rinv  # A W_k A + sigma2 R^{-1}
-        Cinv = spd_inverse(C)
-        zs[k] = ch.a[k] * (Cinv[k] @ (Rinv_y - ch.a * bt_k))
-        alphas[k] = ch.a[k] ** 2 * Cinv[k, k]
-        nu2[k] = alphas[k] - alphas[k] ** 2
-        if 1.0 - alphas[k] < EXT_VAR_FLOOR:
-            raise DegeneratePrior(f"1 - alpha = {1 - alphas[k]:.3e} for user {k}")
-        llr[k] = 2.0 * zs[k] / (1.0 - alphas[k])
-    return ExtResult(llr_mud=llr, mu=zs, alpha=alphas, nu2=nu2)
-
-
-def ext_flooding(ch, y, prior):
-    """Flooding-schedule extrinsic LLRs from one shared solve.
-
-    A single filter matrix (A W A + sigma2 R^{-1})^{-1} built from the
-    full prior serves all users; the per-user extrinsic is the Gaussian
-    division of the shared posterior by the own prior,
-
-        mucheck_k    = A_k e_k^T P (R^{-1} y - A btilde_k)
-        alphacheck_k = (1 - btilde_k^2) A_k^2 P_kk
-        LLR_k        = 2 mucheck_k / (1 - alphacheck_k),
-
-    with mucheck evaluated in the shared form
-    A_k e_k^T P (R^{-1} y - A btilde) + btilde_k A_k^2 P_kk.
-    """
-    y = np.asarray(y, dtype=float)
-    w = prior.w
-    Rinv = spd_inverse(ch.R)
-    P = spd_inverse(np.diag(ch.a**2 * w) + ch.sigma2 * Rinv)
-    diagP = np.diagonal(P)
-    v = Rinv @ y - ch.a * prior.btilde
-    mu_check = ch.a * (P @ v) + prior.btilde * ch.a**2 * diagP
-    alpha_check = w * ch.a**2 * diagP
-    ext_var = 1.0 - alpha_check
-    if np.any(ext_var < EXT_VAR_FLOOR):
-        raise DegeneratePrior("degenerate extrinsic variance in flooding division")
-    return ExtResult(llr_mud=2.0 * mu_check / ext_var, mu=mu_check,
-                     alpha=alpha_check)
-
-
 # ----------------------------------------------------------------------
-# Block (T symbol intervals at once) versions used by the turbo loop.
-# A W A is diagonal, so the per-interval filter matrices differ only on
-# the diagonal and are inverted as one batched call.
+# Extrinsic kernels over T symbol intervals at once.  A W A is diagonal,
+# so the per-interval filter matrices differ only on the diagonal and
+# are inverted as one batched call.
 # ----------------------------------------------------------------------
 
 def _batched_P(ch, w_block, Rinv):
@@ -313,8 +202,27 @@ def _batched_P(ch, w_block, Rinv):
     return np.linalg.inv(C)
 
 
+def _ext_llr(mu, alpha):
+    """Extrinsic LLR 2 mu / (1 - alpha), the one degenerate-variance policy.
+
+    An extrinsic variance 1 - alpha below EXT_VAR_FLOOR leaves the
+    symbol unresolvable and raises DegeneratePrior; it is never clamped.
+    """
+    ext_var = 1.0 - alpha
+    if np.any(ext_var < EXT_VAR_FLOOR):
+        raise DegeneratePrior(f"extrinsic variance {np.min(ext_var):.3e} "
+                              f"below {EXT_VAR_FLOOR:.0e}")
+    return 2.0 * mu / ext_var
+
+
 def flooding_ext_block(ch, Y, Btilde):
-    """Flooding extrinsic LLRs for a whole (T, K) block."""
+    """Flooding extrinsic LLRs for a whole (T, K) block.
+
+    Gaussian division of the posterior of one shared solve per interval,
+    P = (A W A + sigma2 R^{-1})^{-1}, by the own prior:
+    mucheck_k = A_k e_k^T P (R^{-1} y - A btilde) + btilde_k A_k^2 P_kk,
+    alphacheck_k = (1 - btilde_k^2) A_k^2 P_kk.
+    """
     Btilde = _clamp_soft(Btilde)
     w = 1.0 - Btilde**2
     Rinv = spd_inverse(ch.R)
@@ -322,9 +230,7 @@ def flooding_ext_block(ch, Y, Btilde):
     diagP = P[:, np.arange(ch.K), np.arange(ch.K)]
     V = Y @ Rinv.T - ch.a * Btilde
     mu_check = ch.a * np.einsum("tkj,tj->tk", P, V) + Btilde * ch.a**2 * diagP
-    alpha_check = w * ch.a**2 * diagP
-    ext_var = np.maximum(1.0 - alpha_check, EXT_VAR_FLOOR)
-    return 2.0 * mu_check / ext_var
+    return _ext_llr(mu_check, w * ch.a**2 * diagP)
 
 
 def loo_ext_block(ch, Y, Btilde, k):
@@ -336,9 +242,26 @@ def loo_ext_block(ch, Y, Btilde, k):
     P = _batched_P(ch, w, Rinv)
     V = Y @ Rinv.T - ch.a * Btilde
     mu = ch.a[k] * np.einsum("tj,tj->t", P[:, k, :], V)
-    alpha = ch.a[k] ** 2 * P[:, k, k]
-    ext_var = np.maximum(1.0 - alpha, EXT_VAR_FLOOR)
-    return 2.0 * mu / ext_var
+    return _ext_llr(mu, ch.a[k] ** 2 * P[:, k, k])
+
+
+def ext_hybrid(ch, y, prior):
+    """Leave-one-out extrinsic LLRs of one interval from matched filter y.
+
+    For each user k the prior of b_k is ignored (mean 0, variance 1)
+    and the exact minimizer is evaluated; the extrinsic LLR is
+    2 mu'_k / (1 - alpha_k).  All K users see the same incoming priors.
+    ``loo_ext_block`` with T = 1, once per user.
+    """
+    Y = np.asarray(y, dtype=float)[None]
+    return np.array([loo_ext_block(ch, Y, prior.btilde[None], k)[0]
+                     for k in range(ch.K)])
+
+
+def ext_flooding(ch, y, prior):
+    """Flooding extrinsic LLRs of one interval: ``flooding_ext_block``."""
+    return flooding_ext_block(ch, np.asarray(y, dtype=float)[None],
+                              prior.btilde[None])[0]
 
 
 class GaussianTurboLoop:

@@ -1,6 +1,12 @@
-import pytest
+import contextlib
+import io
+import math
 
-from turbomud.cli import cli_main
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from turbomud.cli import _DETECT_ONE_SHOT, cli_main
 
 
 def test_presets_listing(capsys):
@@ -139,9 +145,78 @@ def test_out_dir_env_default(tmp_path, monkeypatch, capsys):
     "users = 2\nr = 0.3,-0.9\npriors = 1\n",        # one prior for two users
     "users = 2\nrho = 1.5\nr = 0.3,-0.9\n",          # rho outside [0, 1)
     "users = 0\nr = 0.3\n",                         # no users
+    "users = 2\nsigma2 = 0\nr = 0.3,-0.9\ndetector = one-shot\n",
+    "users = 2\nsigma2 = 0\nr = 0.3,-0.9\ndetector = ddf\n",
+    "users = 2\nr = nan,1\ndetector = ddf\n",
+    "users = 2\nsigma2 = nan\nr = 0.3,-0.9\n",
+    "users = 2\nr = nan,1\n",
+    "users = 2\nr = 0.3,-0.9\npriors = nan,0\n",
+    "users = 2\nrho = inf\nr = 0.3,-0.9\n",
+    "users = 2\namps = 1,inf\nr = 0.3,-0.9\n",
 ])
 def test_detect_malformed_instance_exit_code(tmp_path, capsys, body):
     inst = tmp_path / "instance.cfg"
     inst.write_text(body)
     assert cli_main(["detect", str(inst)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("body", [
+    # 1 - alpha below the floor raises DegeneratePrior on the block path
+    "users = 2\nsigma2 = 1e-16\nr = 0.3,-0.1\ndetector = gaussian-hybrid\n",
+    "users = 2\nsigma2 = 1e-16\nr = 0.3,-0.1\ndetector = gaussian-flooding\n",
+    # finite r whose matched-filter output overflows
+    "users = 2\nrho = 0.5\nr = 1.7e308,1.7e308\ndetector = ddf\n",
+])
+def test_detect_runtime_error_exit_code(tmp_path, capsys, body):
+    inst = tmp_path / "instance.cfg"
+    inst.write_text(body)
+    assert cli_main(["detect", str(inst)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+_NUMBER = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300",
+                     "5e-324", "1"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr))
+_TOKEN = st.one_of(_NUMBER, st.text(alphabet="abx,.-+eE019 ", max_size=6))
+
+
+@st.composite
+def _instances(draw):
+    """Instance files over the documented keys, mostly of the right shape."""
+    K = draw(st.integers(1, 3))  # small: detect allocates K x K matrices
+
+    def numbers(n):
+        return ",".join(draw(st.one_of(
+            st.lists(_NUMBER, min_size=n, max_size=n),
+            st.lists(_TOKEN, max_size=5))))
+
+    keys = {"users": draw(st.one_of(st.just(str(K)), _TOKEN)),
+            "rho": draw(st.one_of(st.just("0.5"), _TOKEN)),
+            "sigma2": draw(_TOKEN), "amps": numbers(K), "r": numbers(K),
+            "priors": numbers(K),
+            "detector": draw(st.sampled_from(sorted(_DETECT_ONE_SHOT)
+                                             + ["bogus"]))}
+    drop = draw(st.sets(st.sampled_from(sorted(keys))))
+    return {k: v for k, v in keys.items() if k not in drop}
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=_instances())
+def test_detect_fuzzed_instance_contract(tmp_path_factory, instance):
+    """Exit code 0/1/2, no escaping exception, finite LLRs on success."""
+    inst = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    inst.write_text("".join(f"{k} = {v}\n" for k, v in instance.items()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["detect", str(inst)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == int(instance.get("users", 1))
+        for line in lines:
+            assert math.isfinite(float(line.split("=")[1]))
+    else:
+        prefix = "config error:" if code == 2 else "error:"
+        assert err.getvalue().startswith(prefix)

@@ -6,11 +6,12 @@ from turbomud.channel import (SymbolBlock, make_equicorrelated,
 from turbomud.coding import IdentityDecoder
 from turbomud.detect_linear import GaussianBelief, mmse
 from turbomud.errors import DegeneratePrior
+from turbomud.oracle import wang_poor_oracle
 from turbomud.siso_gaussian import (GaussianPrior, ext_flooding, ext_hybrid,
                                     flooding_ext_block, free_energy_gauss,
                                     free_energy_gauss_gradient_mu,
                                     loo_ext_block, run_schedule_gauss,
-                                    solve_gauss, wang_poor_oracle)
+                                    solve_gauss)
 
 
 def random_channel(rng, K, equicorrelated=True):
@@ -126,19 +127,18 @@ class TestHybridAgainstTwoStage:
         ch = make_equicorrelated(1, 0.0, amplitudes=[1.3], sigma2=0.4)
         y = np.array([0.7])
         prior = GaussianPrior(btilde=np.array([0.6]))
-        for fn in (lambda: ext_hybrid(ch, prior, y=y),
-                   lambda: wang_poor_oracle(ch, y, prior)):
-            res = fn()
-            assert abs(res.llr_mud[0] - 2.0 * 1.3 * y[0] / 0.4) < 1e-10
+        for llr in (ext_hybrid(ch, y, prior),
+                    wang_poor_oracle(ch, y, prior)[0]):
+            assert abs(llr[0] - 2.0 * 1.3 * y[0] / 0.4) < 1e-10
 
     def test_zero_prior_agreement(self):
         rng = np.random.default_rng(6)
         ch = random_channel(rng, 4)
         y = rng.standard_normal(4)
         prior = GaussianPrior(btilde=np.zeros(4))
-        a = ext_hybrid(ch, prior, y=y)
-        b = wang_poor_oracle(ch, y, prior)
-        np.testing.assert_allclose(a.llr_mud, b.llr_mud, rtol=1e-10)
+        a = ext_hybrid(ch, y, prior)
+        b, _ = wang_poor_oracle(ch, y, prior)
+        np.testing.assert_allclose(a, b, rtol=1e-10)
 
     def test_random_instance_agreement(self):
         rng = np.random.default_rng(7)
@@ -147,22 +147,17 @@ class TestHybridAgainstTwoStage:
             ch = random_channel(rng, K, equicorrelated=bool(rng.integers(2)))
             y = rng.standard_normal(K)
             prior = random_prior(rng, K)
-            a = ext_hybrid(ch, prior, y=y)
-            b = wang_poor_oracle(ch, y, prior)
-            scale = np.maximum(np.abs(b.llr_mud), 1.0)
-            assert np.max(np.abs(a.llr_mud - b.llr_mud) / scale) < 1e-10
-            # the soft-IC filter output equals the VFEM mean component
-            assert np.max(np.abs(a.mu - b.mu)) < 1e-12 * max(
-                1.0, np.max(np.abs(b.mu)))
-
-    def test_r_and_y_paths_agree(self):
-        rng = np.random.default_rng(8)
-        ch = random_channel(rng, 3, equicorrelated=False)
-        r = rng.standard_normal(ch.N)
-        prior = random_prior(rng, 3)
-        a = ext_hybrid(ch, prior, r=r)
-        b = ext_hybrid(ch, prior, y=ch.S.T @ r)
-        np.testing.assert_allclose(a.llr_mud, b.llr_mud, rtol=1e-12)
+            a = ext_hybrid(ch, y, prior)
+            b, z = wang_poor_oracle(ch, y, prior)
+            scale = np.maximum(np.abs(b), 1.0)
+            assert np.max(np.abs(a - b) / scale) < 1e-10
+            # the soft-IC filter output equals the VFEM mean component of
+            # the minimizer under user k's leave-one-out prior
+            r = ch.S @ np.linalg.solve(ch.R, y)  # S^T r = y
+            mu = [solve_gauss(ch, r, GaussianPrior(
+                btilde=np.where(np.arange(K) == k, 0.0, prior.btilde))).mu[k]
+                  for k in range(K)]
+            assert np.max(np.abs(mu - z)) < 1e-12 * max(1.0, np.max(np.abs(z)))
 
 
 class TestFlooding:
@@ -171,9 +166,8 @@ class TestFlooding:
         ch = random_channel(rng, 4)
         y = rng.standard_normal(4)
         prior = GaussianPrior(btilde=np.zeros(4))
-        np.testing.assert_allclose(ext_flooding(ch, y, prior).llr_mud,
-                                   ext_hybrid(ch, prior, y=y).llr_mud,
-                                   rtol=1e-10)
+        np.testing.assert_allclose(ext_flooding(ch, y, prior),
+                                   ext_hybrid(ch, y, prior), rtol=1e-10)
         # with informative priors too: the own prior moves only C_kk,
         # which leaves 2 mu / (1 - alpha) unchanged (Sherman-Morrison)
         for _ in range(100):
@@ -181,16 +175,16 @@ class TestFlooding:
             ch = random_channel(rng, K, equicorrelated=bool(rng.integers(2)))
             y = rng.standard_normal(K)
             prior = random_prior(rng, K)
-            hyb = ext_hybrid(ch, prior, y=y).llr_mud
-            flood = ext_flooding(ch, y, prior).llr_mud
+            hyb = ext_hybrid(ch, y, prior)
+            flood = ext_flooding(ch, y, prior)
             scale = np.maximum(np.abs(hyb), 1.0)
             assert np.max(np.abs(flood - hyb) / scale) < 1e-9
 
     def test_single_user_prior_independent(self):
         ch = make_equicorrelated(1, 0.0, amplitudes=[1.1], sigma2=0.3)
         y = np.array([-0.4])
-        vals = [ext_flooding(ch, y, GaussianPrior(btilde=np.array([b]))
-                             ).llr_mud[0] for b in (-0.8, 0.0, 0.9)]
+        vals = [ext_flooding(ch, y, GaussianPrior(btilde=np.array([b])))[0]
+                for b in (-0.8, 0.0, 0.9)]
         np.testing.assert_allclose(vals, 2.0 * 1.1 * y[0] / 0.3, rtol=1e-10)
 
     def test_efficient_form_equals_gaussian_division(self):
@@ -203,7 +197,7 @@ class TestFlooding:
             q = solve_gauss(ch, r, prior)
             direct = (2.0 * q.mu / np.diagonal(q.Sigma)
                       - 2.0 * prior.btilde / prior.w)
-            got = ext_flooding(ch, ch.S.T @ r, prior).llr_mud
+            got = ext_flooding(ch, ch.S.T @ r, prior)
             scale = np.maximum(np.abs(direct), 1.0)
             assert np.max(np.abs(got - direct) / scale) < 1e-10
 
@@ -226,14 +220,18 @@ class TestBlockPaths:
                        axis=1)
         scale = np.maximum(np.abs(loo), 1.0)
         assert np.max(np.abs(flood - loo) / scale) < 1e-9
-        for t in range(T):
-            prior = GaussianPrior(btilde=Btilde[t])
-            np.testing.assert_allclose(
-                flood[t], ext_flooding(ch, Y[t], prior).llr_mud, rtol=1e-10)
-            for k in range(4):
-                np.testing.assert_allclose(
-                    loo[t, k], ext_hybrid(ch, prior, y=Y[t]).llr_mud[k],
-                    rtol=1e-10)
+
+    @pytest.mark.parametrize("kernel", ["flooding", "loo"])
+    def test_degenerate_variance_raises(self, kernel):
+        # the block kernels share the scalar policy: raise, never clamp
+        ch = make_equicorrelated(2, 0.0, sigma2=1e-16)
+        Y = np.array([[0.3, -0.1]])
+        Btilde = np.zeros((1, 2))
+        with pytest.raises(DegeneratePrior):
+            if kernel == "flooding":
+                flooding_ext_block(ch, Y, Btilde)
+            else:
+                loo_ext_block(ch, Y, Btilde, 0)
 
 
 class TestRunSchedule:
@@ -264,8 +262,8 @@ class TestRunSchedule:
         frames = run_schedule_gauss(ch, obs, IdentityDecoder(), "hybrid", 2)
         priors = np.tanh(np.clip(frames[0].llr_dec, -30, 30) / 2.0)
         for t in range(4):
-            expected = ext_hybrid(ch, GaussianPrior(btilde=priors[t]),
-                                  y=obs.y[t]).llr_mud
+            expected = ext_hybrid(ch, obs.y[t],
+                                  GaussianPrior(btilde=priors[t]))
             np.testing.assert_allclose(frames[1].llr_mud[t],
                                        np.clip(expected, -30, 30),
                                        rtol=1e-10)
