@@ -18,8 +18,8 @@ import numpy as np
 
 from .channel import make_equicorrelated
 from .errors import ConfigError, InvalidCorrelation, TurbomudError
-from .harness import (OUT_DIR_ENV, PRESETS, read_kv_file, resolve_config,
-                      run_scenario)
+from .harness import (OUT_DIR_ENV, PRESETS, parse_value, read_kv_file,
+                      resolve_config, run_scenario)
 from .siso_ddf import DdfPrecompute, ddf_pass, detection_order
 from .siso_discrete import ext_one_shot
 from .siso_gaussian import GaussianPrior, ext_flooding, ext_hybrid
@@ -79,7 +79,7 @@ def _apply_overrides(cfg, args):
         updates["max_frames"] = args.trials
         updates["frame_cap"] = args.trials
     if getattr(args, "snr", None) is not None:
-        updates["snr_db"] = tuple(float(s) for s in args.snr.split(","))
+        updates["snr_db"] = parse_value("snr_db", args.snr)
     return replace(cfg, **updates).validate() if updates else cfg
 
 
@@ -116,10 +116,10 @@ def _cmd_detect(args):
         sigma2 = _floats(kv, "sigma2", 1, 1.0)[0]
         if sigma2 <= 0:
             raise ConfigError("sigma2: must be > 0")
+        r = _floats(kv, "r", K)  # N = K; bounds K before any K-sized array
         amps = _floats(kv, "amps", K, 1.0)
-        ch = make_equicorrelated(K, rho, amplitudes=amps, sigma2=sigma2)
-        r = _floats(kv, "r", ch.N)
         priors = _floats(kv, "priors", K, 0.0)
+        ch = make_equicorrelated(K, rho, amplitudes=amps, sigma2=sigma2)
         kind = kv.get("detector", "gaussian-hybrid")
         fn = _DETECT_ONE_SHOT[kind]
     except (KeyError, ValueError, InvalidCorrelation) as exc:

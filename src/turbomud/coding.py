@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidPermutation, LengthMismatch
+from .errors import LengthMismatch
 
 TERMINATED = "terminated"
 TRUNCATED = "truncated"
@@ -194,29 +194,6 @@ def _logsumexp2(x):
     with np.errstate(divide="ignore"):
         out = safe + np.log(np.sum(np.exp(x - safe[:, None]), axis=1))
     return np.where(np.isfinite(m), out, -np.inf)
-
-
-def _check_perm(perm, n):
-    perm = np.asarray(perm, dtype=int)
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-        raise InvalidPermutation("not a permutation of the block indices")
-    return perm
-
-
-def interleave(perm, seq):
-    """out[i] = seq[perm[i]]."""
-    seq = np.asarray(seq)
-    perm = _check_perm(perm, seq.shape[0])
-    return seq[perm]
-
-
-def deinterleave(perm, seq):
-    """Inverse of ``interleave`` with the same permutation."""
-    seq = np.asarray(seq)
-    perm = _check_perm(perm, seq.shape[0])
-    out = np.empty_like(seq)
-    out[perm] = seq
-    return out
 
 
 def user_permutations(n, K, master_seed):

@@ -8,6 +8,10 @@ reproducible bit-for-bit regardless of how many workers split the
 trials.  Error counts are recorded per (SNR, outer iteration, user)
 and written as CSV; joint-estimation runs also emit the per-iteration
 noise-variance and amplitude-error trajectories.
+
+``detector`` and ``coded`` alone choose a frame's pipeline: the uncoded
+DDF pass, or one ``varem.run_varem`` turbo run whose joint estimation,
+when off, starts from the true parameters and updates none of them.
 """
 
 import os
@@ -20,11 +24,11 @@ from .channel import (ChannelInstance, SymbolBlock, make_equicorrelated,
                       make_random_spreading, transmit)
 from .coding import ConvCode, ConvTurboDecoder, IdentityDecoder
 from .errors import ConfigError
-from .siso_ddf import (AMPLITUDE_DESCENDING, DdfPrecompute, ddf_aided_discrete,
-                       ddf_pass_block, detection_order)
-from .siso_discrete import run_schedule_disc, tanh_sic_block
-from .siso_gaussian import run_schedule_gauss
-from .varem import DISCRETE, GAUSSIAN, EmState, initial_sigma2, run_varem
+from .siso_ddf import (AMPLITUDE_DESCENDING, DdfPrecompute, ddf_pass_block,
+                       detection_order)
+from .siso_discrete import tanh_sic_block
+from .varem import (DISCRETE, GAUSSIAN, SIGMA2_FLOOR, EmState, initial_sigma2,
+                    run_varem)
 
 OUT_DIR_ENV = "TURBOMUD_OUT_DIR"
 
@@ -59,7 +63,27 @@ class ScenarioConfig:
     frame_cap: int = 400
     workers: int = 1
 
+    @property
+    def estimates(self):
+        """Whether the run estimates sigma2 or the amplitudes (EM)."""
+        return self.estimate_sigma2 or self.varsigma > 0
+
+    @property
+    def uncoded_ddf(self):
+        """Plain DDF, or DDF + tanh-SIC: the runs without a turbo loop."""
+        return not self.coded and self.detector in ("ddf", "ddf_aided")
+
     def validate(self):
+        if any(np.isnan(s) or s == -np.inf for s in self.snr_db):
+            raise ConfigError("snr_db: values must be finite or +inf")
+        if not all(np.isfinite(db) for db in self.snr_fixed.values()):
+            raise ConfigError("snr_fixed: pins must be finite")
+        if not np.isfinite(self.rho):
+            raise ConfigError("rho: must be finite")
+        if not (np.isfinite(self.varsigma) and self.varsigma >= 0):
+            raise ConfigError("varsigma: must be finite and >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
         if self.channel not in ("equicorrelated", "random"):
             raise ConfigError(f"channel: unknown kind {self.channel!r}")
         if self.users < 1:
@@ -74,6 +98,8 @@ class ScenarioConfig:
             raise ConfigError(f"schedule: unknown schedule {self.schedule!r}")
         if self.outer_iterations < 1:
             raise ConfigError("outer_iterations: must be >= 1")
+        if self.inner_iterations < 1:
+            raise ConfigError("inner_iterations: must be >= 1")
         if len(self.snr_db) == 0:
             raise ConfigError("snr_db: grid must be nonempty")
         if self.info_bits < 1:
@@ -93,6 +119,9 @@ class ScenarioConfig:
             raise ConfigError("detector: plain ddf is supported uncoded only")
         if self.detector == "ddf" and self.outer_iterations != 1:
             raise ConfigError("outer_iterations: plain ddf is a single pass")
+        if self.uncoded_ddf and self.estimates:
+            raise ConfigError("estimate_sigma2/varsigma: the uncoded "
+                              f"{self.detector} pass estimates nothing")
         _order_policy(self.ddf_order, self.users)
         return self
 
@@ -109,7 +138,7 @@ def _order_policy(order_str, users):
         except ValueError:
             raise ConfigError(f"ddf_order: bad permutation {order_str!r}") \
                 from None
-        if sorted(perm) != list(range(users)):
+        if len(perm) != users or sorted(perm) != list(range(users)):
             raise ConfigError(f"ddf_order: {order_str!r} is not a "
                               f"permutation of 1..{users}")
         return np.asarray(perm)
@@ -118,6 +147,7 @@ def _order_policy(order_str, users):
     return order_str
 
 
+_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
@@ -150,51 +180,40 @@ def parse_config_text(text):
     return config_from_dict(parse_kv_text(text))
 
 
-def config_from_dict(values):
-    kwargs = {}
-    valid = {f.name: f.type for f in fields(ScenarioConfig)}
-    for key, val in values.items():
-        if key not in valid:
-            raise ConfigError(f"{key}: unknown config key")
-        if key == "snr_db":
-            try:
-                kwargs[key] = tuple(float(s) for s in str(val).split(","))
-            except ValueError:
-                raise ConfigError(f"snr_db: bad grid {val!r}") from None
-        elif key == "snr_fixed":
-            pins = {}
-            try:
-                for part in str(val).split(","):
-                    if not part.strip():
-                        continue
-                    user, db = part.split(":")
-                    pins[int(user)] = float(db)
-            except ValueError:
-                raise ConfigError(f"snr_fixed: bad pin list {val!r}") from None
-            kwargs[key] = pins
-        elif key in ("coded", "estimate_sigma2"):
-            try:
-                kwargs[key] = _BOOL[str(val).strip().lower()]
-            except KeyError:
-                raise ConfigError(f"{key}: not a boolean: {val!r}") from None
-        elif key in ("rho", "varsigma"):
-            try:
-                kwargs[key] = float(val)
-            except ValueError:
-                raise ConfigError(f"{key}: not a number: {val!r}") from None
-        elif key in ("users", "spreading_gain", "info_bits", "seed",
-                     "outer_iterations", "inner_iterations", "max_frames",
-                     "min_error_events", "frame_cap", "workers"):
-            try:
-                kwargs[key] = int(val)
-            except ValueError:
-                raise ConfigError(f"{key}: not an integer: {val!r}") from None
-        else:
-            kwargs[key] = str(val)
+def _grid(val):
+    return tuple(float(s) for s in val.split(","))
+
+
+def _pins(val):
+    pins = {}
+    for part in val.split(","):
+        if part.strip():
+            user, db = part.split(":")
+            pins[int(user)] = float(db)
+    return pins
+
+
+# config field type -> (conversion of the value string, error wording)
+_PARSERS = {tuple: (_grid, "bad grid"), dict: (_pins, "bad pin list"),
+            bool: (lambda v: _BOOL[v.strip().lower()], "not a boolean"),
+            float: (float, "not a number"), int: (int, "not an integer"),
+            str: (str, "not a string")}
+
+
+def parse_value(key, val):
+    """One config value string -> the typed value of config key ``key``."""
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"{key}: unknown config key")
+    parse, what = _PARSERS[_FIELD_TYPES[key]]
     try:
-        return ScenarioConfig(**kwargs).validate()
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+        return parse(str(val))
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: {what}: {val!r}") from None
+
+
+def config_from_dict(values):
+    kwargs = {key: parse_value(key, val) for key, val in values.items()}
+    return ScenarioConfig(**kwargs).validate()
 
 
 def load_config(path):
@@ -235,9 +254,8 @@ def preset_config(name):
 
 def resolve_config(path_or_preset):
     name = str(path_or_preset)
-    key = name.removeprefix("presets/")
-    if key in PRESETS:
-        return preset_config(key)
+    if name.removeprefix("presets/") in PRESETS:
+        return preset_config(name)
     if os.path.exists(name):
         return load_config(name)
     raise ConfigError(f"no config file or preset named {name!r}")
@@ -336,19 +354,16 @@ def _build_spreading(cfg):
                                  seed=[cfg.seed, 0xC0DE]).S
 
 
-_NOISELESS_FLOOR = 1e-9  # detector-side variance when the grid says "inf"
-
-
 def _point_channel(cfg, S, snr_db):
     """Channel at one SNR grid point: swept users at snr_db, pins fixed.
 
     SNR_k = A_k^2 / sigma2; swept users have unit amplitude and the
     noise variance realizes snr_db, pinned users get the amplitude that
     holds their SNR at the pinned value.  snr_db = inf means a noiseless
-    channel; detection then runs at a tiny variance floor so LLR scale
-    factors stay finite.
+    channel; detection then runs at the EM variance floor SIGMA2_FLOOR so
+    LLR scale factors stay finite.
     """
-    sigma2 = max(10.0 ** (-snr_db / 10.0), _NOISELESS_FLOOR)
+    sigma2 = max(10.0 ** (-snr_db / 10.0), SIGMA2_FLOOR)
     amps = np.ones(cfg.users)
     for user, db in cfg.snr_fixed.items():
         amps[user - 1] = np.sqrt(10.0 ** (db / 10.0) * sigma2)
@@ -361,43 +376,35 @@ def _frame_decisions(ctx, obs, decoder, rng):
 
     Returns (decisions, em_rows) where decisions has shape
     (J, n_counted, K) in +/-1 and em_rows is a list of
-    (iteration, sigma2_hat, a_rmse) or None.
+    (iteration, sigma2_hat, a_rmse) or None.  Every turbo run is one
+    ``run_varem`` call; without EM it starts from the true parameters
+    and updates none of them.
     """
     cfg = ctx.cfg
     ch = ctx.ch
     J = cfg.outer_iterations
-    if cfg.estimate_sigma2 or cfg.varsigma > 0:
+    order_policy = _order_policy(cfg.ddf_order, ch.K)
+    if cfg.uncoded_ddf:
+        return _uncoded_ddf_decisions(cfg, ch, obs, order_policy), None
+    a_tilde = ch.a
+    if cfg.estimates:
         a_tilde = np.ones(ch.K) if cfg.varsigma == 0 else \
             1.0 + rng.standard_normal(ch.K) * cfg.varsigma
-        state0 = EmState(
-            a_hat=a_tilde.copy(),
-            sigma2_hat=initial_sigma2(obs, a_tilde, ch.N)
-            if cfg.estimate_sigma2 else ch.sigma2,
-            a_tilde=a_tilde, varsigma2=cfg.varsigma**2, T=obs.r.shape[0])
-        family = GAUSSIAN if cfg.detector == "gaussian" else DISCRETE
-        frames, traj = run_varem(
-            ch, obs, family, cfg.schedule, J, decoder, state0,
-            update_amplitudes=cfg.varsigma > 0,
-            update_sigma2=cfg.estimate_sigma2, I=cfg.inner_iterations,
-            ddf_seed=cfg.detector == "ddf_aided",
-            order_policy=_order_policy(cfg.ddf_order, ch.K))
-        em_rows = [(j + 1, traj[j + 1].sigma2_hat,
-                    float(np.sqrt(np.mean((traj[j + 1].a_hat - ch.a) ** 2))))
-                   for j in range(J)]
-        return _decisions_from_frames(cfg, frames), em_rows
-
-    if cfg.detector == "gaussian":
-        frames = run_schedule_gauss(ch, obs, decoder, cfg.schedule, J)
-    elif cfg.detector == "discrete":
-        frames = run_schedule_disc(ch, obs, decoder, cfg.schedule, J,
-                                   I=cfg.inner_iterations)
-    elif cfg.detector == "ddf_aided" and cfg.coded:
-        frames = ddf_aided_discrete(ch, obs, decoder, cfg.schedule, J,
-                                    I=cfg.inner_iterations,
-                                    order_policy=_order_policy(cfg.ddf_order, ch.K))
-    else:
-        return _uncoded_ddf_decisions(cfg, ch, obs), None
-    return _decisions_from_frames(cfg, frames), None
+    state0 = EmState(
+        a_hat=a_tilde.copy(),
+        sigma2_hat=initial_sigma2(obs, a_tilde, ch.N)
+        if cfg.estimate_sigma2 else ch.sigma2,
+        a_tilde=a_tilde, varsigma2=cfg.varsigma**2, T=obs.r.shape[0])
+    family = GAUSSIAN if cfg.detector == "gaussian" else DISCRETE
+    frames, traj = run_varem(
+        ch, obs, family, cfg.schedule, J, decoder, state0,
+        update_amplitudes=cfg.varsigma > 0,
+        update_sigma2=cfg.estimate_sigma2, I=cfg.inner_iterations,
+        ddf_seed=cfg.detector == "ddf_aided", order_policy=order_policy)
+    em_rows = [(j + 1, traj[j + 1].sigma2_hat,
+                float(np.sqrt(np.mean((traj[j + 1].a_hat - ch.a) ** 2))))
+               for j in range(J)] if cfg.estimates else None
+    return _decisions_from_frames(cfg, frames), em_rows
 
 
 def _decisions_from_frames(cfg, frames):
@@ -407,13 +414,11 @@ def _decisions_from_frames(cfg, frames):
     return np.array([np.sign(f.llr_post) for f in frames])
 
 
-def _uncoded_ddf_decisions(cfg, ch, obs):
+def _uncoded_ddf_decisions(cfg, ch, obs, order_policy):
     """Plain DDF pass, then optional mean-field sweeps (ddf_aided)."""
-    order = detection_order(ch, _order_policy(cfg.ddf_order, ch.K))
-    pre = DdfPrecompute.from_channel(ch, order)
-    ybar = pre.whiten(ch, obs.y)
-    T = obs.r.shape[0]
-    M, _ = ddf_pass_block(ch, ybar, np.zeros((T, ch.K)), pre)
+    pre = DdfPrecompute.from_channel(ch, detection_order(ch, order_policy))
+    M, _ = ddf_pass_block(ch, pre.whiten(ch, obs.y), np.zeros_like(obs.y),
+                          pre)
     out = [np.sign(M)]
     if cfg.detector == "ddf_aided":
         hist = tanh_sic_block(ch, obs.r, cfg.outer_iterations - 1, m0=M,

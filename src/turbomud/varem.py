@@ -29,6 +29,7 @@ from .siso_gaussian import GaussianTurboLoop, clamp_llr
 
 SIGMA2_FLOOR = 1e-9
 SIGMA2_INIT_FLOOR = 1e-3
+AMPLITUDE_FLOOR = 1e-6  # detector-side floor of estimated amplitudes
 
 GAUSSIAN = "gaussian"
 DISCRETE = "discrete"
@@ -197,6 +198,13 @@ def run_varem(ch_true, obs, detector_family, schedule, J, decoder, state0,
     1 - b_hat^2, and then runs the closed-form M step.  Returns the
     frame history and the EmState trajectory (initial state included).
 
+    Both families share one M step, ``mstep_gauss``: with belief
+    variances 1 - b_hat^2 it is the hollow-Gram ``mstep_disc`` up to
+    rounding.  With the true parameters in ``state0`` and both updates
+    off nothing is re-estimated, and the run is the plain turbo
+    schedule of the family (``run_schedule_gauss``, ``run_schedule_disc``
+    or, with ``ddf_seed``, ``ddf_aided_discrete``).
+
     ``mstep_per_user`` instead refreshes column k of b_hat and runs the
     M step right after each user k decodes, so the following users are
     detected with the new estimates; the trajectory keeps one state per
@@ -206,32 +214,31 @@ def run_varem(ch_true, obs, detector_family, schedule, J, decoder, state0,
                            or schedule != "sequential"):
         raise ValueError("per-user M-step cadence requires the "
                          "sequential Gaussian detector")
-    state = state0
-    trajectory = [state]
-    frames = []
     if detector_family == GAUSSIAN:
         loop = GaussianTurboLoop(obs, decoder, schedule, ch_true.K)
-        mstep = mstep_gauss
     elif detector_family == DISCRETE:
         hook = bind_ddf_hook(obs, order_policy) if ddf_seed else None
         loop = DiscreteTurboLoop(obs, decoder, schedule, ch_true.K, I=I,
                                  first_iteration_hook=hook)
-        mstep = mstep_disc
     else:
         raise ValueError(f"unknown detector family {detector_family!r}")
+    state = state0
+    ch_est = _estimated_channel(ch_true, state, update_amplitudes)
+    trajectory = [state]
+    frames = []
     b_hat = np.zeros(obs.y.shape)
 
     def mstep_after(users, llr_mud, llr_dec):
         """M step after refreshing the posterior means of ``users``."""
-        nonlocal state
+        nonlocal state, ch_est
         b_hat[:, users] = np.tanh(clamp_llr(llr_mud + llr_dec) / 2.0)
-        state = mstep(ch_true.S, obs, PosteriorSummary.from_means(b_hat),
-                      state, update_amplitudes=update_amplitudes,
-                      update_sigma2=update_sigma2)
-        return _estimated_channel(ch_true, state)
+        state = mstep_gauss(ch_true.S, obs, PosteriorSummary.from_means(b_hat),
+                            state, update_amplitudes=update_amplitudes,
+                            update_sigma2=update_sigma2)
+        ch_est = _estimated_channel(ch_true, state, update_amplitudes)
+        return ch_est
 
     for _ in range(J):
-        ch_est = _estimated_channel(ch_true, state)
         if mstep_per_user:
             frame = loop.iterate(ch_est, after_user=mstep_after)
         else:
@@ -243,7 +250,8 @@ def run_varem(ch_true, obs, detector_family, schedule, J, decoder, state0,
     return frames, trajectory
 
 
-def _estimated_channel(ch_true, state):
-    """True geometry with the current amplitude and noise estimates."""
-    return ch_true.with_params(a=np.maximum(state.a_hat, 1e-6),
-                               sigma2=state.sigma2_hat)
+def _estimated_channel(ch_true, state, update_amplitudes):
+    """True geometry with the current estimates (estimated a floored)."""
+    a = np.maximum(state.a_hat, AMPLITUDE_FLOOR) if update_amplitudes \
+        else state.a_hat
+    return ch_true.with_params(a=a, sigma2=state.sigma2_hat)

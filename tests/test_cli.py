@@ -85,6 +85,61 @@ def test_sweep_overrides_grid(tmp_path):
     assert "9," in body and "4," not in body.replace("64,", "")
 
 
+@pytest.mark.parametrize("grid", ["1,x", ""])
+def test_sweep_bad_snr_grid_exit_code(capsys, grid):
+    assert cli_main(["sweep", "presets/scenario-i", "--snr", grid]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--snr", "nan"],
+                                   ["--snr", "3,-inf"]])
+def test_overrides_follow_the_numeric_policy(capsys, flags):
+    argv = ["sweep", "presets/scenario-i", "--snr", "3"] + flags
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+_SMALL_RUN = """
+channel = equicorrelated
+users = 2
+rho = 0.5
+generators = 111,101
+info_bits = 32
+snr_db = 4
+max_frames = 1
+frame_cap = 1
+"""
+
+
+def test_em_settings_keep_the_ddf_pipeline(tmp_path, capsys, monkeypatch):
+    """EM on the uncoded DDF path exits 2; coded ddf_aided with EM runs
+    and still seeds its first iteration with a DDF pass."""
+    import turbomud.siso_ddf as siso_ddf
+
+    calls = []
+    original = siso_ddf.ddf_pass_block
+
+    def counting(*args):
+        calls.append(args[1].shape)
+        return original(*args)
+
+    monkeypatch.setattr(siso_ddf, "ddf_pass_block", counting)
+    cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
+    for extra in ("detector = ddf\ncoded = false\nouter_iterations = 1\n"
+                  "estimate_sigma2 = true\n",
+                  "detector = ddf_aided\ncoded = false\nvarsigma = 0.3\n"):
+        cfg.write_text(_SMALL_RUN + extra)
+        assert cli_main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists() and not calls
+    cfg.write_text(_SMALL_RUN + "detector = ddf_aided\ncoded = true\n"
+                   "outer_iterations = 2\nestimate_sigma2 = true\n"
+                   "varsigma = 0.3\n")
+    assert cli_main(["simulate", str(cfg), "--out", str(out)]) == 0
+    assert len(calls) == 1  # one frame, one seeding pass
+    assert (tmp_path / "run_em.csv").exists()
+
+
 def test_detect_single_user_matched_filter(tmp_path, capsys):
     inst = tmp_path / "instance.cfg"
     inst.write_text("""
@@ -153,6 +208,7 @@ def test_out_dir_env_default(tmp_path, monkeypatch, capsys):
     "users = 2\nr = 0.3,-0.9\npriors = nan,0\n",
     "users = 2\nrho = inf\nr = 0.3,-0.9\n",
     "users = 2\namps = 1,inf\nr = 0.3,-0.9\n",
+    "users = 1000000000\nr = 0.3,-0.9\n",          # counts before K x K
 ])
 def test_detect_malformed_instance_exit_code(tmp_path, capsys, body):
     inst = tmp_path / "instance.cfg"

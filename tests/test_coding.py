@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from turbomud.coding import (TERMINATED, TRUNCATED, ConvCode,
                              ConvTurboDecoder, IdentityDecoder, _logsumexp2,
-                             bcjr_decode, deinterleave, encode, interleave,
-                             user_permutations)
-from turbomud.errors import InvalidPermutation, LengthMismatch
+                             bcjr_decode, encode, user_permutations)
+from turbomud.errors import LengthMismatch
 
 SCENARIO_CODES = [ConvCode(generators=("10011", "11101")),
                   ConvCode(generators=("111", "101"))]
@@ -247,23 +246,6 @@ class TestBatchedBcjr:
 
 
 class TestInterleaving:
-    def test_identity_perm(self):
-        x = np.arange(5.0)
-        np.testing.assert_array_equal(interleave(np.arange(5), x), x)
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(5)
-        perm = rng.permutation(32)
-        x = rng.standard_normal(32)
-        np.testing.assert_array_equal(deinterleave(perm, interleave(perm, x)),
-                                      x)
-        np.testing.assert_array_equal(interleave(perm, deinterleave(perm, x)),
-                                      x)
-
-    def test_invalid_permutation(self):
-        with pytest.raises(InvalidPermutation):
-            interleave(np.array([0, 0, 1]), np.arange(3.0))
-
     def test_seeded_user_perms(self):
         a = user_permutations(64, 3, master_seed=9)
         b = user_permutations(64, 3, master_seed=9)

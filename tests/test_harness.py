@@ -1,7 +1,10 @@
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from turbomud.errors import ConfigError
@@ -49,6 +52,28 @@ class TestConfigParsing:
             config_from_dict(dict(generators="111"))
         with pytest.raises(ConfigError, match="boolean"):
             config_from_dict(dict(coded="maybe"))
+        # one numeric policy: finite numbers, +inf allowed only in snr_db
+        for values, match in [
+                (dict(snr_db="3,nan"), "snr_db"),
+                (dict(snr_db="-inf"), "snr_db"),
+                (dict(varsigma="inf"), "varsigma"),
+                (dict(varsigma="nan"), "varsigma"),
+                (dict(varsigma="-0.1"), "varsigma"),
+                (dict(snr_fixed="2:nan"), "snr_fixed"),
+                (dict(snr_fixed="2:inf"), "snr_fixed"),
+                (dict(seed="-1"), "seed"),
+                (dict(rho="nan", channel="random"), "rho"),
+                (dict(inner_iterations="0"), "inner_iterations"),
+                # the length check comes before list(range(users))
+                (dict(users="1000000000000", ddf_order="custom:2,1"),
+                 "ddf_order"),
+                # EM never switches the uncoded DDF path to another pipeline
+                (dict(detector="ddf", coded="false", outer_iterations="1",
+                      estimate_sigma2="true"), "estimate_sigma2"),
+                (dict(detector="ddf_aided", coded="false", varsigma="0.3"),
+                 "varsigma")]:
+            with pytest.raises(ConfigError, match=match):
+                config_from_dict(values)
 
     def test_presets_resolve(self):
         for name in ("scenario-i", "scenario-ii", "ddf-two-user"):
@@ -64,6 +89,81 @@ class TestConfigParsing:
     def test_missing_config(self):
         with pytest.raises(ConfigError, match="no config file or preset"):
             resolve_config("/nonexistent/path.cfg")
+
+
+_EXTREME = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "1e308",
+                     "-1e308", "-1", "-1000000000000", "1000000000000"]),
+    st.integers(-2**70, 2**70).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr))
+_JUNK = st.sampled_from(["", "x", "1,x", "true", "custom:", "2:", ":", ",",
+                         "1:2:3", "2.5", "0"])
+# keys whose numbers the finite-number policy covers are corrupted more often
+_POLICY_KEYS = ["rho", "seed", "snr_db", "snr_fixed", "varsigma"]
+_KEY_VALUES = {
+    "channel": st.sampled_from(["equicorrelated", "random"]),
+    "users": st.sampled_from(["1", "2", "4"]),
+    "rho": st.sampled_from(["0", "0.5", "0.99"]),
+    "spreading_gain": st.sampled_from(["16", "32"]),
+    "coded": st.sampled_from(["true", "yes", "false"]),
+    "generators": st.sampled_from(["111,101", "10011,11101", "1,1"]),
+    "info_bits": st.sampled_from(["1", "64"]),
+    "detector": st.sampled_from(["gaussian", "discrete", "ddf_aided"]),
+    "schedule": st.sampled_from(["flooding", "sequential", "hybrid"]),
+    "outer_iterations": st.sampled_from(["1", "5"]),
+    "inner_iterations": st.sampled_from(["1", "6"]),
+    "ddf_order": st.sampled_from(["amplitude_descending", "as_given",
+                                  "custom:2,1"]),
+    "snr_db": st.lists(st.sampled_from(["2", "5", "inf", "-3", "1e6"]),
+                       min_size=1, max_size=3).map(",".join),
+    "snr_fixed": st.lists(st.sampled_from(["1:4", "1:-130", "1:11"]),
+                          max_size=1).map(",".join),
+    "varsigma": st.sampled_from(["0", "0.3"]),
+    "estimate_sigma2": st.sampled_from(["true", "false"]),
+    "seed": st.sampled_from(["0", "1", "97"]),
+    "max_frames": st.sampled_from(["1", "100"]),
+    "min_error_events": st.sampled_from(["0", "100"]),
+    "frame_cap": st.sampled_from(["100", "400"]),
+    "workers": st.sampled_from(["1", "2"]),
+}
+
+
+@st.composite
+def _config_texts(draw):
+    """Config texts over every key: mostly plausible values, plus up to
+    three keys set to junk, nan, +-inf, huge or negative values."""
+    values = {key: draw(gen) for key, gen in _KEY_VALUES.items()
+              if draw(st.integers(0, 3))}
+    keys = sorted(_KEY_VALUES) + 3 * _POLICY_KEYS
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
+        val = draw(st.one_of(_EXTREME, _JUNK))
+        if key in ("snr_db", "snr_fixed") and draw(st.booleans()):
+            val = ("2," if key == "snr_db" else "1:") + val
+        values[key] = val
+    lines = [f"{key} = {val}" for key, val in values.items()]
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["bogus_key = 1", "no equals sign",
+                                           "# comment only"])))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_config_texts())
+def test_config_parser_fuzz(text):
+    """Every text is rejected or yields a valid config of finite numbers."""
+    try:
+        cfg = parse_config_text(text)
+    except ConfigError:
+        return
+    assert cfg.validate() is cfg
+    for f in fields(cfg):
+        val = getattr(cfg, f.name)
+        if f.name == "snr_db":
+            assert all(math.isfinite(s) or s == math.inf for s in val)
+        elif f.name == "snr_fixed":
+            assert all(math.isfinite(db) for db in val.values())
+        elif isinstance(val, (int, float)):
+            assert math.isfinite(val)
 
 
 class TestRunScenario:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from turbomud.channel import SymbolBlock, make_equicorrelated, transmit
-from turbomud.coding import IdentityDecoder
+from turbomud.coding import ConvCode, ConvTurboDecoder, IdentityDecoder
+from turbomud.siso_ddf import ddf_aided_discrete
+from turbomud.siso_discrete import run_schedule_disc
 from turbomud.siso_gaussian import run_schedule_gauss
 from turbomud.varem import (EmState, PosteriorSummary, em_objective,
                             em_objective_grad_a, initial_sigma2, mstep_disc,
@@ -172,6 +174,37 @@ class TestRunVarem:
             np.testing.assert_array_equal(fa.llr_mud, fb.llr_mud)
         assert all(st.sigma2_hat == 0.2 for st in traj)
 
+    @pytest.mark.parametrize("schedule", ["flooding", "sequential", "hybrid"])
+    def test_true_state_without_updates_is_the_plain_schedule(self, schedule):
+        # user 3 sits below AMPLITUDE_FLOOR, which applies only to
+        # estimated amplitudes
+        K, n_info = 3, 20
+        dec = ConvTurboDecoder(ConvCode(generators=("111", "101")), K,
+                               n_info, master_seed=3)
+        ch = make_equicorrelated(K, 0.6, amplitudes=[1.0, 0.7, 1e-7],
+                                 sigma2=0.3)
+        info = np.random.default_rng(4).integers(0, 2, size=(n_info, K))
+        blk = SymbolBlock(b=dec.encode_block(info))
+        obs = transmit(ch, blk, rng_seed=5)
+        true_state = EmState(a_hat=ch.a, sigma2_hat=ch.sigma2, a_tilde=ch.a,
+                             varsigma2=0.0, T=blk.T)
+        plain = {
+            ("gaussian", False): run_schedule_gauss(ch, obs, dec, schedule, 3),
+            ("discrete", False): run_schedule_disc(ch, obs, dec, schedule, 3,
+                                                   I=2),
+            ("discrete", True): ddf_aided_discrete(ch, obs, dec, schedule, 3,
+                                                   I=2),
+        }
+        for (family, ddf_seed), want in plain.items():
+            frames, traj = run_varem(ch, obs, family, schedule, 3, dec,
+                                     true_state, update_amplitudes=False,
+                                     update_sigma2=False, I=2,
+                                     ddf_seed=ddf_seed)
+            for got, ref in zip(frames, want, strict=True):
+                np.testing.assert_array_equal(got.llr_mud, ref.llr_mud)
+                np.testing.assert_array_equal(got.llr_dec, ref.llr_dec)
+            assert all(st is true_state for st in traj)
+
     def test_sigma2_estimation_converges_near_truth(self):
         sigma2 = 0.15
         ch, obs, b = make_setup(K=2, T=400, sigma2=sigma2, rho=0.4, seed=12)
@@ -226,7 +259,14 @@ class TestRunVarem:
             run_varem(ch, obs, "gaussian", "flooding", 1, IdentityDecoder(),
                       state0, mstep_per_user=True)
 
-    def test_discrete_family_runs(self):
+    def test_discrete_family_runs(self, monkeypatch):
+        # both families share mstep_gauss; mstep_disc is the test reference
+        import turbomud.varem
+
+        def unused(*args, **kwargs):
+            raise AssertionError("run_varem called mstep_disc")
+
+        monkeypatch.setattr(turbomud.varem, "mstep_disc", unused)
         ch, obs, b = make_setup(K=3, T=20, sigma2=0.2, rho=0.3, seed=15)
         state0 = EmState(a_hat=np.ones(3), sigma2_hat=0.5,
                          a_tilde=np.ones(3), varsigma2=0.0, T=20)
