@@ -17,8 +17,8 @@ from turbomud.channel import SymbolBlock, make_equicorrelated, transmit
 from turbomud.coding import ConvCode, ConvTurboDecoder
 from turbomud.oracle import wang_poor_oracle
 from turbomud.siso_discrete import ext_one_shot
-from turbomud.siso_gaussian import (GaussianPrior, ext_flooding, ext_hybrid,
-                                    run_schedule_gauss)
+from turbomud.siso_gaussian import GaussianPrior, ext_flooding, ext_hybrid
+from turbomud.varem import run_varem
 
 
 def main():
@@ -57,7 +57,7 @@ def main():
     print(f"\ncoded turbo run (4 users, rho 0.7, {n_info} info bits/user):")
     print("schedule    " + "  ".join(f"iter{j}" for j in range(1, 6)))
     for schedule in ("sequential", "flooding", "hybrid"):
-        frames = run_schedule_gauss(ch_run, obs, decoder, schedule, J=5)
+        frames, _ = run_varem(ch_run, obs, "gaussian", schedule, 5, decoder)
         rates = []
         for f in frames:
             hard = np.sign(np.stack(f.info_posterior, axis=1))

@@ -34,7 +34,8 @@ def main():
                      T=obs.r.shape[0])
 
     frames, traj = run_varem(ch, obs, "gaussian", "flooding", J=10,
-                             decoder=decoder, state0=state0)
+                             decoder=decoder, state0=state0,
+                             update_sigma2=True)
 
     truth = 1.0 - 2.0 * info
     print(f"true sigma2 = {sigma2:.4f}; amplitude prior error "

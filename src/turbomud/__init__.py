@@ -19,11 +19,10 @@ from .errors import (ConfigError, DegeneratePrior, DimensionMismatch,
                      LengthMismatch, NotPositiveDefinite, RankDeficient,
                      SingularCovariance, TooLarge, TurbomudError)
 from .harness import BerReport, ScenarioConfig, run_scenario, single_user_bound
-from .siso_ddf import DdfPrecompute, ddf_aided_discrete, ddf_pass
-from .siso_discrete import DiscreteBelief, run_schedule_disc, serial_update
+from .siso_ddf import DdfPrecompute, ddf_pass
+from .siso_discrete import DiscreteBelief, serial_update
 from .oracle import wang_poor_oracle
-from .siso_gaussian import (GaussianPrior, ext_flooding, ext_hybrid,
-                            run_schedule_gauss, solve_gauss)
+from .siso_gaussian import GaussianPrior, ext_flooding, ext_hybrid, solve_gauss
 from .varem import EmState, PosteriorSummary, mstep_disc, mstep_gauss, run_varem
 
 __version__ = "0.1.0"

@@ -117,15 +117,15 @@ class SymbolBlock:
 
 @dataclass(frozen=True)
 class Observation:
-    """Received block and its matched-filter / whitened transforms.
+    """Received block and its matched-filter transform.
 
-    r has shape (T, N); y = r S and ybar = y F^{-1}... row-wise, i.e.
-    y_t = S^T r_t and ybar_t = F^{-T} y_t for each interval t.
+    r has shape (T, N) and y = r S row-wise, i.e. y_t = S^T r_t for
+    each interval t.  The whitened ybar is ``whiten(ch, y)``; DDF
+    whitens in its detection order through ``DdfPrecompute.whiten``.
     """
 
     r: np.ndarray
     y: np.ndarray
-    ybar: np.ndarray
 
 
 def make_equicorrelated(K, rho, amplitudes=None, sigma2=1.0):
@@ -181,9 +181,9 @@ def matched_filter(ch, r):
 def transmit(ch, blk, rng_seed):
     """Send a symbol block through the channel, deterministic in rng_seed.
 
-    Noise is drawn per chip in the r domain; y and ybar are always
-    derived from r so the sufficiency relations F^T ybar = y = S^T r
-    hold exactly on every realization.
+    Noise is drawn per chip in the r domain; y is always derived from
+    r so the sufficiency relation y = S^T r holds exactly on every
+    realization.
     """
     if blk.K != ch.K:
         raise DimensionMismatch(f"block has {blk.K} users, channel has {ch.K}")
@@ -193,8 +193,7 @@ def transmit(ch, blk, rng_seed):
         r = clean + rng.standard_normal(clean.shape) * np.sqrt(ch.sigma2)
     else:
         r = clean
-    y = matched_filter(ch, r)
-    return Observation(r=r, y=y, ybar=whiten(ch, y))
+    return Observation(r=r, y=matched_filter(ch, r))
 
 
 def snr_db_to_sigma2(snr_db, amplitude=1.0):

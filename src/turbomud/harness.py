@@ -27,14 +27,17 @@ from .errors import ConfigError
 from .siso_ddf import (AMPLITUDE_DESCENDING, DdfPrecompute, ddf_pass_block,
                        detection_order)
 from .siso_discrete import tanh_sic_block
-from .varem import (DISCRETE, GAUSSIAN, SIGMA2_FLOOR, EmState, initial_sigma2,
-                    run_varem)
+from .varem import SIGMA2_FLOOR, EmState, initial_sigma2, run_varem
 
 OUT_DIR_ENV = "TURBOMUD_OUT_DIR"
 
 _ROUND_FRAMES = 16  # stop conditions are checked between rounds
 
 DETECTORS = ("gaussian", "discrete", "ddf", "ddf_aided")
+
+# |dB| bound of finite SNRs and pins: every amplitude and noise variance
+# it implies is a finite positive double
+DB_LIMIT = 300.0
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,12 @@ class ScenarioConfig:
         return not self.coded and self.detector in ("ddf", "ddf_aided")
 
     def validate(self):
-        if any(np.isnan(s) or s == -np.inf for s in self.snr_db):
-            raise ConfigError("snr_db: values must be finite or +inf")
-        if not all(np.isfinite(db) for db in self.snr_fixed.values()):
-            raise ConfigError("snr_fixed: pins must be finite")
+        if not all(s == np.inf or abs(s) <= DB_LIMIT for s in self.snr_db):
+            raise ConfigError(f"snr_db: values must lie within "
+                              f"+/-{DB_LIMIT:g} dB or be +inf")
+        if not all(abs(db) <= DB_LIMIT for db in self.snr_fixed.values()):
+            raise ConfigError(f"snr_fixed: pins must lie within "
+                              f"+/-{DB_LIMIT:g} dB")
         if not np.isfinite(self.rho):
             raise ConfigError("rho: must be finite")
         if not (np.isfinite(self.varsigma) and self.varsigma >= 0):
@@ -375,10 +380,10 @@ def _frame_decisions(ctx, obs, decoder, rng):
     """Run the configured detector; per-iteration symbol/info decisions.
 
     Returns (decisions, em_rows) where decisions has shape
-    (J, n_counted, K) in +/-1 and em_rows is a list of
-    (iteration, sigma2_hat, a_rmse) or None.  Every turbo run is one
-    ``run_varem`` call; without EM it starts from the true parameters
-    and updates none of them.
+    (J, n_counted, K), True where the decision is -1 (bit 1), and
+    em_rows is a list of (iteration, sigma2_hat, a_rmse) or None.
+    Every turbo run is one ``run_varem`` call; without EM it starts
+    from its default state, the true parameters, and updates none.
     """
     cfg = ctx.cfg
     ch = ctx.ch
@@ -386,32 +391,38 @@ def _frame_decisions(ctx, obs, decoder, rng):
     order_policy = _order_policy(cfg.ddf_order, ch.K)
     if cfg.uncoded_ddf:
         return _uncoded_ddf_decisions(cfg, ch, obs, order_policy), None
-    a_tilde = ch.a
+    state0 = None
     if cfg.estimates:
         a_tilde = np.ones(ch.K) if cfg.varsigma == 0 else \
             1.0 + rng.standard_normal(ch.K) * cfg.varsigma
-    state0 = EmState(
-        a_hat=a_tilde.copy(),
-        sigma2_hat=initial_sigma2(obs, a_tilde, ch.N)
-        if cfg.estimate_sigma2 else ch.sigma2,
-        a_tilde=a_tilde, varsigma2=cfg.varsigma**2, T=obs.r.shape[0])
-    family = GAUSSIAN if cfg.detector == "gaussian" else DISCRETE
+        state0 = EmState(
+            a_hat=a_tilde.copy(),
+            sigma2_hat=initial_sigma2(obs, a_tilde, ch.N)
+            if cfg.estimate_sigma2 else ch.sigma2,
+            a_tilde=a_tilde, varsigma2=cfg.varsigma**2, T=obs.r.shape[0])
     frames, traj = run_varem(
-        ch, obs, family, cfg.schedule, J, decoder, state0,
-        update_amplitudes=cfg.varsigma > 0,
+        ch, obs, cfg.detector, cfg.schedule, J, decoder, state0,
         update_sigma2=cfg.estimate_sigma2, I=cfg.inner_iterations,
-        ddf_seed=cfg.detector == "ddf_aided", order_policy=order_policy)
+        order_policy=order_policy)
     em_rows = [(j + 1, traj[j + 1].sigma2_hat,
                 float(np.sqrt(np.mean((traj[j + 1].a_hat - ch.a) ** 2))))
                for j in range(J)] if cfg.estimates else None
     return _decisions_from_frames(cfg, frames), em_rows
 
 
+def _hard_decisions(soft):
+    """Decisions from LLRs or belief means, True for -1 (bit 1).
+
+    A tie at exactly 0 decides +1 (bit 0).
+    """
+    return soft < 0
+
+
 def _decisions_from_frames(cfg, frames):
     if cfg.coded:
-        return np.array([np.sign(np.stack(f.info_posterior, axis=1))
+        return np.array([_hard_decisions(np.stack(f.info_posterior, axis=1))
                          for f in frames])
-    return np.array([np.sign(f.llr_post) for f in frames])
+    return np.array([_hard_decisions(f.llr_post) for f in frames])
 
 
 def _uncoded_ddf_decisions(cfg, ch, obs, order_policy):
@@ -419,11 +430,11 @@ def _uncoded_ddf_decisions(cfg, ch, obs, order_policy):
     pre = DdfPrecompute.from_channel(ch, detection_order(ch, order_policy))
     M, _ = ddf_pass_block(ch, pre.whiten(ch, obs.y), np.zeros_like(obs.y),
                           pre)
-    out = [np.sign(M)]
+    out = [_hard_decisions(M)]
     if cfg.detector == "ddf_aided":
         hist = tanh_sic_block(ch, obs.r, cfg.outer_iterations - 1, m0=M,
                               record=True)
-        out.extend(np.sign(m) for m in hist)
+        out.extend(_hard_decisions(m) for m in hist)
     return np.array(out)
 
 
@@ -456,7 +467,7 @@ def _simulate_point_frames(ctx, trial_indices):
             blk = SymbolBlock(b=truth)
         obs = transmit(ch, blk, rng_seed=[cfg.seed, ctx.snr_index, trial, 1])
         decisions, em_rows = _frame_decisions(ctx, obs, decoder, rng)
-        errors += np.sum(decisions != truth[None, :, :], axis=1)
+        errors += np.sum(decisions != (truth < 0)[None, :, :], axis=1)
         bits += truth.shape[0]
         if em_rows:
             em_acc[trial] = em_rows

@@ -170,22 +170,39 @@ def grid_min_Fdisc(ch, r, prior_llrs, grid_step=None):
 
     Returns the grid point in (-1, 1)^K minimizing the discrete free
     energy.  Default step: 1e-3 for K <= 2, 1e-2 for K = 3 (runtime
-    bounded).
+    bounded).  Up to a constant the free energy is separable plus
+    pairwise bilinear, sum_k h_k(m_k) + sum_{i<j} G_ij m_i m_j / sigma2
+    with h_k the binary cross-entropy minus a_k y_k m_k / sigma2, so
+    the lattice values are per-axis terms and outer products broadcast
+    against each other.
     """
-    from .siso_discrete import free_energy_disc_vectorized
+    from .siso_discrete import MEAN_CLEARANCE, _binary_cross_entropy
 
     if ch.K > GRID_MAX_USERS:
         raise TooLarge(f"grid search guarded to K <= {GRID_MAX_USERS}")
     if grid_step is None:
         grid_step = 1e-3 if ch.K <= 2 else 1e-2
-    from .siso_discrete import MEAN_CLEARANCE
-
     # uniform lattice plus the belief-clamp boundary: minimizers pinned
     # within the last step of +/-1 would otherwise be edge-clipped
     edge = 1.0 - MEAN_CLEARANCE
     axis = np.concatenate(([-edge], np.arange(-1.0 + grid_step, 1.0,
                                               grid_step), [edge]))
-    grids = np.meshgrid(*([axis] * ch.K), indexing="ij")
-    M = np.stack([g.ravel() for g in grids], axis=1)
-    vals = free_energy_disc_vectorized(ch, r, prior_llrs, M)
-    return M[int(np.argmin(vals))].copy()
+    btilde = np.tanh(np.asarray(prior_llrs, dtype=float) / 2.0)
+    ay = ch.a * (ch.S.T @ np.asarray(r, dtype=float))
+    G = (ch.a[:, None] * ch.R) * ch.a[None, :]
+
+    def along(k, values):
+        """``values`` over the lattice axis of user k, broadcast shape."""
+        shape = [1] * ch.K
+        shape[k] = axis.size
+        return values.reshape(shape)
+
+    vals = np.zeros((axis.size,) * ch.K)
+    for k in range(ch.K):
+        h = _binary_cross_entropy(axis[:, None], btilde[k:k + 1]) \
+            - ay[k] * axis / ch.sigma2
+        vals += along(k, h)
+        for j in range(k):
+            vals += along(j, (G[j, k] / ch.sigma2) * axis) * along(k, axis)
+    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    return axis[np.array(idx)]

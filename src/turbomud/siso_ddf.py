@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPermutation
-from .siso_discrete import DiscreteBelief, clamp_mean, run_schedule_disc
+from .siso_discrete import DiscreteBelief, clamp_mean
 from .siso_gaussian import clamp_llr
 
 AMPLITUDE_DESCENDING = "amplitude_descending"
@@ -117,19 +117,6 @@ def ddf_pass_block(ch, ybar, prior_llr, pre):
         m_p[:, k] = clamp_mean(np.tanh(clamp_llr(pos_p[:, k]) / 2.0))
     inverse = np.argsort(pre.order)
     return m_p[:, inverse], pos_p[:, inverse]
-
-
-def ddf_aided_discrete(ch, obs, decoder, schedule, J, I=6,
-                       order_policy=AMPLITUDE_DESCENDING):
-    """Mean-field turbo detection seeded by a decision-feedback pass.
-
-    Outer iteration 1 replaces the serial inner sweeps with one DDF
-    forward pass on the whitened observation; iterations 2..J run the
-    standard mean-field sweeps (I per outer iteration).
-    """
-    hook = bind_ddf_hook(obs, order_policy)
-    return run_schedule_disc(ch, obs, decoder, schedule, J, I=I,
-                             first_iteration_hook=hook)
 
 
 def bind_ddf_hook(obs, order_policy=AMPLITUDE_DESCENDING):

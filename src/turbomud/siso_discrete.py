@@ -80,23 +80,13 @@ def free_energy_disc(ch, r, prior_llr, q):
     m = q.m if isinstance(q, DiscreteBelief) else np.asarray(q, dtype=float)
     if np.any(np.abs(m) >= 1.0):
         raise DomainError("belief means must lie strictly inside (-1, 1)")
-    return float(free_energy_disc_vectorized(ch, r, prior_llr, m[None, :])[0])
-
-
-def free_energy_disc_vectorized(ch, r, prior_llr, M):
-    """``free_energy_disc`` over every row of M (used by the grid oracle)."""
     r = np.asarray(r, dtype=float)
     btilde = np.tanh(np.asarray(prior_llr, dtype=float) / 2.0)
     G = (ch.a[:, None] * ch.R) * ch.a[None, :]
     B = G - np.diag(np.diagonal(G))
-    data = (
-        r @ r
-        - 2.0 * (ch.a * (ch.S.T @ r)) @ M.T
-        + np.einsum("ti,ij,tj->t", M, B, M)
-        + np.trace(G)
-    )
-    return (
-        _binary_cross_entropy(M, btilde)
+    data = r @ r - 2.0 * (ch.a * (ch.S.T @ r)) @ m + m @ B @ m + np.trace(G)
+    return float(
+        _binary_cross_entropy(m, btilde)
         + 0.5 * ch.N * np.log(2.0 * np.pi * ch.sigma2)
         + data / (2.0 * ch.sigma2)
     )
@@ -202,6 +192,11 @@ def _sweep_block(ch, eta_r, llr_dec, M, order):
 class DiscreteTurboLoop:
     """Stateful mean-field turbo exchange, one outer iteration at a time.
 
+    Flooding runs I serial sweeps over all users, then decodes all
+    users with LLR_mud = LLR_pos - LLR_dec.  Sequential and hybrid zero
+    user k's decoder LLR, run I sweeps in the rotated order
+    (k..K, 1..k-1) and emit user k's extrinsic; sequential decodes user
+    k at once, hybrid decodes all users after the last detection.
     Belief means and decoder LLRs persist across iterations
     (initialized to zero); the channel is an argument of ``iterate``
     so the joint-estimation loop can refresh parameter estimates.
@@ -244,19 +239,3 @@ class DiscreteTurboLoop:
         self.llr_dec = frame.llr_dec
         self.iteration += 1
         return frame
-
-
-def run_schedule_disc(ch, obs, decoder, schedule, J, I=DEFAULT_INNER_ITERS,
-                      first_iteration_hook=None):
-    """Turbo loop with the mean-field detector, one of three schedules.
-
-    Flooding runs I serial sweeps over all users, then decodes all
-    users in parallel with LLR_mud = LLR_pos - LLR_dec.  Sequential and
-    hybrid zero user k's decoder LLR, run I sweeps in the rotated order
-    (k..K, 1..k-1) and emit user k's extrinsic; sequential decodes user
-    k immediately, hybrid stores all extrinsics and decodes in
-    parallel.  Returns one LlrFrame per outer iteration.
-    """
-    loop = DiscreteTurboLoop(obs, decoder, schedule, ch.K, I=I,
-                             first_iteration_hook=first_iteration_hook)
-    return [loop.iterate(ch) for _ in range(J)]

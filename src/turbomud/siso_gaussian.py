@@ -293,18 +293,3 @@ class GaussianTurboLoop:
             after_user)
         self.llr_dec = frame.llr_dec
         return frame
-
-
-def run_schedule_gauss(ch, obs, decoder, schedule, J):
-    """Turbo loop of detector and per-user decoders, one of three schedules.
-
-    Sequential interleaves detection and decoding user by user (the
-    freshest priors feed each detection); flooding detects all users
-    from the shared solve then decodes all; hybrid detects all users
-    with leave-one-out priors then decodes all, which for Gaussian
-    beliefs yields the flooding extrinsics and so runs as flooding.
-    Soft bits are updated as tanh(LLR_dec / 2) throughout.  Returns one
-    LlrFrame per outer iteration.
-    """
-    loop = GaussianTurboLoop(obs, decoder, schedule, ch.K)
-    return [loop.iterate(ch) for _ in range(J)]

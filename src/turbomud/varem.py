@@ -31,8 +31,7 @@ SIGMA2_FLOOR = 1e-9
 SIGMA2_INIT_FLOOR = 1e-3
 AMPLITUDE_FLOOR = 1e-6  # detector-side floor of estimated amplitudes
 
-GAUSSIAN = "gaussian"
-DISCRETE = "discrete"
+DETECTORS = ("gaussian", "discrete", "ddf_aided")
 
 
 @dataclass(frozen=True)
@@ -186,44 +185,54 @@ def em_objective_grad_a(S, obs, post, sigma2, a, a_tilde, varsigma2):
     return g
 
 
-def run_varem(ch_true, obs, detector_family, schedule, J, decoder, state0,
-              update_amplitudes=True, update_sigma2=True, I=6,
-              ddf_seed=False, order_policy=AMPLITUDE_DESCENDING,
+def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
+              update_sigma2=False, I=6, order_policy=AMPLITUDE_DESCENDING,
               mstep_per_user=False):
     """Alternate turbo detection (E) and parameter updates (M).
 
+    ``detector`` is ``"gaussian"``, ``"discrete"`` (mean-field, I inner
+    sweeps per outer iteration) or ``"ddf_aided"`` (mean-field whose
+    first outer iteration is one DDF pass in ``order_policy`` order).
     Each outer iteration detects and decodes with the current
     (a_hat, sigma2_hat), forms the decoder-informed posterior estimate
     b_hat = tanh(LLR_mud/2 + LLR_dec/2) with belief variances
     1 - b_hat^2, and then runs the closed-form M step.  Returns the
     frame history and the EmState trajectory (initial state included).
 
-    Both families share one M step, ``mstep_gauss``: with belief
-    variances 1 - b_hat^2 it is the hollow-Gram ``mstep_disc`` up to
-    rounding.  With the true parameters in ``state0`` and both updates
-    off nothing is re-estimated, and the run is the plain turbo
-    schedule of the family (``run_schedule_gauss``, ``run_schedule_disc``
-    or, with ``ddf_seed``, ``ddf_aided_discrete``).
+    Amplitudes are estimated exactly when ``state.varsigma2 > 0``, and
+    only estimated amplitudes are floored at AMPLITUDE_FLOOR; sigma2 is
+    estimated when ``update_sigma2`` is set.  Every detector shares one
+    M step, ``mstep_gauss``: with belief variances 1 - b_hat^2 it is
+    the hollow-Gram ``mstep_disc`` up to rounding.  The default
+    ``state0`` holds the true ``ch_true.a`` and ``ch_true.sigma2`` with
+    varsigma2 = 0, so with ``update_sigma2`` off nothing is
+    re-estimated and the run is the plain turbo schedule.  EmState
+    floors sigma2 at SIGMA2_FLOOR: a channel below it is detected at
+    the floor.
 
     ``mstep_per_user`` instead refreshes column k of b_hat and runs the
     M step right after each user k decodes, so the following users are
     detected with the new estimates; the trajectory keeps one state per
     outer iteration.  Only the sequential Gaussian detector supports it.
     """
-    if mstep_per_user and (detector_family != GAUSSIAN
+    if detector not in DETECTORS:
+        raise ValueError(f"unknown detector {detector!r}")
+    if mstep_per_user and (detector != "gaussian"
                            or schedule != "sequential"):
         raise ValueError("per-user M-step cadence requires the "
                          "sequential Gaussian detector")
-    if detector_family == GAUSSIAN:
+    if detector == "gaussian":
         loop = GaussianTurboLoop(obs, decoder, schedule, ch_true.K)
-    elif detector_family == DISCRETE:
-        hook = bind_ddf_hook(obs, order_policy) if ddf_seed else None
+    else:
+        hook = bind_ddf_hook(obs, order_policy) \
+            if detector == "ddf_aided" else None
         loop = DiscreteTurboLoop(obs, decoder, schedule, ch_true.K, I=I,
                                  first_iteration_hook=hook)
-    else:
-        raise ValueError(f"unknown detector family {detector_family!r}")
-    state = state0
-    ch_est = _estimated_channel(ch_true, state, update_amplitudes)
+    state = state0 if state0 is not None else EmState(
+        a_hat=ch_true.a, sigma2_hat=ch_true.sigma2, a_tilde=ch_true.a,
+        varsigma2=0.0, T=obs.y.shape[0])
+    update_amplitudes = state.varsigma2 > 0
+    ch_est = _estimated_channel(ch_true, state)
     trajectory = [state]
     frames = []
     b_hat = np.zeros(obs.y.shape)
@@ -235,7 +244,7 @@ def run_varem(ch_true, obs, detector_family, schedule, J, decoder, state0,
         state = mstep_gauss(ch_true.S, obs, PosteriorSummary.from_means(b_hat),
                             state, update_amplitudes=update_amplitudes,
                             update_sigma2=update_sigma2)
-        ch_est = _estimated_channel(ch_true, state, update_amplitudes)
+        ch_est = _estimated_channel(ch_true, state)
         return ch_est
 
     for _ in range(J):
@@ -250,8 +259,8 @@ def run_varem(ch_true, obs, detector_family, schedule, J, decoder, state0,
     return frames, trajectory
 
 
-def _estimated_channel(ch_true, state, update_amplitudes):
+def _estimated_channel(ch_true, state):
     """True geometry with the current estimates (estimated a floored)."""
-    a = np.maximum(state.a_hat, AMPLITUDE_FLOOR) if update_amplitudes \
+    a = np.maximum(state.a_hat, AMPLITUDE_FLOOR) if state.varsigma2 > 0 \
         else state.a_hat
     return ch_true.with_params(a=a, sigma2=state.sigma2_hat)

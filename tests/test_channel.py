@@ -3,7 +3,7 @@ import pytest
 
 from turbomud.channel import (SymbolBlock, make_equicorrelated,
                               make_random_spreading, snr_db_to_sigma2,
-                              transmit)
+                              transmit, whiten)
 from turbomud.errors import DimensionMismatch, InvalidCorrelation
 
 
@@ -87,7 +87,8 @@ class TestTransmit:
                                      1.0, -1.0))
         obs = transmit(ch, blk, rng_seed=5)
         # F^T ybar = y = S^T r on every interval
-        np.testing.assert_allclose(obs.ybar @ ch.F, obs.y, atol=1e-10)
+        np.testing.assert_allclose(whiten(ch, obs.y) @ ch.F, obs.y,
+                                   atol=1e-10)
         np.testing.assert_allclose(obs.r @ ch.S, obs.y, atol=1e-12)
         np.testing.assert_allclose(ch.F.T @ ch.F, ch.S.T @ ch.S, atol=1e-10)
 
@@ -98,7 +99,7 @@ class TestTransmit:
         T = 200_000
         b = np.ones((T, 2))
         obs = transmit(ch, SymbolBlock(b=b), rng_seed=7)
-        centered = obs.ybar - (ch.F @ (ch.a * b[0]))[None, :]
+        centered = whiten(ch, obs.y) - (ch.F @ (ch.a * b[0]))[None, :]
         cov = centered.T @ centered / T
         np.testing.assert_allclose(cov, sigma2 * np.eye(2),
                                    atol=0.05 * sigma2)

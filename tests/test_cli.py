@@ -92,7 +92,8 @@ def test_sweep_bad_snr_grid_exit_code(capsys, grid):
 
 
 @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--snr", "nan"],
-                                   ["--snr", "3,-inf"]])
+                                   ["--snr", "3,-inf"], ["--snr=-4000"],
+                                   ["--snr=3,4000"]])
 def test_overrides_follow_the_numeric_policy(capsys, flags):
     argv = ["sweep", "presets/scenario-i", "--snr", "3"] + flags
     assert cli_main(argv) == 2
@@ -109,6 +110,26 @@ snr_db = 4
 max_frames = 1
 frame_cap = 1
 """
+
+
+@pytest.mark.parametrize("pins", ["2:5000", "2:-4000"])
+def test_pins_beyond_the_db_limit_exit_code(tmp_path, capsys, pins):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_SMALL_RUN + f"snr_fixed = {pins}\n")
+    assert cli_main(["simulate", str(cfg), "--out",
+                     str(tmp_path / "run.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_zero_llrs_decide_bit_zero(tmp_path, capsys):
+    """At -300 dB nearly every LLR is exactly 0; a tie decides +1, so
+    the BER is about 1/2, not near 1 as when ties count as errors."""
+    argv = ["sweep", "presets/scenario-i", "--snr=-300", "--trials", "1",
+            "--out", str(tmp_path / "run.csv")]
+    assert cli_main(argv) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("snr -300 dB: final-iteration BER = ")
+    assert 0.4 <= float(line.rsplit("=", 1)[1]) <= 0.6
 
 
 def test_em_settings_keep_the_ddf_pipeline(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from turbomud.errors import ConfigError
-from turbomud.harness import (config_from_dict, parse_config_text,
+from turbomud.harness import (_build_spreading, _point_channel,
+                              config_from_dict, parse_config_text,
                               preset_config, resolve_config, run_scenario,
                               single_user_bound)
 
@@ -61,6 +62,11 @@ class TestConfigParsing:
                 (dict(varsigma="-0.1"), "varsigma"),
                 (dict(snr_fixed="2:nan"), "snr_fixed"),
                 (dict(snr_fixed="2:inf"), "snr_fixed"),
+                # dB values beyond +/-300 over- or underflow the channel
+                (dict(snr_db="-4000"), "snr_db"),
+                (dict(snr_db="3,300.5"), "snr_db"),
+                (dict(snr_fixed="2:5000"), "snr_fixed"),
+                (dict(snr_fixed="2:-4000"), "snr_fixed"),
                 (dict(seed="-1"), "seed"),
                 (dict(rho="nan", channel="random"), "rho"),
                 (dict(inner_iterations="0"), "inner_iterations"),
@@ -89,6 +95,16 @@ class TestConfigParsing:
     def test_missing_config(self):
         with pytest.raises(ConfigError, match="no config file or preset"):
             resolve_config("/nonexistent/path.cfg")
+
+    def test_db_limits_give_finite_positive_channels(self):
+        cfg = tiny_coded_cfg(snr_db="-300,300,inf", snr_fixed="2:-300")
+        for pin in (-300.0, 300.0):
+            cfg = replace(cfg, snr_fixed={2: pin}).validate()
+            S = _build_spreading(cfg)
+            for snr in cfg.snr_db:
+                ch = _point_channel(cfg, S, snr)
+                assert np.isfinite(ch.sigma2) and ch.sigma2 > 0
+                assert np.all(np.isfinite(ch.a)) and np.all(ch.a > 0)
 
 
 _EXTREME = st.one_of(

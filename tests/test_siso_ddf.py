@@ -4,9 +4,10 @@ import pytest
 from turbomud.channel import SymbolBlock, make_equicorrelated, transmit, whiten
 from turbomud.coding import IdentityDecoder
 from turbomud.errors import InvalidPermutation
-from turbomud.siso_ddf import (DdfPrecompute, ddf_aided_discrete, ddf_pass,
-                               ddf_pass_block, detection_order)
+from turbomud.siso_ddf import (DdfPrecompute, ddf_pass, ddf_pass_block,
+                               detection_order)
 from turbomud.siso_discrete import DiscreteBelief, free_energy_disc
+from turbomud.varem import run_varem
 
 
 def identity_pre(ch):
@@ -73,7 +74,7 @@ class TestDdfPass:
         b = np.array([1.0, -1.0])
         obs = transmit(ch, SymbolBlock(b=b[None, :]), rng_seed=3)
         pre = identity_pre(ch)
-        belief, _ = ddf_pass(ch, obs.ybar[0], np.zeros(2), pre)
+        belief, _ = ddf_pass(ch, whiten(ch, obs.y)[0], np.zeros(2), pre)
         np.testing.assert_array_equal(np.sign(belief.m), b)
 
     def test_extrinsic_excludes_prior(self):
@@ -135,7 +136,7 @@ class TestFreeEnergySeeding:
             b = np.where(rng.standard_normal(4) > 0, 1.0, -1.0)
             obs = transmit(ch, SymbolBlock(b=b[None, :]),
                            rng_seed=int(rng.integers(2**31)))
-            belief, _ = ddf_pass(ch, obs.ybar[0], np.zeros(4), pre)
+            belief, _ = ddf_pass(ch, whiten(ch, obs.y)[0], np.zeros(4), pre)
             f_ddf = free_energy_disc(ch, obs.r[0], np.zeros(4), belief)
             f_zero = free_energy_disc(ch, obs.r[0], np.zeros(4),
                                       DiscreteBelief(np.zeros(4)))
@@ -152,8 +153,8 @@ class TestDdfAidedDiscrete:
     def test_single_iteration_equals_ddf_pass(self):
         ch = make_equicorrelated(3, 0.6, sigma2=0.4)
         obs, _ = self.make_obs(ch, 5, seed=20)
-        frames = ddf_aided_discrete(ch, obs, IdentityDecoder(), "flooding",
-                                    J=1, order_policy=np.arange(3))
+        frames, _ = run_varem(ch, obs, "ddf_aided", "flooding", 1,
+                              IdentityDecoder(), order_policy=np.arange(3))
         pre = identity_pre(ch)
         _, pos = ddf_pass_block(ch, pre.whiten(ch, obs.y),
                                 np.zeros((5, 3)), pre)
@@ -163,8 +164,8 @@ class TestDdfAidedDiscrete:
     def test_later_iterations_refine(self):
         ch = make_equicorrelated(4, 0.7, sigma2=0.25)
         obs, b = self.make_obs(ch, 100, seed=21)
-        frames = ddf_aided_discrete(ch, obs, IdentityDecoder(), "flooding",
-                                    J=3, I=4)
+        frames, _ = run_varem(ch, obs, "ddf_aided", "flooding", 3,
+                              IdentityDecoder(), I=4)
         first = np.mean(np.sign(frames[0].llr_post) != b)
         last = np.mean(np.sign(frames[-1].llr_post) != b)
         assert last <= first + 0.02

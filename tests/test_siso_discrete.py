@@ -6,9 +6,9 @@ from turbomud.coding import IdentityDecoder
 from turbomud.errors import DomainError
 from turbomud.oracle import _enum_symbols
 from turbomud.siso_discrete import (DiscreteBelief, ext_one_shot,
-                                    free_energy_disc, run_schedule_disc,
-                                    serial_update, stationarity_residual,
-                                    tanh_sic)
+                                    free_energy_disc, serial_update,
+                                    stationarity_residual, tanh_sic)
+from turbomud.varem import run_varem
 
 
 def enumeration_kl(ch, r, prior_llr, m):
@@ -208,8 +208,8 @@ class TestRunScheduleDisc:
     def test_flooding_single_sweep_is_serial_update(self):
         ch = make_equicorrelated(3, 0.5, sigma2=0.5)
         obs = self.make_obs(ch, 4, seed=10)
-        frames = run_schedule_disc(ch, obs, IdentityDecoder(), "flooding",
-                                   J=1, I=1)
+        frames, _ = run_varem(ch, obs, "discrete", "flooding", 1,
+                              IdentityDecoder(), I=1)
         for t in range(4):
             _, llr_pos = serial_update(ch, obs.r[t], np.zeros(3),
                                        DiscreteBelief(np.zeros(3)))
@@ -221,8 +221,8 @@ class TestRunScheduleDisc:
         # rotated sweep in natural order with zeroed own prior
         ch = make_equicorrelated(3, 0.6, sigma2=0.4)
         obs = self.make_obs(ch, 3, seed=11)
-        frames = run_schedule_disc(ch, obs, IdentityDecoder(), "sequential",
-                                   J=1, I=1)
+        frames, _ = run_varem(ch, obs, "discrete", "sequential", 1,
+                              IdentityDecoder(), I=1)
         for t in range(3):
             _, llr_pos = serial_update(ch, obs.r[t], np.zeros(3),
                                        DiscreteBelief(np.zeros(3)),
@@ -235,7 +235,7 @@ class TestRunScheduleDisc:
         ch = make_equicorrelated(4, 0.3, sigma2=0.5)
         obs = self.make_obs(ch, 6, seed=12)
         for schedule in ("flooding", "sequential", "hybrid"):
-            frames = run_schedule_disc(ch, obs, IdentityDecoder(), schedule,
-                                       J=2, I=2)
+            frames, _ = run_varem(ch, obs, "discrete", schedule, 2,
+                                  IdentityDecoder(), I=2)
             assert len(frames) == 2
             assert frames[0].llr_mud.shape == (6, 4)

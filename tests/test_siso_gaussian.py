@@ -10,8 +10,8 @@ from turbomud.oracle import wang_poor_oracle
 from turbomud.siso_gaussian import (GaussianPrior, ext_flooding, ext_hybrid,
                                     flooding_ext_block, free_energy_gauss,
                                     free_energy_gauss_gradient_mu,
-                                    loo_ext_block, run_schedule_gauss,
-                                    solve_gauss)
+                                    loo_ext_block, solve_gauss)
+from turbomud.varem import run_varem
 
 
 def random_channel(rng, K, equicorrelated=True):
@@ -244,9 +244,9 @@ class TestRunSchedule:
         ch = make_equicorrelated(4, 0.7, sigma2=0.5)
         obs = self.make_obs(ch, 5, seed=12)
         dec = IdentityDecoder()
-        f = run_schedule_gauss(ch, obs, dec, "flooding", 1)[0]
-        h = run_schedule_gauss(ch, obs, dec, "hybrid", 1)[0]
-        s = run_schedule_gauss(ch, obs, dec, "sequential", 1)[0]
+        f = run_varem(ch, obs, "gaussian", "flooding", 1, dec)[0][0]
+        h = run_varem(ch, obs, "gaussian", "hybrid", 1, dec)[0][0]
+        s = run_varem(ch, obs, "gaussian", "sequential", 1, dec)[0][0]
         np.testing.assert_allclose(f.llr_mud, h.llr_mud, rtol=1e-10)
         # sequential matches for user 1 only; later users already see
         # user 1's decoder feedback
@@ -259,7 +259,8 @@ class TestRunSchedule:
         # priors tanh(first-iteration EXT / 2)
         ch = make_equicorrelated(3, 0.6, sigma2=0.8)
         obs = self.make_obs(ch, 4, seed=13)
-        frames = run_schedule_gauss(ch, obs, IdentityDecoder(), "hybrid", 2)
+        frames, _ = run_varem(ch, obs, "gaussian", "hybrid", 2,
+                              IdentityDecoder())
         priors = np.tanh(np.clip(frames[0].llr_dec, -30, 30) / 2.0)
         for t in range(4):
             expected = ext_hybrid(ch, obs.y[t],
@@ -271,7 +272,8 @@ class TestRunSchedule:
     def test_scenario_shapes(self):
         ch = make_equicorrelated(4, 0.7, sigma2=0.5)
         obs = self.make_obs(ch, 8, seed=14)
-        frames = run_schedule_gauss(ch, obs, IdentityDecoder(), "flooding", 5)
+        frames, _ = run_varem(ch, obs, "gaussian", "flooding", 5,
+                              IdentityDecoder())
         assert len(frames) == 5
         assert frames[0].llr_mud.shape == (8, 4)
         np.testing.assert_allclose(frames[0].llr_post,

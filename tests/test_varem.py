@@ -3,9 +3,9 @@ import pytest
 
 from turbomud.channel import SymbolBlock, make_equicorrelated, transmit
 from turbomud.coding import ConvCode, ConvTurboDecoder, IdentityDecoder
-from turbomud.siso_ddf import ddf_aided_discrete
-from turbomud.siso_discrete import run_schedule_disc
-from turbomud.siso_gaussian import run_schedule_gauss
+from turbomud.siso_ddf import bind_ddf_hook
+from turbomud.siso_discrete import DiscreteTurboLoop
+from turbomud.siso_gaussian import GaussianTurboLoop
 from turbomud.varem import (EmState, PosteriorSummary, em_objective,
                             em_objective_grad_a, initial_sigma2, mstep_disc,
                             mstep_gauss, run_varem)
@@ -17,6 +17,17 @@ def make_setup(K=2, T=50, sigma2=0.1, rho=0.5, seed=0):
     b = np.where(rng.standard_normal((T, K)) > 0, 1.0, -1.0)
     obs = transmit(ch, SymbolBlock(b=b), rng_seed=seed + 1)
     return ch, obs, b
+
+
+def plain_schedule(ch, obs, detector, schedule, J, decoder, I=6):
+    """Reference turbo run: the detector's loop iterated on the true channel."""
+    if detector == "gaussian":
+        loop = GaussianTurboLoop(obs, decoder, schedule, ch.K)
+    else:
+        hook = bind_ddf_hook(obs) if detector == "ddf_aided" else None
+        loop = DiscreteTurboLoop(obs, decoder, schedule, ch.K, I=I,
+                                 first_iteration_hook=hook)
+    return [loop.iterate(ch) for _ in range(J)]
 
 
 def flat_state(ch, T, sigma2=1.0):
@@ -165,19 +176,17 @@ class TestRunVarem:
         state0 = EmState(a_hat=np.ones(2), sigma2_hat=0.2,
                          a_tilde=np.ones(2), varsigma2=0.0, T=30)
         frames, traj = run_varem(ch, obs, "gaussian", "flooding", 3,
-                                 IdentityDecoder(), state0,
-                                 update_amplitudes=False,
-                                 update_sigma2=False)
-        from turbomud.siso_gaussian import run_schedule_gauss
-        plain = run_schedule_gauss(ch, obs, IdentityDecoder(), "flooding", 3)
+                                 IdentityDecoder(), state0)
+        plain = plain_schedule(ch, obs, "gaussian", "flooding", 3,
+                               IdentityDecoder())
         for fa, fb in zip(frames, plain):
             np.testing.assert_array_equal(fa.llr_mud, fb.llr_mud)
         assert all(st.sigma2_hat == 0.2 for st in traj)
 
     @pytest.mark.parametrize("schedule", ["flooding", "sequential", "hybrid"])
     def test_true_state_without_updates_is_the_plain_schedule(self, schedule):
-        # user 3 sits below AMPLITUDE_FLOOR, which applies only to
-        # estimated amplitudes
+        # the default state is the true one; user 3 sits below
+        # AMPLITUDE_FLOOR, which applies only to estimated amplitudes
         K, n_info = 3, 20
         dec = ConvTurboDecoder(ConvCode(generators=("111", "101")), K,
                                n_info, master_seed=3)
@@ -186,24 +195,23 @@ class TestRunVarem:
         info = np.random.default_rng(4).integers(0, 2, size=(n_info, K))
         blk = SymbolBlock(b=dec.encode_block(info))
         obs = transmit(ch, blk, rng_seed=5)
-        true_state = EmState(a_hat=ch.a, sigma2_hat=ch.sigma2, a_tilde=ch.a,
-                             varsigma2=0.0, T=blk.T)
-        plain = {
-            ("gaussian", False): run_schedule_gauss(ch, obs, dec, schedule, 3),
-            ("discrete", False): run_schedule_disc(ch, obs, dec, schedule, 3,
-                                                   I=2),
-            ("discrete", True): ddf_aided_discrete(ch, obs, dec, schedule, 3,
-                                                   I=2),
-        }
-        for (family, ddf_seed), want in plain.items():
-            frames, traj = run_varem(ch, obs, family, schedule, 3, dec,
-                                     true_state, update_amplitudes=False,
-                                     update_sigma2=False, I=2,
-                                     ddf_seed=ddf_seed)
+        for detector in ("gaussian", "discrete", "ddf_aided"):
+            want = plain_schedule(ch, obs, detector, schedule, 3, dec, I=2)
+            frames, traj = run_varem(ch, obs, detector, schedule, 3, dec,
+                                     I=2)
             for got, ref in zip(frames, want, strict=True):
                 np.testing.assert_array_equal(got.llr_mud, ref.llr_mud)
                 np.testing.assert_array_equal(got.llr_dec, ref.llr_dec)
-            assert all(st is true_state for st in traj)
+            np.testing.assert_array_equal(traj[0].a_hat, ch.a)
+            assert traj[0].sigma2_hat == ch.sigma2
+            assert traj[0].varsigma2 == 0.0
+            assert all(st is traj[0] for st in traj)
+
+    def test_unknown_detector_raises(self):
+        ch, obs, b = make_setup(K=2, T=5)
+        for detector in ("ddf", "mean_field", "Gaussian"):
+            with pytest.raises(ValueError, match="unknown detector"):
+                run_varem(ch, obs, detector, "flooding", 1, IdentityDecoder())
 
     def test_sigma2_estimation_converges_near_truth(self):
         sigma2 = 0.15
@@ -213,8 +221,10 @@ class TestRunVarem:
                          a_tilde=np.ones(2), varsigma2=0.0, T=400)
         frames, traj = run_varem(ch, obs, "gaussian", "flooding", 6,
                                  IdentityDecoder(), state0,
-                                 update_amplitudes=False, update_sigma2=True)
+                                 update_sigma2=True)
         assert abs(traj[-1].sigma2_hat - sigma2) < 0.5 * sigma2
+        # varsigma2 = 0 leaves the amplitudes at a_tilde
+        assert all(np.array_equal(st.a_hat, np.ones(2)) for st in traj)
 
     def test_amplitude_refinement_improves_prior(self):
         # noisy prior amplitudes, estimation on: the final estimate
@@ -225,8 +235,7 @@ class TestRunVarem:
         state0 = EmState(a_hat=a_tilde.copy(), sigma2_hat=ch.sigma2,
                          a_tilde=a_tilde, varsigma2=0.09, T=400)
         frames, traj = run_varem(ch, obs, "gaussian", "flooding", 8,
-                                 IdentityDecoder(), state0,
-                                 update_amplitudes=True, update_sigma2=False)
+                                 IdentityDecoder(), state0)
         err0 = np.linalg.norm(a_tilde - 1.0)
         err1 = np.linalg.norm(traj[-1].a_hat - 1.0)
         assert err1 < err0
@@ -238,20 +247,15 @@ class TestRunVarem:
                          a_tilde=np.ones(2), varsigma2=0.0, T=200)
         frames, traj = run_varem(ch, obs, "gaussian", "sequential", 3,
                                  IdentityDecoder(), state0,
-                                 update_amplitudes=False, update_sigma2=True,
-                                 mstep_per_user=True)
+                                 update_sigma2=True, mstep_per_user=True)
         assert len(frames) == 3
         assert abs(traj[-1].sigma2_hat - 0.1) < 0.5 * 0.1
         # with nothing to update and the true parameters, the per-user
         # M step is a no-op and the plain sequential schedule results
-        true_state = EmState(a_hat=ch.a, sigma2_hat=ch.sigma2,
-                             a_tilde=ch.a, varsigma2=0.0, T=200)
         frames, _ = run_varem(ch, obs, "gaussian", "sequential", 3,
-                              IdentityDecoder(), true_state,
-                              update_amplitudes=False, update_sigma2=False,
-                              mstep_per_user=True)
-        plain = run_schedule_gauss(ch, obs, IdentityDecoder(), "sequential",
-                                   3)
+                              IdentityDecoder(), mstep_per_user=True)
+        plain = plain_schedule(ch, obs, "gaussian", "sequential", 3,
+                               IdentityDecoder())
         for got, want in zip(frames, plain, strict=True):
             np.testing.assert_array_equal(got.llr_mud, want.llr_mud)
             np.testing.assert_array_equal(got.llr_dec, want.llr_dec)
@@ -270,9 +274,8 @@ class TestRunVarem:
         ch, obs, b = make_setup(K=3, T=20, sigma2=0.2, rho=0.3, seed=15)
         state0 = EmState(a_hat=np.ones(3), sigma2_hat=0.5,
                          a_tilde=np.ones(3), varsigma2=0.0, T=20)
-        frames, traj = run_varem(ch, obs, "discrete", "flooding", 3,
+        frames, traj = run_varem(ch, obs, "ddf_aided", "flooding", 3,
                                  IdentityDecoder(), state0,
-                                 update_amplitudes=False, update_sigma2=True,
-                                 I=3, ddf_seed=True)
+                                 update_sigma2=True, I=3)
         assert len(frames) == 3 and len(traj) == 4
         assert traj[-1].sigma2_hat > 0
