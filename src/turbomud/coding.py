@@ -15,10 +15,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import DomainError, LengthMismatch
 
 TERMINATED = "terminated"
 TRUNCATED = "truncated"
+
+# A symbol's +1 or -1 edge mass below this floor lies more than ~575 nats
+# under its trellis step's best edge: its exp terms may be subnormal or
+# zero, so the step is decoded again by masked log-sum-exp.
+SUM_FLOOR = 1e-250
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,18 @@ class ConvCode:
             table.flags.writeable = False  # shared by every call on the code
         return next_state, out_pm, pred
 
+    @cached_property
+    def _sign_mask(self):
+        """(2S, 6) 0/1 mask over flat edges 2 s + u: the +1 and -1 groups
+        of coded symbol 1, coded symbol 2 and the input bit (u = 0 -> +1).
+        """
+        _, out_pm, _ = self._tables
+        upm = np.broadcast_to([1.0, -1.0], out_pm.shape[:2])[..., None]
+        signs = np.concatenate([out_pm, upm], axis=2).reshape(-1, 3, 1)
+        mask = (signs * [1.0, -1.0] > 0).reshape(-1, 6).astype(float)
+        mask.flags.writeable = False
+        return mask
+
 
 def encode(code, info_bits):
     """Encode information bits (0/1) into a +/-1 coded symbol sequence.
@@ -119,9 +136,18 @@ def bcjr_decode(code, channel_llrs, prior_info_llrs=None):
     ``channel_llrs`` holds one LLR per coded symbol, one block ``(n,)``
     or a batch ``(B, n)``; an optional prior per information bit is
     ``(n_info,)`` or ``(B, n_info)`` to match, and results keep that
-    leading shape.  The forward and backward recursions advance in one
+    leading shape.  Every input LLR must be finite (``DomainError``
+    otherwise).  The forward and backward recursions advance in one
     loop, each step an exact two-edge log-sum-exp (not max-log) per
-    state, renormalized (a pure log-domain shift, so LLRs are unchanged).
+    state, shifted so that state 0 sits at 0 (a pure log-domain shift,
+    so LLRs are unchanged; the all-zero input path keeps that entry
+    finite).  Each trellis step's edge masses are shifted by their max
+    and exponentiated once, and one matmul with ``code._sign_mask``
+    gives the +1 and -1 mass of both coded symbols and the input bit.
+    A step where a used mass falls below ``SUM_FLOOR`` (more than ~575
+    nats under the step's best edge, or no edge at all) is decoded
+    again by masked log-sum-exp, so large and infinite LLRs stay exact.
+    Each batch row decodes bit for bit like a single-row call.
     """
     Lc = np.asarray(channel_llrs, dtype=float)
     if Lc.ndim not in (1, 2) or Lc.shape[-1] % 2 != 0:
@@ -137,6 +163,8 @@ def bcjr_decode(code, channel_llrs, prior_info_llrs=None):
         raise LengthMismatch(
             f"prior shape {La.shape} does not match {n_info} info bits"
         )
+    if not (np.isfinite(Lc).all() and np.isfinite(La).all()):
+        raise DomainError("channel and prior LLRs must be finite")
 
     next_state, out_pm, pred = code._tables
     S = code.n_states
@@ -164,25 +192,35 @@ def bcjr_decode(code, channel_llrs, prior_info_llrs=None):
     if code.termination == TRUNCATED:
         v[0, :, 1] = 0.0
     for t in range(n_steps):
-        c = v[t].take(idx) + gam[t]
+        c = v[t].take(idx)
+        c += gam[t]
         w = np.logaddexp(c[0], c[1]).reshape(B, 2, S)
-        np.subtract(w, np.maximum.reduce(w, axis=2, keepdims=True),
-                    out=v[t + 1])
+        np.subtract(w, w[:, :, :1], out=v[t + 1])
     del gam  # free the step-ordered copy before the edge pass: peak memory
 
     # edge mass: e[b, t, s, u] = alpha[t, s] + gamma[t, s, u] + beta[t+1, ns]
     edge = v[:-1, :, 0].transpose(1, 0, 2)[..., None] + gamma
     edge += v[-2::-1, :, 1].transpose(1, 0, 2)[:, :, next_state.ravel()] \
         .reshape(B, n_steps, S, 2)
-
-    def _llr(sign):
-        pos = _logsumexp2(np.where(sign > 0, edge, -np.inf).reshape(-1, 2 * S))
-        neg = _logsumexp2(np.where(sign < 0, edge, -np.inf).reshape(-1, 2 * S))
-        return (pos - neg).reshape(B, n_steps)
-
-    posterior = np.stack([_llr(out_pm[:, :, 0]), _llr(out_pm[:, :, 1])],
-                         axis=-1).reshape(Lc.shape)
-    info_posterior = _llr(upm)[:, :n_info].reshape(La.shape)
+    edge = edge.reshape(-1, 2 * S)
+    edge -= edge.max(axis=1, keepdims=True)
+    mask = code._sign_mask
+    mass = np.exp(edge) @ mask  # (B n_steps, 6): +1 and -1 mass per symbol
+    with np.errstate(divide="ignore"):
+        llr = np.log(mass[:, 0::2]) - np.log(mass[:, 1::2])
+    low = (mass < SUM_FLOOR).reshape(B, n_steps, 6)
+    redo = low[:, :, :4].any(axis=2)
+    redo[:, :n_info] |= low[:, :n_info, 4:].any(axis=2)  # tails have no u=1
+    rows = np.flatnonzero(redo)
+    if rows.size:
+        sub = edge[rows]
+        for j in range(3):
+            llr[rows, j] = (
+                _logsumexp2(np.where(mask[:, 2 * j] > 0, sub, -np.inf))
+                - _logsumexp2(np.where(mask[:, 2 * j + 1] > 0, sub, -np.inf)))
+    llr = llr.reshape(B, n_steps, 3)
+    posterior = llr[:, :, :2].reshape(Lc.shape)
+    info_posterior = llr[:, :n_info, 2].reshape(La.shape)
     return BcjrResult(extrinsic=posterior - Lc, posterior=posterior,
                       info_posterior=info_posterior)
 

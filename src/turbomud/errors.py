@@ -30,7 +30,8 @@ class DegeneratePrior(TurbomudError):
 
 
 class DomainError(TurbomudError):
-    """Soft-bit mean outside the open interval (-1, 1)."""
+    """Input outside a computation's domain: a soft-bit mean outside the
+    open interval (-1, 1), or a non-finite LLR into the decoder."""
 
 
 class TooLarge(TurbomudError):

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import InvalidPermutation
 from .siso_discrete import DiscreteBelief, clamp_mean
-from .siso_gaussian import clamp_llr
 
 AMPLITUDE_DESCENDING = "amplitude_descending"
 AS_GIVEN = "as_given"
@@ -114,7 +113,7 @@ def ddf_pass_block(ch, ybar, prior_llr, pre):
     for k in range(ch.K):
         metric = pre.diag_gain[k] * ybar[:, k] - m_p @ pre.feedback[:, k]
         pos_p[:, k] = prior_p[:, k] + (2.0 / ch.sigma2) * metric
-        m_p[:, k] = clamp_mean(np.tanh(clamp_llr(pos_p[:, k]) / 2.0))
+        m_p[:, k] = clamp_mean(np.tanh(pos_p[:, k] / 2.0))
     inverse = np.argsort(pre.order)
     return m_p[:, inverse], pos_p[:, inverse]
 

@@ -25,17 +25,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .siso_gaussian import SCHEDULES, _turbo_iteration, clamp_llr
+from .siso_gaussian import SCHEDULES, _turbo_iteration
 
 # Belief means are clamped into [-1 + MEAN_CLEARANCE, 1 - MEAN_CLEARANCE]
-# after every tanh so the entropy terms stay finite.
+# after every tanh so the entropy terms stay finite.  tanh(LLR_CLAMP / 2)
+# already lies past the clamp, so tanh of an unclamped LLR clamps to the
+# same mean as tanh of the clamped one.
 MEAN_CLEARANCE = 1e-9
 
 DEFAULT_INNER_ITERS = 6
 
 
 def clamp_mean(m):
-    return np.clip(m, -1.0 + MEAN_CLEARANCE, 1.0 - MEAN_CLEARANCE)
+    # the ufuncs, not np.clip: this runs once per user update
+    return np.minimum(np.maximum(m, -1.0 + MEAN_CLEARANCE),
+                      1.0 - MEAN_CLEARANCE)
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ def serial_update(ch, r, prior_llr, q, order=None, callback=None):
     M = np.array([q.m if isinstance(q, DiscreteBelief) else q], dtype=float)
     llr_pos = np.empty(ch.K)
     for k in range(ch.K) if order is None else order:
-        llr_pos[k] = _sweep_block(ch, eta_r, prior, M, [k])[0, k]
+        llr_pos[k] = _sweep_block(ch, mc.beta, eta_r, prior, M, [k])[0, k]
         if callback is not None:
             callback(M[0].copy())
     return DiscreteBelief(m=M[0]), llr_pos
@@ -162,7 +166,7 @@ def tanh_sic_block(ch, r_block, sweeps, m0=None, record=False):
     zeros = np.zeros_like(M)
     history = []
     for _ in range(sweeps):
-        _sweep_block(ch, eta_r, zeros, M, range(ch.K))
+        _sweep_block(ch, mc.beta, eta_r, zeros, M, range(ch.K))
         if record:
             history.append(M.copy())
     return history if record else M
@@ -174,18 +178,18 @@ def tanh_sic_block(ch, r_block, sweeps, m0=None, record=False):
 # across users.
 # ----------------------------------------------------------------------
 
-def _sweep_block(ch, eta_r, llr_dec, M, order):
+def _sweep_block(ch, beta, eta_r, llr_dec, M, order):
     """In-place serial sweep over users for all intervals at once.
 
-    Returns the posterior LLR block of the sweep.
+    ``beta`` is ``McColumns.from_channel(ch).beta``, built once by the
+    caller.  Returns the posterior LLR block of the sweep.
     """
-    mc = McColumns.from_channel(ch)
     llr_pos = np.empty_like(llr_dec)
     for k in order:
         # beta_k has a zero k-th entry, so m_k never feeds itself
-        metric = eta_r[:, k] - M @ mc.beta[:, k]
+        metric = eta_r[:, k] - M @ beta[:, k]
         llr_pos[:, k] = llr_dec[:, k] + (2.0 / ch.sigma2) * metric
-        M[:, k] = clamp_mean(np.tanh(clamp_llr(llr_pos[:, k]) / 2.0))
+        M[:, k] = clamp_mean(np.tanh(llr_pos[:, k] / 2.0))
     return llr_pos
 
 
@@ -221,14 +225,17 @@ class DiscreteTurboLoop:
         self.iteration = 0
 
     def iterate(self, ch):
-        eta_r = self.r @ McColumns.from_channel(ch).eta  # (T, K): eta_k^T r_t
+        # no after_user below, so every posterior call gets this ch
+        mc = McColumns.from_channel(ch)
+        eta_r = self.r @ mc.eta  # (T, K): eta_k^T r_t
         K = self.M.shape[1]
 
         def posterior(ch, dec, order):
             if self.iteration == 0 and self.hook is not None:
                 return self.hook(ch, self.M, dec)
             for _ in range(self.I):
-                llr_pos = _sweep_block(ch, eta_r, dec, self.M, order)
+                llr_pos = _sweep_block(ch, mc.beta, eta_r, dec, self.M,
+                                       order)
             return llr_pos
 
         frame = _turbo_iteration(

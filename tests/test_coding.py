@@ -6,9 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turbomud.coding import (TERMINATED, TRUNCATED, ConvCode,
-                             ConvTurboDecoder, IdentityDecoder, _logsumexp2,
-                             bcjr_decode, encode, user_permutations)
-from turbomud.errors import LengthMismatch
+                             ConvTurboDecoder, IdentityDecoder, bcjr_decode,
+                             encode, user_permutations)
+from turbomud.errors import DomainError, LengthMismatch
+
+# The fused decoder shifts each recursion step by its state-0 entry, which
+# can sit 100s of nats from the best state, and sums edge masses by
+# matmul; its worst gap to scatter_bcjr in these tests, relative to
+# max(1, |LLR|), is 3.0e-14.
+SCATTER_TOL = 4e-14
 
 SCENARIO_CODES = [ConvCode(generators=("10011", "11101")),
                   ConvCode(generators=("111", "101"))]
@@ -42,10 +48,23 @@ def exhaustive_map(code, channel_llrs, prior_info_llrs=None):
     return marginal(symbols), marginal(upm)
 
 
+def masked_logsumexp(rows, keep):
+    """log sum exp of each row over the entries where ``keep`` holds;
+    -inf for a row with no finite kept entry."""
+    out = np.full(len(rows), -np.inf)
+    for i, row in enumerate(rows):
+        vals = row[keep & np.isfinite(row)]
+        if vals.size:
+            top = np.max(vals)
+            out[i] = top + np.log(np.sum(np.exp(vals - top)))
+    return out
+
+
 def scatter_bcjr(code, Lc, La):
     """One-block log-MAP with separate forward and backward passes that
-    scatter-add each edge into its next state (test reference: the
-    batched fused decoder must reproduce it bit for bit)."""
+    scatter-add each edge into its next state, and a per-row masked
+    log-sum-exp for every LLR (test reference for the batched fused
+    decoder)."""
     next_state, out_pm, _ = code._tables
     S, n_steps = code.n_states, Lc.size // 2
     n_info = La.size
@@ -74,9 +93,10 @@ def scatter_bcjr(code, Lc, La):
     edge += beta[1:, :][:, next_state.ravel()].reshape(n_steps, S, 2)
 
     def llr(sign):
-        pos = np.where(sign > 0, edge, -np.inf).reshape(n_steps, -1)
-        neg = np.where(sign < 0, edge, -np.inf).reshape(n_steps, -1)
-        return _logsumexp2(pos) - _logsumexp2(neg)
+        rows = edge.reshape(n_steps, -1)
+        sign = np.broadcast_to(sign, (S, 2)).ravel()
+        return (masked_logsumexp(rows, sign > 0)
+                - masked_logsumexp(rows, sign < 0))
 
     posterior = np.stack([llr(out_pm[:, :, 0]), llr(out_pm[:, :, 1])],
                          axis=1).ravel()
@@ -140,6 +160,8 @@ class TestBcjr:
         np.testing.assert_allclose(res.info_posterior, info_ref, atol=1e-9)
 
     def test_huge_correct_llrs_give_correct_signs(self):
+        # each step's losing sign groups lie over 575 nats under its best
+        # edge, so every step is decoded again by masked log-sum-exp
         code = ConvCode(generators=("10011", "11101"))
         rng = np.random.default_rng(3)
         info = rng.integers(0, 2, size=16)
@@ -147,6 +169,48 @@ class TestBcjr:
         res = bcjr_decode(code, 200.0 * tx)
         np.testing.assert_array_equal(np.sign(res.posterior), tx)
         assert np.all(np.isfinite(res.extrinsic))
+        posterior, info_posterior = scatter_bcjr(code, 200.0 * tx,
+                                                 np.zeros(16))
+        assert np.all(np.abs(posterior) > 745.0)  # past a tiny-floored sum
+        np.testing.assert_allclose(res.posterior, posterior,
+                                   rtol=SCATTER_TOL, atol=SCATTER_TOL)
+        np.testing.assert_allclose(res.info_posterior, info_posterior,
+                                   rtol=SCATTER_TOL, atol=SCATTER_TOL)
+
+    def test_saturated_block_matches_scatter_reference(self):
+        code = ConvCode(generators=("10011", "11101"))
+        rng = np.random.default_rng(11)
+        n_info, B = 256, 4
+        info = rng.integers(0, 2, size=(B, n_info))
+        tx = np.array([encode(code, u) for u in info])
+        flips = rng.random(tx.shape) < 0.03
+        Lc = np.where(flips, -30.0, 30.0) * tx
+        # rows 2 and 3 also get saturated info priors, 3 % of them flipped
+        La = np.where(rng.random((B, n_info)) < 0.03, -30.0, 30.0) \
+            * (1.0 - 2.0 * info)
+        La[:2] = 0.0
+        res = bcjr_decode(code, Lc, La)
+        assert flips.sum() > 20
+        for out in (res.extrinsic, res.posterior, res.info_posterior):
+            assert np.all(np.isfinite(out))
+        np.testing.assert_array_equal(np.sign(res.extrinsic), tx)
+        for b in range(B):
+            posterior, info_posterior = scatter_bcjr(code, Lc[b], La[b])
+            np.testing.assert_allclose(res.posterior[b], posterior,
+                                       rtol=SCATTER_TOL, atol=SCATTER_TOL)
+            np.testing.assert_allclose(res.info_posterior[b], info_posterior,
+                                       rtol=SCATTER_TOL, atol=SCATTER_TOL)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["Lc", "La"])
+    def test_non_finite_input_raises(self, where, bad):
+        code = ConvCode(generators=("111", "101"))
+        llrs = {"Lc": np.ones((3, code.n_coded(10))), "La": np.zeros((3, 10))}
+        llrs[where][2, 4] = bad
+        with pytest.raises(DomainError):  # one row of a batch
+            bcjr_decode(code, llrs["Lc"], llrs["La"])
+        with pytest.raises(DomainError):  # that row as one block
+            bcjr_decode(code, llrs["Lc"][2], llrs["La"][2])
 
     def test_extrinsic_identity(self):
         code = ConvCode(generators=("111", "101"))
@@ -206,9 +270,10 @@ class TestBatchedBcjr:
         res = bcjr_decode(code, Lc, La)
         for b in range(5):
             posterior, info_posterior = scatter_bcjr(code, Lc[b], La[b])
-            np.testing.assert_array_equal(res.posterior[b], posterior)
-            np.testing.assert_array_equal(res.info_posterior[b],
-                                          info_posterior)
+            np.testing.assert_allclose(res.posterior[b], posterior,
+                                       rtol=SCATTER_TOL, atol=SCATTER_TOL)
+            np.testing.assert_allclose(res.info_posterior[b], info_posterior,
+                                       rtol=SCATTER_TOL, atol=SCATTER_TOL)
 
     def test_batch_length_mismatch(self):
         code = ConvCode(generators=("111", "101"))

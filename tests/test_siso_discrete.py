@@ -5,9 +5,11 @@ from turbomud.channel import SymbolBlock, make_equicorrelated, transmit
 from turbomud.coding import IdentityDecoder
 from turbomud.errors import DomainError
 from turbomud.oracle import _enum_symbols
-from turbomud.siso_discrete import (DiscreteBelief, ext_one_shot,
+from turbomud.siso_discrete import (MEAN_CLEARANCE, DiscreteBelief,
+                                    clamp_mean, ext_one_shot,
                                     free_energy_disc, serial_update,
                                     stationarity_residual, tanh_sic)
+from turbomud.siso_gaussian import LLR_CLAMP, clamp_llr
 from turbomud.varem import run_varem
 
 
@@ -88,6 +90,16 @@ class TestSerialUpdate:
         prior = np.array([0.7])
         _, llr_pos = serial_update(ch, r, prior, DiscreteBelief(np.zeros(1)))
         assert abs(llr_pos[0] - (0.7 + 2 * 1.2 * r[0] / 0.4)) < 1e-12
+
+    def test_one_clamp_per_update_equals_clamping_the_llr_first(self):
+        # the sweeps clamp only the mean: exact because tanh(LLR_CLAMP / 2)
+        # already lies past the mean clamp
+        assert np.tanh(LLR_CLAMP / 2.0) > 1.0 - MEAN_CLEARANCE
+        llr = np.concatenate([np.linspace(-80.0, 80.0, 4001),
+                              [-1e300, -30.0, -29.99, 29.99, 30.0, 1e300]])
+        np.testing.assert_array_equal(
+            clamp_mean(np.tanh(llr / 2.0)),
+            clamp_mean(np.tanh(clamp_llr(llr) / 2.0)))
 
     def test_orthogonal_codes_decouple(self):
         ch = make_equicorrelated(3, 0.0, amplitudes=[1.0, 2.0, 0.5],
