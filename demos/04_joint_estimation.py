@@ -30,8 +30,7 @@ def main():
     a_tilde = 1.0 + varsigma * rng.standard_normal(K)
     state0 = EmState(a_hat=a_tilde.copy(),
                      sigma2_hat=initial_sigma2(obs, a_tilde, N),
-                     a_tilde=a_tilde, varsigma2=varsigma**2,
-                     T=obs.r.shape[0])
+                     a_tilde=a_tilde, varsigma2=varsigma**2)
 
     frames, traj = run_varem(ch, obs, "gaussian", "flooding", J=10,
                              decoder=decoder, state0=state0,

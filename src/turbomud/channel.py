@@ -15,13 +15,14 @@ where nbar is white again.  Detectors depend on the channel only
 through (R, A, sigma2) and one of r / y / ybar.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, InvalidCorrelation, RankDeficient
-from .linalg import factor_FtF
+from .linalg import factor_FtF, spd_inverse
 
 _UNIT_NORM_TOL = 1e-12
 _RESAMPLE_CAP = 100
@@ -39,6 +40,8 @@ class ChannelInstance:
     sigma2 : noise variance per chip (0 allowed for noiseless tests).
     R : (K, K) signature correlation matrix S^T S (unit diagonal).
     F : (K, K) lower-triangular whitening factor with F^T F = R.
+
+    R, F and the cached detector matrices below are derived, read-only.
     """
 
     N: int
@@ -46,8 +49,8 @@ class ChannelInstance:
     S: np.ndarray
     a: np.ndarray
     sigma2: float
-    R: np.ndarray = field(repr=False, default=None)
-    F: np.ndarray = field(repr=False, default=None)
+    R: np.ndarray = field(init=False, repr=False)
+    F: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         S = np.asarray(self.S, dtype=float)
@@ -70,12 +73,33 @@ class ChannelInstance:
             raise RankDeficient(f"S^T S not positive definite: {exc}") from None
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "R", _read_only(R))
+        object.__setattr__(self, "F", _read_only(F))
 
     @property
     def A(self):
         return np.diag(self.a)
+
+    @cached_property
+    def gram(self):
+        """A R A = A^T S^T S A, the quadratic term of every free energy."""
+        return _read_only((self.a[:, None] * self.R) * self.a[None, :])
+
+    @cached_property
+    def hollow_gram(self):
+        """The Gram matrix with a zero diagonal: the mean-field coupling B."""
+        G = self.gram
+        return _read_only(G - np.diag(np.diagonal(G)))
+
+    @cached_property
+    def SA(self):
+        """S A, whose k-th column eta_k = A_k s_k."""
+        return _read_only(self.S * self.a)
+
+    @cached_property
+    def Rinv(self):
+        """R^{-1}, the sigma2 R^{-1} term of the Gaussian filter matrices."""
+        return _read_only(spd_inverse(self.R))
 
     def with_params(self, a=None, sigma2=None):
         """Copy of this instance with replaced amplitudes / noise variance.
@@ -83,13 +107,13 @@ class ChannelInstance:
         Used by the joint-estimation loop, which detects with estimated
         parameters over the true spreading geometry.
         """
-        return ChannelInstance(
-            N=self.N,
-            K=self.K,
-            S=self.S,
-            a=self.a if a is None else np.asarray(a, dtype=float),
-            sigma2=self.sigma2 if sigma2 is None else float(sigma2),
-        )
+        return replace(self, a=self.a if a is None else a,
+                       sigma2=self.sigma2 if sigma2 is None else float(sigma2))
+
+
+def _read_only(M):
+    M.flags.writeable = False  # shared by every detector on the channel
+    return M
 
 
 @dataclass(frozen=True)

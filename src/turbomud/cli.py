@@ -22,7 +22,7 @@ from .harness import (OUT_DIR_ENV, PRESETS, parse_value, read_kv_file,
                       resolve_config, run_scenario)
 from .siso_ddf import DdfPrecompute, ddf_pass, detection_order
 from .siso_discrete import ext_one_shot
-from .siso_gaussian import GaussianPrior, ext_flooding, ext_hybrid
+from .siso_gaussian import SCHEDULES, GaussianPrior, ext_flooding, ext_hybrid
 
 _DETECT_ONE_SHOT = {
     "gaussian-hybrid": lambda ch, r, y, pl: ext_hybrid(
@@ -49,7 +49,7 @@ def _build_parser():
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", default=None, help="CSV output path")
     common.add_argument("--schedule", default=None,
-                        choices=["flooding", "sequential", "hybrid"])
+                        choices=SCHEDULES)
     common.add_argument("--detector", default=None)
     common.add_argument("--trials", type=int, default=None,
                         help="frame budget override")

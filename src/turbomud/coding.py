@@ -24,6 +24,9 @@ TRUNCATED = "truncated"
 # under its trellis step's best edge: its exp terms may be subnormal or
 # zero, so the step is decoded again by masked log-sum-exp.
 SUM_FLOOR = 1e-250
+# Largest input LLR magnitude: a branch metric adds two, which past about
+# 1e307 can overflow to inf and turn every output NaN.
+LLR_LIMIT = 1e300
 
 
 @dataclass(frozen=True)
@@ -136,8 +139,8 @@ def bcjr_decode(code, channel_llrs, prior_info_llrs=None):
     ``channel_llrs`` holds one LLR per coded symbol, one block ``(n,)``
     or a batch ``(B, n)``; an optional prior per information bit is
     ``(n_info,)`` or ``(B, n_info)`` to match, and results keep that
-    leading shape.  Every input LLR must be finite (``DomainError``
-    otherwise).  The forward and backward recursions advance in one
+    leading shape.  Every input LLR must lie in +/-``LLR_LIMIT`` (else
+    ``DomainError``).  The forward and backward recursions advance in one
     loop, each step an exact two-edge log-sum-exp (not max-log) per
     state, shifted so that state 0 sits at 0 (a pure log-domain shift,
     so LLRs are unchanged; the all-zero input path keeps that entry
@@ -163,8 +166,10 @@ def bcjr_decode(code, channel_llrs, prior_info_llrs=None):
         raise LengthMismatch(
             f"prior shape {La.shape} does not match {n_info} info bits"
         )
-    if not (np.isfinite(Lc).all() and np.isfinite(La).all()):
-        raise DomainError("channel and prior LLRs must be finite")
+    # NaN fails every comparison, so NaN and +/-inf are rejected too
+    if not np.maximum(np.abs(Lc).max(), np.abs(La).max()) <= LLR_LIMIT:
+        raise DomainError(f"channel and prior LLRs must lie in "
+                          f"+/-{LLR_LIMIT:g}")
 
     next_state, out_pm, pred = code._tables
     S = code.n_states

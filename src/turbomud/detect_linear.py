@@ -56,18 +56,18 @@ class ClipBox:
 BPSK_BOX = ClipBox(-1.0, 1.0)
 
 
-def _gram(ch):
-    """M = A^T S^T S A."""
-    return (ch.a[:, None] * ch.R) * ch.a[None, :]
-
-
 def _quadratic_matrix(ch, target):
-    M = _gram(ch)
-    if target == MMSE:
-        M = M + ch.sigma2 * np.eye(ch.K)
-    elif target != DECORRELATOR:
+    if target not in (DECORRELATOR, MMSE):
         raise ValueError(f"unknown target {target!r}")
-    return M
+    return ch.gram + ch.sigma2 * np.eye(ch.K) if target == MMSE else ch.gram
+
+
+def _linear_detector(ch, r, target):
+    """mu = M^{-1} A^T S^T r and Sigma = sigma2 M^{-1} for the target's M."""
+    M = _quadratic_matrix(ch, target)
+    rhs = ch.a * (ch.S.T @ np.asarray(r, dtype=float))
+    mu = spd_solve(M, rhs)
+    return GaussianBelief(mu=mu, Sigma=ch.sigma2 * spd_inverse(M))
 
 
 def decorrelate(ch, r):
@@ -76,18 +76,12 @@ def decorrelate(ch, r):
     Also returns the belief covariance sigma2 (A^T S^T S A)^{-1}, which
     the hard-decision form of the detector discards.
     """
-    M = _gram(ch)
-    rhs = ch.a * (ch.S.T @ np.asarray(r, dtype=float))
-    mu = spd_solve(M, rhs)
-    return GaussianBelief(mu=mu, Sigma=ch.sigma2 * spd_inverse(M))
+    return _linear_detector(ch, r, DECORRELATOR)
 
 
 def mmse(ch, r):
     """MMSE detector: mu = (A^T S^T S A + sigma2 I)^{-1} A^T S^T r."""
-    M = _quadratic_matrix(ch, MMSE)
-    rhs = ch.a * (ch.S.T @ np.asarray(r, dtype=float))
-    mu = spd_solve(M, rhs)
-    return GaussianBelief(mu=mu, Sigma=ch.sigma2 * spd_inverse(M))
+    return _linear_detector(ch, r, MMSE)
 
 
 def pme_alpha(ch, r, alpha2):
@@ -99,7 +93,7 @@ def pme_alpha(ch, r, alpha2):
     """
     if alpha2 < 0:
         raise ValueError("alpha2 must be nonnegative")
-    M = _gram(ch) + alpha2 * np.eye(ch.K)
+    M = ch.gram + alpha2 * np.eye(ch.K)
     return spd_solve(M, ch.a * (ch.S.T @ np.asarray(r, dtype=float)))
 
 

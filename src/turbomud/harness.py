@@ -24,9 +24,10 @@ from .channel import (ChannelInstance, SymbolBlock, make_equicorrelated,
                       make_random_spreading, transmit)
 from .coding import ConvCode, ConvTurboDecoder, IdentityDecoder
 from .errors import ConfigError
-from .siso_ddf import (AMPLITUDE_DESCENDING, DdfPrecompute, ddf_pass_block,
-                       detection_order)
+from .siso_ddf import (AMPLITUDE_DESCENDING, AS_GIVEN, DdfPrecompute,
+                       ddf_pass_block, detection_order)
 from .siso_discrete import tanh_sic_block
+from .siso_gaussian import SCHEDULES
 from .varem import SIGMA2_FLOOR, EmState, initial_sigma2, run_varem
 
 OUT_DIR_ENV = "TURBOMUD_OUT_DIR"
@@ -99,7 +100,7 @@ class ScenarioConfig:
             raise ConfigError("spreading_gain: must be >= users")
         if self.detector not in DETECTORS:
             raise ConfigError(f"detector: unknown detector {self.detector!r}")
-        if self.schedule not in ("flooding", "sequential", "hybrid"):
+        if self.schedule not in SCHEDULES:
             raise ConfigError(f"schedule: unknown schedule {self.schedule!r}")
         if self.outer_iterations < 1:
             raise ConfigError("outer_iterations: must be >= 1")
@@ -147,7 +148,7 @@ def _order_policy(order_str, users):
             raise ConfigError(f"ddf_order: {order_str!r} is not a "
                               f"permutation of 1..{users}")
         return np.asarray(perm)
-    if order_str not in (AMPLITUDE_DESCENDING, "as_given"):
+    if order_str not in (AMPLITUDE_DESCENDING, AS_GIVEN):
         raise ConfigError(f"ddf_order: unknown policy {order_str!r}")
     return order_str
 
@@ -270,6 +271,14 @@ def resolve_config(path_or_preset):
 # report
 # ----------------------------------------------------------------------
 
+def _ber_ci95(bits, errors):
+    """BER and the half-width of its normal-approximation 95 % interval."""
+    if not bits:
+        return np.nan, np.nan
+    ber = errors / bits
+    return ber, 1.96 * np.sqrt(max(ber * (1.0 - ber), 0.0) / bits)
+
+
 class BerReport:
     """Error counts per (snr_db, iteration, user) plus EM trajectories."""
 
@@ -299,15 +308,12 @@ class BerReport:
                    and (user is None or u == user))
 
     def ber(self, snr_db, iteration, user=None):
-        bits = self.bits(snr_db, iteration, user)
-        return self.errors(snr_db, iteration, user) / bits if bits else np.nan
+        return _ber_ci95(self.bits(snr_db, iteration, user),
+                         self.errors(snr_db, iteration, user))[0]
 
     def ci95(self, snr_db, iteration, user=None):
-        bits = self.bits(snr_db, iteration, user)
-        if not bits:
-            return np.nan
-        p = self.ber(snr_db, iteration, user)
-        return 1.96 * np.sqrt(max(p * (1.0 - p), 0.0) / bits)
+        return _ber_ci95(self.bits(snr_db, iteration, user),
+                         self.errors(snr_db, iteration, user))[1]
 
     def stderr(self, snr_db, iteration, user=None):
         return self.ci95(snr_db, iteration, user) / 1.96
@@ -316,9 +322,7 @@ class BerReport:
         lines = ["snr_db,iteration,user,bits,errors,ber,ci95"]
         for (s, i, u) in sorted(self.cells):
             bits, errors = self.cells[(s, i, u)]
-            ber = errors / bits if bits else float("nan")
-            ci = 1.96 * np.sqrt(max(ber * (1 - ber), 0.0) / bits) if bits \
-                else float("nan")
+            ber, ci = _ber_ci95(bits, errors)
             lines.append(f"{s:g},{i},{u},{bits},{errors},{ber:.10e},{ci:.10e}")
         _write_text(path, "\n".join(lines) + "\n")
 
@@ -399,7 +403,7 @@ def _frame_decisions(ctx, obs, decoder, rng):
             a_hat=a_tilde.copy(),
             sigma2_hat=initial_sigma2(obs, a_tilde, ch.N)
             if cfg.estimate_sigma2 else ch.sigma2,
-            a_tilde=a_tilde, varsigma2=cfg.varsigma**2, T=obs.r.shape[0])
+            a_tilde=a_tilde, varsigma2=cfg.varsigma**2)
     frames, traj = run_varem(
         ch, obs, cfg.detector, cfg.schedule, J, decoder, state0,
         update_sigma2=cfg.estimate_sigma2, I=cfg.inner_iterations,

@@ -55,20 +55,6 @@ class DiscreteBelief:
         object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True)
-class McColumns:
-    """Cancellation geometry: columns of S A and of the hollow Gram B."""
-
-    eta: np.ndarray   # (N, K), eta_k = A_k s_k
-    beta: np.ndarray  # (K, K), k-th column of B (zero diagonal)
-
-    @classmethod
-    def from_channel(cls, ch):
-        G = (ch.a[:, None] * ch.R) * ch.a[None, :]
-        B = G - np.diag(np.diagonal(G))
-        return cls(eta=ch.S * ch.a, beta=B)
-
-
 def _binary_cross_entropy(m, btilde):
     """sum_k (1+-m)/2 log[(1+-m)/(1+-btilde)], elementwise over last axis."""
     p, q = 1.0 + m, 1.0 - m
@@ -86,9 +72,8 @@ def free_energy_disc(ch, r, prior_llr, q):
         raise DomainError("belief means must lie strictly inside (-1, 1)")
     r = np.asarray(r, dtype=float)
     btilde = np.tanh(np.asarray(prior_llr, dtype=float) / 2.0)
-    G = (ch.a[:, None] * ch.R) * ch.a[None, :]
-    B = G - np.diag(np.diagonal(G))
-    data = r @ r - 2.0 * (ch.a * (ch.S.T @ r)) @ m + m @ B @ m + np.trace(G)
+    data = r @ r - 2.0 * (ch.a * (ch.S.T @ r)) @ m + m @ ch.hollow_gram @ m \
+        + np.trace(ch.gram)
     return float(
         _binary_cross_entropy(m, btilde)
         + 0.5 * ch.N * np.log(2.0 * np.pi * ch.sigma2)
@@ -102,12 +87,11 @@ def stationarity_residual(ch, r, prior_llr, m):
     Zero when log[(1+m_k)/(1-m_k)] = prior_llr_k
     + (2/sigma2)(eta_k^T r - beta_k^T m) for every k.
     """
-    mc = McColumns.from_channel(ch)
     m = np.asarray(m, dtype=float)
     lhs = np.log1p(m) - np.log1p(-m)
     rhs = np.asarray(prior_llr, dtype=float) + (
         2.0 / ch.sigma2
-    ) * (mc.eta.T @ np.asarray(r, dtype=float) - mc.beta.T @ m)
+    ) * (ch.SA.T @ np.asarray(r, dtype=float) - ch.hollow_gram.T @ m)
     return lhs - rhs
 
 
@@ -120,13 +104,12 @@ def serial_update(ch, r, prior_llr, q, order=None, callback=None):
     ``callback(m)`` runs after every single-coordinate update.
     ``_sweep_block`` with T = 1, one user at a time.
     """
-    mc = McColumns.from_channel(ch)
-    eta_r = np.atleast_2d(np.asarray(r, dtype=float)) @ mc.eta
+    eta_r = np.atleast_2d(np.asarray(r, dtype=float)) @ ch.SA
     prior = np.asarray(prior_llr, dtype=float)[None]
     M = np.array([q.m if isinstance(q, DiscreteBelief) else q], dtype=float)
     llr_pos = np.empty(ch.K)
     for k in range(ch.K) if order is None else order:
-        llr_pos[k] = _sweep_block(ch, mc.beta, eta_r, prior, M, [k])[0, k]
+        llr_pos[k] = _sweep_block(ch, eta_r, prior, M, [k])[0, k]
         if callback is not None:
             callback(M[0].copy())
     return DiscreteBelief(m=M[0]), llr_pos
@@ -141,8 +124,7 @@ def ext_one_shot(ch, r, prior_llr):
     """
     r = np.asarray(r, dtype=float)
     btilde = np.tanh(np.asarray(prior_llr, dtype=float) / 2.0)
-    mc = McColumns.from_channel(ch)
-    return (2.0 / ch.sigma2) * (mc.eta.T @ r - mc.beta.T @ btilde)
+    return (2.0 / ch.sigma2) * (ch.SA.T @ r - ch.hollow_gram.T @ btilde)
 
 
 def tanh_sic(ch, r, sweeps):
@@ -158,15 +140,14 @@ def tanh_sic_block(ch, r_block, sweeps, m0=None, record=False):
     Starts from m0 (zeros by default); returns the final mean block, or
     the per-sweep history when ``record`` is set.
     """
-    mc = McColumns.from_channel(ch)
     r_block = np.atleast_2d(np.asarray(r_block, dtype=float))
-    eta_r = r_block @ mc.eta
+    eta_r = r_block @ ch.SA
     T = r_block.shape[0]
     M = np.zeros((T, ch.K)) if m0 is None else np.array(m0, dtype=float)
     zeros = np.zeros_like(M)
     history = []
     for _ in range(sweeps):
-        _sweep_block(ch, mc.beta, eta_r, zeros, M, range(ch.K))
+        _sweep_block(ch, eta_r, zeros, M, range(ch.K))
         if record:
             history.append(M.copy())
     return history if record else M
@@ -178,12 +159,12 @@ def tanh_sic_block(ch, r_block, sweeps, m0=None, record=False):
 # across users.
 # ----------------------------------------------------------------------
 
-def _sweep_block(ch, beta, eta_r, llr_dec, M, order):
+def _sweep_block(ch, eta_r, llr_dec, M, order):
     """In-place serial sweep over users for all intervals at once.
 
-    ``beta`` is ``McColumns.from_channel(ch).beta``, built once by the
-    caller.  Returns the posterior LLR block of the sweep.
+    ``eta_r`` is r S A; returns the posterior LLR block of the sweep.
     """
+    beta = ch.hollow_gram
     llr_pos = np.empty_like(llr_dec)
     for k in order:
         # beta_k has a zero k-th entry, so m_k never feeds itself
@@ -226,16 +207,14 @@ class DiscreteTurboLoop:
 
     def iterate(self, ch):
         # no after_user below, so every posterior call gets this ch
-        mc = McColumns.from_channel(ch)
-        eta_r = self.r @ mc.eta  # (T, K): eta_k^T r_t
+        eta_r = self.r @ ch.SA  # (T, K): eta_k^T r_t
         K = self.M.shape[1]
 
         def posterior(ch, dec, order):
             if self.iteration == 0 and self.hook is not None:
                 return self.hook(ch, self.M, dec)
             for _ in range(self.I):
-                llr_pos = _sweep_block(ch, mc.beta, eta_r, dec, self.M,
-                                       order)
+                llr_pos = _sweep_block(ch, eta_r, dec, self.M, order)
             return llr_pos
 
         frame = _turbo_iteration(

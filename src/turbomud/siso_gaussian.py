@@ -38,7 +38,7 @@ from .linalg import spd_inverse, spd_solve
 # Soft bits are clamped so every prior variance stays at or above this
 # floor; keeps W^{-1} bounded when the decoder saturates.
 VAR_FLOOR = 1e-6
-# LLRs are clamped to +/- this magnitude before any tanh.
+# Extrinsics passed to the decoder are clamped to +/- this magnitude.
 LLR_CLAMP = 30.0
 # 1 - alpha below this is treated as a degenerate extrinsic variance.
 EXT_VAR_FLOOR = 1e-12
@@ -46,7 +46,7 @@ EXT_VAR_FLOOR = 1e-12
 SEQUENTIAL = "sequential"
 FLOODING = "flooding"
 HYBRID = "hybrid"
-SCHEDULES = (SEQUENTIAL, FLOODING, HYBRID)
+SCHEDULES = (FLOODING, SEQUENTIAL, HYBRID)
 
 
 def clamp_llr(llr):
@@ -55,8 +55,8 @@ def clamp_llr(llr):
 
 
 def soft_bits(llr):
-    """Decoder LLRs -> soft bit means tanh(LLR/2), clamped first."""
-    return np.tanh(clamp_llr(np.asarray(llr, dtype=float)) / 2.0)
+    """Decoder LLRs -> soft bit means tanh(LLR/2), clamped by the kernels."""
+    return np.tanh(np.asarray(llr, dtype=float) / 2.0)
 
 
 def _turbo_iteration(ch, decoder, schedule, llr_dec, ext_all, ext_user,
@@ -129,10 +129,6 @@ class GaussianPrior:
         return np.diag(self.w)
 
 
-def _gram(ch):
-    return (ch.a[:, None] * ch.R) * ch.a[None, :]
-
-
 def free_energy_gauss(ch, r, prior, q):
     """Free energy of a Gaussian belief against prior and likelihood.
 
@@ -149,7 +145,6 @@ def free_energy_gauss(ch, r, prior, q):
     w = prior.w
     if np.any(w <= 0):
         raise SingularCovariance("prior variances must be positive")
-    G = _gram(ch)
     dm = mu - prior.btilde
     resid = r - ch.S @ (ch.a * mu)
     return float(
@@ -158,16 +153,15 @@ def free_energy_gauss(ch, r, prior, q):
         + 0.5 * np.sum(np.log(w))
         + 0.5 * (np.sum(dm * dm / w) + np.sum(np.diagonal(Sigma) / w))
         + 0.5 * ch.N * np.log(2.0 * np.pi * ch.sigma2)
-        + (resid @ resid + np.sum(G * Sigma.T)) / (2.0 * ch.sigma2)
+        + (resid @ resid + np.sum(ch.gram * Sigma.T)) / (2.0 * ch.sigma2)
     )
 
 
 def free_energy_gauss_gradient_mu(ch, r, prior, mu):
     """Analytic gradient of ``free_energy_gauss`` in the belief mean."""
-    G = _gram(ch)
     mu = np.asarray(mu, dtype=float)
     rhs = ch.a * (ch.S.T @ np.asarray(r, dtype=float))
-    return (G @ mu - rhs) / ch.sigma2 + (mu - prior.btilde) / prior.w
+    return (ch.gram @ mu - rhs) / ch.sigma2 + (mu - prior.btilde) / prior.w
 
 
 def solve_gauss(ch, r, prior):
@@ -177,7 +171,7 @@ def solve_gauss(ch, r, prior):
     Sigma = (A^T S^T S A / sigma2 + W^{-1})^{-1}
     """
     r = np.asarray(r, dtype=float)
-    G = _gram(ch)
+    G = ch.gram
     w = prior.w
     M = G + ch.sigma2 * np.diag(1.0 / w)
     rhs = ch.a * (ch.S.T @ (r - ch.S @ (ch.a * prior.btilde)))
@@ -193,10 +187,10 @@ def solve_gauss(ch, r, prior):
 # are inverted as one batched call.
 # ----------------------------------------------------------------------
 
-def _batched_P(ch, w_block, Rinv):
+def _batched_P(ch, w_block):
     """inv(diag(a^2 w_t) + sigma2 R^{-1}) for every row w_t of w_block."""
     T = w_block.shape[0]
-    C = np.broadcast_to(ch.sigma2 * Rinv, (T, ch.K, ch.K)).copy()
+    C = np.broadcast_to(ch.sigma2 * ch.Rinv, (T, ch.K, ch.K)).copy()
     idx = np.arange(ch.K)
     C[:, idx, idx] += ch.a**2 * w_block
     return np.linalg.inv(C)
@@ -225,10 +219,9 @@ def flooding_ext_block(ch, Y, Btilde):
     """
     Btilde = _clamp_soft(Btilde)
     w = 1.0 - Btilde**2
-    Rinv = spd_inverse(ch.R)
-    P = _batched_P(ch, w, Rinv)
+    P = _batched_P(ch, w)
     diagP = P[:, np.arange(ch.K), np.arange(ch.K)]
-    V = Y @ Rinv.T - ch.a * Btilde
+    V = Y @ ch.Rinv.T - ch.a * Btilde
     mu_check = ch.a * np.einsum("tkj,tj->tk", P, V) + Btilde * ch.a**2 * diagP
     return _ext_llr(mu_check, w * ch.a**2 * diagP)
 
@@ -238,9 +231,8 @@ def loo_ext_block(ch, Y, Btilde, k):
     Btilde = _clamp_soft(np.array(Btilde, dtype=float))
     Btilde[:, k] = 0.0
     w = 1.0 - Btilde**2
-    Rinv = spd_inverse(ch.R)
-    P = _batched_P(ch, w, Rinv)
-    V = Y @ Rinv.T - ch.a * Btilde
+    P = _batched_P(ch, w)
+    V = Y @ ch.Rinv.T - ch.a * Btilde
     mu = ch.a[k] * np.einsum("tj,tj->t", P[:, k, :], V)
     return _ext_llr(mu, ch.a[k] ** 2 * P[:, k, k])
 

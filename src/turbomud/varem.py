@@ -46,7 +46,6 @@ class EmState:
     sigma2_hat: float
     a_tilde: np.ndarray
     varsigma2: float
-    T: int
 
     def __post_init__(self):
         object.__setattr__(self, "a_hat", np.asarray(self.a_hat, dtype=float))
@@ -230,7 +229,7 @@ def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
                                  first_iteration_hook=hook)
     state = state0 if state0 is not None else EmState(
         a_hat=ch_true.a, sigma2_hat=ch_true.sigma2, a_tilde=ch_true.a,
-        varsigma2=0.0, T=obs.y.shape[0])
+        varsigma2=0.0)
     update_amplitudes = state.varsigma2 > 0
     ch_est = _estimated_channel(ch_true, state)
     trajectory = [state]

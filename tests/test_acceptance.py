@@ -211,9 +211,7 @@ def test_criterion_05_mean_field_fixed_point():
                 break
         # fixed-point gap in the LLR domain: the posterior LLRs carry
         # the left-hand side without the lossy m -> atanh(m) roundtrip
-        from turbomud.siso_discrete import McColumns
-        mc = McColumns.from_channel(ch)
-        rhs = prior + (2.0 / ch.sigma2) * (mc.eta.T @ r - mc.beta.T
+        rhs = prior + (2.0 / ch.sigma2) * (ch.SA.T @ r - ch.hollow_gram.T
                                            @ belief.m)
         worst_resid = max(worst_resid, float(np.max(np.abs(llr_pos - rhs))))
         worst_move = max(worst_move, float(np.max(np.abs(belief.m - m_grid))))
@@ -426,7 +424,7 @@ def test_criterion_10_mstep_stationarity():
         state0 = EmState(a_hat=rng.uniform(0.7, 1.3, 3),
                          sigma2_hat=float(rng.uniform(0.1, 0.5)),
                          a_tilde=rng.uniform(0.8, 1.2, 3),
-                         varsigma2=float(rng.uniform(0.02, 0.2)), T=10)
+                         varsigma2=float(rng.uniform(0.02, 0.2)))
         for mstep in (mstep_gauss, mstep_disc):
             new = mstep(ch.S, obs, post, state0)
             g = em_objective_grad_a(ch.S, obs, post, state0.sigma2_hat,

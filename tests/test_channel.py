@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from turbomud.channel import (SymbolBlock, make_equicorrelated,
-                              make_random_spreading, snr_db_to_sigma2,
-                              transmit, whiten)
+from turbomud.channel import (ChannelInstance, SymbolBlock,
+                              make_equicorrelated, make_random_spreading,
+                              snr_db_to_sigma2, transmit, whiten)
 from turbomud.errors import DimensionMismatch, InvalidCorrelation
 
 
@@ -30,6 +30,47 @@ class TestMakeEquicorrelated:
             make_equicorrelated(3, 1.0)
         with pytest.raises(InvalidCorrelation):
             make_equicorrelated(3, -0.1)
+
+
+class TestChannelMatrices:
+    MATRICES = ("R", "F", "gram", "hollow_gram", "SA", "Rinv")
+
+    @pytest.fixture
+    def ch(self):
+        return make_random_spreading(16, 6, seed=4,
+                                     amplitudes=[0.5, 1.0, 1.5, 2.0, 0.8, 1.2],
+                                     sigma2=0.3)
+
+    def test_gram(self, ch):
+        np.testing.assert_array_equal(
+            ch.gram, (ch.a[:, None] * ch.R) * ch.a[None, :])
+
+    def test_hollow_gram(self, ch):
+        np.testing.assert_array_equal(np.diagonal(ch.hollow_gram), 0.0)
+        off = ~np.eye(ch.K, dtype=bool)
+        np.testing.assert_array_equal(ch.hollow_gram[off], ch.gram[off])
+
+    def test_SA_and_Rinv(self, ch):
+        np.testing.assert_array_equal(ch.SA, ch.S * ch.a)
+        np.testing.assert_allclose(ch.R @ ch.Rinv, np.eye(ch.K), atol=1e-12)
+
+    @pytest.mark.parametrize("name", MATRICES)
+    def test_built_once_and_read_only(self, ch, name):
+        M = getattr(ch, name)
+        assert getattr(ch, name) is M
+        with pytest.raises(ValueError):
+            M[0, 0] = 7.0
+
+    def test_estimates_get_their_own_matrices(self, ch):
+        est = ch.with_params(a=2.0 * ch.a, sigma2=0.1)
+        np.testing.assert_array_equal(est.gram, 4.0 * ch.gram)
+        np.testing.assert_array_equal(est.R, ch.R)
+
+    @pytest.mark.parametrize("name", ["R", "F"])
+    def test_R_and_F_are_derived_not_passed(self, ch, name):
+        with pytest.raises(TypeError):
+            ChannelInstance(N=ch.N, K=ch.K, S=ch.S, a=ch.a, sigma2=ch.sigma2,
+                            **{name: np.eye(ch.K)})
 
 
 class TestMakeRandomSpreading:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turbomud.coding import (TERMINATED, TRUNCATED, ConvCode,
+from turbomud.coding import (LLR_LIMIT, TERMINATED, TRUNCATED, ConvCode,
                              ConvTurboDecoder, IdentityDecoder, bcjr_decode,
                              encode, user_permutations)
 from turbomud.errors import DomainError, LengthMismatch
@@ -177,6 +177,27 @@ class TestBcjr:
         np.testing.assert_allclose(res.info_posterior, info_posterior,
                                    rtol=SCATTER_TOL, atol=SCATTER_TOL)
 
+    @pytest.mark.parametrize("termination", [TERMINATED, TRUNCATED])
+    def test_llrs_at_the_limit_give_correct_signs(self, termination):
+        # channel and prior LLRs of magnitude LLR_LIMIT, a few channel
+        # symbols flipped: the branch metrics stay finite
+        code = ConvCode(generators=("10011", "11101"),
+                        termination=termination)
+        rng = np.random.default_rng(5)
+        info = rng.integers(0, 2, size=(3, 40))
+        tx = np.array([encode(code, u) for u in info])
+        flips = np.zeros(tx.shape, dtype=bool)
+        flips[:, [3, 30, 61]] = True
+        Lc = np.where(flips, -LLR_LIMIT, LLR_LIMIT) * tx
+        La = np.where(rng.random(info.shape) < 0.3, LLR_LIMIT, 0.0) \
+            * (1.0 - 2.0 * info)
+        res = bcjr_decode(code, Lc, La)
+        for out in (res.posterior, res.info_posterior):
+            assert not np.any(np.isnan(out))
+        np.testing.assert_array_equal(np.sign(res.posterior), tx)
+        np.testing.assert_array_equal(np.sign(res.info_posterior),
+                                      1.0 - 2.0 * info)
+
     def test_saturated_block_matches_scatter_reference(self):
         code = ConvCode(generators=("10011", "11101"))
         rng = np.random.default_rng(11)
@@ -201,7 +222,7 @@ class TestBcjr:
             np.testing.assert_allclose(res.info_posterior[b], info_posterior,
                                        rtol=SCATTER_TOL, atol=SCATTER_TOL)
 
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e308, -1e308])
     @pytest.mark.parametrize("where", ["Lc", "La"])
     def test_non_finite_input_raises(self, where, bad):
         code = ConvCode(generators=("111", "101"))

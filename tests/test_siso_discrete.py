@@ -9,7 +9,8 @@ from turbomud.siso_discrete import (MEAN_CLEARANCE, DiscreteBelief,
                                     clamp_mean, ext_one_shot,
                                     free_energy_disc, serial_update,
                                     stationarity_residual, tanh_sic)
-from turbomud.siso_gaussian import LLR_CLAMP, clamp_llr
+from turbomud.siso_gaussian import (LLR_CLAMP, VAR_FLOOR, GaussianPrior,
+                                    clamp_llr, soft_bits)
 from turbomud.varem import run_varem
 
 
@@ -92,14 +93,20 @@ class TestSerialUpdate:
         assert abs(llr_pos[0] - (0.7 + 2 * 1.2 * r[0] / 0.4)) < 1e-12
 
     def test_one_clamp_per_update_equals_clamping_the_llr_first(self):
-        # the sweeps clamp only the mean: exact because tanh(LLR_CLAMP / 2)
-        # already lies past the mean clamp
+        # the sweeps clamp only the mean, and the Gaussian kernels only the
+        # soft bit: exact because tanh(LLR_CLAMP / 2) already lies past
+        # both clamps
         assert np.tanh(LLR_CLAMP / 2.0) > 1.0 - MEAN_CLEARANCE
+        assert np.tanh(LLR_CLAMP / 2.0) > np.sqrt(1.0 - VAR_FLOOR)
         llr = np.concatenate([np.linspace(-80.0, 80.0, 4001),
-                              [-1e300, -30.0, -29.99, 29.99, 30.0, 1e300]])
+                              [-1e300, -30.0, -29.99, 29.99, 30.0, 1e300,
+                               -np.inf, np.inf]])
         np.testing.assert_array_equal(
             clamp_mean(np.tanh(llr / 2.0)),
             clamp_mean(np.tanh(clamp_llr(llr) / 2.0)))
+        np.testing.assert_array_equal(
+            GaussianPrior(soft_bits(llr)).btilde,
+            GaussianPrior(np.tanh(clamp_llr(llr) / 2.0)).btilde)
 
     def test_orthogonal_codes_decouple(self):
         ch = make_equicorrelated(3, 0.0, amplitudes=[1.0, 2.0, 0.5],
@@ -164,9 +171,7 @@ class TestExtOneShot:
         r = rng.standard_normal(4)
         prior = rng.standard_normal(4)
         btilde = np.tanh(prior / 2.0)
-        from turbomud.siso_discrete import McColumns
-        mc = McColumns.from_channel(ch)
-        manual = (2.0 / 0.5) * (mc.eta.T @ r - mc.beta.T @ btilde)
+        manual = (2.0 / 0.5) * (ch.SA.T @ r - ch.hollow_gram.T @ btilde)
         np.testing.assert_allclose(ext_one_shot(ch, r, prior),
                                    manual, atol=1e-12)
 

@@ -30,16 +30,16 @@ def plain_schedule(ch, obs, detector, schedule, J, decoder, I=6):
     return [loop.iterate(ch) for _ in range(J)]
 
 
-def flat_state(ch, T, sigma2=1.0):
+def flat_state(ch, sigma2=1.0):
     return EmState(a_hat=np.ones(ch.K), sigma2_hat=sigma2,
-                   a_tilde=np.ones(ch.K), varsigma2=np.inf, T=T)
+                   a_tilde=np.ones(ch.K), varsigma2=np.inf)
 
 
 class TestMstepClosedForms:
     def test_perfect_beliefs_flat_prior_residual_variance(self):
         ch, obs, b = make_setup()
         post = PosteriorSummary(means=b, variances=np.zeros_like(b))
-        state = mstep_gauss(ch.S, obs, post, flat_state(ch, b.shape[0]))
+        state = mstep_gauss(ch.S, obs, post, flat_state(ch))
         resid = obs.r - (b * state.a_hat) @ ch.S.T
         expected = np.sum(resid**2) / (ch.N * b.shape[0])
         assert abs(state.sigma2_hat - expected) < 1e-12
@@ -49,7 +49,7 @@ class TestMstepClosedForms:
         post = PosteriorSummary.from_means(0.7 * b)
         a_tilde = np.array([1.3, 0.8])
         state0 = EmState(a_hat=np.ones(2), sigma2_hat=0.1, a_tilde=a_tilde,
-                         varsigma2=1e-14, T=b.shape[0])
+                         varsigma2=1e-14)
         for mstep in (mstep_gauss, mstep_disc):
             out = mstep(ch.S, obs, post, state0)
             np.testing.assert_allclose(out.a_hat, a_tilde, atol=1e-9)
@@ -59,7 +59,7 @@ class TestMstepClosedForms:
         post = PosteriorSummary.from_means(0.7 * b)
         a_tilde = np.array([1.3, 0.8])
         state0 = EmState(a_hat=np.ones(2), sigma2_hat=0.1, a_tilde=a_tilde,
-                         varsigma2=0.0, T=b.shape[0])
+                         varsigma2=0.0)
         out = mstep_gauss(ch.S, obs, post, state0)
         np.testing.assert_array_equal(out.a_hat, a_tilde)
 
@@ -67,7 +67,7 @@ class TestMstepClosedForms:
         # as means -> +/-1 the variance correction term vanishes
         ch, obs, b = make_setup()
         post = PosteriorSummary.from_means(b * (1.0 - 1e-12))
-        state = mstep_disc(ch.S, obs, post, flat_state(ch, b.shape[0]),
+        state = mstep_disc(ch.S, obs, post, flat_state(ch),
                            update_amplitudes=False)
         resid = obs.r - b @ ch.S.T
         expected = np.sum(resid**2) / (ch.N * b.shape[0])
@@ -78,7 +78,7 @@ class TestMstepClosedForms:
         rng = np.random.default_rng(5)
         means = np.tanh(rng.standard_normal(b.shape))
         post = PosteriorSummary.from_means(means)
-        st = flat_state(ch, b.shape[0], sigma2=0.2)
+        st = flat_state(ch, sigma2=0.2)
         g = mstep_gauss(ch.S, obs, post, st)
         d = mstep_disc(ch.S, obs, post, st)
         np.testing.assert_allclose(g.a_hat, d.a_hat, rtol=1e-12)
@@ -91,7 +91,7 @@ class TestMstepClosedForms:
         for seed in range(10):
             ch, obs, b = make_setup(K=2, T=50, sigma2=0.1, seed=seed)
             post = PosteriorSummary(means=b, variances=np.zeros_like(b))
-            st = mstep_gauss(ch.S, obs, post, flat_state(ch, 50))
+            st = mstep_gauss(ch.S, obs, post, flat_state(ch))
             errs_a.append(np.max(np.abs(st.a_hat - 1.0)))
             errs_s2.append(st.sigma2_hat)
         # std err of a_hat ~ sigma/sqrt(T) ~ 0.045; allow 3 sigma
@@ -109,7 +109,7 @@ class TestStationarityAndDescent:
             post = PosteriorSummary.from_means(means)
             state0 = EmState(a_hat=np.ones(3), sigma2_hat=0.25,
                              a_tilde=rng.uniform(0.8, 1.2, 3),
-                             varsigma2=0.09, T=10)
+                             varsigma2=0.09)
             new = mstep_gauss(ch.S, obs, post, state0)
             g = em_objective_grad_a(ch.S, obs, post, state0.sigma2_hat,
                                     new.a_hat, state0.a_tilde, 0.09)
@@ -140,7 +140,7 @@ class TestStationarityAndDescent:
         ch, obs, b = make_setup(K=3, T=10, sigma2=0.3, seed=4)
         post = PosteriorSummary.from_means(np.tanh(rng.standard_normal(
             b.shape)))
-        st = mstep_gauss(ch.S, obs, post, flat_state(ch, 10, sigma2=0.2))
+        st = mstep_gauss(ch.S, obs, post, flat_state(ch, sigma2=0.2))
         s2 = st.sigma2_hat
 
         def f(sig2):
@@ -160,7 +160,7 @@ class TestStationarityAndDescent:
                 np.tanh(rng.standard_normal(b.shape)))
             state0 = EmState(a_hat=rng.uniform(0.6, 1.4, 3),
                              sigma2_hat=float(rng.uniform(0.05, 1.0)),
-                             a_tilde=np.ones(3), varsigma2=0.09, T=12)
+                             a_tilde=np.ones(3), varsigma2=0.09)
             for mstep in (mstep_gauss, mstep_disc):
                 new = mstep(ch.S, obs, post, state0)
                 f0 = em_objective(ch.S, obs, post, state0.sigma2_hat,
@@ -174,7 +174,7 @@ class TestRunVarem:
     def test_pinned_parameters_reduce_to_plain_turbo(self):
         ch, obs, b = make_setup(K=2, T=30, sigma2=0.2, seed=11)
         state0 = EmState(a_hat=np.ones(2), sigma2_hat=0.2,
-                         a_tilde=np.ones(2), varsigma2=0.0, T=30)
+                         a_tilde=np.ones(2), varsigma2=0.0)
         frames, traj = run_varem(ch, obs, "gaussian", "flooding", 3,
                                  IdentityDecoder(), state0)
         plain = plain_schedule(ch, obs, "gaussian", "flooding", 3,
@@ -218,7 +218,7 @@ class TestRunVarem:
         ch, obs, b = make_setup(K=2, T=400, sigma2=sigma2, rho=0.4, seed=12)
         state0 = EmState(a_hat=np.ones(2),
                          sigma2_hat=initial_sigma2(obs, np.ones(2), ch.N),
-                         a_tilde=np.ones(2), varsigma2=0.0, T=400)
+                         a_tilde=np.ones(2), varsigma2=0.0)
         frames, traj = run_varem(ch, obs, "gaussian", "flooding", 6,
                                  IdentityDecoder(), state0,
                                  update_sigma2=True)
@@ -233,7 +233,7 @@ class TestRunVarem:
         rng = np.random.default_rng(14)
         a_tilde = 1.0 + 0.3 * rng.standard_normal(2)
         state0 = EmState(a_hat=a_tilde.copy(), sigma2_hat=ch.sigma2,
-                         a_tilde=a_tilde, varsigma2=0.09, T=400)
+                         a_tilde=a_tilde, varsigma2=0.09)
         frames, traj = run_varem(ch, obs, "gaussian", "flooding", 8,
                                  IdentityDecoder(), state0)
         err0 = np.linalg.norm(a_tilde - 1.0)
@@ -244,7 +244,7 @@ class TestRunVarem:
         ch, obs, b = make_setup(K=2, T=200, sigma2=0.1, rho=0.5, seed=16)
         state0 = EmState(a_hat=np.ones(2),
                          sigma2_hat=initial_sigma2(obs, np.ones(2), ch.N),
-                         a_tilde=np.ones(2), varsigma2=0.0, T=200)
+                         a_tilde=np.ones(2), varsigma2=0.0)
         frames, traj = run_varem(ch, obs, "gaussian", "sequential", 3,
                                  IdentityDecoder(), state0,
                                  update_sigma2=True, mstep_per_user=True)
@@ -273,7 +273,7 @@ class TestRunVarem:
         monkeypatch.setattr(turbomud.varem, "mstep_disc", unused)
         ch, obs, b = make_setup(K=3, T=20, sigma2=0.2, rho=0.3, seed=15)
         state0 = EmState(a_hat=np.ones(3), sigma2_hat=0.5,
-                         a_tilde=np.ones(3), varsigma2=0.0, T=20)
+                         a_tilde=np.ones(3), varsigma2=0.0)
         frames, traj = run_varem(ch, obs, "ddf_aided", "flooding", 3,
                                  IdentityDecoder(), state0,
                                  update_sigma2=True, I=3)
