@@ -15,7 +15,8 @@ where nbar is white again.  Detectors depend on the channel only
 through (R, A, sigma2) and one of r / y / ybar.
 """
 
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +27,28 @@ from .linalg import factor_FtF, spd_inverse
 
 _UNIT_NORM_TOL = 1e-12
 _RESAMPLE_CAP = 100
+
+
+class _Geometry:
+    """R = S^T S, its factor F and, on first use, R^{-1}: the matrices of
+    the spreading geometry alone, shared by an instance and every
+    ``with_params`` copy of it."""
+
+    def __init__(self, S):
+        R = S.T @ S
+        try:
+            F = factor_FtF(R)
+        except Exception as exc:
+            raise RankDeficient(f"S^T S not positive definite: {exc}") from None
+        self.R = _read_only(R)
+        self.F = _read_only(F)
+
+    @cached_property
+    def Rinv(self):
+        return _read_only(spd_inverse(self.R))
+
+    def __setstate__(self, state):
+        _restore(self, state, state)  # every entry is a derived matrix
 
 
 @dataclass(frozen=True)
@@ -49,36 +72,49 @@ class ChannelInstance:
     S: np.ndarray
     a: np.ndarray
     sigma2: float
-    R: np.ndarray = field(init=False, repr=False)
-    F: np.ndarray = field(init=False, repr=False)
+    _geometry: _Geometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         S = np.asarray(self.S, dtype=float)
-        a = np.asarray(self.a, dtype=float)
         if S.shape != (self.N, self.K):
             raise DimensionMismatch(f"S shape {S.shape} != ({self.N}, {self.K})")
+        self._set_params(self.a, self.sigma2)
+        norms = np.linalg.norm(S, axis=0)
+        if np.max(np.abs(norms - 1.0)) > 1e-9:
+            raise ValueError("spreading columns must be unit norm")
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "_geometry", _Geometry(S))
+
+    def _set_params(self, a, sigma2):
+        a = np.asarray(a, dtype=float)
         if a.shape != (self.K,):
             raise DimensionMismatch(f"amplitude length {a.shape} != {self.K}")
         if np.any(a <= 0):
             raise ValueError("amplitudes must be positive")
-        if self.sigma2 < 0:
+        if sigma2 < 0:
             raise ValueError("noise variance must be nonnegative")
-        norms = np.linalg.norm(S, axis=0)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
-            raise ValueError("spreading columns must be unit norm")
-        R = S.T @ S
-        try:
-            F = factor_FtF(R)
-        except Exception as exc:
-            raise RankDeficient(f"S^T S not positive definite: {exc}") from None
-        object.__setattr__(self, "S", S)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "R", _read_only(R))
-        object.__setattr__(self, "F", _read_only(F))
+        object.__setattr__(self, "sigma2", sigma2)
+
+    def __setstate__(self, state):
+        _restore(self, state, _SCALED)
 
     @property
     def A(self):
         return np.diag(self.a)
+
+    @property
+    def R(self):
+        return self._geometry.R
+
+    @property
+    def F(self):
+        return self._geometry.F
+
+    @property
+    def Rinv(self):
+        """R^{-1}, the sigma2 R^{-1} term of the Gaussian filter matrices."""
+        return self._geometry.Rinv
 
     @cached_property
     def gram(self):
@@ -96,24 +132,37 @@ class ChannelInstance:
         """S A, whose k-th column eta_k = A_k s_k."""
         return _read_only(self.S * self.a)
 
-    @cached_property
-    def Rinv(self):
-        """R^{-1}, the sigma2 R^{-1} term of the Gaussian filter matrices."""
-        return _read_only(spd_inverse(self.R))
-
     def with_params(self, a=None, sigma2=None):
         """Copy of this instance with replaced amplitudes / noise variance.
 
         Used by the joint-estimation loop, which detects with estimated
-        parameters over the true spreading geometry.
+        parameters over the true spreading geometry: the copy shares S,
+        R, F and R^{-1} with this instance and builds its own
+        amplitude-scaled matrices.
         """
-        return replace(self, a=self.a if a is None else a,
-                       sigma2=self.sigma2 if sigma2 is None else float(sigma2))
+        new = copy(self)
+        for name in _SCALED:
+            new.__dict__.pop(name, None)
+        new._set_params(self.a if a is None else a,
+                        self.sigma2 if sigma2 is None else float(sigma2))
+        return new
+
+
+_SCALED = ("gram", "hollow_gram", "SA")  # cached matrices that depend on a
 
 
 def _read_only(M):
     M.flags.writeable = False  # shared by every detector on the channel
     return M
+
+
+def _restore(obj, state, derived):
+    """Unpickling: arrays come back writeable, so the derived ones are
+    made read-only again."""
+    obj.__dict__.update(state)
+    for name in derived:
+        if name in state:
+            _read_only(state[name])
 
 
 @dataclass(frozen=True)

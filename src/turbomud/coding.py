@@ -7,7 +7,8 @@ LLR in the package is log p(b = +1) / p(b = -1); the decoder consumes
 coded-symbol LLRs from the detector and returns coded-symbol extrinsic
 LLRs (posterior minus the channel input at the same position), plus
 info-bit posteriors for error counting.  Both ``bcjr_decode`` and
-``decode_user`` also take a batch of users, decoded in one trellis pass.
+``decode_user`` also take a batch of users, and ``decode_user`` frames
+stacked along its rows, decoded in one trellis pass.
 """
 
 from dataclasses import dataclass, field
@@ -307,15 +308,25 @@ class ConvTurboDecoder:
     def decode_user(self, k, llr_mud):
         """Channel-domain extrinsics in, channel-domain extrinsics out.
 
-        ``k`` is one user with ``(n_coded,)`` LLRs, or an index over users
-        (``slice(None)``, a list, an array) with a ``(n_coded, |k|)`` block
-        decoded in one batched pass.  Extrinsics keep the input shape;
-        info posteriors are ``(n_info,)`` or ``(|k|, n_info)``.
+        ``k`` is one user with ``(F n_coded,)`` LLRs, or an index over
+        users (``slice(None)``, a list, an array) with an
+        ``(F n_coded, |k|)`` block: F >= 1 frames stacked along the first
+        axis, each interleaved by the same per-user permutation.  Every
+        frame of every user is decoded in one batched pass.  Extrinsics
+        keep the input shape; info posteriors are ``(F n_info,)`` or
+        ``(|k|, F n_info)``, frames in input order.
         """
         llr = np.asarray(llr_mud, dtype=float)
-        if llr.T.shape != self.perms[k].shape:
+        perms = self.perms[k]
+        frames, rem = divmod(llr.shape[0], self.n_coded)
+        if llr.T.shape[:-1] != perms.shape[:-1] or rem or not frames:
             raise LengthMismatch(f"LLRs {llr.shape} do not fit users {k!r}")
-        res = bcjr_decode(self.code,
-                          np.take_along_axis(llr.T, self._inverse[k], -1))
-        return (np.take_along_axis(res.extrinsic, self.perms[k], -1).T,
-                res.info_posterior)
+        # (|k|, F, n_coded): one row per frame of each user
+        blocks = llr.T.reshape(perms.shape[:-1] + (frames, self.n_coded))
+        res = bcjr_decode(self.code, np.take_along_axis(
+            blocks, self._inverse[k][..., None, :], -1)
+            .reshape(-1, self.n_coded))
+        ext = np.take_along_axis(res.extrinsic.reshape(blocks.shape),
+                                 perms[..., None, :], -1)
+        return (ext.reshape(llr.T.shape).T,
+                res.info_posterior.reshape(perms.shape[:-1] + (-1,)))

@@ -2,14 +2,15 @@
 
 A scenario is a flat key = value config (channel geometry, code,
 detector family, schedule, SNR grid, estimation settings, trial
-budget).  Frames are simulated independently with per-trial seeds
-derived from (master seed, SNR index, trial index), so results are
-reproducible bit-for-bit regardless of how many workers split the
+budget).  Frames draw bits and noise from per-trial seeds derived
+from (master seed, SNR index, trial index) and run in fixed groups of
+consecutive trials, each group one stacked detector pass, so results
+are reproducible bit-for-bit regardless of how many workers split the
 trials.  Error counts are recorded per (SNR, outer iteration, user)
 and written as CSV; joint-estimation runs also emit the per-iteration
 noise-variance and amplitude-error trajectories.
 
-``detector`` and ``coded`` alone choose a frame's pipeline: the uncoded
+``detector`` and ``coded`` alone choose a group's pipeline: the uncoded
 DDF pass, or one ``varem.run_varem`` turbo run whose joint estimation,
 when off, starts from the true parameters and updates none of them.
 """
@@ -17,24 +18,34 @@ when off, starts from the true parameters and updates none of them.
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from itertools import groupby
 
 import numpy as np
 
-from .channel import (ChannelInstance, SymbolBlock, make_equicorrelated,
-                      make_random_spreading, transmit)
+from .channel import (ChannelInstance, Observation, SymbolBlock,
+                      make_equicorrelated, make_random_spreading, transmit)
 from .coding import ConvCode, ConvTurboDecoder, IdentityDecoder
 from .errors import ConfigError
 from .siso_ddf import (AMPLITUDE_DESCENDING, AS_GIVEN, DdfPrecompute,
                        ddf_pass_block, detection_order)
 from .siso_discrete import tanh_sic_block
 from .siso_gaussian import SCHEDULES
-from .varem import SIGMA2_FLOOR, EmState, initial_sigma2, run_varem
+from .varem import DETECTORS as TURBO_DETECTORS
+from .varem import (DDF_AIDED, SIGMA2_FLOOR, EmState, initial_sigma2,
+                    run_varem)
 
 OUT_DIR_ENV = "TURBOMUD_OUT_DIR"
 
 _ROUND_FRAMES = 16  # stop conditions are checked between rounds
 
-DETECTORS = ("gaussian", "discrete", "ddf", "ddf_aided")
+# A group of frames runs as one stacked block of at most this many symbol
+# intervals: the largest power-of-two frame count within it that divides
+# _ROUND_FRAMES.  Past it the group arrays outgrow what the allocator
+# reuses, and fresh pages cost more than the per-call overhead saved.
+_GROUP_INTERVALS = 4096
+
+PLAIN_DDF = "ddf"  # the uncoded DDF pass alone, without a turbo loop
+DETECTORS = TURBO_DETECTORS + (PLAIN_DDF,)
 
 # |dB| bound of finite SNRs and pins: every amplitude and noise variance
 # it implies is a finite positive double
@@ -75,7 +86,7 @@ class ScenarioConfig:
     @property
     def uncoded_ddf(self):
         """Plain DDF, or DDF + tanh-SIC: the runs without a turbo loop."""
-        return not self.coded and self.detector in ("ddf", "ddf_aided")
+        return not self.coded and self.detector in (PLAIN_DDF, DDF_AIDED)
 
     def validate(self):
         if not all(s == np.inf or abs(s) <= DB_LIMIT for s in self.snr_db):
@@ -121,9 +132,9 @@ class ScenarioConfig:
         for k in self.snr_fixed:
             if not 1 <= k <= self.users:
                 raise ConfigError(f"snr_fixed: user {k} out of range")
-        if self.detector == "ddf" and self.coded:
+        if self.detector == PLAIN_DDF and self.coded:
             raise ConfigError("detector: plain ddf is supported uncoded only")
-        if self.detector == "ddf" and self.outer_iterations != 1:
+        if self.detector == PLAIN_DDF and self.outer_iterations != 1:
             raise ConfigError("outer_iterations: plain ddf is a single pass")
         if self.uncoded_ddf and self.estimates:
             raise ConfigError("estimate_sigma2/varsigma: the uncoded "
@@ -348,12 +359,17 @@ def _write_text(path, text):
 
 @dataclass(frozen=True)
 class _PointContext:
-    """Immutable per-SNR-point context shipped to worker processes."""
+    """Immutable per-SNR-point context shipped to worker processes.
+
+    ``group`` is the number of frames stacked into one block: trials
+    t and u share a group exactly when t // group == u // group.
+    """
 
     cfg: ScenarioConfig
     ch: ChannelInstance
     snr_db: float
     snr_index: int
+    group: int
 
 
 def _build_spreading(cfg):
@@ -380,21 +396,46 @@ def _point_channel(cfg, S, snr_db):
                            sigma2=sigma2)
 
 
-def _frame_decisions(ctx, obs, decoder, rng):
-    """Run the configured detector; per-iteration symbol/info decisions.
+def _code(cfg):
+    return ConvCode(generators=tuple(cfg.generators.split(",")))
+
+
+def _frame_intervals(cfg):
+    """Symbol intervals of one frame: coded symbols, or info bits uncoded."""
+    return _code(cfg).n_coded(cfg.info_bits) if cfg.coded else cfg.info_bits
+
+
+def _group_size(cfg):
+    """Frames per group, from the symbol intervals of one frame.
+
+    EM runs use single frames: the M step and the amplitude prior draw
+    are per frame.
+    """
+    if cfg.estimates:
+        return 1
+    T = _frame_intervals(cfg)
+    G = 1
+    while _ROUND_FRAMES % (2 * G) == 0 and 2 * G * T <= _GROUP_INTERVALS:
+        G *= 2
+    return G
+
+
+def _group_decisions(ctx, obs, decoder, rng, ddf_pre):
+    """Run the configured detector over a block of stacked frames.
 
     Returns (decisions, em_rows) where decisions has shape
-    (J, n_counted, K), True where the decision is -1 (bit 1), and
+    (J, K, n_counted), True where the decision is -1 (bit 1), and
     em_rows is a list of (iteration, sigma2_hat, a_rmse) or None.
     Every turbo run is one ``run_varem`` call; without EM it starts
-    from its default state, the true parameters, and updates none.
+    from its default state, the true parameters, and updates none.  EM
+    runs hold one frame, whose generator ``rng`` draws the amplitude
+    prior.
     """
     cfg = ctx.cfg
     ch = ctx.ch
     J = cfg.outer_iterations
-    order_policy = _order_policy(cfg.ddf_order, ch.K)
     if cfg.uncoded_ddf:
-        return _uncoded_ddf_decisions(cfg, ch, obs, order_policy), None
+        return _uncoded_ddf_decisions(cfg, ch, obs, ddf_pre), None
     state0 = None
     if cfg.estimates:
         a_tilde = np.ones(ch.K) if cfg.varsigma == 0 else \
@@ -407,11 +448,15 @@ def _frame_decisions(ctx, obs, decoder, rng):
     frames, traj = run_varem(
         ch, obs, cfg.detector, cfg.schedule, J, decoder, state0,
         update_sigma2=cfg.estimate_sigma2, I=cfg.inner_iterations,
-        order_policy=order_policy)
+        order_policy=_order_policy(cfg.ddf_order, ch.K))
     em_rows = [(j + 1, traj[j + 1].sigma2_hat,
                 float(np.sqrt(np.mean((traj[j + 1].a_hat - ch.a) ** 2))))
                for j in range(J)] if cfg.estimates else None
-    return _decisions_from_frames(cfg, frames), em_rows
+    if cfg.coded:
+        soft = [np.stack(f.info_posterior) for f in frames]
+    else:
+        soft = [f.llr_post.T for f in frames]
+    return _hard_decisions(np.array(soft)), em_rows
 
 
 def _hard_decisions(soft):
@@ -422,32 +467,27 @@ def _hard_decisions(soft):
     return soft < 0
 
 
-def _decisions_from_frames(cfg, frames):
-    if cfg.coded:
-        return np.array([_hard_decisions(np.stack(f.info_posterior, axis=1))
-                         for f in frames])
-    return np.array([_hard_decisions(f.llr_post) for f in frames])
-
-
-def _uncoded_ddf_decisions(cfg, ch, obs, order_policy):
+def _uncoded_ddf_decisions(cfg, ch, obs, pre):
     """Plain DDF pass, then optional mean-field sweeps (ddf_aided)."""
-    pre = DdfPrecompute.from_channel(ch, detection_order(ch, order_policy))
     M, _ = ddf_pass_block(ch, pre.whiten(ch, obs.y), np.zeros_like(obs.y),
                           pre)
-    out = [_hard_decisions(M)]
-    if cfg.detector == "ddf_aided":
+    out = [M.T]
+    if cfg.detector == DDF_AIDED:
         hist = tanh_sic_block(ch, obs.r, cfg.outer_iterations - 1, m0=M,
                               record=True)
-        out.extend(_hard_decisions(m) for m in hist)
-    return np.array(out)
+        out.extend(m.T for m in hist)
+    return _hard_decisions(np.array(out))
 
 
 def _simulate_point_frames(ctx, trial_indices):
     """Simulate the given trials at one SNR point; integer error counts.
 
-    Returns (errors[J, K], bits_per_user, per-trial EM rows).  EM rows
-    stay keyed by trial so the caller can reduce them in trial order
-    (float sums must not depend on how trials were chunked).
+    Consecutive trials of one group (``_PointContext.group``) are
+    transmitted frame by frame from their own seeds, then stacked into
+    one block for a single detector pass and batched decodes.  Returns
+    (errors[J, K], bits_per_user, per-trial EM rows).  EM rows stay
+    keyed by trial so the caller can reduce them in trial order (float
+    sums must not depend on how trials were chunked).
     """
     cfg = ctx.cfg
     ch = ctx.ch
@@ -457,23 +497,37 @@ def _simulate_point_frames(ctx, trial_indices):
     bits = 0
     decoder = IdentityDecoder()
     if cfg.coded:  # the interleavers depend only on cfg.seed: one per call
-        code = ConvCode(generators=tuple(cfg.generators.split(",")))
-        decoder = ConvTurboDecoder(code, ch.K, cfg.info_bits,
+        decoder = ConvTurboDecoder(_code(cfg), ch.K, cfg.info_bits,
                                    master_seed=cfg.seed)
-    for trial in trial_indices:
-        rng = np.random.default_rng([cfg.seed, ctx.snr_index, trial])
-        if cfg.coded:
-            info = rng.integers(0, 2, size=(cfg.info_bits, ch.K))
-            blk = SymbolBlock(b=decoder.encode_block(info))
-            truth = 1.0 - 2.0 * info
-        else:
-            truth = rng.integers(0, 2, size=(cfg.info_bits, ch.K)) * 2.0 - 1.0
-            blk = SymbolBlock(b=truth)
-        obs = transmit(ch, blk, rng_seed=[cfg.seed, ctx.snr_index, trial, 1])
-        decisions, em_rows = _frame_decisions(ctx, obs, decoder, rng)
-        errors += np.sum(decisions != (truth < 0)[None, :, :], axis=1)
-        bits += truth.shape[0]
-        if em_rows:
+    T = _frame_intervals(cfg)
+    ddf_pre = DdfPrecompute.from_channel(ch, detection_order(
+        ch, _order_policy(cfg.ddf_order, ch.K))) if cfg.uncoded_ddf else None
+    for _, group in groupby(trial_indices, key=lambda t: t // ctx.group):
+        group = list(group)
+        F = len(group)
+        r = np.empty((F * T, ch.N))
+        y = np.empty((F * T, ch.K))
+        truth = np.empty((ch.K, F * cfg.info_bits), dtype=bool)  # is bit 1
+        for f, trial in enumerate(group):
+            rng = np.random.default_rng([cfg.seed, ctx.snr_index, trial])
+            draw = rng.integers(0, 2, size=(cfg.info_bits, ch.K))
+            cols = slice(f * cfg.info_bits, (f + 1) * cfg.info_bits)
+            if cfg.coded:  # the info bits
+                blk = SymbolBlock(b=decoder.encode_block(draw))
+                truth[:, cols] = draw.T
+            else:  # 1 is bit 0, the symbol +1
+                blk = SymbolBlock(b=draw * 2.0 - 1.0)
+                truth[:, cols] = (draw == 0).T
+            obs = transmit(ch, blk,
+                           rng_seed=[cfg.seed, ctx.snr_index, trial, 1])
+            r[f * T:(f + 1) * T] = obs.r
+            y[f * T:(f + 1) * T] = obs.y
+        decisions, em_rows = _group_decisions(
+            ctx, Observation(r=r, y=y), decoder, rng, ddf_pre)
+        # rows are contiguous, so the count is one pass per (j, k)
+        errors += np.count_nonzero(decisions != truth, axis=2)
+        bits += truth.shape[1]
+        if em_rows:  # EM groups hold one trial
             em_acc[trial] = em_rows
     return errors, bits, em_acc
 
@@ -490,10 +544,11 @@ def run_scenario(cfg):
     S = _build_spreading(cfg)
     report = BerReport()
     pool = ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else None
+    group = _group_size(cfg)
     try:
         for si, snr in enumerate(cfg.snr_db):
             ctx = _PointContext(cfg=cfg, ch=_point_channel(cfg, S, snr),
-                                snr_db=snr, snr_index=si)
+                                snr_db=snr, snr_index=si, group=group)
             _run_point(ctx, report, pool)
     finally:
         if pool is not None:
@@ -513,12 +568,13 @@ def _run_point(ctx, report, pool):
         if done >= cfg.max_frames and enough_errors:
             break
         n = min(_ROUND_FRAMES, cfg.frame_cap - done)
-        trials = list(range(done, done + n))
         if pool is None:
-            batches = [_simulate_point_frames(ctx, trials)]
+            batches = [_simulate_point_frames(ctx, range(done, done + n))]
         else:
-            chunks = [c.tolist() for c in
-                      np.array_split(np.asarray(trials), cfg.workers)]
+            # whole groups per worker (done is a multiple of the group)
+            starts = np.arange(done, done + n, ctx.group)
+            chunks = [range(c[0], min(c[-1] + ctx.group, done + n))
+                      for c in np.array_split(starts, cfg.workers) if c.size]
             batches = list(pool.map(_simulate_point_frames,
                                     [ctx] * len(chunks), chunks))
         for err, bits, em_acc in batches:

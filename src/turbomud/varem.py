@@ -31,7 +31,8 @@ SIGMA2_FLOOR = 1e-9
 SIGMA2_INIT_FLOOR = 1e-3
 AMPLITUDE_FLOOR = 1e-6  # detector-side floor of estimated amplitudes
 
-DETECTORS = ("gaussian", "discrete", "ddf_aided")
+DDF_AIDED = "ddf_aided"
+DETECTORS = ("gaussian", "discrete", DDF_AIDED)
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,7 @@ def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
         loop = GaussianTurboLoop(obs, decoder, schedule, ch_true.K)
     else:
         hook = bind_ddf_hook(obs, order_policy) \
-            if detector == "ddf_aided" else None
+            if detector == DDF_AIDED else None
         loop = DiscreteTurboLoop(obs, decoder, schedule, ch_true.K, I=I,
                                  first_iteration_hook=hook)
     state = state0 if state0 is not None else EmState(

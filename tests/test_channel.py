@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,31 @@ class TestChannelMatrices:
         est = ch.with_params(a=2.0 * ch.a, sigma2=0.1)
         np.testing.assert_array_equal(est.gram, 4.0 * ch.gram)
         np.testing.assert_array_equal(est.R, ch.R)
+
+    def test_estimates_share_the_geometry(self, ch):
+        est = ch.with_params(a=2.0 * ch.a)
+        assert est.R is ch.R and est.F is ch.F and est.sigma2 == ch.sigma2
+        Rinv = est.Rinv  # built on the copy, then shared by the original
+        assert ch.Rinv is Rinv
+        assert ch.with_params(sigma2=0.5).Rinv is Rinv
+        assert est.with_params(a=ch.a).Rinv is Rinv
+
+    def test_estimates_are_validated(self, ch):
+        with pytest.raises(ValueError):
+            ch.with_params(a=-ch.a)
+        with pytest.raises(DimensionMismatch):
+            ch.with_params(a=ch.a[:-1])
+        with pytest.raises(ValueError):
+            ch.with_params(sigma2=-1.0)
+
+    def test_unpickled_matrices_stay_read_only(self, ch):
+        for name in self.MATRICES:
+            getattr(ch, name)
+        back = pickle.loads(pickle.dumps(ch))
+        for name in self.MATRICES:
+            np.testing.assert_array_equal(getattr(back, name),
+                                          getattr(ch, name))
+            assert not getattr(back, name).flags.writeable, name
 
     @pytest.mark.parametrize("name", ["R", "F"])
     def test_R_and_F_are_derived_not_passed(self, ch, name):

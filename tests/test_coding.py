@@ -370,6 +370,26 @@ class TestConvTurboDecoder:
         np.testing.assert_array_equal(sub_ext, ext[:, [3, 1]])
         np.testing.assert_array_equal(sub_info, info[[3, 1]])
 
+    @pytest.mark.parametrize("gens", [c.generators for c in SCENARIO_CODES])
+    def test_stacked_frames_equal_single_frames(self, gens):
+        dec = ConvTurboDecoder(ConvCode(generators=gens), K=3, n_info=30,
+                               master_seed=5)
+        rng = np.random.default_rng(9)
+        frames = np.clip(rng.standard_normal((4, dec.n_coded, 3)) * 4.0,
+                         -30.0, 30.0)
+        stacked = frames.reshape(-1, 3)
+        ext, info = dec.decode_user(slice(None), stacked)
+        assert ext.shape == stacked.shape and info.shape == (3, 4 * 30)
+        for k in (0, 2):
+            ext_k, info_k = dec.decode_user(k, stacked[:, k])
+            np.testing.assert_array_equal(ext_k, ext[:, k])
+            np.testing.assert_array_equal(info_k, info[k])
+        for f, frame in enumerate(frames):
+            ext_f, info_f = dec.decode_user(slice(None), frame)
+            np.testing.assert_array_equal(
+                ext[f * dec.n_coded:(f + 1) * dec.n_coded], ext_f)
+            np.testing.assert_array_equal(info[:, f * 30:(f + 1) * 30], info_f)
+
     def test_decode_user_length_mismatch(self):
         dec = ConvTurboDecoder(ConvCode(generators=("111", "101")), K=2,
                                n_info=10)
@@ -379,6 +399,12 @@ class TestConvTurboDecoder:
             dec.decode_user(0, np.zeros(dec.n_coded + 2))
         with pytest.raises(LengthMismatch):
             dec.decode_user(slice(None), np.zeros((dec.n_coded, 1)))
+        with pytest.raises(LengthMismatch):  # ragged: 2.5 frames
+            dec.decode_user(slice(None), np.zeros((5 * dec.n_coded // 2, 2)))
+        with pytest.raises(LengthMismatch):
+            dec.decode_user(1, np.zeros(3 * dec.n_coded + 2))
+        with pytest.raises(LengthMismatch):
+            dec.decode_user(0, np.zeros(0))
 
     def test_identity_decoder_user_index(self):
         block = np.arange(6.0).reshape(3, 2)

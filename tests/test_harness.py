@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from turbomud import harness
 from turbomud.errors import ConfigError
-from turbomud.harness import (_build_spreading, _point_channel,
+from turbomud.harness import (_build_spreading, _group_size, _point_channel,
                               config_from_dict, parse_config_text,
                               preset_config, resolve_config, run_scenario,
                               single_user_bound)
@@ -182,6 +183,26 @@ def test_config_parser_fuzz(text):
             assert math.isfinite(val)
 
 
+# Frames of 1204 (coded) or 1500 (uncoded) symbol intervals run in groups
+# of 2; 7 frames leave a last group of one and split unevenly over 3
+# workers.
+GROUPED = [dict(info_bits=600, detector=det, schedule=sch, snr_db="2,4",
+                max_frames=7, frame_cap=7)
+           for det, sch in (("gaussian", "flooding"), ("discrete", "sequential"),
+                            ("ddf_aided", "hybrid"))] \
+    + [dict(info_bits=1500, coded=False, detector="ddf_aided",
+            outer_iterations=3, snr_db="2,4", max_frames=7, frame_cap=7)]
+
+
+def _grouped_id(over):
+    return f"{over['detector']}-{over.get('schedule', 'uncoded')}"
+
+
+def test_grouped_configs_stack_frames():
+    for over in GROUPED:
+        assert _group_size(tiny_coded_cfg(**over)) == 2
+
+
 class TestRunScenario:
     def test_noiseless_channel_zero_errors(self):
         cfg = tiny_coded_cfg(snr_db="inf")
@@ -217,6 +238,27 @@ class TestRunScenario:
         r1.em_to_csv(e1)
         r2.em_to_csv(e2)
         assert e1.read_bytes() == e2.read_bytes()
+
+    @pytest.mark.parametrize("over", GROUPED, ids=_grouped_id)
+    def test_grouped_worker_count_invariance(self, over, tmp_path):
+        cfg = tiny_coded_cfg(**over)
+        csvs = []
+        for workers in (1, 2, 3):
+            path = tmp_path / f"w{workers}.csv"
+            run_scenario(replace(cfg, workers=workers)).to_csv(path)
+            csvs.append(path.read_bytes())
+        assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+
+    @pytest.mark.parametrize("over", GROUPED, ids=_grouped_id)
+    def test_single_frame_groups_give_identical_csv(self, over, tmp_path,
+                                                    monkeypatch):
+        cfg = tiny_coded_cfg(**over)
+        grouped, single = tmp_path / "grouped.csv", tmp_path / "single.csv"
+        run_scenario(cfg).to_csv(grouped)
+        monkeypatch.setattr(harness, "_GROUP_INTERVALS", 0)
+        assert _group_size(cfg) == 1
+        run_scenario(cfg).to_csv(single)
+        assert single.read_bytes() == grouped.read_bytes()
 
     def test_uncoded_ddf_preset_runs(self):
         cfg = preset_config("ddf-two-user")
