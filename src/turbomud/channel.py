@@ -25,7 +25,6 @@ from scipy.linalg import solve_triangular
 from .errors import DimensionMismatch, InvalidCorrelation, RankDeficient
 from .linalg import factor_FtF, spd_inverse
 
-_UNIT_NORM_TOL = 1e-12
 _RESAMPLE_CAP = 100
 
 

@@ -107,24 +107,24 @@ class ConvCode:
 
 
 def encode(code, info_bits):
-    """Encode information bits (0/1) into a +/-1 coded symbol sequence.
-
-    Output order is [c1_0, c2_0, c1_1, c2_1, ...]; terminated codes
-    append the tail that flushes the register to zero.
+    """Encode 0/1 information bits, one block (n,) or rows (B, n), into
+    +/-1 symbols [c1_0, c2_0, c1_1, c2_1, ...], plus the flushing tail
+    of a terminated code.  Coded bit j at step t is the XOR of u_{t-i}
+    over the taps i of generator j (tap 0 leads; u = 0 outside the
+    block): one shifted XOR per tap over all rows.
     """
-    info_bits = np.asarray(info_bits, dtype=int)
-    if info_bits.ndim != 1 or info_bits.size < 1:
-        raise ValueError("info_bits must be a nonempty 1-D array")
-    next_state, out_pm, _ = code._tables
-    bits = info_bits
-    if code.termination == TERMINATED:
-        bits = np.concatenate([bits, np.zeros(code.memory, dtype=int)])
-    out = np.empty(2 * bits.size)
-    s = 0
-    for t, u in enumerate(bits):
-        out[2 * t: 2 * t + 2] = out_pm[s, u]
-        s = next_state[s, u]
-    return out
+    bits = np.asarray(info_bits, dtype=int)
+    if bits.ndim not in (1, 2) or bits.shape[-1] < 1 or np.any(bits & ~1):
+        raise ValueError("info_bits must be a nonempty 1-D or 2-D 0/1 array")
+    m, n = code.memory, bits.shape[-1]
+    steps = code.n_coded(n) // 2
+    padded = np.zeros(bits.shape[:-1] + (m + steps,), dtype=np.uint8)
+    padded[..., m:m + n] = bits
+    parity = np.zeros(bits.shape[:-1] + (steps, 2), dtype=np.uint8)
+    for j, gen in enumerate(code.generators):
+        for i in (i for i, tap in enumerate(gen) if tap == "1"):
+            parity[..., j] ^= padded[..., m - i:m - i + steps]
+    return (1.0 - 2.0 * parity).reshape(bits.shape[:-1] + (-1,))
 
 
 @dataclass(frozen=True)
@@ -301,8 +301,7 @@ class ConvTurboDecoder:
 
     def encode_block(self, info_bits):
         """(n_info, K) 0/1 bits -> (n_coded, K) interleaved +/-1 symbols."""
-        info_bits = np.asarray(info_bits, dtype=int)
-        coded = np.array([encode(self.code, u) for u in info_bits.T])
+        coded = encode(self.code, np.asarray(info_bits).T)
         return np.take_along_axis(coded, self.perms, -1).T.copy()
 
     def decode_user(self, k, llr_mud):

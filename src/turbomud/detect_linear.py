@@ -44,10 +44,6 @@ class ClipBox:
         if not self.lo < self.hi:
             raise ValueError(f"empty clip box [{self.lo}, {self.hi}]")
 
-    @property
-    def unbounded(self):
-        return np.isinf(self.lo) and np.isinf(self.hi)
-
     def clip(self, x):
         return min(max(x, self.lo), self.hi)
 

@@ -13,10 +13,13 @@ giving the single forward pass
                    + (2/sigma2)(A_k F_kk ybar_k - betabar_k^T m),
     m_k = tanh(LLR_pos(b_k) / 2),
 
-whose cancellation uses only already-detected users.  The extrinsic is
-LLR_pos - LLR_prior.  A DDF pass is also used to seed the mean-field
-detector's first turbo iteration, which rescues it from the poor local
-minima it falls into on strongly correlated channels.
+whose cancellation uses only already-detected users: one sweep of the
+mean-field kernel ``siso_discrete._sweep_block``, with A_k F_kk ybar_k
+in place of eta_k^T r and betabar_k in place of beta_k, on a
+users-major (K, T) block.  The extrinsic is LLR_pos - LLR_prior.  A
+DDF pass also seeds the mean-field detector's first turbo iteration,
+which rescues it from the poor local minima it falls into on strongly
+correlated channels.
 """
 
 from dataclasses import dataclass
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPermutation
-from .siso_discrete import DiscreteBelief, clamp_mean
+from .siso_discrete import DiscreteBelief, _fold, _sweep_block
 
 AMPLITUDE_DESCENDING = "amplitude_descending"
 AS_GIVEN = "as_given"
@@ -100,22 +103,18 @@ def ddf_pass(ch, ybar, prior_llr, pre):
 
 
 def ddf_pass_block(ch, ybar, prior_llr, pre):
-    """Vectorized forward pass over a (T, K) whitened block.
+    """Forward pass over a (T, K) whitened block, in the permuted domain.
 
     Returns (means, posterior LLRs) in natural user order.
     """
-    ybar = np.asarray(ybar, dtype=float)
-    prior = np.asarray(prior_llr, dtype=float)
-    T = ybar.shape[0]
-    m_p = np.zeros((T, ch.K))       # permuted domain
-    pos_p = np.empty((T, ch.K))
-    prior_p = prior[:, pre.order]
-    for k in range(ch.K):
-        metric = pre.diag_gain[k] * ybar[:, k] - m_p @ pre.feedback[:, k]
-        pos_p[:, k] = prior_p[:, k] + (2.0 / ch.sigma2) * metric
-        m_p[:, k] = clamp_mean(np.tanh(pos_p[:, k] / 2.0))
+    # scaled users-major: a length-K broadcast along (T, K) rows is slow
+    obs = np.ascontiguousarray(np.transpose(ybar)) * pre.diag_gain[:, None]
+    H, Bh = _fold(np.asarray(prior_llr)[:, pre.order], obs.T, pre.feedback,
+                  ch.sigma2)
+    Mt = np.zeros_like(H)  # permuted domain, users-major
+    X = _sweep_block(Mt, range(ch.K), H, Bh)
     inverse = np.argsort(pre.order)
-    return m_p[:, inverse], pos_p[:, inverse]
+    return Mt[inverse].T, 2.0 * X[inverse].T
 
 
 def bind_ddf_hook(obs, order_policy=AMPLITUDE_DESCENDING):
@@ -123,9 +122,7 @@ def bind_ddf_hook(obs, order_policy=AMPLITUDE_DESCENDING):
 
     def seed_with_ddf(ch, M, llr_dec):
         pre = DdfPrecompute.from_channel(ch, detection_order(ch, order_policy))
-        ybar = pre.whiten(ch, obs.y)
-        m_nat, pos_nat = ddf_pass_block(ch, ybar, llr_dec, pre)
-        M[:] = m_nat
+        M[:], pos_nat = ddf_pass_block(ch, pre.whiten(ch, obs.y), llr_dec, pre)
         return pos_nat
 
     return seed_with_ddf

@@ -18,6 +18,9 @@ Coordinate descent on F gives the serial update
 where eta_k and beta_k are the k-th columns of S A and B; dropping the
 serial refinement entirely gives the classical one-shot
 soft-cancellation detector (which no longer guarantees descent).
+Every mean-field update (turbo-loop sweeps, tanh-SIC, ``serial_update``,
+the DDF pass) is one kernel, ``_sweep_block``: the half-LLR form
+LLR_pos/2 on means held users-major, a (K, T) block of T intervals.
 """
 
 from dataclasses import dataclass
@@ -32,14 +35,14 @@ from .siso_gaussian import SCHEDULES, _turbo_iteration
 # already lies past the clamp, so tanh of an unclamped LLR clamps to the
 # same mean as tanh of the clamped one.
 MEAN_CLEARANCE = 1e-9
+_MEAN_LO, _MEAN_HI = -1.0 + MEAN_CLEARANCE, 1.0 - MEAN_CLEARANCE
 
 DEFAULT_INNER_ITERS = 6
 
 
 def clamp_mean(m):
-    # the ufuncs, not np.clip: this runs once per user update
-    return np.minimum(np.maximum(m, -1.0 + MEAN_CLEARANCE),
-                      1.0 - MEAN_CLEARANCE)
+    """The clamp ``_sweep_block`` applies in place after every tanh."""
+    return np.minimum(np.maximum(m, _MEAN_LO), _MEAN_HI)
 
 
 @dataclass(frozen=True)
@@ -67,9 +70,7 @@ def free_energy_disc(ch, r, prior_llr, q):
 
     The prior means are btilde_k = tanh(prior_llr_k / 2).
     """
-    m = q.m if isinstance(q, DiscreteBelief) else np.asarray(q, dtype=float)
-    if np.any(np.abs(m) >= 1.0):
-        raise DomainError("belief means must lie strictly inside (-1, 1)")
+    m = (q if isinstance(q, DiscreteBelief) else DiscreteBelief(m=q)).m
     r = np.asarray(r, dtype=float)
     btilde = np.tanh(np.asarray(prior_llr, dtype=float) / 2.0)
     data = r @ r - 2.0 * (ch.a * (ch.S.T @ r)) @ m + m @ ch.hollow_gram @ m \
@@ -100,19 +101,19 @@ def serial_update(ch, r, prior_llr, q, order=None, callback=None):
 
     Each coordinate is set to its exact conditional minimizer
     m_k = tanh(LLR_pos(b_k)/2), so the free energy cannot increase.
-    Returns the updated belief and the posterior LLRs of the sweep.
-    ``callback(m)`` runs after every single-coordinate update.
-    ``_sweep_block`` with T = 1, one user at a time.
+    Returns the updated belief and the sweep's posterior LLRs, NaN for
+    users ``order`` leaves out.  ``callback(m)`` runs after every single
+    coordinate update.  ``_sweep_block`` with T = 1, one user at a time.
     """
-    eta_r = np.atleast_2d(np.asarray(r, dtype=float)) @ ch.SA
-    prior = np.asarray(prior_llr, dtype=float)[None]
-    M = np.array([q.m if isinstance(q, DiscreteBelief) else q], dtype=float)
-    llr_pos = np.empty(ch.K)
+    H, Bh = _fold(np.atleast_2d(prior_llr), np.atleast_2d(r) @ ch.SA,
+                  ch.hollow_gram, ch.sigma2)
+    Mt = np.array([q.m if isinstance(q, DiscreteBelief) else q], dtype=float).T
+    llr_pos = np.full(ch.K, np.nan)
     for k in range(ch.K) if order is None else order:
-        llr_pos[k] = _sweep_block(ch, eta_r, prior, M, [k])[0, k]
+        llr_pos[k] = 2.0 * _sweep_block(Mt, [k], H, Bh)[k, 0]
         if callback is not None:
-            callback(M[0].copy())
-    return DiscreteBelief(m=M[0]), llr_pos
+            callback(Mt[:, 0].copy())
+    return DiscreteBelief(m=Mt[:, 0]), llr_pos
 
 
 def ext_one_shot(ch, r, prior_llr):
@@ -140,38 +141,44 @@ def tanh_sic_block(ch, r_block, sweeps, m0=None, record=False):
     Starts from m0 (zeros by default); returns the final mean block, or
     the per-sweep history when ``record`` is set.
     """
-    r_block = np.atleast_2d(np.asarray(r_block, dtype=float))
-    eta_r = r_block @ ch.SA
-    T = r_block.shape[0]
-    M = np.zeros((T, ch.K)) if m0 is None else np.array(m0, dtype=float)
-    zeros = np.zeros_like(M)
+    H, Bh = _fold(0.0, np.atleast_2d(r_block) @ ch.SA, ch.hollow_gram,
+                  ch.sigma2)
+    Mt = np.zeros_like(H) if m0 is None else \
+        np.array(np.transpose(m0), dtype=float, order="C")
     history = []
     for _ in range(sweeps):
-        _sweep_block(ch, eta_r, zeros, M, range(ch.K))
+        _sweep_block(Mt, range(ch.K), H, Bh)
         if record:
-            history.append(M.copy())
-    return history if record else M
+            history.append(Mt.copy().T)
+    return history if record else Mt.T
 
 
-# ----------------------------------------------------------------------
-# Block turbo loop (T symbol intervals).  The serial sweep vectorizes
-# over t because intervals never couple; the order dependence is only
-# across users.
-# ----------------------------------------------------------------------
+def _fold(prior_llr, obs, coupling, sigma2):
+    """``_sweep_block``'s H = (prior_llr/2 + obs/sigma2)^T from (T, K)
+    inputs, and Bh = coupling^T/sigma2 (the hollow Gram is not symmetric
+    to the bit, so the transpose is explicit)."""
+    H = np.divide(np.transpose(obs), sigma2, order="C")
+    H += 0.5 * np.transpose(prior_llr)
+    return H, np.divide(coupling.T, sigma2, order="C")
 
-def _sweep_block(ch, eta_r, llr_dec, M, order):
-    """In-place serial sweep over users for all intervals at once.
 
-    ``eta_r`` is r S A; returns the posterior LLR block of the sweep.
+def _sweep_block(Mt, users, H, Bh):
+    """The mean-field update of each k of ``users`` in turn, in place on
+    the users-major means Mt over all T intervals: x_k = H_k - Bh_k Mt
+    and m_k = clamp_mean(tanh(x_k)), five numpy calls into preallocated
+    rows.  Returns X = LLR_pos/2, set only in the rows of updated users.
     """
-    beta = ch.hollow_gram
-    llr_pos = np.empty_like(llr_dec)
-    for k in order:
-        # beta_k has a zero k-th entry, so m_k never feeds itself
-        metric = eta_r[:, k] - M @ beta[:, k]
-        llr_pos[:, k] = llr_dec[:, k] + (2.0 / ch.sigma2) * metric
-        M[:, k] = clamp_mean(np.tanh(llr_pos[:, k] / 2.0))
-    return llr_pos
+    X = np.empty_like(H)
+    tmp = np.empty(H.shape[1])
+    rows = list(zip(Bh, H, X, Mt))
+    for k in users:
+        bh, h, x, m = rows[k]
+        np.dot(bh, Mt, out=tmp)
+        np.subtract(h, tmp, out=x)
+        np.tanh(x, out=m)
+        np.maximum(m, _MEAN_LO, out=m)
+        np.minimum(m, _MEAN_HI, out=m)
+    return X
 
 
 class DiscreteTurboLoop:
@@ -182,46 +189,48 @@ class DiscreteTurboLoop:
     user k's decoder LLR, run I sweeps in the rotated order
     (k..K, 1..k-1) and emit user k's extrinsic; sequential decodes user
     k at once, hybrid decodes all users after the last detection.
-    Belief means and decoder LLRs persist across iterations
-    (initialized to zero); the channel is an argument of ``iterate``
-    so the joint-estimation loop can refresh parameter estimates.
+    Belief means (users-major, ``Mt``) and decoder LLRs persist across
+    iterations (initialized to zero); the channel is an argument of
+    ``iterate`` so the joint-estimation loop can refresh estimates.
 
     ``first_iteration_hook(ch, M, llr_dec) -> llr_pos`` optionally
-    replaces the inner sweeps of outer iteration 1, mutating the belief
-    block M in place (used by the decision-feedback seeding).
+    replaces the inner sweeps of outer iteration 1, writing the belief
+    block through M = Mt.T (used by the decision-feedback seeding).
     """
 
     def __init__(self, obs, decoder, schedule, K, I=DEFAULT_INNER_ITERS,
                  first_iteration_hook=None):
         if schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {schedule!r}")
+        if I < 1:
+            raise ValueError("I must be >= 1")
         self.r = obs.r
         self.decoder = decoder
         self.schedule = schedule
         self.I = I
         self.hook = first_iteration_hook
         T = self.r.shape[0]
-        self.M = np.zeros((T, K))
+        self.Mt = np.zeros((K, T))
         self.llr_dec = np.zeros((T, K))
         self.iteration = 0
 
     def iterate(self, ch):
         # no after_user below, so every posterior call gets this ch
         eta_r = self.r @ ch.SA  # (T, K): eta_k^T r_t
-        K = self.M.shape[1]
+        K = self.Mt.shape[0]
 
-        def posterior(ch, dec, order):
+        def posterior(dec, order):
+            """Posterior LLRs of the inner sweeps, users-major (K, T)."""
             if self.iteration == 0 and self.hook is not None:
-                return self.hook(ch, self.M, dec)
-            for _ in range(self.I):
-                llr_pos = _sweep_block(ch, eta_r, dec, self.M, order)
-            return llr_pos
+                return self.hook(ch, self.Mt.T, dec).T
+            return 2.0 * _sweep_block(self.Mt, order * self.I, *_fold(
+                dec, eta_r, ch.hollow_gram, ch.sigma2))
 
         frame = _turbo_iteration(
             ch, self.decoder, self.schedule, self.llr_dec,
-            lambda ch, dec: posterior(ch, dec, range(K)) - dec,
+            lambda ch, dec: posterior(dec, list(range(K))).T - dec,
             lambda ch, work, k: posterior(
-                ch, work, list(range(k, K)) + list(range(k)))[:, k])
+                work, list(range(k, K)) + list(range(k)))[k])
         self.llr_dec = frame.llr_dec
         self.iteration += 1
         return frame

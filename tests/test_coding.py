@@ -103,6 +103,22 @@ def scatter_bcjr(code, Lc, La):
     return posterior, llr(upm)[:n_info]
 
 
+def trellis_walk_encode(code, info_bits):
+    """The encoder as a walk over the trellis tables (test reference)."""
+    next_state, out_pm, _ = code._tables
+    bits = list(info_bits) + [0] * (code.n_coded(len(info_bits)) // 2
+                                    - len(info_bits))
+    out, s = [], 0
+    for u in bits:
+        out.extend(out_pm[s, u])
+        s = next_state[s, u]
+    return np.array(out)
+
+
+WALK_GENERATORS = [("111", "101"), ("10011", "11101"), ("1", "1"),
+                   ("11", "10"), ("1101", "1011"), ("0111", "1001")]
+
+
 class TestEncode:
     def test_all_zero_info_all_plus_one(self):
         for code in SCENARIO_CODES:
@@ -119,6 +135,29 @@ class TestEncode:
     def test_terminated_length(self):
         code = ConvCode(generators=("10011", "11101"))
         assert encode(code, np.ones(10, dtype=int)).size == 2 * (10 + 4)
+
+    @pytest.mark.parametrize("termination", [TERMINATED, TRUNCATED])
+    @pytest.mark.parametrize("gens", WALK_GENERATORS)
+    def test_matches_the_trellis_walk(self, gens, termination):
+        code = ConvCode(generators=gens, termination=termination)
+        rng = np.random.default_rng(len(gens[0]))
+        for n in (1, 2, 3, 7, 64):
+            for _ in range(4):
+                info = rng.integers(0, 2, size=n)
+                np.testing.assert_array_equal(
+                    encode(code, info), trellis_walk_encode(code, info))
+        dec = ConvTurboDecoder(code, K=5, n_info=33, master_seed=2)
+        info = rng.integers(0, 2, size=(33, 5))
+        want = np.array([trellis_walk_encode(code, u) for u in info.T])
+        np.testing.assert_array_equal(
+            dec.encode_block(info),
+            np.take_along_axis(want, dec.perms, -1).T)
+
+    def test_non_binary_info_bits_raise(self):
+        code = ConvCode(generators=("111", "101"))
+        for bad in ([0, 2, 1], [-1, 0]):
+            with pytest.raises(ValueError):
+                encode(code, bad)
 
     def test_roundtrip_with_confident_llrs(self):
         rng = np.random.default_rng(0)
