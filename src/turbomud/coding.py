@@ -1,14 +1,15 @@
 """Per-user error-control chain for the turbo loop.
 
 Rate-1/2 feedforward convolutional encoding, per-user pseudo-random
-interleaving, and an exact log-domain forward/backward APP decoder.
-The bit-to-symbol map is fixed globally as 0 -> +1, 1 -> -1, and every
-LLR in the package is log p(b = +1) / p(b = -1); the decoder consumes
-coded-symbol LLRs from the detector and returns coded-symbol extrinsic
-LLRs (posterior minus the channel input at the same position), plus
-info-bit posteriors for error counting.  Both ``bcjr_decode`` and
-``decode_user`` also take a batch of users, and ``decode_user`` frames
-stacked along its rows, decoded in one trellis pass.
+interleaving, and an exact forward/backward APP decoder (BCJR) that
+advances M = max(memory, 1) trellis steps per matmul.  The bit-to-symbol
+map is fixed globally as 0 -> +1, 1 -> -1, and every LLR in the package
+is log p(b = +1) / p(b = -1); the decoder consumes coded-symbol LLRs from
+the detector and returns coded-symbol extrinsic LLRs (posterior minus the
+channel input at the same position), plus info-bit posteriors for error
+counting.  Both ``bcjr_decode`` and ``decode_user`` also take a batch of
+users, and ``decode_user`` frames stacked along its rows, decoded in one
+pass.
 """
 
 from dataclasses import dataclass, field
@@ -21,13 +22,20 @@ from .errors import DomainError, LengthMismatch
 TERMINATED = "terminated"
 TRUNCATED = "truncated"
 
-# A symbol's +1 or -1 edge mass below this floor lies more than ~575 nats
-# under its trellis step's best edge: its exp terms may be subnormal or
-# zero, so the step is decoded again by masked log-sum-exp.
+# A +1 or -1 mass below this floor may be made of subnormal or zero
+# probability-domain terms, so its row is decoded again in the log domain.
 SUM_FLOOR = 1e-250
-# Largest input LLR magnitude: a branch metric adds two, which past about
-# 1e307 can overflow to inf and turn every output NaN.
+# Largest input LLR magnitude: a block's path metric adds 3 M of them at
+# half weight, which past about 1e307 can overflow to inf.
 LLR_LIMIT = 1e300
+# Nats the probability-domain recursion may span.  With inputs of magnitude
+# at most L, an M-step transfer-matrix entry lies in exp(+/-1.5 L M) and a
+# state-0-scaled alpha or beta in exp(+/-3 L M), so every product stays a
+# normal double while 4.5 L M <= BLOCK_NATS (the 9.8 nats left below
+# log(DBL_MAX) hold the sum over 2^M states for M <= 14).  Rows past
+# L = BLOCK_NATS / (4.5 M), 38.9 at M = 4 (above the detectors' 30-nat
+# clamp), are decoded in the log domain.
+BLOCK_NATS = 700.0
 
 
 @dataclass(frozen=True)
@@ -73,37 +81,41 @@ class ConvCode:
 
     @cached_property
     def _tables(self):
-        """next_state[s, u], coded symbols out_pm[s, u, 2] in {+1, -1} and
-        pred[ns, j], flat index 2 s + u of the j-th of the two edges into ns.
-        """
-        m = self.memory
-        g = [int(s, 2) for s in self.generators]
-        S = self.n_states
-        next_state = np.empty((S, 2), dtype=np.int64)
-        out_pm = np.empty((S, 2, 2))
-        for s in range(S):
-            for u in (0, 1):
-                window = (u << m) | s
-                for j in (0, 1):
-                    bit = bin(window & g[j]).count("1") & 1
-                    out_pm[s, u, j] = 1.0 - 2.0 * bit
-                next_state[s, u] = (u << (m - 1)) | (s >> 1) if m > 0 else 0
-        pred = np.argsort(next_state.ravel(), kind="stable").reshape(S, 2)
-        for table in (next_state, out_pm, pred):
+        """next_state[s, u] and coded symbols out_pm[s, u, 2] in {+1, -1}
+        from the register window w = (u << m) | s: the next state is w >> 1
+        and coded bit j the parity of w masked by generator j."""
+        window = np.arange(2 * self.n_states).reshape(2, -1).T
+        taps = [int(g, 2) for g in self.generators]
+        parity = np.vectorize(lambda w: bin(w).count("1") & 1)
+        out_pm = 1.0 - 2.0 * parity(window[..., None] & taps)
+        next_state = window >> 1
+        for table in (next_state, out_pm):
             table.flags.writeable = False  # shared by every call on the code
-        return next_state, out_pm, pred
+        return next_state, out_pm
 
     @cached_property
-    def _sign_mask(self):
-        """(2S, 6) 0/1 mask over flat edges 2 s + u: the +1 and -1 groups
-        of coded symbol 1, coded symbol 2 and the input bit (u = 0 -> +1).
+    def _blocks(self):
+        """Block-trellis tables.  The block state is the last M = max(memory,
+        1) inputs, the newest in bit M - 1, so M steps join each state s to
+        each state s' (their inputs, the first in bit 0) by one path, flat
+        index s S + s'.  ``signs`` (3 M, S^2) is half the +/-1 value of c1,
+        c2 and u (u = 0 -> +1) at each step of each path; ``mask``
+        (S^2, 6 M) marks the +1 and the -1 group of each.
         """
-        _, out_pm, _ = self._tables
-        upm = np.broadcast_to([1.0, -1.0], out_pm.shape[:2])[..., None]
-        signs = np.concatenate([out_pm, upm], axis=2).reshape(-1, 3, 1)
-        mask = (signs * [1.0, -1.0] > 0).reshape(-1, 6).astype(float)
-        mask.flags.writeable = False
-        return mask
+        next_state, out_pm = self._tables
+        M = max(self.memory, 1)
+        c, inputs = np.divmod(np.arange(1 << 2 * M), 1 << M)
+        c >>= M - self.memory  # the code's state: the newest inputs
+        pm = []
+        for i in range(M):
+            u = (inputs >> i) & 1
+            pm += [out_pm[c, u, 0], out_pm[c, u, 1], 1.0 - 2.0 * u]
+            c = next_state[c, u]
+        signs = 0.5 * np.array(pm)
+        mask = (signs.T[..., None] * [1, -1] > 0).reshape(c.size, -1) * 1.0
+        for table in (signs, mask):
+            table.flags.writeable = False
+        return signs, mask
 
 
 def encode(code, info_bits):
@@ -135,23 +147,30 @@ class BcjrResult:
 
 
 def bcjr_decode(code, channel_llrs, prior_info_llrs=None):
-    """Exact log-domain APP decoding over the code trellis.
+    """Exact APP decoding, M = max(memory, 1) trellis steps per block.
 
     ``channel_llrs`` holds one LLR per coded symbol, one block ``(n,)``
-    or a batch ``(B, n)``; an optional prior per information bit is
-    ``(n_info,)`` or ``(B, n_info)`` to match, and results keep that
+    or a batch ``(B, n)``, B >= 0; an optional prior per information bit
+    is ``(n_info,)`` or ``(B, n_info)`` to match, and results keep that
     leading shape.  Every input LLR must lie in +/-``LLR_LIMIT`` (else
-    ``DomainError``).  The forward and backward recursions advance in one
-    loop, each step an exact two-edge log-sum-exp (not max-log) per
-    state, shifted so that state 0 sits at 0 (a pure log-domain shift,
-    so LLRs are unchanged; the all-zero input path keeps that entry
-    finite).  Each trellis step's edge masses are shifted by their max
-    and exponentiated once, and one matmul with ``code._sign_mask``
-    gives the +1 and -1 mass of both coded symbols and the input bit.
-    A step where a used mass falls below ``SUM_FLOOR`` (more than ~575
-    nats under the step's best edge, or no edge at all) is decoded
-    again by masked log-sum-exp, so large and infinite LLRs stay exact.
-    Each batch row decodes bit for bit like a single-row call.
+    ``DomainError``).
+
+    In M steps every state reaches every state by one path (a look-ahead
+    trellis, Black & Meng 1992), so block k is the S x S transfer matrix
+    P_k = exp(G_k), G_k[s, s'] the path's summed branch metrics: one
+    matmul of the block's inputs with ``code._blocks`` signs.  Input-0
+    steps pad the front so that blocks tile the trellis; alpha starts in
+    state 0, so this is exact under both terminations.  Per block, one
+    matmul and one divide by the state-0 entry advance alpha and beta
+    together.  The joints alpha_k P_k beta_{k+1} (alpha and beta scaled to
+    a largest entry of 1) times the blocks' sign mask, one matmul per
+    row, give the +1 and -1 mass of c1, c2 and u at every step.
+
+    A row with an input past ``BLOCK_NATS / (4.5 M)`` in magnitude, or a
+    used mass below ``SUM_FLOOR``, runs the same block recursion in the
+    log domain: log-sum-exp over states and masked log-sum-exp per mass,
+    so large LLRs stay exact.  Each row takes one path whatever the rest
+    of the batch holds, so it decodes bit for bit like a single-row call.
     """
     Lc = np.asarray(channel_llrs, dtype=float)
     if Lc.ndim not in (1, 2) or Lc.shape[-1] % 2 != 0:
@@ -161,83 +180,88 @@ def bcjr_decode(code, channel_llrs, prior_info_llrs=None):
     n_info = n_steps - tail
     if n_info < 1:
         raise LengthMismatch("no information positions in channel LLR array")
-    La = np.zeros(Lc.shape[:-1] + (n_info,)) if prior_info_llrs is None \
+    info_shape = Lc.shape[:-1] + (n_info,)
+    La = np.zeros(info_shape) if prior_info_llrs is None \
         else np.asarray(prior_info_llrs, dtype=float)
-    if La.shape != Lc.shape[:-1] + (n_info,):
-        raise LengthMismatch(
-            f"prior shape {La.shape} does not match {n_info} info bits"
-        )
+    if La.shape != info_shape:
+        raise LengthMismatch(f"prior shape {La.shape} does not match the "
+                             f"expected {info_shape}")
+    signs, mask = code._blocks
+    M = mask.shape[1] // 6
+    pad = -n_steps % M
+    nb, B = (n_steps + pad) // M, Lc.size // (2 * n_steps)
+    # x[b, t] = (Lc1, Lc2, La) at step t - pad of row b, 0 on the pad
+    x = np.zeros((B, nb * M, 3))
+    x[:, pad:, :2] = Lc.reshape(B, n_steps, 2)
+    x[:, pad:pad + n_info, 2] = La.reshape(B, n_info)
+    size = np.abs(x).max(axis=(1, 2))
     # NaN fails every comparison, so NaN and +/-inf are rejected too
-    if not np.maximum(np.abs(Lc).max(), np.abs(La).max()) <= LLR_LIMIT:
+    if not np.all(size <= LLR_LIMIT):
         raise DomainError(f"channel and prior LLRs must lie in "
                           f"+/-{LLR_LIMIT:g}")
-
-    next_state, out_pm, pred = code._tables
-    S = code.n_states
-    Lc2 = Lc.reshape(-1, n_steps, 2)
-    B = Lc2.shape[0]
-
-    # branch metrics: gamma[b, t, s, u]
-    gamma = 0.5 * (out_pm[:, :, 0] * Lc2[:, :, None, None, 0]
-                   + out_pm[:, :, 1] * Lc2[:, :, None, None, 1])
-    upm = np.array([1.0, -1.0])  # bit 0 -> +1
-    gamma[:, :n_info] += 0.5 * upm * La.reshape(B, n_info, 1, 1)
-    gamma[:, n_info:, :, 1] = -np.inf  # tail forced to the flushing input
-
-    # fused step t: v[t] = [alpha_t | beta_{n-t}] of each block; row j of
-    # idx/gam is the j-th edge into a state (alpha, step t, through pred)
-    # or out of it with input j (beta, step n-1-t, through next_state)
-    idx = np.concatenate([pred.T // 2, S + next_state.T], axis=1)
-    idx = idx[:, None] + 2 * S * np.arange(B)[:, None]
-    by_t = gamma.transpose(1, 0, 2, 3)
-    gam = np.concatenate(
-        [by_t.reshape(n_steps, B, 2 * S)[:, :, pred.T].transpose(0, 2, 1, 3),
-         by_t[::-1].transpose(0, 3, 1, 2)], axis=3)
-    v = np.full((n_steps + 1, B, 2, S), -np.inf)
-    v[0, :, :, 0] = 0.0
-    if code.termination == TRUNCATED:
-        v[0, :, 1] = 0.0
-    for t in range(n_steps):
-        c = v[t].take(idx)
-        c += gam[t]
-        w = np.logaddexp(c[0], c[1]).reshape(B, 2, S)
-        np.subtract(w, w[:, :, :1], out=v[t + 1])
-    del gam  # free the step-ordered copy before the edge pass: peak memory
-
-    # edge mass: e[b, t, s, u] = alpha[t, s] + gamma[t, s, u] + beta[t+1, ns]
-    edge = v[:-1, :, 0].transpose(1, 0, 2)[..., None] + gamma
-    edge += v[-2::-1, :, 1].transpose(1, 0, 2)[:, :, next_state.ravel()] \
-        .reshape(B, n_steps, S, 2)
-    edge = edge.reshape(-1, 2 * S)
-    edge -= edge.max(axis=1, keepdims=True)
-    mask = code._sign_mask
-    mass = np.exp(edge) @ mask  # (B n_steps, 6): +1 and -1 mass per symbol
-    with np.errstate(divide="ignore"):
-        llr = np.log(mass[:, 0::2]) - np.log(mass[:, 1::2])
-    low = (mass < SUM_FLOOR).reshape(B, n_steps, 6)
-    redo = low[:, :, :4].any(axis=2)
-    redo[:, :n_info] |= low[:, :n_info, 4:].any(axis=2)  # tails have no u=1
-    rows = np.flatnonzero(redo)
-    if rows.size:
-        sub = edge[rows]
-        for j in range(3):
-            llr[rows, j] = (
-                _logsumexp2(np.where(mask[:, 2 * j] > 0, sub, -np.inf))
-                - _logsumexp2(np.where(mask[:, 2 * j + 1] > 0, sub, -np.inf)))
-    llr = llr.reshape(B, n_steps, 3)
-    posterior = llr[:, :, :2].reshape(Lc.shape)
-    info_posterior = llr[:, :n_info, 2].reshape(La.shape)
+    x = x.reshape(B, nb, 3 * M)
+    llr = np.empty((B, nb * M, 3))
+    redo = size > BLOCK_NATS / (4.5 * M)
+    if not redo.all():
+        rows = ~redo if redo.any() else slice(None)
+        mass = _block_masses(x[rows], signs, mask, pad, tail, log=False)
+        with np.errstate(divide="ignore"):
+            llr[rows] = np.log(mass[..., 0::2]) - np.log(mass[..., 1::2])
+        low = mass[:, pad:] < SUM_FLOOR
+        redo[rows] = (low[..., :4].any(axis=(1, 2))
+                      | low[:, :n_info, 4:].any(axis=(1, 2)))
+    if redo.any():
+        mass = _block_masses(x[redo], signs, mask, pad, tail, log=True)
+        llr[redo] = mass[..., 0::2] - mass[..., 1::2]
+    posterior = llr[:, pad:, :2].reshape(Lc.shape)
+    info_posterior = llr[:, pad:pad + n_info, 2].reshape(La.shape)
     return BcjrResult(extrinsic=posterior - Lc, posterior=posterior,
                       info_posterior=info_posterior)
 
 
-def _logsumexp2(x):
-    """Row-wise exact log-sum-exp tolerating -inf entries."""
-    m = np.max(x, axis=1)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = safe + np.log(np.sum(np.exp(x - safe[:, None]), axis=1))
-    return np.where(np.isfinite(m), out, -np.inf)
+def _block_masses(x, signs, mask, pad, tail, log):
+    """(B, N, 6) +1 and -1 masses of c1, c2 and u at every step of the
+    blocks x (B, nb, 3 M), from the block recursion in the probability
+    domain, or their logs from the same recursion in the log domain."""
+    B, nb, _ = x.shape
+    S = 1 << (signs.shape[0] // 3)
+    # q[b, k] = [P_k | P_{nb-1-k}^T]: one step advances alpha and beta
+    q = np.empty((B, nb, 2, S * S))
+    p = np.matmul(x, signs, out=q[:, :, 0]).reshape(B, nb, S, S)
+    p[:, 0, :, np.arange(S) % (1 << pad) > 0] = -np.inf  # pad inputs are 0
+    if tail:
+        p[:, -1, :, 1:] = -np.inf  # and so are the tail's
+    if not log:
+        np.exp(p, out=p)
+    q = q.reshape(B, nb, 2, S, S)
+    q[:, :, 1] = p[:, ::-1].swapaxes(-1, -2)
+    # v[k, b] = [alpha_k | beta_{nb-k}], state 0 scaled to 1 (shifted to 0)
+    v = np.full((nb + 1, B, 2, 1, S), -np.inf if log else 0.0)
+    v[0, :, 0, 0, 0] = v[0, :, 1, 0, :1 if tail else S] = 0.0 if log else 1.0
+    w = np.empty((B, 2, 1, S))
+    for k in range(nb):
+        if log:
+            w = np.logaddexp.reduce(v[k].swapaxes(-1, -2) + q[:, k], axis=-2,
+                                    keepdims=True)
+            np.subtract(w, w[..., :1], out=v[k + 1])
+        else:
+            np.matmul(v[k], q[:, k], out=w)
+            np.divide(w, w[..., :1], out=v[k + 1])
+    if not log:
+        v /= v.max(axis=-1, keepdims=True)  # so that no joint overflows
+    alpha = v[:-1, :, 0, 0].swapaxes(0, 1)
+    beta = v[-2::-1, :, 1, 0].swapaxes(0, 1)  # beta_{k+1}
+    if log:
+        joint = alpha[..., :, None] + p + beta[..., None, :]
+        joint = joint.reshape(B, nb, S * S)
+        mass = np.stack([np.logaddexp.reduce(np.where(c > 0, joint, -np.inf),
+                                             axis=-1) for c in mask.T], -1)
+    else:
+        joint = q[:, :, 1]  # the beta half is spent
+        np.multiply(alpha[..., :, None], beta[..., None, :], out=joint)
+        joint *= p
+        mass = np.matmul(joint.reshape(B, nb, S * S), mask)
+    return mass.reshape(B, -1, 6)
 
 
 def user_permutations(n, K, master_seed):
@@ -292,6 +316,8 @@ class ConvTurboDecoder:
     """
 
     def __init__(self, code, K, n_info, master_seed=0):
+        if K < 1 or n_info < 1:
+            raise ValueError(f"need K >= 1 and n_info >= 1, got {K}, {n_info}")
         self.code = code
         self.K = K
         self.n_info = n_info
@@ -309,11 +335,11 @@ class ConvTurboDecoder:
 
         ``k`` is one user with ``(F n_coded,)`` LLRs, or an index over
         users (``slice(None)``, a list, an array) with an
-        ``(F n_coded, |k|)`` block: F >= 1 frames stacked along the first
-        axis, each interleaved by the same per-user permutation.  Every
-        frame of every user is decoded in one batched pass.  Extrinsics
-        keep the input shape; info posteriors are ``(F n_info,)`` or
-        ``(|k|, F n_info)``, frames in input order.
+        ``(F n_coded, |k|)`` block (|k| may be 0): F >= 1 frames stacked
+        along the first axis, each interleaved by the same per-user
+        permutation.  Every frame of every user is decoded in one batched
+        pass.  Extrinsics keep the input shape; info posteriors are
+        ``(F n_info,)`` or ``(|k|, F n_info)``, frames in input order.
         """
         llr = np.asarray(llr_mud, dtype=float)
         perms = self.perms[k]
@@ -328,4 +354,5 @@ class ConvTurboDecoder:
         ext = np.take_along_axis(res.extrinsic.reshape(blocks.shape),
                                  perms[..., None, :], -1)
         return (ext.reshape(llr.T.shape).T,
-                res.info_posterior.reshape(perms.shape[:-1] + (-1,)))
+                res.info_posterior.reshape(perms.shape[:-1]
+                                           + (frames * self.n_info,)))

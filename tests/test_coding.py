@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turbomud.coding import (LLR_LIMIT, TERMINATED, TRUNCATED, ConvCode,
-                             ConvTurboDecoder, IdentityDecoder, bcjr_decode,
-                             encode, user_permutations)
+from turbomud.coding import (BLOCK_NATS, LLR_LIMIT, TERMINATED, TRUNCATED,
+                             ConvCode, ConvTurboDecoder, IdentityDecoder,
+                             bcjr_decode, encode, user_permutations)
 from turbomud.errors import DomainError, LengthMismatch
 
 # The fused decoder shifts each recursion step by its state-0 entry, which
@@ -65,7 +65,7 @@ def scatter_bcjr(code, Lc, La):
     scatter-add each edge into its next state, and a per-row masked
     log-sum-exp for every LLR (test reference for the batched fused
     decoder)."""
-    next_state, out_pm, _ = code._tables
+    next_state, out_pm = code._tables
     S, n_steps = code.n_states, Lc.size // 2
     n_info = La.size
     Lc2 = Lc.reshape(n_steps, 2)
@@ -105,7 +105,7 @@ def scatter_bcjr(code, Lc, La):
 
 def trellis_walk_encode(code, info_bits):
     """The encoder as a walk over the trellis tables (test reference)."""
-    next_state, out_pm, _ = code._tables
+    next_state, out_pm = code._tables
     bits = list(info_bits) + [0] * (code.n_coded(len(info_bits)) // 2
                                     - len(info_bits))
     out, s = [], 0
@@ -181,6 +181,24 @@ class TestBcjr:
         for _ in range(5):
             n_info = 8
             Lc = rng.standard_normal(2 * (n_info + code.memory)) * 3.0
+            La = rng.standard_normal(n_info)
+            res = bcjr_decode(code, Lc, La)
+            post_ref, info_ref = exhaustive_map(code, Lc, La)
+            np.testing.assert_allclose(res.posterior, post_ref, atol=1e-9)
+            np.testing.assert_allclose(res.info_posterior, info_ref,
+                                       atol=1e-9)
+
+    @pytest.mark.parametrize("termination", [TERMINATED, TRUNCATED])
+    @pytest.mark.parametrize("gens", [("1", "1"), ("11", "10"), ("111", "101"),
+                                      ("1101", "1011"), ("10011", "11101")])
+    def test_every_block_offset_matches_exhaustive_map(self, gens,
+                                                       termination):
+        # n_info = 1..9 gives every front pad 0..M-1 of the block trellis,
+        # and memory 0 and 1 codes run on blocks of one step
+        code = ConvCode(generators=gens, termination=termination)
+        rng = np.random.default_rng(12)
+        for n_info in range(1, 10):
+            Lc = rng.standard_normal(code.n_coded(n_info)) * 3.0
             La = rng.standard_normal(n_info)
             res = bcjr_decode(code, Lc, La)
             post_ref, info_ref = exhaustive_map(code, Lc, La)
@@ -335,11 +353,56 @@ class TestBatchedBcjr:
             np.testing.assert_allclose(res.info_posterior[b], info_posterior,
                                        rtol=SCATTER_TOL, atol=SCATTER_TOL)
 
+    @pytest.mark.parametrize("floor", [None, 1e-30])
+    def test_each_row_takes_its_own_path(self, floor, monkeypatch):
+        # ordinary rows, a saturated row, a row at LLR_LIMIT, and saturated
+        # rows just under and just over the probability-domain bound: each
+        # row decodes as it does alone, whatever path the others take.  A
+        # floor of 1e-30 also sends the decided rows (|LLR| past ~69) to
+        # the log domain from the probability domain.
+        if floor is not None:
+            monkeypatch.setattr("turbomud.coding.SUM_FLOOR", floor)
+        code = ConvCode(generators=("10011", "11101"))
+        bound = BLOCK_NATS / (4.5 * code.memory)
+        rng = np.random.default_rng(13)
+        n_info = 256
+        info = rng.integers(0, 2, size=(6, n_info))
+        tx = encode(code, info)
+        flips = np.where(rng.random(tx.shape) < 0.03, -1.0, 1.0)
+        scale = np.array([30.0, LLR_LIMIT, bound * (1 - 1e-9),
+                          bound * (1 + 1e-9)])[:, None]
+        Lc = np.concatenate([tx[:2] + rng.standard_normal((2, tx.shape[1])),
+                             scale * flips[2:] * tx[2:]])
+        La = np.zeros(info.shape)
+        La[0] = rng.standard_normal(n_info)
+        res = bcjr_decode(code, Lc, La)
+        for b in range(6):
+            row = bcjr_decode(code, Lc[b], La[b])
+            for got, want in ((res.extrinsic[b], row.extrinsic),
+                              (res.posterior[b], row.posterior),
+                              (res.info_posterior[b], row.info_posterior)):
+                np.testing.assert_array_equal(got, want)
+            posterior, info_posterior = scatter_bcjr(code, Lc[b], La[b])
+            np.testing.assert_allclose(row.posterior, posterior,
+                                       rtol=SCATTER_TOL, atol=SCATTER_TOL)
+            np.testing.assert_allclose(row.info_posterior, info_posterior,
+                                       rtol=SCATTER_TOL, atol=SCATTER_TOL)
+
+    @pytest.mark.parametrize("termination", [TERMINATED, TRUNCATED])
+    def test_empty_batch(self, termination):
+        code = ConvCode(generators=("10011", "11101"),
+                        termination=termination)
+        n = code.n_coded(12)
+        for La in (None, np.zeros((0, 12))):
+            res = bcjr_decode(code, np.zeros((0, n)), La)
+            assert res.extrinsic.shape == res.posterior.shape == (0, n)
+            assert res.info_posterior.shape == (0, 12)
+
     def test_batch_length_mismatch(self):
         code = ConvCode(generators=("111", "101"))
         with pytest.raises(LengthMismatch):
             bcjr_decode(code, np.zeros((3, 7)))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LengthMismatch, match=r"\(3, 8\)"):
             bcjr_decode(code, np.zeros((3, 20)), np.zeros(8))
         with pytest.raises(LengthMismatch):
             bcjr_decode(code, np.zeros((3, 20)), np.zeros((2, 8)))
@@ -347,7 +410,7 @@ class TestBatchedBcjr:
             bcjr_decode(code, np.zeros((2, 3, 20)))
 
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), L=st.integers(2, 4),
+    @given(data=st.data(), L=st.integers(1, 4),
            termination=st.sampled_from([TERMINATED, TRUNCATED]),
            n_info=st.integers(1, 6), B=st.integers(1, 3))
     def test_batch_matches_exhaustive_map(self, data, L, termination,
@@ -444,6 +507,20 @@ class TestConvTurboDecoder:
             dec.decode_user(1, np.zeros(3 * dec.n_coded + 2))
         with pytest.raises(LengthMismatch):
             dec.decode_user(0, np.zeros(0))
+
+    @pytest.mark.parametrize("frames", [1, 3])
+    def test_no_users(self, frames):
+        dec = ConvTurboDecoder(ConvCode(generators=("111", "101")), K=2,
+                               n_info=10)
+        ext, info = dec.decode_user([], np.zeros((frames * dec.n_coded, 0)))
+        assert ext.shape == (frames * dec.n_coded, 0)
+        assert info.shape == (0, frames * 10)
+
+    @pytest.mark.parametrize("K, n_info", [(0, 10), (-1, 10), (2, 0), (2, -3)])
+    def test_constructor_rejects_empty_sizes(self, K, n_info):
+        with pytest.raises(ValueError):
+            ConvTurboDecoder(ConvCode(generators=("111", "101")), K=K,
+                             n_info=n_info)
 
     def test_identity_decoder_user_index(self):
         block = np.arange(6.0).reshape(3, 2)
