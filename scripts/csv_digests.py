@@ -1,0 +1,86 @@
+"""SHA-256 digests of the CSVs of a fixed matrix of small seeded runs.
+
+Every config below is a small fixed-seed harness run.  The script runs
+them all and prints one ``sha256  name`` line per BER CSV and per EM
+trajectory CSV (``_em.csv``).  A change that must not move any result
+gives the same output under the old and the new ``src/``:
+
+    PYTHONPATH=src python3 scripts/csv_digests.py > new.txt
+    PYTHONPATH=/path/to/old/src python3 scripts/csv_digests.py > old.txt
+    diff old.txt new.txt
+
+Without PYTHONPATH the package next to this script is used; the
+directory it was imported from goes to stderr.  BLAS runs on one thread.
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+
+import turbomud  # noqa: E402
+from turbomud.harness import config_from_dict, run_scenario  # noqa: E402
+
+# K = 4 at rho 0.7 (scenario-i's geometry and code); the 5 frames of a
+# point run as two stacked groups of 2 and a remainder.  20 dB is in the
+# mean-field high-SNR collapse, where decisions sit at LLR ties.
+BASE = dict(channel="equicorrelated", users=4, rho=0.7,
+            generators="10011,11101", outer_iterations=3,
+            inner_iterations=3, snr_db="2,5,20", seed=11, max_frames=5,
+            min_error_events=0, frame_cap=5)
+CODED = dict(coded=True, info_bits=256)
+UNCODED = dict(coded=False, info_bits=1500)
+EM = dict(estimate_sigma2=True, varsigma=0.3, max_frames=2, frame_cap=2)
+
+
+def configs():
+    """(name, config overrides of BASE) of every run, in output order."""
+    for det in ("gaussian", "discrete", "ddf_aided"):
+        for sched in ("flooding", "sequential", "hybrid"):
+            for kind, over in (("coded", CODED), ("uncoded", UNCODED)):
+                yield f"{det}-{sched}-{kind}", dict(
+                    over, detector=det, schedule=sched)
+    # unequal amplitudes, so the two orders differ
+    for order in ("amplitude_descending", "as_given"):
+        yield f"ddf-{order}", dict(UNCODED, detector="ddf",
+                                   outer_iterations=1, ddf_order=order,
+                                   snr_db="6,10", snr_fixed="2:12,3:9")
+    for det, sched in (("gaussian", "hybrid"), ("discrete", "flooding"),
+                       ("ddf_aided", "sequential")):
+        yield f"em-{det}-{sched}", dict(CODED, **EM, detector=det,
+                                        schedule=sched, snr_db="3,30",
+                                        info_bits=96)
+    yield "pinned-discrete-hybrid", dict(CODED, detector="discrete",
+                                         schedule="hybrid", snr_fixed="1:8")
+    yield "random-k6-n8-gaussian-sequential", dict(
+        CODED, channel="random", users=6, spreading_gain=8,
+        detector="gaussian", schedule="sequential")
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main():
+    print(f"# turbomud from {Path(turbomud.__file__).parent}",
+          file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, over in configs():
+            report = run_scenario(config_from_dict(dict(BASE, **over)))
+            csv = Path(tmp, f"{name}.csv")
+            report.to_csv(csv)
+            print(f"{_sha256(csv)}  {csv.name}")
+            if report.em:
+                em = Path(tmp, f"{name}_em.csv")
+                report.em_to_csv(em)
+                print(f"{_sha256(em)}  {em.name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -192,8 +192,8 @@ class Observation:
     """Received block and its matched-filter transform.
 
     r has shape (T, N) and y = r S row-wise, i.e. y_t = S^T r_t for
-    each interval t.  The whitened ybar is ``whiten(ch, y)``; DDF
-    whitens in its detection order through ``DdfPrecompute.whiten``.
+    each interval t.  The whitened ybar is ``whiten(ch, y)``; the DDF
+    pass takes y and whitens it in its own detection order.
     """
 
     r: np.ndarray
@@ -266,8 +266,3 @@ def transmit(ch, blk, rng_seed):
     else:
         r = clean
     return Observation(r=r, y=matched_filter(ch, r))
-
-
-def snr_db_to_sigma2(snr_db, amplitude=1.0):
-    """Noise variance for a per-user SNR_k = A_k^2 / sigma2 given in dB."""
-    return amplitude**2 / 10.0 ** (snr_db / 10.0)

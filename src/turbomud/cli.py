@@ -36,7 +36,7 @@ _DETECT_ONE_SHOT = {
 
 def _ddf_llrs(ch, y, prior_llr):
     pre = DdfPrecompute.from_channel(ch, detection_order(ch))
-    return ddf_pass(ch, pre.whiten(ch, y)[0], prior_llr, pre)[1]
+    return ddf_pass(ch, y, prior_llr, pre)[1]
 
 
 def _build_parser():

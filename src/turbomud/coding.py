@@ -293,10 +293,6 @@ class LlrFrame:
                    + np.asarray(llr_dec, dtype=float),
                    info_posterior=info_posterior)
 
-    @property
-    def T(self):
-        return self.llr_mud.shape[0]
-
 
 class IdentityDecoder:
     """Pass-through decoder: LLR_dec = LLR_mud (no code constraint)."""

@@ -119,10 +119,14 @@ class ScenarioConfig:
             raise ConfigError("inner_iterations: must be >= 1")
         if len(self.snr_db) == 0:
             raise ConfigError("snr_db: grid must be nonempty")
+        if len(set(self.snr_db)) != len(self.snr_db):
+            raise ConfigError("snr_db: grid repeats a value")
         if self.info_bits < 1:
             raise ConfigError("info_bits: must be >= 1")
         if self.max_frames < 1 or self.frame_cap < self.max_frames:
             raise ConfigError("max_frames/frame_cap: need cap >= budget >= 1")
+        if self.workers < 1:
+            raise ConfigError("workers: must be >= 1")
         if self.coded:
             gens = tuple(self.generators.split(","))
             try:
@@ -206,6 +210,8 @@ def _pins(val):
     for part in val.split(","):
         if part.strip():
             user, db = part.split(":")
+            if int(user) in pins:  # pinned twice
+                raise ValueError
             pins[int(user)] = float(db)
     return pins
 
@@ -469,14 +475,10 @@ def _hard_decisions(soft):
 
 def _uncoded_ddf_decisions(cfg, ch, obs, pre):
     """Plain DDF pass, then optional mean-field sweeps (ddf_aided)."""
-    M, _ = ddf_pass_block(ch, pre.whiten(ch, obs.y), np.zeros_like(obs.y),
-                          pre)
-    out = [M.T]
-    if cfg.detector == DDF_AIDED:
-        hist = tanh_sic_block(ch, obs.r, cfg.outer_iterations - 1, m0=M,
-                              record=True)
-        out.extend(m.T for m in hist)
-    return _hard_decisions(np.array(out))
+    M, _ = ddf_pass_block(ch, obs.y, np.zeros_like(obs.y), pre)
+    hist = tanh_sic_block(ch, obs.r, cfg.outer_iterations - 1, m0=M,
+                          record=True) if cfg.detector == DDF_AIDED else []
+    return _hard_decisions(np.array([M] + hist))
 
 
 def _simulate_point_frames(ctx, trial_indices):
@@ -543,8 +545,10 @@ def run_scenario(cfg):
     cfg.validate()
     S = _build_spreading(cfg)
     report = BerReport()
-    pool = ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else None
     group = _group_size(cfg)
+    # a round never holds more than _ROUND_FRAMES // group chunks
+    size = min(cfg.workers, _ROUND_FRAMES // group)
+    pool = ProcessPoolExecutor(size) if size > 1 else None
     try:
         for si, snr in enumerate(cfg.snr_db):
             ctx = _PointContext(cfg=cfg, ch=_point_channel(cfg, S, snr),

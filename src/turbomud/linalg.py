@@ -80,18 +80,3 @@ def spd_inverse(M):
     Linv = np.linalg.solve(L, np.eye(M.shape[0]))
     return Linv.T @ Linv
 
-
-def schur_trace(x, A, y, B):
-    """tr[diag(x) A diag(y) B] computed as x^T (A o B^T) y.
-
-    ``o`` is the element-wise (Schur) product.  All four operands must
-    share the same dimension N.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    n = x.shape[0]
-    if y.shape != (n,) or A.shape != (n, n) or B.shape != (n, n):
-        raise DimensionMismatch("schur_trace operands must share one dimension")
-    return float(x @ (A * B.T) @ y)

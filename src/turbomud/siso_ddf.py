@@ -1,5 +1,7 @@
 """Decorrelating decision-feedback detection on the whitened model.
 
+The pass whitens the matched-filter rows y itself, in detection order:
+ybar = F^{-T} y, with F the whitening factor of the permuted users.
 The whitened observation ybar = F A b + nbar is lower triangular in the
 detection order, so nulling the below-diagonal entries of column k of F
 turns the mean-field cancellation statistics into the causal pair
@@ -16,17 +18,20 @@ giving the single forward pass
 whose cancellation uses only already-detected users: one sweep of the
 mean-field kernel ``siso_discrete._sweep_block``, with A_k F_kk ybar_k
 in place of eta_k^T r and betabar_k in place of beta_k, on a
-users-major (K, T) block.  The extrinsic is LLR_pos - LLR_prior.  A
-DDF pass also seeds the mean-field detector's first turbo iteration,
-which rescues it from the poor local minima it falls into on strongly
-correlated channels.
+users-major (K, T) block.  Means and posterior LLRs come back
+users-major, in natural user order.  The extrinsic is LLR_pos -
+LLR_prior.  A DDF pass also seeds the mean-field detector's first
+turbo iteration, which rescues it from the poor local minima it falls
+into on strongly correlated channels.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import InvalidPermutation
+from .linalg import factor_FtF
 from .siso_discrete import DiscreteBelief, _fold, _sweep_block
 
 AMPLITUDE_DESCENDING = "amplitude_descending"
@@ -57,7 +62,7 @@ class DdfPrecompute:
     """Whitening factor and feedback scalars in detection order.
 
     The order is realized by permuting users before factoring R, so F
-    reflects the order; outputs are un-permuted by the consumer.
+    reflects the order; the pass un-permutes its outputs.
 
     diag_gain[k] = A_k F_kk and feedback[:, k] = betabar_k, both
     indexed in the permuted domain.
@@ -70,8 +75,6 @@ class DdfPrecompute:
 
     @classmethod
     def from_channel(cls, ch, order=None):
-        from .linalg import factor_FtF
-
         order = np.arange(ch.K) if order is None else np.asarray(order, dtype=int)
         Sp = ch.S[:, order]
         ap = ch.a[order]
@@ -81,48 +84,41 @@ class DdfPrecompute:
         feedback = np.tril(F, -1).T * ap[:, None] * diag_gain[None, :]
         return cls(order=order, F=F, diag_gain=diag_gain, feedback=feedback)
 
-    def whiten(self, ch, y):
-        """Whitened observation in detection order from matched-filter rows."""
-        from scipy.linalg import solve_triangular
 
-        yp = np.atleast_2d(np.asarray(y, dtype=float))[:, self.order]
-        return solve_triangular(self.F.T, yp.T, lower=False).T
-
-
-def ddf_pass(ch, ybar, prior_llr, pre):
+def ddf_pass(ch, y, prior_llr, pre):
     """Single decision-feedback forward pass over one symbol interval.
 
-    ``ybar`` must be the whitened observation consistent with ``pre``
-    (i.e. pre.whiten applied to the matched filter output when a
-    non-trivial order is active).  ``ddf_pass_block`` with T = 1;
+    ``ddf_pass_block`` with T = 1 on the matched-filter vector ``y``;
     returns the belief and the extrinsic LLRs in natural user order.
     """
     prior = np.asarray(prior_llr, dtype=float)
-    m_blk, pos_blk = ddf_pass_block(ch, np.atleast_2d(ybar), prior[None], pre)
-    return DiscreteBelief(m=m_blk[0]), pos_blk[0] - prior
+    m_blk, pos_blk = ddf_pass_block(ch, np.atleast_2d(y), prior[None], pre)
+    return DiscreteBelief(m=m_blk[:, 0]), pos_blk[:, 0] - prior
 
 
-def ddf_pass_block(ch, ybar, prior_llr, pre):
-    """Forward pass over a (T, K) whitened block, in the permuted domain.
+def ddf_pass_block(ch, y, prior_llr, pre):
+    """Forward pass over the (T, K) matched-filter rows ``y`` with
+    (T, K) priors, whitened and swept in the order of ``pre``.
 
-    Returns (means, posterior LLRs) in natural user order.
+    Returns users-major (K, T) means and posterior LLRs in natural user
+    order.
     """
-    # scaled users-major: a length-K broadcast along (T, K) rows is slow
-    obs = np.ascontiguousarray(np.transpose(ybar)) * pre.diag_gain[:, None]
-    H, Bh = _fold(np.asarray(prior_llr)[:, pre.order], obs.T, pre.feedback,
-                  ch.sigma2)
+    yp = np.asarray(y, dtype=float)[:, pre.order]
+    ybar = solve_triangular(pre.F.T, yp.T, lower=False)  # users-major
+    H, Bh = _fold(np.asarray(prior_llr)[:, pre.order],
+                  (ybar * pre.diag_gain[:, None]).T, pre.feedback, ch.sigma2)
     Mt = np.zeros_like(H)  # permuted domain, users-major
     X = _sweep_block(Mt, range(ch.K), H, Bh)
     inverse = np.argsort(pre.order)
-    return Mt[inverse].T, 2.0 * X[inverse].T
+    return Mt[inverse], 2.0 * X[inverse]
 
 
 def bind_ddf_hook(obs, order_policy=AMPLITUDE_DESCENDING):
     """Hook for DiscreteTurboLoop: one DDF pass over obs as iteration 1."""
 
-    def seed_with_ddf(ch, M, llr_dec):
+    def seed_with_ddf(ch, Mt, llr_dec):
         pre = DdfPrecompute.from_channel(ch, detection_order(ch, order_policy))
-        M[:], pos_nat = ddf_pass_block(ch, pre.whiten(ch, obs.y), llr_dec, pre)
-        return pos_nat
+        Mt[:], llr_pos = ddf_pass_block(ch, obs.y, llr_dec, pre)
+        return llr_pos
 
     return seed_with_ddf

@@ -132,25 +132,26 @@ def tanh_sic(ch, r, sweeps):
     """Uncoded hyperbolic-tangent SIC: ``tanh_sic_block`` with T = 1."""
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
-    return DiscreteBelief(m=tanh_sic_block(ch, r, sweeps)[0])
+    return DiscreteBelief(m=tanh_sic_block(ch, r, sweeps)[:, 0])
 
 
 def tanh_sic_block(ch, r_block, sweeps, m0=None, record=False):
     """Uncoded serial sweeps over a whole (T, N) received block.
 
-    Starts from m0 (zeros by default); returns the final mean block, or
-    the per-sweep history when ``record`` is set.
+    Means are users-major (K, T): starts from m0 (zeros by default);
+    returns the final mean block, or the per-sweep history when
+    ``record`` is set.
     """
     H, Bh = _fold(0.0, np.atleast_2d(r_block) @ ch.SA, ch.hollow_gram,
                   ch.sigma2)
     Mt = np.zeros_like(H) if m0 is None else \
-        np.array(np.transpose(m0), dtype=float, order="C")
+        np.array(m0, dtype=float, order="C")
     history = []
     for _ in range(sweeps):
         _sweep_block(Mt, range(ch.K), H, Bh)
         if record:
-            history.append(Mt.copy().T)
-    return history if record else Mt.T
+            history.append(Mt.copy())
+    return history if record else Mt
 
 
 def _fold(prior_llr, obs, coupling, sigma2):
@@ -193,9 +194,10 @@ class DiscreteTurboLoop:
     iterations (initialized to zero); the channel is an argument of
     ``iterate`` so the joint-estimation loop can refresh estimates.
 
-    ``first_iteration_hook(ch, M, llr_dec) -> llr_pos`` optionally
-    replaces the inner sweeps of outer iteration 1, writing the belief
-    block through M = Mt.T (used by the decision-feedback seeding).
+    ``first_iteration_hook(ch, Mt, llr_dec) -> llr_pos`` optionally
+    replaces the inner sweeps of outer iteration 1: it writes the
+    users-major belief block Mt in place and returns users-major (K, T)
+    posterior LLRs (used by the decision-feedback seeding).
     """
 
     def __init__(self, obs, decoder, schedule, K, I=DEFAULT_INNER_ITERS,
@@ -222,7 +224,7 @@ class DiscreteTurboLoop:
         def posterior(dec, order):
             """Posterior LLRs of the inner sweeps, users-major (K, T)."""
             if self.iteration == 0 and self.hook is not None:
-                return self.hook(ch, self.Mt.T, dec).T
+                return self.hook(ch, self.Mt, dec)
             return 2.0 * _sweep_block(self.Mt, order * self.I, *_fold(
                 dec, eta_r, ch.hollow_gram, ch.sigma2))
 

@@ -5,7 +5,7 @@ import pytest
 
 from turbomud.channel import (ChannelInstance, SymbolBlock,
                               make_equicorrelated, make_random_spreading,
-                              snr_db_to_sigma2, transmit, whiten)
+                              transmit, whiten)
 from turbomud.errors import DimensionMismatch, InvalidCorrelation
 
 
@@ -171,7 +171,3 @@ class TestTransmit:
         cov = centered.T @ centered / T
         np.testing.assert_allclose(cov, sigma2 * np.eye(2),
                                    atol=0.05 * sigma2)
-
-    def test_snr_mapping(self):
-        assert np.isclose(snr_db_to_sigma2(0.0), 1.0)
-        assert np.isclose(snr_db_to_sigma2(10.0), 0.1)

@@ -85,7 +85,7 @@ def test_sweep_overrides_grid(tmp_path):
     assert "9," in body and "4," not in body.replace("64,", "")
 
 
-@pytest.mark.parametrize("grid", ["1,x", ""])
+@pytest.mark.parametrize("grid", ["1,x", "", "3,3"])
 def test_sweep_bad_snr_grid_exit_code(capsys, grid):
     assert cli_main(["sweep", "presets/scenario-i", "--snr", grid]) == 2
     assert capsys.readouterr().err.startswith("config error:")

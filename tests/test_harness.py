@@ -71,6 +71,13 @@ class TestConfigParsing:
                 (dict(seed="-1"), "seed"),
                 (dict(rho="nan", channel="random"), "rho"),
                 (dict(inner_iterations="0"), "inner_iterations"),
+                (dict(workers="0"), "workers"),
+                (dict(workers="-3"), "workers"),
+                # a repeated point would run twice into one CSV row, and a
+                # repeated pin would keep only the last
+                (dict(snr_db="3,3"), "snr_db"),
+                (dict(snr_db="3,4,3.0"), "snr_db"),
+                (dict(snr_fixed="2:11,2:15"), "snr_fixed"),
                 # the length check comes before list(range(users))
                 (dict(users="1000000000000", ddf_order="custom:2,1"),
                  "ddf_order"),
@@ -248,6 +255,36 @@ class TestRunScenario:
             run_scenario(replace(cfg, workers=workers)).to_csv(path)
             csvs.append(path.read_bytes())
         assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+
+    def test_pool_is_capped_at_the_chunks_of_a_round(self, tmp_path,
+                                                     monkeypatch):
+        """A round splits into at most _ROUND_FRAMES // group chunks, so
+        no larger pool is started; results still follow ``workers``."""
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+        cfg = tiny_coded_cfg(**GROUPED[-1])  # groups of 2: 8 per round
+        csvs = []
+        for workers in (1, 64, 3):
+            path = tmp_path / f"w{workers}.csv"
+            run_scenario(replace(cfg, workers=workers)).to_csv(path)
+            csvs.append(path.read_bytes())
+        assert sizes == [8, 3]
+        assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+        whole_round = tiny_coded_cfg(coded=False, info_bits=64, workers=4)
+        assert _group_size(whole_round) == 16
+        run_scenario(whole_round)  # one chunk per round: no pool
+        assert sizes == [8, 3]
 
     @pytest.mark.parametrize("over", GROUPED, ids=_grouped_id)
     def test_single_frame_groups_give_identical_csv(self, over, tmp_path,

@@ -38,11 +38,11 @@ def kernels(ch, r, y, prior_llr):
     """name -> (T, .) output of each kernel on the given block."""
     btilde = np.tanh(prior_llr / 2.0)
     pre = DdfPrecompute.from_channel(ch, detection_order(ch))
-    m_ddf, pos_ddf = ddf_pass_block(ch, pre.whiten(ch, y), prior_llr, pre)
+    m_ddf, pos_ddf = ddf_pass_block(ch, y, prior_llr, pre)  # users-major
     out = {"flooding_ext_block": flooding_ext_block(ch, y, btilde),
-           "tanh_sic_block": tanh_sic_block(ch, r, 3),
-           "ddf_pass_block means": m_ddf,
-           "ddf_pass_block extrinsics": pos_ddf - prior_llr}
+           "tanh_sic_block": tanh_sic_block(ch, r, 3).T,
+           "ddf_pass_block means": m_ddf.T,
+           "ddf_pass_block extrinsics": pos_ddf.T - prior_llr}
     for k in range(ch.K):
         out[f"loo_ext_block user {k}"] = loo_ext_block(ch, y, btilde, k)
     return out

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from turbomud.errors import DimensionMismatch, NotPositiveDefinite
-from turbomud.linalg import factor_FtF, schur_trace, spd_inverse, spd_solve
+from turbomud.linalg import factor_FtF, spd_inverse, spd_solve
 
 
 def textbook_cholesky(A):
@@ -103,33 +103,3 @@ class TestSpdSolve:
         with pytest.raises(NotPositiveDefinite):
             spd_solve(np.array([[0.0, 0.0], [0.0, 1.0]]), np.ones(2))
 
-
-class TestSchurTrace:
-    def test_all_ones_identity(self):
-        assert schur_trace(np.ones(2), np.eye(2), np.ones(2), np.eye(2)) == 2.0
-
-    def test_selector_vectors(self):
-        rng = np.random.default_rng(2)
-        A = rng.standard_normal((2, 2))
-        B = rng.standard_normal((2, 2))
-        x = np.array([1.0, 0.0])
-        y = np.array([0.0, 1.0])
-        # picks the single term A_12 B_21
-        np.testing.assert_allclose(schur_trace(x, A, y, B), A[0, 1] * B[1, 0],
-                                   rtol=1e-14)
-
-    def test_direct_trace_oracle_1000_draws(self):
-        rng = np.random.default_rng(42)
-        for _ in range(1000):
-            n = rng.integers(1, 6)
-            x = rng.standard_normal(n)
-            y = rng.standard_normal(n)
-            A = rng.standard_normal((n, n))
-            B = rng.standard_normal((n, n))
-            direct = np.trace(np.diag(x) @ A @ np.diag(y) @ B)
-            got = schur_trace(x, A, y, B)
-            assert abs(got - direct) <= 1e-12 * max(1.0, abs(direct))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            schur_trace(np.ones(2), np.eye(3), np.ones(3), np.eye(3))

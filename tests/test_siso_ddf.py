@@ -9,6 +9,8 @@ from turbomud.siso_ddf import (DdfPrecompute, ddf_pass, ddf_pass_block,
 from turbomud.siso_discrete import DiscreteBelief, free_energy_disc
 from turbomud.varem import run_varem
 
+from test_mean_field_kernel import DDF_TOL, assert_close, reference_ddf
+
 
 def identity_pre(ch):
     return DdfPrecompute.from_channel(ch, np.arange(ch.K))
@@ -53,48 +55,53 @@ class TestDdfPrecompute:
                                        rtol=1e-12)
 
     def test_whiten_matches_channel_whitening(self):
+        # in the identity order the pass whitens as the signal model does
         ch = make_equicorrelated(3, 0.5, sigma2=0.2)
         rng = np.random.default_rng(0)
         y = rng.standard_normal((5, 3))
-        np.testing.assert_allclose(identity_pre(ch).whiten(ch, y),
-                                   whiten(ch, y), atol=1e-12)
+        prior = rng.standard_normal((5, 3))
+        pre = identity_pre(ch)
+        m_want, pos_want = reference_ddf(ch, whiten(ch, y), prior, pre)
+        m_got, pos_got = ddf_pass_block(ch, y, prior, pre)
+        assert_close(pos_got.T, pos_want, m_got.T, m_want, DDF_TOL)
 
 
 class TestDdfPass:
     def test_single_user(self):
         ch = make_equicorrelated(1, 0.0, amplitudes=[1.4], sigma2=0.5)
         pre = identity_pre(ch)
-        ybar = np.array([0.6])
-        belief, ext = ddf_pass(ch, ybar, np.zeros(1), pre)
-        assert abs(belief.m[0] - np.tanh(1.4 * ybar[0] / 0.5)) < 1e-12
-        assert abs(ext[0] - 2 * 1.4 * ybar[0] / 0.5) < 1e-12
+        y = np.array([0.6])  # one user: ybar = y
+        belief, ext = ddf_pass(ch, y, np.zeros(1), pre)
+        assert abs(belief.m[0] - np.tanh(1.4 * y[0] / 0.5)) < 1e-12
+        assert abs(ext[0] - 2 * 1.4 * y[0] / 0.5) < 1e-12
 
     def test_two_user_noiseless_limit_signs(self):
         ch = make_equicorrelated(2, 0.7, sigma2=1e-6)
         b = np.array([1.0, -1.0])
         obs = transmit(ch, SymbolBlock(b=b[None, :]), rng_seed=3)
         pre = identity_pre(ch)
-        belief, _ = ddf_pass(ch, whiten(ch, obs.y)[0], np.zeros(2), pre)
+        belief, _ = ddf_pass(ch, obs.y[0], np.zeros(2), pre)
         np.testing.assert_array_equal(np.sign(belief.m), b)
 
     def test_extrinsic_excludes_prior(self):
         ch = make_equicorrelated(2, 0.7, sigma2=0.4)
         pre = identity_pre(ch)
-        ybar = np.array([0.2, -0.5])
+        y = np.array([0.2, -0.5])
         prior = np.array([1.0, -2.0])
-        belief, ext = ddf_pass(ch, ybar, prior, pre)
-        _, ext0 = ddf_pass(ch, ybar, np.zeros(2), pre)
+        belief, ext = ddf_pass(ch, y, prior, pre)
+        _, ext0 = ddf_pass(ch, y, np.zeros(2), pre)
         # user 1 has no feedback: its extrinsic is prior-independent
         assert abs(ext[0] - ext0[0]) < 1e-12
 
     def test_triangular_causality(self):
         ch = make_equicorrelated(4, 0.5, sigma2=0.3)
         pre = identity_pre(ch)
-        rng = np.random.default_rng(1)
-        ybar = rng.standard_normal(4)
-        belief, _ = ddf_pass(ch, ybar, np.zeros(4), pre)
-        bumped = ybar.copy()
-        bumped[3] += 10.0  # later user only
+        # y = F^T ybar: the bump moves the later user's whitened
+        # coordinate only, and exactly, from the zero observation (from
+        # other starts the whitening rounds the earlier ones by ~1e-16)
+        y = np.zeros(4)
+        belief, _ = ddf_pass(ch, y, np.zeros(4), pre)
+        bumped = y + 10.0 * pre.F[3]  # later user only
         belief2, _ = ddf_pass(ch, bumped, np.zeros(4), pre)
         np.testing.assert_array_equal(belief.m[:3], belief2.m[:3])
         assert belief.m[3] != belief2.m[3]
@@ -105,9 +112,9 @@ class TestDdfPass:
                                  sigma2=0.6)
         pre = identity_pre(ch)
         assert np.all(pre.feedback == 0.0)
-        ybar = np.array([0.3, -0.2, 0.9])
-        belief, _ = ddf_pass(ch, ybar, np.zeros(3), pre)
-        np.testing.assert_allclose(belief.m, np.tanh(ch.a * ybar / 0.6),
+        y = np.array([0.3, -0.2, 0.9])  # F = I: ybar = y
+        belief, _ = ddf_pass(ch, y, np.zeros(3), pre)
+        np.testing.assert_allclose(belief.m, np.tanh(ch.a * y / 0.6),
                                    rtol=1e-12)
 
     def test_permuted_order_unpermutes_outputs(self):
@@ -117,8 +124,7 @@ class TestDdfPass:
         pre = DdfPrecompute.from_channel(ch, order)
         b = np.array([1.0, -1.0])
         obs = transmit(ch, SymbolBlock(b=b[None, :]), rng_seed=5)
-        ybar = pre.whiten(ch, obs.y)
-        belief, _ = ddf_pass(ch, ybar[0], np.zeros(2), pre)
+        belief, _ = ddf_pass(ch, obs.y[0], np.zeros(2), pre)
         np.testing.assert_array_equal(np.sign(belief.m), b)
 
 
@@ -136,7 +142,7 @@ class TestFreeEnergySeeding:
             b = np.where(rng.standard_normal(4) > 0, 1.0, -1.0)
             obs = transmit(ch, SymbolBlock(b=b[None, :]),
                            rng_seed=int(rng.integers(2**31)))
-            belief, _ = ddf_pass(ch, whiten(ch, obs.y)[0], np.zeros(4), pre)
+            belief, _ = ddf_pass(ch, obs.y[0], np.zeros(4), pre)
             f_ddf = free_energy_disc(ch, obs.r[0], np.zeros(4), belief)
             f_zero = free_energy_disc(ch, obs.r[0], np.zeros(4),
                                       DiscreteBelief(np.zeros(4)))
@@ -156,9 +162,8 @@ class TestDdfAidedDiscrete:
         frames, _ = run_varem(ch, obs, "ddf_aided", "flooding", 1,
                               IdentityDecoder(), order_policy=np.arange(3))
         pre = identity_pre(ch)
-        _, pos = ddf_pass_block(ch, pre.whiten(ch, obs.y),
-                                np.zeros((5, 3)), pre)
-        np.testing.assert_allclose(frames[0].llr_mud, np.clip(pos, -30, 30),
+        _, pos = ddf_pass_block(ch, obs.y, np.zeros((5, 3)), pre)
+        np.testing.assert_allclose(frames[0].llr_mud, np.clip(pos.T, -30, 30),
                                    rtol=1e-12)
 
     def test_later_iterations_refine(self):
