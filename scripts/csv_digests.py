@@ -61,6 +61,10 @@ def configs():
     yield "random-k6-n8-gaussian-sequential", dict(
         CODED, channel="random", users=6, spreading_gain=8,
         detector="gaussian", schedule="sequential")
+    # on a pool of two: 7 frames make groups of 2, 2, 2 and a short 1
+    yield "pooled-ddf_aided-uncoded", dict(UNCODED, detector="ddf_aided",
+                                           workers=2, max_frames=7,
+                                           frame_cap=7)
 
 
 def _sha256(path):

@@ -4,11 +4,12 @@ A scenario is a flat key = value config (channel geometry, code,
 detector family, schedule, SNR grid, estimation settings, trial
 budget).  Frames draw bits and noise from per-trial seeds derived
 from (master seed, SNR index, trial index) and run in fixed groups of
-consecutive trials, each group one stacked detector pass, so results
-are reproducible bit-for-bit regardless of how many workers split the
-trials.  Error counts are recorded per (SNR, outer iteration, user)
-and written as CSV; joint-estimation runs also emit the per-iteration
-noise-variance and amplitude-error trajectories.
+consecutive trials, each group one stacked detector pass.  A round
+maps one group function over its groups, in process or on a pool, so
+results are bit-for-bit the same for any worker count.  Error counts
+are recorded per (SNR, outer iteration, user) and written as CSV;
+joint-estimation runs also emit the per-iteration noise-variance and
+amplitude-error trajectories.
 
 ``detector`` and ``coded`` alone choose a group's pipeline: the uncoded
 DDF pass, or one ``varem.run_varem`` turbo run whose joint estimation,
@@ -18,7 +19,6 @@ when off, starts from the true parameters and updates none of them.
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from itertools import groupby
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .coding import ConvCode, ConvTurboDecoder, IdentityDecoder
 from .errors import ConfigError
 from .siso_ddf import (AMPLITUDE_DESCENDING, AS_GIVEN, DdfPrecompute,
                        ddf_pass_block, detection_order)
-from .siso_discrete import tanh_sic_block
+from .siso_discrete import DEFAULT_INNER_ITERS, tanh_sic_block
 from .siso_gaussian import SCHEDULES
 from .varem import DETECTORS as TURBO_DETECTORS
 from .varem import (DDF_AIDED, SIGMA2_FLOOR, EmState, initial_sigma2,
@@ -64,9 +64,10 @@ class ScenarioConfig:
     generators: str = "10011,11101"
     info_bits: int = 256                 # per user per frame
     detector: str = "gaussian"
-    schedule: str = "flooding"
+    schedule: str = "flooding"           # unused by uncoded ddf/ddf_aided
     outer_iterations: int = 5            # J
-    inner_iterations: int = 6            # I (discrete families)
+    # I (discrete families); unused by uncoded ddf_aided, one sweep per J
+    inner_iterations: int = DEFAULT_INNER_ITERS
     ddf_order: str = AMPLITUDE_DESCENDING
     snr_db: tuple = (4.0, 5.0, 6.0)
     snr_fixed: dict = field(default_factory=dict)  # 1-based user -> dB pin
@@ -367,15 +368,25 @@ def _write_text(path, text):
 class _PointContext:
     """Immutable per-SNR-point context shipped to worker processes.
 
-    ``group`` is the number of frames stacked into one block: trials
-    t and u share a group exactly when t // group == u // group.
+    The decoder and the DDF factors depend only on the config and the
+    point's channel, so each point builds them once for all its groups.
     """
 
     cfg: ScenarioConfig
     ch: ChannelInstance
-    snr_db: float
     snr_index: int
-    group: int
+    decoder: object  # ConvTurboDecoder coded, IdentityDecoder uncoded
+    ddf_pre: object  # DdfPrecompute of the uncoded DDF pass, else None
+
+    @classmethod
+    def build(cls, cfg, ch, snr_index):
+        decoder = ConvTurboDecoder(_code(cfg), ch.K, cfg.info_bits,
+                                   master_seed=cfg.seed) \
+            if cfg.coded else IdentityDecoder()
+        ddf_pre = DdfPrecompute.from_channel(ch, detection_order(
+            ch, _order_policy(cfg.ddf_order, ch.K))) \
+            if cfg.uncoded_ddf else None
+        return cls(cfg, ch, snr_index, decoder, ddf_pre)
 
 
 def _build_spreading(cfg):
@@ -426,22 +437,25 @@ def _group_size(cfg):
     return G
 
 
-def _group_decisions(ctx, obs, decoder, rng, ddf_pre):
+def _group_decisions(ctx, obs, rng):
     """Run the configured detector over a block of stacked frames.
 
-    Returns (decisions, em_rows) where decisions has shape
-    (J, K, n_counted), True where the decision is -1 (bit 1), and
-    em_rows is a list of (iteration, sigma2_hat, a_rmse) or None.
-    Every turbo run is one ``run_varem`` call; without EM it starts
-    from its default state, the true parameters, and updates none.  EM
-    runs hold one frame, whose generator ``rng`` draws the amplitude
-    prior.
+    Returns (decisions, em_rows): decisions (J, K, n_counted) is True
+    where the sign of the final LLR or belief mean decides -1 (bit 1),
+    and a tie at exactly 0 decides +1 (bit 0); em_rows is a list of
+    (iteration, sigma2_hat, a_rmse) or None.  Uncoded DDF runs are one
+    DDF pass, followed for ddf_aided by J - 1 mean-field sweeps.  Every
+    turbo run is one ``run_varem`` call; without EM it starts from its
+    default state, the true parameters, and updates none.  EM runs hold
+    one frame, whose generator ``rng`` draws the amplitude prior.
     """
-    cfg = ctx.cfg
-    ch = ctx.ch
+    cfg, ch = ctx.cfg, ctx.ch
     J = cfg.outer_iterations
     if cfg.uncoded_ddf:
-        return _uncoded_ddf_decisions(cfg, ch, obs, ddf_pre), None
+        M, _ = ddf_pass_block(ch, obs.y, np.zeros_like(obs.y), ctx.ddf_pre)
+        hist = tanh_sic_block(ch, obs.r, J - 1, m0=M, record=True) \
+            if cfg.detector == DDF_AIDED else []
+        return np.array([M] + hist) < 0, None
     state0 = None
     if cfg.estimates:
         a_tilde = np.ones(ch.K) if cfg.varsigma == 0 else \
@@ -452,7 +466,7 @@ def _group_decisions(ctx, obs, decoder, rng, ddf_pre):
             if cfg.estimate_sigma2 else ch.sigma2,
             a_tilde=a_tilde, varsigma2=cfg.varsigma**2)
     frames, traj = run_varem(
-        ch, obs, cfg.detector, cfg.schedule, J, decoder, state0,
+        ch, obs, cfg.detector, cfg.schedule, J, ctx.decoder, state0,
         update_sigma2=cfg.estimate_sigma2, I=cfg.inner_iterations,
         order_policy=_order_policy(cfg.ddf_order, ch.K))
     em_rows = [(j + 1, traj[j + 1].sigma2_hat,
@@ -462,76 +476,42 @@ def _group_decisions(ctx, obs, decoder, rng, ddf_pre):
         soft = [np.stack(f.info_posterior) for f in frames]
     else:
         soft = [f.llr_post.T for f in frames]
-    return _hard_decisions(np.array(soft)), em_rows
+    return np.array(soft) < 0, em_rows
 
 
-def _hard_decisions(soft):
-    """Decisions from LLRs or belief means, True for -1 (bit 1).
+def _simulate_group(ctx, trials):
+    """Simulate one group of consecutive trials at one SNR point.
 
-    A tie at exactly 0 decides +1 (bit 0).
+    Each frame is transmitted on its own from its trial's seeds; the
+    frames are then stacked into one block for a single detector pass
+    and batched decodes.  Returns (errors[J, K], bits per user,
+    {trial: EM rows}).  EM groups hold one trial, and its rows stay
+    keyed by it so the caller reduces them in trial order (float sums
+    must not depend on which process ran which group).
     """
-    return soft < 0
-
-
-def _uncoded_ddf_decisions(cfg, ch, obs, pre):
-    """Plain DDF pass, then optional mean-field sweeps (ddf_aided)."""
-    M, _ = ddf_pass_block(ch, obs.y, np.zeros_like(obs.y), pre)
-    hist = tanh_sic_block(ch, obs.r, cfg.outer_iterations - 1, m0=M,
-                          record=True) if cfg.detector == DDF_AIDED else []
-    return _hard_decisions(np.array([M] + hist))
-
-
-def _simulate_point_frames(ctx, trial_indices):
-    """Simulate the given trials at one SNR point; integer error counts.
-
-    Consecutive trials of one group (``_PointContext.group``) are
-    transmitted frame by frame from their own seeds, then stacked into
-    one block for a single detector pass and batched decodes.  Returns
-    (errors[J, K], bits_per_user, per-trial EM rows).  EM rows stay
-    keyed by trial so the caller can reduce them in trial order (float
-    sums must not depend on how trials were chunked).
-    """
-    cfg = ctx.cfg
-    ch = ctx.ch
-    J = cfg.outer_iterations
-    errors = np.zeros((J, ch.K), dtype=np.int64)
-    em_acc = {}
-    bits = 0
-    decoder = IdentityDecoder()
-    if cfg.coded:  # the interleavers depend only on cfg.seed: one per call
-        decoder = ConvTurboDecoder(_code(cfg), ch.K, cfg.info_bits,
-                                   master_seed=cfg.seed)
+    cfg, ch = ctx.cfg, ctx.ch
     T = _frame_intervals(cfg)
-    ddf_pre = DdfPrecompute.from_channel(ch, detection_order(
-        ch, _order_policy(cfg.ddf_order, ch.K))) if cfg.uncoded_ddf else None
-    for _, group in groupby(trial_indices, key=lambda t: t // ctx.group):
-        group = list(group)
-        F = len(group)
-        r = np.empty((F * T, ch.N))
-        y = np.empty((F * T, ch.K))
-        truth = np.empty((ch.K, F * cfg.info_bits), dtype=bool)  # is bit 1
-        for f, trial in enumerate(group):
-            rng = np.random.default_rng([cfg.seed, ctx.snr_index, trial])
-            draw = rng.integers(0, 2, size=(cfg.info_bits, ch.K))
-            cols = slice(f * cfg.info_bits, (f + 1) * cfg.info_bits)
-            if cfg.coded:  # the info bits
-                blk = SymbolBlock(b=decoder.encode_block(draw))
-                truth[:, cols] = draw.T
-            else:  # 1 is bit 0, the symbol +1
-                blk = SymbolBlock(b=draw * 2.0 - 1.0)
-                truth[:, cols] = (draw == 0).T
-            obs = transmit(ch, blk,
-                           rng_seed=[cfg.seed, ctx.snr_index, trial, 1])
-            r[f * T:(f + 1) * T] = obs.r
-            y[f * T:(f + 1) * T] = obs.y
-        decisions, em_rows = _group_decisions(
-            ctx, Observation(r=r, y=y), decoder, rng, ddf_pre)
-        # rows are contiguous, so the count is one pass per (j, k)
-        errors += np.count_nonzero(decisions != truth, axis=2)
-        bits += truth.shape[1]
-        if em_rows:  # EM groups hold one trial
-            em_acc[trial] = em_rows
-    return errors, bits, em_acc
+    F = len(trials)
+    r = np.empty((F * T, ch.N))
+    y = np.empty((F * T, ch.K))
+    truth = np.empty((ch.K, F * cfg.info_bits), dtype=bool)  # is bit 1
+    for f, trial in enumerate(trials):
+        rng = np.random.default_rng([cfg.seed, ctx.snr_index, trial])
+        draw = rng.integers(0, 2, size=(cfg.info_bits, ch.K))
+        cols = slice(f * cfg.info_bits, (f + 1) * cfg.info_bits)
+        if cfg.coded:  # the info bits
+            blk = SymbolBlock(b=ctx.decoder.encode_block(draw))
+            truth[:, cols] = draw.T
+        else:  # 1 is bit 0, the symbol +1
+            blk = SymbolBlock(b=draw * 2.0 - 1.0)
+            truth[:, cols] = (draw == 0).T
+        obs = transmit(ch, blk, rng_seed=[cfg.seed, ctx.snr_index, trial, 1])
+        r[f * T:(f + 1) * T] = obs.r
+        y[f * T:(f + 1) * T] = obs.y
+    decisions, em_rows = _group_decisions(ctx, Observation(r=r, y=y), rng)
+    # rows are contiguous, so the count is one pass per (j, k)
+    errors = np.count_nonzero(decisions != truth, axis=2)
+    return errors, truth.shape[1], {trial: em_rows} if em_rows else {}
 
 
 def run_scenario(cfg):
@@ -546,54 +526,44 @@ def run_scenario(cfg):
     S = _build_spreading(cfg)
     report = BerReport()
     group = _group_size(cfg)
-    # a round never holds more than _ROUND_FRAMES // group chunks
+    # a round never holds more than _ROUND_FRAMES // group groups
     size = min(cfg.workers, _ROUND_FRAMES // group)
     pool = ProcessPoolExecutor(size) if size > 1 else None
     try:
         for si, snr in enumerate(cfg.snr_db):
-            ctx = _PointContext(cfg=cfg, ch=_point_channel(cfg, S, snr),
-                                snr_db=snr, snr_index=si, group=group)
-            _run_point(ctx, report, pool)
+            ctx = _PointContext.build(cfg, _point_channel(cfg, S, snr), si)
+            _run_point(ctx, group, report, pool)
     finally:
         if pool is not None:
             pool.shutdown()
     return report
 
 
-def _run_point(ctx, report, pool):
+def _run_point(ctx, group, report, pool):
+    """Run one SNR point in rounds; its totals go to ``report`` once."""
     cfg = ctx.cfg
-    done = 0
+    snr_db = cfg.snr_db[ctx.snr_index]
+    done = bits = 0
     errors = np.zeros((cfg.outer_iterations, ctx.ch.K), dtype=np.int64)
     em_by_trial = {}
-    while True:
-        if done >= cfg.frame_cap:
-            break
-        enough_errors = np.min(np.sum(errors, axis=1)) >= cfg.min_error_events
-        if done >= cfg.max_frames and enough_errors:
-            break
-        n = min(_ROUND_FRAMES, cfg.frame_cap - done)
-        if pool is None:
-            batches = [_simulate_point_frames(ctx, range(done, done + n))]
-        else:
-            # whole groups per worker (done is a multiple of the group)
-            starts = np.arange(done, done + n, ctx.group)
-            chunks = [range(c[0], min(c[-1] + ctx.group, done + n))
-                      for c in np.array_split(starts, cfg.workers) if c.size]
-            batches = list(pool.map(_simulate_point_frames,
-                                    [ctx] * len(chunks), chunks))
-        for err, bits, em_acc in batches:
-            # integer counts: exact under any summation order
-            errors += err
-            for j in range(cfg.outer_iterations):
-                for k in range(ctx.ch.K):
-                    report.add_errors(ctx.snr_db, j + 1, k + 1, bits,
-                                      err[j, k])
-            em_by_trial.update(em_acc)
-        done += n
-    # float reductions in trial order, independent of worker chunking
+    while done < cfg.frame_cap and not (
+            done >= cfg.max_frames
+            and np.min(np.sum(errors, axis=1)) >= cfg.min_error_events):
+        end = min(done + _ROUND_FRAMES, cfg.frame_cap)
+        groups = [range(t, min(t + group, end))
+                  for t in range(done, end, group)]
+        for err, n, em in (pool.map if pool else map)(
+                _simulate_group, [ctx] * len(groups), groups):
+            errors += err  # integer counts: exact under any summation order
+            bits += n
+            em_by_trial.update(em)
+        done = end
+    for (j, k), err in np.ndenumerate(errors):
+        report.add_errors(snr_db, j + 1, k + 1, bits, err)
+    # float reductions in trial order, independent of the worker count
     for trial in sorted(em_by_trial):
         for (iteration, s2, rmse) in em_by_trial[trial]:
-            report.add_em(ctx.snr_db, iteration, s2, rmse)
+            report.add_em(snr_db, iteration, s2, rmse)
 
 
 def single_user_bound(cfg):

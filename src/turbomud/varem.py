@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import spd_solve
 from .siso_ddf import AMPLITUDE_DESCENDING, bind_ddf_hook
-from .siso_discrete import DiscreteTurboLoop
+from .siso_discrete import DEFAULT_INNER_ITERS, DiscreteTurboLoop
 from .siso_gaussian import GaussianTurboLoop, clamp_llr
 
 SIGMA2_FLOOR = 1e-9
@@ -186,8 +186,8 @@ def em_objective_grad_a(S, obs, post, sigma2, a, a_tilde, varsigma2):
 
 
 def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
-              update_sigma2=False, I=6, order_policy=AMPLITUDE_DESCENDING,
-              mstep_per_user=False):
+              update_sigma2=False, I=DEFAULT_INNER_ITERS,
+              order_policy=AMPLITUDE_DESCENDING, mstep_per_user=False):
     """Alternate turbo detection (E) and parameter updates (M).
 
     ``detector`` is ``"gaussian"``, ``"discrete"`` (mean-field, I inner

@@ -7,6 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turbomud.cli import _DETECT_ONE_SHOT, cli_main
+from turbomud.harness import OUT_DIR_ENV
+
+
+@pytest.fixture(autouse=True)
+def _out_dir_in_tmp_path(tmp_path, monkeypatch):
+    """Runs without ``--out`` write under tmp_path: a config a test
+    expects to be rejected that is accepted after all must not leave a
+    CSV in the working directory."""
+    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
 
 
 def test_presets_listing(capsys):

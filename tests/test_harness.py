@@ -13,6 +13,7 @@ from turbomud.harness import (_build_spreading, _group_size, _point_channel,
                               config_from_dict, parse_config_text,
                               preset_config, resolve_config, run_scenario,
                               single_user_bound)
+from turbomud.siso_gaussian import SCHEDULES
 
 
 def tiny_coded_cfg(**over):
@@ -328,6 +329,61 @@ class TestRunScenario:
         assert report.bits(2.0, 1) > 2 * 64 or \
             report.errors(2.0, 1) >= 30 or \
             report.bits(2.0, 1) == 40 * 2 * 64
+
+    def test_uncoded_ddf_aided_ignores_schedule_and_inner_iterations(
+            self, tmp_path):
+        """Uncoded ddf_aided is one DDF pass and then one tanh-SIC sweep
+        per outer iteration: both keys validate and change nothing."""
+        csvs = set()
+        for schedule in SCHEDULES:
+            for inner in (1, 4):
+                cfg = tiny_coded_cfg(
+                    coded=False, info_bits=256, detector="ddf_aided",
+                    outer_iterations=3, schedule=schedule,
+                    inner_iterations=inner, snr_db="2,6", max_frames=3,
+                    frame_cap=3)
+                report = run_scenario(cfg)
+                assert report.errors(2.0, 3) > 0
+                path = tmp_path / f"{schedule}-{inner}.csv"
+                report.to_csv(path)
+                csvs.add(path.read_bytes())
+        assert len(csvs) == 1
+
+    @pytest.mark.parametrize("over", [
+        dict(info_bits=600, detector="gaussian"),
+        dict(coded=False, info_bits=512, detector="ddf_aided")])
+    def test_decoder_and_ddf_factors_built_once_per_point(self, over,
+                                                          monkeypatch):
+        """Two SNR points of 32 frames each run two rounds apiece, yet
+        build one decoder (and one set of DDF factors) per point."""
+        built = []
+
+        def counting(cls):
+            class Counting(cls):
+                def __init__(self, *args, **kwargs):
+                    built.append(cls.__name__)
+                    super().__init__(*args, **kwargs)
+            return Counting
+
+        from_channel = harness.DdfPrecompute.from_channel
+
+        def counting_from_channel(*args, **kwargs):
+            built.append("DdfPrecompute")
+            return from_channel(*args, **kwargs)
+
+        for name in ("ConvTurboDecoder", "IdentityDecoder"):
+            monkeypatch.setattr(harness, name,
+                                counting(getattr(harness, name)))
+        monkeypatch.setattr(harness.DdfPrecompute, "from_channel",
+                            staticmethod(counting_from_channel))
+        cfg = tiny_coded_cfg(snr_db="3,5", max_frames=32, frame_cap=32,
+                             workers=1, **over)
+        assert _group_size(cfg) < harness._ROUND_FRAMES
+        report = run_scenario(cfg)
+        assert report.bits(3.0, 1, 1) == 32 * cfg.info_bits
+        expected = ["ConvTurboDecoder"] if cfg.coded else \
+            ["IdentityDecoder", "DdfPrecompute"]
+        assert built == expected * 2
 
 
 class TestSingleUserBound:
