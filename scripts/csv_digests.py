@@ -61,6 +61,13 @@ def configs():
     yield "random-k6-n8-gaussian-sequential", dict(
         CODED, channel="random", users=6, spreading_gain=8,
         detector="gaussian", schedule="sequential")
+    # scenario-ii's geometry: the K = 32 Gaussian kernels, flooding and
+    # (sequential) leave-one-out, under sigma2 + amplitude EM
+    for sched in ("flooding", "sequential"):
+        yield f"random-k32-gaussian-{sched}-em", dict(
+            CODED, **EM, channel="random", users=32, spreading_gain=32,
+            generators="111,101", info_bits=64, snr_db="3,30",
+            detector="gaussian", schedule=sched)
     # on a pool of two: 7 frames make groups of 2, 2, 2 and a short 1
     yield "pooled-ddf_aided-uncoded", dict(UNCODED, detector="ddf_aided",
                                            workers=2, max_frames=7,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePrior, SingularCovariance
+from .errors import DegeneratePrior, NotPositiveDefinite, SingularCovariance
 from .detect_linear import GaussianBelief
 from .linalg import spd_inverse, spd_solve
 
@@ -184,16 +184,28 @@ def solve_gauss(ch, r, prior):
 # ----------------------------------------------------------------------
 # Extrinsic kernels over T symbol intervals at once.  A W A is diagonal,
 # so the per-interval filter matrices differ only on the diagonal and
-# are inverted as one batched call.
+# are factored by one batched Cholesky call.
 # ----------------------------------------------------------------------
 
-def _batched_P(ch, w_block):
-    """inv(diag(a^2 w_t) + sigma2 R^{-1}) for every row w_t of w_block."""
-    T = w_block.shape[0]
-    C = np.broadcast_to(ch.sigma2 * ch.Rinv, (T, ch.K, ch.K)).copy()
+def _inverse_factors(ch, w_block):
+    """X_t = L_t^{-1} of C_t = diag(a^2 w_t) + sigma2 R^{-1} = L_t L_t^T.
+
+    P_t = C_t^{-1} = X_t^T X_t: diag(P_t) is the column sums of X_t * X_t
+    and row k of P_t is X_t^T X_t[:, k].  X overwrites L row by row: row
+    i of X needs only row i of L and the rows of X above it.  No pivot
+    floor: a pivot below linalg.PIVOT_FLOOR can still be well resolved.
+    """
+    C = np.broadcast_to(ch.sigma2 * ch.Rinv, w_block.shape + (ch.K,)).copy()
     idx = np.arange(ch.K)
     C[:, idx, idx] += ch.a**2 * w_block
-    return np.linalg.inv(C)
+    try:
+        X = np.linalg.cholesky(C)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from None
+    X[:, idx, idx] = 1.0 / X[:, idx, idx]
+    for i in range(1, ch.K):
+        X[:, i, :i] = -X[:, i, i, None] * (X[:, i, None, :i] @ X[:, :i, :i])[:, 0]
+    return X
 
 
 def _ext_llr(mu, alpha):
@@ -219,10 +231,11 @@ def flooding_ext_block(ch, Y, Btilde):
     """
     Btilde = _clamp_soft(Btilde)
     w = 1.0 - Btilde**2
-    P = _batched_P(ch, w)
-    diagP = P[:, np.arange(ch.K), np.arange(ch.K)]
+    X = _inverse_factors(ch, w)
+    diagP = np.einsum("tij,tij->tj", X, X)
     V = Y @ ch.Rinv.T - ch.a * Btilde
-    mu_check = ch.a * np.einsum("tkj,tj->tk", P, V) + Btilde * ch.a**2 * diagP
+    PV = np.einsum("tij,ti->tj", X, np.einsum("tij,tj->ti", X, V))
+    mu_check = ch.a * PV + Btilde * ch.a**2 * diagP
     return _ext_llr(mu_check, w * ch.a**2 * diagP)
 
 
@@ -231,10 +244,11 @@ def loo_ext_block(ch, Y, Btilde, k):
     Btilde = _clamp_soft(np.array(Btilde, dtype=float))
     Btilde[:, k] = 0.0
     w = 1.0 - Btilde**2
-    P = _batched_P(ch, w)
+    X = _inverse_factors(ch, w)
+    Pk = np.einsum("ti,tij->tj", X[:, :, k], X)
     V = Y @ ch.Rinv.T - ch.a * Btilde
-    mu = ch.a[k] * np.einsum("tj,tj->t", P[:, k, :], V)
-    return _ext_llr(mu, ch.a[k] ** 2 * P[:, k, k])
+    mu = ch.a[k] * np.einsum("tj,tj->t", Pk, V)
+    return _ext_llr(mu, ch.a[k] ** 2 * Pk[:, k])
 
 
 def ext_hybrid(ch, y, prior):

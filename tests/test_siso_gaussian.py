@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,15 @@ from turbomud.channel import (SymbolBlock, make_equicorrelated,
                               make_random_spreading, transmit)
 from turbomud.coding import IdentityDecoder
 from turbomud.detect_linear import GaussianBelief, mmse
-from turbomud.errors import DegeneratePrior
+from turbomud.errors import DegeneratePrior, NotPositiveDefinite
+from turbomud.linalg import PIVOT_FLOOR
 from turbomud.oracle import wang_poor_oracle
-from turbomud.siso_gaussian import (GaussianPrior, ext_flooding, ext_hybrid,
-                                    flooding_ext_block, free_energy_gauss,
+from turbomud.siso_gaussian import (VAR_FLOOR, GaussianPrior, ext_flooding,
+                                    ext_hybrid, flooding_ext_block,
+                                    free_energy_gauss,
                                     free_energy_gauss_gradient_mu,
                                     loo_ext_block, solve_gauss)
-from turbomud.varem import run_varem
+from turbomud.varem import SIGMA2_FLOOR, run_varem
 
 
 def random_channel(rng, K, equicorrelated=True):
@@ -28,6 +32,25 @@ def random_channel(rng, K, equicorrelated=True):
 
 def random_prior(rng, K):
     return GaussianPrior(btilde=rng.uniform(-0.95, 0.95, size=K))
+
+
+def inv_reference(ch, Y, Btilde, k=None):
+    """Flooding extrinsics, or user k's leave-one-out ones, from P = C^{-1}
+    formed in full by np.linalg.inv.  Returns (llr, 1 - alpha)."""
+    lim = np.sqrt(1.0 - VAR_FLOOR)
+    B = np.clip(Btilde, -lim, lim)
+    if k is not None:
+        B[:, k] = 0.0
+    w = 1.0 - B**2
+    C = ch.sigma2 * ch.Rinv + (ch.a**2 * w)[:, :, None] * np.eye(ch.K)
+    P = np.linalg.inv(C)
+    diagP = np.diagonal(P, axis1=1, axis2=2)
+    PV = np.einsum("tkj,tj->tk", P, Y @ ch.Rinv.T - ch.a * B)
+    if k is None:
+        mu, alpha = ch.a * PV + B * ch.a**2 * diagP, w * ch.a**2 * diagP
+    else:
+        mu, alpha = ch.a[k] * PV[:, k], ch.a[k] ** 2 * diagP[:, k]
+    return 2.0 * mu / (1.0 - alpha), 1.0 - alpha
 
 
 class TestFreeEnergyGauss:
@@ -232,6 +255,70 @@ class TestBlockPaths:
                 flooding_ext_block(ch, Y, Btilde)
             else:
                 loo_ext_block(ch, Y, Btilde, 0)
+
+
+class TestKernelsAgainstInverse:
+    """Both block kernels against ``inv_reference``.
+
+    Tolerance: |llr - ref| <= 1e-11 max(1, |ref|) / min(1, 1 - alpha).
+    Forming 1 - alpha cancels, so rounding in alpha reaches the LLR
+    amplified by 1 / (1 - alpha): at sigma2 = SIGMA2_FLOOR the LLRs
+    of users with flat priors agree only to about 1e-6 relative, while
+    the scaled difference stays near 1e-12 everywhere on this grid.
+    """
+
+    @staticmethod
+    def assert_close(got, ref):
+        llr, ext_var = ref
+        scale = np.maximum(np.abs(llr), 1.0) / np.minimum(ext_var, 1.0)
+        assert np.max(np.abs(got - llr) / scale) < 1e-11
+
+    @pytest.mark.parametrize("sigma2", [SIGMA2_FLOOR, 1e-6, 1e-3, 1.0])
+    @pytest.mark.parametrize("T", [1, 132])
+    @pytest.mark.parametrize("K", [1, 2, 4, 32])
+    def test_matches_inverse(self, K, T, sigma2):
+        rng = np.random.default_rng(K * T)
+        ch = make_random_spreading(K + 4, K, seed=K, sigma2=sigma2,
+                                   amplitudes=rng.uniform(0.5, 2.0, size=K))
+        Y = 2.0 * rng.standard_normal((T, K))
+        # soft bits at the clamp, at 0 and in between (+-1 are clamped)
+        lim = np.sqrt(1.0 - VAR_FLOOR)
+        Btilde = rng.choice([-1.0, -lim, 0.0, lim, 1.0], size=(T, K))
+        inner = rng.random((T, K)) < 0.4
+        Btilde[inner] = rng.uniform(-0.99, 0.99, size=np.sum(inner))
+        self.assert_close(flooding_ext_block(ch, Y, Btilde),
+                          inv_reference(ch, Y, Btilde))
+        for k in range(K):
+            self.assert_close(loo_ext_block(ch, Y, Btilde, k),
+                              inv_reference(ch, Y, Btilde, k))
+
+    def test_pivots_below_linalg_floor(self):
+        # a tiny amplitude at a tiny noise variance: the first pivot is
+        # about 1e-14, yet the extrinsic variances are well resolved
+        ch = make_equicorrelated(2, 0.5, amplitudes=[1e-7, 1.0],
+                                 sigma2=1e-15)
+        Y = np.array([[0.3, -0.8]])
+        Btilde = np.array([[0.0, 1.0]])
+        assert ch.a[0] ** 2 + ch.sigma2 * ch.Rinv[0, 0] < PIVOT_FLOOR
+        self.assert_close(flooding_ext_block(ch, Y, Btilde),
+                          inv_reference(ch, Y, Btilde))
+        self.assert_close(loo_ext_block(ch, Y, Btilde, 0),
+                          inv_reference(ch, Y, Btilde, 0))
+
+    @pytest.mark.parametrize("kernel", ["flooding", "loo"])
+    def test_indefinite_filter_matrix_raises(self, kernel):
+        # a channel copy whose cached R^{-1} is -I: C = diag(a^2 w) - I
+        ch = copy.copy(make_equicorrelated(3, 0.4, sigma2=1.0))
+        geometry = copy.copy(ch._geometry)
+        geometry.__dict__["Rinv"] = -np.eye(3)
+        object.__setattr__(ch, "_geometry", geometry)
+        Y = np.ones((4, 3))
+        Btilde = np.full((4, 3), 0.5)
+        with pytest.raises(NotPositiveDefinite):
+            if kernel == "flooding":
+                flooding_ext_block(ch, Y, Btilde)
+            else:
+                loo_ext_block(ch, Y, Btilde, 1)
 
 
 class TestRunSchedule:
