@@ -68,6 +68,13 @@ def configs():
             CODED, **EM, channel="random", users=32, spreading_gain=32,
             generators="111,101", info_bits=64, snr_db="3,30",
             detector="gaussian", schedule=sched)
+    # mud-k32's geometry uncoded: the K = 32 mean-field sweeps (sequential)
+    # and the shared Gaussian solve (hybrid runs it as flooding)
+    for det, sched in (("discrete", "sequential"), ("gaussian", "hybrid")):
+        yield f"random-k32-{det}-{sched}-uncoded", dict(
+            UNCODED, channel="random", users=32, spreading_gain=32,
+            info_bits=64, outer_iterations=5, snr_db="6",
+            detector=det, schedule=sched)
     # on a pool of two: 7 frames make groups of 2, 2, 2 and a short 1
     yield "pooled-ddf_aided-uncoded", dict(UNCODED, detector="ddf_aided",
                                            workers=2, max_frames=7,

@@ -31,11 +31,12 @@ from .errors import DomainError
 from .siso_gaussian import SCHEDULES, _turbo_iteration
 
 # Belief means are clamped into [-1 + MEAN_CLEARANCE, 1 - MEAN_CLEARANCE]
-# after every tanh so the entropy terms stay finite.  tanh(LLR_CLAMP / 2)
-# already lies past the clamp, so tanh of an unclamped LLR clamps to the
-# same mean as tanh of the clamped one.
+# after every tanh so the entropy terms stay finite; tanh(LLR_CLAMP / 2)
+# lies past the clamp, so unclamped and clamped LLRs clamp to one mean.
+# The bounds are read-only 0-d arrays: the ufuncs convert no Python float.
 MEAN_CLEARANCE = 1e-9
-_MEAN_LO, _MEAN_HI = -1.0 + MEAN_CLEARANCE, 1.0 - MEAN_CLEARANCE
+_MEAN_LO, _MEAN_HI = (np.broadcast_to(b, ()) for b in (
+    -1.0 + MEAN_CLEARANCE, 1.0 - MEAN_CLEARANCE))
 
 DEFAULT_INNER_ITERS = 6
 

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePrior, NotPositiveDefinite, SingularCovariance
+from .errors import (DegeneratePrior, DimensionMismatch, NotPositiveDefinite,
+                     SingularCovariance)
 from .detect_linear import GaussianBelief
 from .linalg import spd_inverse, spd_solve
 
@@ -184,10 +185,12 @@ def solve_gauss(ch, r, prior):
 # ----------------------------------------------------------------------
 # Extrinsic kernels over T symbol intervals at once.  A W A is diagonal,
 # so the per-interval filter matrices differ only on the diagonal and
-# are factored by one batched Cholesky call.
+# are factored by one batched Cholesky call.  Each call builds all of C
+# in ``work`` (None allocates; no output shares it); the turbo loop keeps
+# that (T, K, K) buffer, as a fresh 1 MB C per call faults in new pages.
 # ----------------------------------------------------------------------
 
-def _inverse_factors(ch, w_block):
+def _inverse_factors(ch, w_block, work=None):
     """X_t = L_t^{-1} of C_t = diag(a^2 w_t) + sigma2 R^{-1} = L_t L_t^T.
 
     P_t = C_t^{-1} = X_t^T X_t: diag(P_t) is the column sums of X_t * X_t
@@ -195,7 +198,10 @@ def _inverse_factors(ch, w_block):
     i of X needs only row i of L and the rows of X above it.  No pivot
     floor: a pivot below linalg.PIVOT_FLOOR can still be well resolved.
     """
-    C = np.broadcast_to(ch.sigma2 * ch.Rinv, w_block.shape + (ch.K,)).copy()
+    C = np.empty(w_block.shape + (ch.K,)) if work is None else work
+    if C.shape != w_block.shape + (ch.K,) or C.dtype != float:
+        raise DimensionMismatch(f"work is {C.dtype} {C.shape}, not (T, K, K)")
+    np.multiply(ch.sigma2, ch.Rinv, out=C)
     idx = np.arange(ch.K)
     C[:, idx, idx] += ch.a**2 * w_block
     try:
@@ -221,7 +227,7 @@ def _ext_llr(mu, alpha):
     return 2.0 * mu / ext_var
 
 
-def flooding_ext_block(ch, Y, Btilde):
+def flooding_ext_block(ch, Y, Btilde, work=None):
     """Flooding extrinsic LLRs for a whole (T, K) block.
 
     Gaussian division of the posterior of one shared solve per interval,
@@ -231,7 +237,7 @@ def flooding_ext_block(ch, Y, Btilde):
     """
     Btilde = _clamp_soft(Btilde)
     w = 1.0 - Btilde**2
-    X = _inverse_factors(ch, w)
+    X = _inverse_factors(ch, w, work)
     diagP = np.einsum("tij,tij->tj", X, X)
     V = Y @ ch.Rinv.T - ch.a * Btilde
     PV = np.einsum("tij,ti->tj", X, np.einsum("tij,tj->ti", X, V))
@@ -239,12 +245,12 @@ def flooding_ext_block(ch, Y, Btilde):
     return _ext_llr(mu_check, w * ch.a**2 * diagP)
 
 
-def loo_ext_block(ch, Y, Btilde, k):
+def loo_ext_block(ch, Y, Btilde, k, work=None):
     """Leave-one-out extrinsic LLRs of user k for a whole (T, K) block."""
     Btilde = _clamp_soft(np.array(Btilde, dtype=float))
     Btilde[:, k] = 0.0
     w = 1.0 - Btilde**2
-    X = _inverse_factors(ch, w)
+    X = _inverse_factors(ch, w, work)
     Pk = np.einsum("ti,tij->tj", X[:, :, k], X)
     V = Y @ ch.Rinv.T - ch.a * Btilde
     mu = ch.a[k] * np.einsum("tj,tj->t", Pk, V)
@@ -276,7 +282,8 @@ class GaussianTurboLoop:
     The decoder LLRs, and with them the soft-bit priors, persist across
     iterations; the channel is an argument of ``iterate`` so the
     joint-estimation loop can refresh amplitude and noise estimates
-    between iterations, or between users with ``after_user``.
+    between iterations, or between users with ``after_user``.  The loop
+    owns the kernels' ``work`` buffer, so its calls reuse mapped pages.
     """
 
     def __init__(self, obs, decoder, schedule, K):
@@ -286,16 +293,18 @@ class GaussianTurboLoop:
         self.decoder = decoder
         self.schedule = schedule
         self.llr_dec = np.zeros((self.Y.shape[0], K))
+        self.work = np.empty((self.Y.shape[0], K, K))
 
     def iterate(self, ch, after_user=None):
         """One outer iteration; see ``_turbo_iteration`` for ``after_user``."""
         # Leave-one-out extrinsics equal the Gaussian-division ones (module
         # docstring), so hybrid takes the one shared solve, not K solves.
         schedule = FLOODING if self.schedule == HYBRID else self.schedule
+        Y, work = self.Y, self.work
         frame = _turbo_iteration(
             ch, self.decoder, schedule, self.llr_dec,
-            lambda ch, dec: flooding_ext_block(ch, self.Y, soft_bits(dec)),
-            lambda ch, work, k: loo_ext_block(ch, self.Y, soft_bits(work), k),
+            lambda ch, dec: flooding_ext_block(ch, Y, soft_bits(dec), work),
+            lambda ch, dec, k: loo_ext_block(ch, Y, soft_bits(dec), k, work),
             after_user)
         self.llr_dec = frame.llr_dec
         return frame

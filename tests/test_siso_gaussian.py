@@ -5,17 +5,20 @@ import pytest
 
 from turbomud.channel import (SymbolBlock, make_equicorrelated,
                               make_random_spreading, transmit)
-from turbomud.coding import IdentityDecoder
+from turbomud import siso_gaussian
+from turbomud.coding import ConvCode, ConvTurboDecoder, IdentityDecoder
 from turbomud.detect_linear import GaussianBelief, mmse
-from turbomud.errors import DegeneratePrior, NotPositiveDefinite
+from turbomud.errors import (DegeneratePrior, DimensionMismatch,
+                             NotPositiveDefinite)
 from turbomud.linalg import PIVOT_FLOOR
 from turbomud.oracle import wang_poor_oracle
-from turbomud.siso_gaussian import (VAR_FLOOR, GaussianPrior, ext_flooding,
+from turbomud.siso_gaussian import (VAR_FLOOR, GaussianPrior,
+                                    GaussianTurboLoop, ext_flooding,
                                     ext_hybrid, flooding_ext_block,
                                     free_energy_gauss,
                                     free_energy_gauss_gradient_mu,
                                     loo_ext_block, solve_gauss)
-from turbomud.varem import SIGMA2_FLOOR, run_varem
+from turbomud.varem import SIGMA2_FLOOR, EmState, initial_sigma2, run_varem
 
 
 def random_channel(rng, K, equicorrelated=True):
@@ -365,3 +368,100 @@ class TestRunSchedule:
         assert frames[0].llr_mud.shape == (8, 4)
         np.testing.assert_allclose(frames[0].llr_post,
                                    frames[0].llr_mud + frames[0].llr_dec)
+
+
+class TestWorkBuffer:
+    """The caller-owned (T, K, K) buffer of the extrinsic kernels.
+
+    Every call must rebuild all of C in it: a sequence that changes
+    sigma2, the amplitudes, the soft bits and k in turn would carry a
+    stale entry of an earlier call into a later one.
+    """
+
+    def call_sequence(self, T=7, K=5):
+        rng = np.random.default_rng(21)
+        base = make_random_spreading(K + 3, K, seed=4, sigma2=0.4)
+        for i in range(8):
+            ch = base.with_params(a=rng.uniform(0.3, 2.0, size=K),
+                                  sigma2=float(rng.uniform(1e-3, 1.0)))
+            Y = rng.standard_normal((T, K))
+            Btilde = rng.uniform(-0.99, 0.99, size=(T, K))
+            yield ch, Y, Btilde, (None if i % 3 == 0 else i % K)
+
+    @staticmethod
+    def ext(ch, Y, Btilde, k, work=None):
+        if k is None:
+            return flooding_ext_block(ch, Y, Btilde, work)
+        return loo_ext_block(ch, Y, Btilde, k, work)
+
+    def test_reused_buffer_equals_fresh_calls(self):
+        work = np.full((7, 5, 5), np.nan)
+        for ch, Y, Btilde, k in self.call_sequence():
+            got = self.ext(ch, Y, Btilde, k, work)
+            np.testing.assert_array_equal(got, self.ext(ch, Y, Btilde, k))
+            np.testing.assert_array_equal(
+                got, self.ext(ch, Y, Btilde, k, np.empty((7, 5, 5))))
+            assert not np.shares_memory(got, work)
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((6, 5, 5), float), ((7, 5, 4), float), ((7, 25), float),
+        ((7,), float), ((7, 5, 5), np.float32)])
+    def test_wrong_buffer_raises(self, shape, dtype):
+        # never silently replaced or written
+        ch, Y, Btilde, _ = next(self.call_sequence())
+        work = np.zeros(shape, dtype)
+        for k in (None, 2):
+            with pytest.raises(DimensionMismatch):
+                self.ext(ch, Y, Btilde, k, work)
+        assert not np.any(work)
+
+    @pytest.mark.parametrize("schedule, per_user", [("sequential", True),
+                                                    ("flooding", False)])
+    def test_em_run_equals_unbuffered_run(self, monkeypatch, schedule,
+                                          per_user):
+        K, n_info = 4, 24
+        dec = ConvTurboDecoder(ConvCode(generators=("111", "101")), K,
+                               n_info, master_seed=6)
+        ch = make_random_spreading(6, K, seed=8, sigma2=0.3,
+                                   amplitudes=[1.0, 0.6, 1.4, 0.9])
+        info = np.random.default_rng(9).integers(0, 2, size=(n_info, K))
+        obs = transmit(ch, SymbolBlock(b=dec.encode_block(info)), rng_seed=10)
+        a_tilde = np.array([1.2, 0.5, 1.1, 1.0])
+        state0 = EmState(a_hat=a_tilde, a_tilde=a_tilde, varsigma2=0.09,
+                         sigma2_hat=initial_sigma2(obs, a_tilde, ch.N))
+
+        buffers = []
+        factors = siso_gaussian._inverse_factors
+
+        def spy(ch, w_block, work=None):
+            buffers.append(work)
+            return factors(ch, w_block, work)
+
+        monkeypatch.setattr(siso_gaussian, "_inverse_factors", spy)
+
+        def run():
+            return run_varem(ch, obs, "gaussian", schedule, 3, dec, state0,
+                             update_sigma2=True, mstep_per_user=per_user)
+
+        frames, traj = run()
+        assert buffers[0] is not None
+        assert all(work is buffers[0] for work in buffers)
+        init = GaussianTurboLoop.__init__
+
+        def unbuffered_init(loop, *args):
+            init(loop, *args)
+            loop.work = None
+
+        monkeypatch.setattr(GaussianTurboLoop, "__init__", unbuffered_init)
+        buffers.clear()
+        want_frames, want_traj = run()
+        assert buffers and all(work is None for work in buffers)
+        for got, want in zip(frames, want_frames, strict=True):
+            np.testing.assert_array_equal(got.llr_mud, want.llr_mud)
+            np.testing.assert_array_equal(got.llr_dec, want.llr_dec)
+        for got, want in zip(traj, want_traj, strict=True):
+            np.testing.assert_array_equal(got.a_hat, want.a_hat)
+            assert got.sigma2_hat == want.sigma2_hat
+        # the estimates moved, so later calls saw new sigma2 and amplitudes
+        assert traj[-1].sigma2_hat != traj[0].sigma2_hat
+        assert not np.array_equal(traj[-1].a_hat, traj[0].a_hat)
