@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, InvalidCorrelation, RankDeficient
 from .linalg import factor_FtF, spd_inverse
@@ -192,8 +191,8 @@ class Observation:
     """Received block and its matched-filter transform.
 
     r has shape (T, N) and y = r S row-wise, i.e. y_t = S^T r_t for
-    each interval t.  The whitened ybar is ``whiten(ch, y)``; the DDF
-    pass takes y and whitens it in its own detection order.
+    each interval t.  No whitened ybar is stored: the DDF pass takes y
+    and whitens it in its own detection order.
     """
 
     r: np.ndarray
@@ -237,12 +236,6 @@ def make_random_spreading(N, K, seed, amplitudes=None, sigma2=1.0):
     raise RankDeficient(
         f"no positive definite S^T S in {_RESAMPLE_CAP} draws (N={N}, K={K})"
     )
-
-
-def whiten(ch, y):
-    """Apply the whitening filter: ybar_t = F^{-T} y_t, rows of y."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    return solve_triangular(ch.F.T, y.T, lower=False).T
 
 
 def matched_filter(ch, r):

@@ -17,7 +17,6 @@ when off, starts from the true parameters and updates none of them.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -455,7 +454,10 @@ def _group_decisions(ctx, obs, rng):
         M, _ = ddf_pass_block(ch, obs.y, np.zeros_like(obs.y), ctx.ddf_pre)
         hist = tanh_sic_block(ch, obs.r, J - 1, m0=M, record=True) \
             if cfg.detector == DDF_AIDED else []
-        return np.array([M] + hist) < 0, None
+        decisions = np.empty((J,) + M.shape, dtype=bool)
+        for j, means in enumerate([M] + hist):
+            np.less(means, 0, out=decisions[j])
+        return decisions, None
     state0 = None
     if cfg.estimates:
         a_tilde = np.ones(ch.K) if cfg.varsigma == 0 else \
@@ -528,7 +530,10 @@ def run_scenario(cfg):
     group = _group_size(cfg)
     # a round never holds more than _ROUND_FRAMES // group groups
     size = min(cfg.workers, _ROUND_FRAMES // group)
-    pool = ProcessPoolExecutor(size) if size > 1 else None
+    pool = None
+    if size > 1:  # the import costs start-up time serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(size)
     try:
         for si, snr in enumerate(cfg.snr_db):
             ctx = _PointContext.build(cfg, _point_channel(cfg, S, snr), si)

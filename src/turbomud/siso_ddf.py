@@ -28,7 +28,6 @@ into on strongly correlated channels.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import InvalidPermutation
 from .linalg import factor_FtF
@@ -104,7 +103,10 @@ def ddf_pass_block(ch, y, prior_llr, pre):
     order.
     """
     yp = np.asarray(y, dtype=float)[:, pre.order]
-    ybar = solve_triangular(pre.F.T, yp.T, lower=False)  # users-major
+    U = pre.F.T  # ybar = F^{-T} yp^T by back-substitution, users-major
+    ybar = np.empty((ch.K, len(yp)))
+    for i in reversed(range(ch.K)):
+        np.divide(yp[:, i] - U[i, i + 1:] @ ybar[i + 1:], U[i, i], out=ybar[i])
     H, Bh = _fold(np.asarray(prior_llr)[:, pre.order],
                   (ybar * pre.diag_gain[:, None]).T, pre.feedback, ch.sigma2)
     Mt = np.zeros_like(H)  # permuted domain, users-major

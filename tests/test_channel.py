@@ -5,8 +5,10 @@ import pytest
 
 from turbomud.channel import (ChannelInstance, SymbolBlock,
                               make_equicorrelated, make_random_spreading,
-                              transmit, whiten)
+                              transmit)
 from turbomud.errors import DimensionMismatch, InvalidCorrelation
+
+from test_mean_field_kernel import whiten
 
 
 class TestMakeEquicorrelated:

@@ -1,5 +1,11 @@
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,7 +279,9 @@ class TestRunScenario:
             def shutdown(self):
                 pass
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+        # run_scenario imports the pool class only when it builds a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlineExecutor)
         cfg = tiny_coded_cfg(**GROUPED[-1])  # groups of 2: 8 per round
         csvs = []
         for workers in (1, 64, 3):
@@ -413,3 +421,28 @@ class TestSingleUserBound:
         a.to_csv(pa)
         b.to_csv(pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_runtime_imports_no_scipy():
+    # a fresh interpreter, since pytest itself has loaded scipy: the
+    # package and a DDF run, coded and uncoded, need numpy only
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = textwrap.dedent("""
+        import sys
+        import turbomud, turbomud.cli
+        from turbomud.harness import config_from_dict, run_scenario
+        base = dict(channel="equicorrelated", users=2, rho=0.5,
+                    generators="111,101", info_bits=16, detector="ddf_aided",
+                    schedule="sequential", outer_iterations=2, snr_db="4",
+                    seed=7, max_frames=1, min_error_events=0, frame_cap=1)
+        for coded in ("false", "true"):
+            run_scenario(config_from_dict(dict(base, coded=coded)))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -18,10 +18,11 @@ fused kernel 1.2e-12).
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from turbomud.channel import (ChannelInstance, SymbolBlock,
                               make_equicorrelated, make_random_spreading,
-                              transmit, whiten)
+                              transmit)
 from turbomud.coding import IdentityDecoder
 from turbomud.siso_ddf import (DdfPrecompute, bind_ddf_hook, ddf_pass_block,
                                detection_order)
@@ -65,9 +66,17 @@ def reference_ddf(ch, ybar, prior_llr, pre):
     return m_p[:, inverse], pos_p[:, inverse]
 
 
+def whiten(ch, y):
+    """The whitening filter ybar_t = F^{-T} y_t on the rows of y, by
+    scipy's triangular solver: an independent check of the DDF pass's
+    own back-substitution."""
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    return solve_triangular(ch.F.T, y.T, lower=False).T
+
+
 def whiten_in_order(ch, y, order):
-    """ybar of the users taken in ``order``: ``channel.whiten`` on the
-    same channel with its users permuted."""
+    """ybar of the users taken in ``order``: ``whiten`` on the same
+    channel with its users permuted."""
     permuted = ChannelInstance(N=ch.N, K=ch.K, S=ch.S[:, order],
                                a=ch.a[order], sigma2=ch.sigma2)
     return whiten(permuted, y[:, order])

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from turbomud.channel import SymbolBlock, make_equicorrelated, transmit, whiten
+from turbomud.channel import SymbolBlock, make_equicorrelated, transmit
 from turbomud.coding import IdentityDecoder
 from turbomud.errors import InvalidPermutation
 from turbomud.siso_ddf import (DdfPrecompute, ddf_pass, ddf_pass_block,
@@ -9,7 +11,8 @@ from turbomud.siso_ddf import (DdfPrecompute, ddf_pass, ddf_pass_block,
 from turbomud.siso_discrete import DiscreteBelief, free_energy_disc
 from turbomud.varem import run_varem
 
-from test_mean_field_kernel import DDF_TOL, assert_close, reference_ddf
+from test_mean_field_kernel import (DDF_TOL, assert_close, reference_ddf,
+                                    whiten_in_order)
 
 
 def identity_pre(ch):
@@ -55,15 +58,22 @@ class TestDdfPrecompute:
                                        rtol=1e-12)
 
     def test_whiten_matches_channel_whitening(self):
-        # in the identity order the pass whitens as the signal model does
-        ch = make_equicorrelated(3, 0.5, sigma2=0.2)
-        rng = np.random.default_rng(0)
-        y = rng.standard_normal((5, 3))
-        prior = rng.standard_normal((5, 3))
-        pre = identity_pre(ch)
-        m_want, pos_want = reference_ddf(ch, whiten(ch, y), prior, pre)
-        m_got, pos_got = ddf_pass_block(ch, y, prior, pre)
-        assert_close(pos_got.T, pos_want, m_got.T, m_want, DDF_TOL)
+        # the pass's back-substitution whitens as scipy's triangular
+        # solver does, in the identity and in a permuting order
+        for K, T, policy in itertools.product(
+                (1, 2, 4, 32), (1, 132, 4096),
+                ("as_given", "amplitude_descending")):
+            rng = np.random.default_rng(K * T)
+            ch = make_equicorrelated(K, 0.5, sigma2=0.2,
+                                     amplitudes=rng.uniform(0.5, 2.0, K))
+            y = rng.standard_normal((T, K))
+            prior = rng.standard_normal((T, K))
+            order = detection_order(ch, policy)
+            pre = DdfPrecompute.from_channel(ch, order)
+            m_want, pos_want = reference_ddf(
+                ch, whiten_in_order(ch, y, order), prior, pre)
+            m_got, pos_got = ddf_pass_block(ch, y, prior, pre)
+            assert_close(pos_got.T, pos_want, m_got.T, m_want, DDF_TOL)
 
 
 class TestDdfPass:
