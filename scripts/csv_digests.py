@@ -75,6 +75,10 @@ def configs():
             UNCODED, channel="random", users=32, spreading_gain=32,
             info_bits=64, outer_iterations=5, snr_db="6",
             detector=det, schedule=sched)
+    # near-far-k2's regime: K = 2 with user 2 pinned at 11 dB, so the
+    # DDF means sit at the clamp; groups of 2 and a remainder
+    yield "near-far-ddf_aided", dict(UNCODED, detector="ddf_aided", users=2,
+                                     snr_fixed="2:11", snr_db="11,17")
     # on a pool of two: 7 frames make groups of 2, 2, 2 and a short 1
     yield "pooled-ddf_aided-uncoded", dict(UNCODED, detector="ddf_aided",
                                            workers=2, max_frames=7,

@@ -244,18 +244,24 @@ def matched_filter(ch, r):
 
 
 def transmit(ch, blk, rng_seed):
-    """Send a symbol block through the channel, deterministic in rng_seed.
+    """Send a symbol block through the channel, deterministic in rng_seed:
+    per-chip noise (none on a noiseless channel), then ``receive``."""
+    noise = None if ch.sigma2 == 0 else \
+        np.random.default_rng(rng_seed).standard_normal((blk.T, ch.N))
+    return receive(ch, blk, noise)
 
-    Noise is drawn per chip in the r domain; y is always derived from
-    r so the sufficiency relation y = S^T r holds exactly on every
-    realization.
-    """
+
+def receive(ch, blk, noise, frames=1):
+    """Observation of a symbol block under (T, N) standard normal chip
+    draws ``noise``, scaled here in place (None: noiseless); y = S^T r
+    exactly.  BLAS picks kernels by matrix size, so each of ``frames``
+    stacked equal-length frames gets its own product: its rows are bit
+    for bit those of a per-frame call.  S.T stays a non-contiguous view,
+    as a contiguous copy may take another BLAS path and move r by an ulp."""
     if blk.K != ch.K:
         raise DimensionMismatch(f"block has {blk.K} users, channel has {ch.K}")
-    clean = blk.b * ch.a @ ch.S.T  # row t: (S A b_t)^T
-    if ch.sigma2 > 0:
-        rng = np.random.default_rng(rng_seed)
-        r = clean + rng.standard_normal(clean.shape) * np.sqrt(ch.sigma2)
-    else:
-        r = clean
-    return Observation(r=r, y=matched_filter(ch, r))
+    r = (blk.b * ch.a).reshape(frames, -1, ch.K) @ ch.S.T  # row t: (S A b_t)^T
+    if noise is not None:
+        r += np.multiply(noise, np.sqrt(ch.sigma2), out=noise).reshape(r.shape)
+    return Observation(r=r.reshape(-1, ch.N),
+                       y=matched_filter(ch, r).reshape(-1, ch.K))

@@ -4,7 +4,8 @@ A scenario is a flat key = value config (channel geometry, code,
 detector family, schedule, SNR grid, estimation settings, trial
 budget).  Frames draw bits and noise from per-trial seeds derived
 from (master seed, SNR index, trial index) and run in fixed groups of
-consecutive trials, each group one stacked detector pass.  A round
+consecutive trials, each group one ``receive`` and one stacked
+detector pass.  A round
 maps one group function over its groups, in process or on a pool, so
 results are bit-for-bit the same for any worker count.  Error counts
 are recorded per (SNR, outer iteration, user) and written as CSV;
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import (ChannelInstance, Observation, SymbolBlock,
-                      make_equicorrelated, make_random_spreading, transmit)
+from .channel import (ChannelInstance, SymbolBlock, make_equicorrelated,
+                      make_random_spreading, receive)
 from .coding import ConvCode, ConvTurboDecoder, IdentityDecoder
 from .errors import ConfigError
 from .siso_ddf import (AMPLITUDE_DESCENDING, AS_GIVEN, DdfPrecompute,
@@ -367,14 +368,15 @@ def _write_text(path, text):
 class _PointContext:
     """Immutable per-SNR-point context shipped to worker processes.
 
-    The decoder and the DDF factors depend only on the config and the
-    point's channel, so each point builds them once for all its groups.
+    The decoder, frame length and DDF factors depend only on the config
+    and the point's channel, so each point builds them once for its groups.
     """
 
     cfg: ScenarioConfig
     ch: ChannelInstance
     snr_index: int
     decoder: object  # ConvTurboDecoder coded, IdentityDecoder uncoded
+    T: int           # symbol intervals of one frame
     ddf_pre: object  # DdfPrecompute of the uncoded DDF pass, else None
 
     @classmethod
@@ -382,10 +384,11 @@ class _PointContext:
         decoder = ConvTurboDecoder(_code(cfg), ch.K, cfg.info_bits,
                                    master_seed=cfg.seed) \
             if cfg.coded else IdentityDecoder()
+        T = decoder.n_coded if cfg.coded else cfg.info_bits
         ddf_pre = DdfPrecompute.from_channel(ch, detection_order(
             ch, _order_policy(cfg.ddf_order, ch.K))) \
             if cfg.uncoded_ddf else None
-        return cls(cfg, ch, snr_index, decoder, ddf_pre)
+        return cls(cfg, ch, snr_index, decoder, T, ddf_pre)
 
 
 def _build_spreading(cfg):
@@ -416,20 +419,15 @@ def _code(cfg):
     return ConvCode(generators=tuple(cfg.generators.split(",")))
 
 
-def _frame_intervals(cfg):
-    """Symbol intervals of one frame: coded symbols, or info bits uncoded."""
-    return _code(cfg).n_coded(cfg.info_bits) if cfg.coded else cfg.info_bits
-
-
 def _group_size(cfg):
-    """Frames per group, from the symbol intervals of one frame.
+    """Frames per group, from the symbol intervals T of one frame.
 
     EM runs use single frames: the M step and the amplitude prior draw
     are per frame.
     """
     if cfg.estimates:
         return 1
-    T = _frame_intervals(cfg)
+    T = _code(cfg).n_coded(cfg.info_bits) if cfg.coded else cfg.info_bits
     G = 1
     while _ROUND_FRAMES % (2 * G) == 0 and 2 * G * T <= _GROUP_INTERVALS:
         G *= 2
@@ -451,12 +449,11 @@ def _group_decisions(ctx, obs, rng):
     cfg, ch = ctx.cfg, ctx.ch
     J = cfg.outer_iterations
     if cfg.uncoded_ddf:
-        M, _ = ddf_pass_block(ch, obs.y, np.zeros_like(obs.y), ctx.ddf_pre)
-        hist = tanh_sic_block(ch, obs.r, J - 1, m0=M, record=True) \
-            if cfg.detector == DDF_AIDED else []
+        M, _ = ddf_pass_block(ch, obs.y, None, ctx.ddf_pre)
         decisions = np.empty((J,) + M.shape, dtype=bool)
-        for j, means in enumerate([M] + hist):
-            np.less(means, 0, out=decisions[j])
+        np.less(M, 0, out=decisions[0])
+        if cfg.detector == DDF_AIDED:
+            tanh_sic_block(ch, obs.r, J - 1, m0=M, signs=decisions[1:])
         return decisions, None
     state0 = None
     if cfg.estimates:
@@ -474,43 +471,39 @@ def _group_decisions(ctx, obs, rng):
     em_rows = [(j + 1, traj[j + 1].sigma2_hat,
                 float(np.sqrt(np.mean((traj[j + 1].a_hat - ch.a) ** 2))))
                for j in range(J)] if cfg.estimates else None
-    if cfg.coded:
-        soft = [np.stack(f.info_posterior) for f in frames]
-    else:
-        soft = [f.llr_post.T for f in frames]
+    soft = [np.stack(f.info_posterior) if cfg.coded else f.llr_post.T
+            for f in frames]
     return np.array(soft) < 0, em_rows
 
 
 def _simulate_group(ctx, trials):
     """Simulate one group of consecutive trials at one SNR point.
 
-    Each frame is transmitted on its own from its trial's seeds; the
-    frames are then stacked into one block for a single detector pass
-    and batched decodes.  Returns (errors[J, K], bits per user,
-    {trial: EM rows}).  EM groups hold one trial, and its rows stay
-    keyed by it so the caller reduces them in trial order (float sums
-    must not depend on which process ran which group).
+    Each trial draws its bits and chip noise from its own seeds into its
+    rows of the group's blocks; one ``receive`` forms the observation for
+    a single detector pass and batched decodes.  Returns (errors[J, K],
+    bits per user, {trial: EM rows}).  EM groups hold one trial, and its
+    rows stay keyed by it so the caller reduces them in trial order
+    (float sums must not depend on which process ran which group).
     """
-    cfg, ch = ctx.cfg, ctx.ch
-    T = _frame_intervals(cfg)
-    F = len(trials)
-    r = np.empty((F * T, ch.N))
-    y = np.empty((F * T, ch.K))
-    truth = np.empty((ch.K, F * cfg.info_bits), dtype=bool)  # is bit 1
+    cfg, ch, T, n, F = ctx.cfg, ctx.ch, ctx.T, ctx.cfg.info_bits, len(trials)
+    b = np.empty((F * T, ch.K))
+    noise = np.empty((F * T, ch.N))
+    truth = np.empty((ch.K, F * n), dtype=bool)  # is bit 1
     for f, trial in enumerate(trials):
+        rows, cols = slice(f * T, (f + 1) * T), slice(f * n, (f + 1) * n)
         rng = np.random.default_rng([cfg.seed, ctx.snr_index, trial])
-        draw = rng.integers(0, 2, size=(cfg.info_bits, ch.K))
-        cols = slice(f * cfg.info_bits, (f + 1) * cfg.info_bits)
+        draw = rng.integers(0, 2, size=(n, ch.K))
         if cfg.coded:  # the info bits
-            blk = SymbolBlock(b=ctx.decoder.encode_block(draw))
+            b[rows] = ctx.decoder.encode_block(draw)
             truth[:, cols] = draw.T
         else:  # 1 is bit 0, the symbol +1
-            blk = SymbolBlock(b=draw * 2.0 - 1.0)
+            b[rows] = draw * 2.0 - 1.0
             truth[:, cols] = (draw == 0).T
-        obs = transmit(ch, blk, rng_seed=[cfg.seed, ctx.snr_index, trial, 1])
-        r[f * T:(f + 1) * T] = obs.r
-        y[f * T:(f + 1) * T] = obs.y
-    decisions, em_rows = _group_decisions(ctx, Observation(r=r, y=y), rng)
+        np.random.default_rng([cfg.seed, ctx.snr_index, trial, 1]) \
+            .standard_normal(out=noise[rows])
+    obs = receive(ch, SymbolBlock(b=b), noise, frames=F)
+    decisions, em_rows = _group_decisions(ctx, obs, rng)
     # rows are contiguous, so the count is one pass per (j, k)
     errors = np.count_nonzero(decisions != truth, axis=2)
     return errors, truth.shape[1], {trial: em_rows} if em_rows else {}

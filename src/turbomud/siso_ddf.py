@@ -97,7 +97,7 @@ def ddf_pass(ch, y, prior_llr, pre):
 
 def ddf_pass_block(ch, y, prior_llr, pre):
     """Forward pass over the (T, K) matched-filter rows ``y`` with
-    (T, K) priors, whitened and swept in the order of ``pre``.
+    (T, K) priors or None (zero), whitened and swept in ``pre``'s order.
 
     Returns users-major (K, T) means and posterior LLRs in natural user
     order.
@@ -107,8 +107,9 @@ def ddf_pass_block(ch, y, prior_llr, pre):
     ybar = np.empty((ch.K, len(yp)))
     for i in reversed(range(ch.K)):
         np.divide(yp[:, i] - U[i, i + 1:] @ ybar[i + 1:], U[i, i], out=ybar[i])
-    H, Bh = _fold(np.asarray(prior_llr)[:, pre.order],
-                  (ybar * pre.diag_gain[:, None]).T, pre.feedback, ch.sigma2)
+    ybar *= pre.diag_gain[:, None]
+    prior = None if prior_llr is None else np.asarray(prior_llr)[:, pre.order]
+    H, Bh = _fold(prior, ybar.T, pre.feedback, ch.sigma2)
     Mt = np.zeros_like(H)  # permuted domain, users-major
     X = _sweep_block(Mt, range(ch.K), H, Bh)
     inverse = np.argsort(pre.order)

@@ -136,31 +136,31 @@ def tanh_sic(ch, r, sweeps):
     return DiscreteBelief(m=tanh_sic_block(ch, r, sweeps)[:, 0])
 
 
-def tanh_sic_block(ch, r_block, sweeps, m0=None, record=False):
+def tanh_sic_block(ch, r_block, sweeps, m0=None, *, signs=None):
     """Uncoded serial sweeps over a whole (T, N) received block.
 
-    Means are users-major (K, T): starts from m0 (zeros by default);
-    returns the final mean block, or the per-sweep history when
-    ``record`` is set.
+    Means are users-major (K, T): starts from m0 (zeros by default) and
+    returns the final mean block.  ``signs``, a (sweeps, K, T) bool
+    array, takes each sweep's decisions m < 0 as it ends.
     """
-    H, Bh = _fold(0.0, np.atleast_2d(r_block) @ ch.SA, ch.hollow_gram,
+    H, Bh = _fold(None, np.atleast_2d(r_block) @ ch.SA, ch.hollow_gram,
                   ch.sigma2)
     Mt = np.zeros_like(H) if m0 is None else \
         np.array(m0, dtype=float, order="C")
-    history = []
-    for _ in range(sweeps):
+    for s in range(sweeps):
         _sweep_block(Mt, range(ch.K), H, Bh)
-        if record:
-            history.append(Mt.copy())
-    return history if record else Mt
+        if signs is not None:
+            np.less(Mt, 0, out=signs[s])
+    return Mt
 
 
 def _fold(prior_llr, obs, coupling, sigma2):
     """``_sweep_block``'s H = (prior_llr/2 + obs/sigma2)^T from (T, K)
-    inputs, and Bh = coupling^T/sigma2 (the hollow Gram is not symmetric
-    to the bit, so the transpose is explicit)."""
+    inputs (prior None: zero), and Bh = coupling^T/sigma2 (the hollow
+    Gram is not symmetric to the bit, so the transpose is explicit)."""
     H = np.divide(np.transpose(obs), sigma2, order="C")
-    H += 0.5 * np.transpose(prior_llr)
+    if prior_llr is not None:
+        H += 0.5 * np.transpose(prior_llr)
     return H, np.divide(coupling.T, sigma2, order="C")
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from turbomud.channel import (ChannelInstance, SymbolBlock,
                               make_equicorrelated, make_random_spreading,
-                              transmit)
+                              receive, transmit)
 from turbomud.errors import DimensionMismatch, InvalidCorrelation
 
 from test_mean_field_kernel import whiten
@@ -142,6 +142,47 @@ class TestTransmit:
         ch = make_equicorrelated(2, 0.7, sigma2=0.0)
         obs = transmit(ch, SymbolBlock(b=np.ones((1, 2))), rng_seed=0)
         np.testing.assert_allclose(obs.y[0], [1.7, 1.7], atol=1e-12)
+
+    def test_noiseless_channel_draws_no_noise(self, monkeypatch):
+        ch = make_equicorrelated(2, 0.7, sigma2=0.0)
+        blk = SymbolBlock(b=np.array([[1.0, -1.0], [-1.0, -1.0]]))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a noiseless channel drew noise")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        obs = transmit(ch, blk, rng_seed=0)
+        np.testing.assert_array_equal(obs.r, blk.b * ch.a @ ch.S.T)
+
+    @pytest.mark.parametrize("K", [1, 2, 4, 32])
+    @pytest.mark.parametrize("kind", ["equicorrelated", "random"])
+    def test_one_receive_on_stacked_frames_equals_per_frame_transmit(
+            self, kind, K):
+        """The harness draws each frame's noise from its own seed and
+        forms a whole group's observation in one ``receive``: its rows
+        must be exactly the rows of per-frame ``transmit`` calls.  T = 13
+        is no multiple of 8, so BLAS tail kernels run too, and at K = 32
+        three stacked frames pass the size where BLAS changes kernels."""
+        amps = np.linspace(0.5, 3.0, K)
+        if kind == "equicorrelated":
+            ch = make_equicorrelated(K, 0.7, amplitudes=amps, sigma2=0.3)
+        else:
+            ch = make_random_spreading(32 if K == 32 else 2 * K + 1, K,
+                                       seed=K, amplitudes=amps, sigma2=0.3)
+        T = 13
+        rng = np.random.default_rng(K)
+        for F in (1, 2, 3):
+            b = np.where(rng.standard_normal((F * T, K)) > 0, 1.0, -1.0)
+            seeds = [[K, F, f] for f in range(F)]
+            frames = [transmit(ch, SymbolBlock(b=b[f * T:(f + 1) * T]),
+                               rng_seed=seeds[f]) for f in range(F)]
+            noise = np.empty((F * T, ch.N))
+            for f in range(F):
+                np.random.default_rng(seeds[f]).standard_normal(
+                    out=noise[f * T:(f + 1) * T])
+            obs = receive(ch, SymbolBlock(b=b), noise, frames=F)
+            assert np.array_equal(obs.r, np.concatenate([o.r for o in frames]))
+            assert np.array_equal(obs.y, np.concatenate([o.y for o in frames]))
 
     def test_deterministic_under_seed(self):
         ch = make_equicorrelated(2, 0.7, sigma2=0.5)

@@ -199,17 +199,23 @@ def test_config_parser_fuzz(text):
 
 # Frames of 1204 (coded) or 1500 (uncoded) symbol intervals run in groups
 # of 2; 7 frames leave a last group of one and split unevenly over 3
-# workers.
+# workers.  The near-far entry is the ddf-two-user regime: user 2 pinned
+# at 11 dB on a rho = 0.7 pair, where the DDF means sit at the clamp.
 GROUPED = [dict(info_bits=600, detector=det, schedule=sch, snr_db="2,4",
                 max_frames=7, frame_cap=7)
            for det, sch in (("gaussian", "flooding"), ("discrete", "sequential"),
                             ("ddf_aided", "hybrid"))] \
-    + [dict(info_bits=1500, coded=False, detector="ddf_aided",
+    + [dict(info_bits=1500, coded=False, detector="ddf_aided", users=2,
+            rho=0.7, outer_iterations=5, snr_fixed="2:11", snr_db="11,17",
+            max_frames=7, frame_cap=7),
+       dict(info_bits=1500, coded=False, detector="ddf_aided",
             outer_iterations=3, snr_db="2,4", max_frames=7, frame_cap=7)]
 
 
 def _grouped_id(over):
-    return f"{over['detector']}-{over.get('schedule', 'uncoded')}"
+    kind = "near-far" if "snr_fixed" in over else \
+        over.get("schedule", "uncoded")
+    return f"{over['detector']}-{kind}"
 
 
 def test_grouped_configs_stack_frames():

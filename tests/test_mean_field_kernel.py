@@ -66,6 +66,19 @@ def reference_ddf(ch, ybar, prior_llr, pre):
     return m_p[:, inverse], pos_p[:, inverse]
 
 
+def tanh_sic_history(ch, r_block, sweeps, m0):
+    """The earlier recording form of ``tanh_sic_block``: a zero prior
+    folded in explicitly and a copy of the means after every sweep."""
+    H, Bh = _fold(0.0, np.atleast_2d(r_block) @ ch.SA, ch.hollow_gram,
+                  ch.sigma2)
+    Mt = np.array(m0, dtype=float, order="C")
+    history = []
+    for _ in range(sweeps):
+        _sweep_block(Mt, range(ch.K), H, Bh)
+        history.append(Mt.copy())
+    return history
+
+
 def whiten(ch, y):
     """The whitening filter ybar_t = F^{-T} y_t on the rows of y, by
     scipy's triangular solver: an independent check of the DDF pass's
@@ -158,6 +171,31 @@ def test_ddf_pass_matches_the_forward_loop(K, T):
                                          prior, pre)
         m_got, pos_got = ddf_pass_block(ch, y, prior, pre)
         assert_close(pos_got.T, pos_want, m_got.T, m_want, DDF_TOL)
+
+
+@pytest.mark.parametrize("K,T", CASES)
+def test_ddf_pass_without_a_prior_is_the_zero_prior_pass(K, T):
+    rng = np.random.default_rng(53 * K + T)
+    for policy in ("amplitude_descending", "as_given"):
+        ch, r, _, _ = random_case(rng, K, T)
+        pre = DdfPrecompute.from_channel(ch, detection_order(ch, policy))
+        y = r @ ch.S
+        m_zero, pos_zero = ddf_pass_block(ch, y, np.zeros((T, K)), pre)
+        m_none, pos_none = ddf_pass_block(ch, y, None, pre)
+        assert np.array_equal(m_none, m_zero)
+        assert np.array_equal(pos_none, pos_zero)
+
+
+@pytest.mark.parametrize("K,T", CASES)
+def test_tanh_sic_signs_match_the_recorded_history(K, T):
+    rng = np.random.default_rng(59 * K + T)
+    ch, r, _, M0 = random_case(rng, K, T)
+    sweeps = 3
+    signs = np.empty((sweeps, K, T), dtype=bool)
+    Mt = tanh_sic_block(ch, r, sweeps, m0=M0.T, signs=signs)
+    history = tanh_sic_history(ch, r, sweeps, M0.T)
+    np.testing.assert_array_equal(signs, np.array(history) < 0)
+    np.testing.assert_array_equal(Mt, history[-1])
 
 
 def test_serial_update_leaves_users_outside_the_order_nan():
