@@ -83,6 +83,11 @@ def configs():
     yield "pooled-ddf_aided-uncoded", dict(UNCODED, detector="ddf_aided",
                                            workers=2, max_frames=7,
                                            frame_cap=7)
+    # coded on a pool of two: the run's decoder and the shared geometry
+    # go to the workers by pickling
+    yield "pooled-gaussian-flooding-coded", dict(CODED, detector="gaussian",
+                                                 schedule="flooding",
+                                                 workers=2)
 
 
 def _sha256(path):

@@ -27,28 +27,6 @@ from .linalg import factor_FtF, spd_inverse
 _RESAMPLE_CAP = 100
 
 
-class _Geometry:
-    """R = S^T S, its factor F and, on first use, R^{-1}: the matrices of
-    the spreading geometry alone, shared by an instance and every
-    ``with_params`` copy of it."""
-
-    def __init__(self, S):
-        R = S.T @ S
-        try:
-            F = factor_FtF(R)
-        except Exception as exc:
-            raise RankDeficient(f"S^T S not positive definite: {exc}") from None
-        self.R = _read_only(R)
-        self.F = _read_only(F)
-
-    @cached_property
-    def Rinv(self):
-        return _read_only(spd_inverse(self.R))
-
-    def __setstate__(self, state):
-        _restore(self, state, state)  # every entry is a derived matrix
-
-
 @dataclass(frozen=True)
 class ChannelInstance:
     """Immutable channel description shared by all detectors.
@@ -61,8 +39,10 @@ class ChannelInstance:
     sigma2 : noise variance per chip (0 allowed for noiseless tests).
     R : (K, K) signature correlation matrix S^T S (unit diagonal).
     F : (K, K) lower-triangular whitening factor with F^T F = R.
+    Rinv : R^{-1}, the sigma2 R^{-1} term of the Gaussian filter matrices.
 
-    R, F and the cached detector matrices below are derived, read-only.
+    R, F, Rinv and the cached detector matrices below are derived,
+    read-only.
     """
 
     N: int
@@ -70,7 +50,9 @@ class ChannelInstance:
     S: np.ndarray
     a: np.ndarray
     sigma2: float
-    _geometry: _Geometry = field(init=False, repr=False, compare=False)
+    R: np.ndarray = field(init=False, repr=False, compare=False)
+    F: np.ndarray = field(init=False, repr=False, compare=False)
+    Rinv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         S = np.asarray(self.S, dtype=float)
@@ -81,7 +63,13 @@ class ChannelInstance:
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ValueError("spreading columns must be unit norm")
         object.__setattr__(self, "S", S)
-        object.__setattr__(self, "_geometry", _Geometry(S))
+        R = S.T @ S
+        try:
+            F, Rinv = factor_FtF(R), spd_inverse(R)
+        except Exception as exc:
+            raise RankDeficient(f"S^T S not positive definite: {exc}") from None
+        for name, M in (("R", R), ("F", F), ("Rinv", Rinv)):
+            object.__setattr__(self, name, _read_only(M))
 
     def _set_params(self, a, sigma2):
         a = np.asarray(a, dtype=float)
@@ -95,24 +83,16 @@ class ChannelInstance:
         object.__setattr__(self, "sigma2", sigma2)
 
     def __setstate__(self, state):
-        _restore(self, state, _SCALED)
+        """Unpickling: arrays come back writeable, so the derived ones are
+        made read-only again."""
+        self.__dict__.update(state)
+        for name in ("R", "F", "Rinv") + _SCALED:
+            if name in state:
+                _read_only(state[name])
 
     @property
     def A(self):
         return np.diag(self.a)
-
-    @property
-    def R(self):
-        return self._geometry.R
-
-    @property
-    def F(self):
-        return self._geometry.F
-
-    @property
-    def Rinv(self):
-        """R^{-1}, the sigma2 R^{-1} term of the Gaussian filter matrices."""
-        return self._geometry.Rinv
 
     @cached_property
     def gram(self):
@@ -152,15 +132,6 @@ _SCALED = ("gram", "hollow_gram", "SA")  # cached matrices that depend on a
 def _read_only(M):
     M.flags.writeable = False  # shared by every detector on the channel
     return M
-
-
-def _restore(obj, state, derived):
-    """Unpickling: arrays come back writeable, so the derived ones are
-    made read-only again."""
-    obj.__dict__.update(state)
-    for name in derived:
-        if name in state:
-            _read_only(state[name])
 
 
 @dataclass(frozen=True)

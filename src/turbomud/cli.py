@@ -20,7 +20,7 @@ from .channel import make_equicorrelated
 from .errors import ConfigError, InvalidCorrelation, TurbomudError
 from .harness import (OUT_DIR_ENV, PRESETS, parse_value, read_kv_file,
                       resolve_config, run_scenario)
-from .siso_ddf import DdfPrecompute, ddf_pass, detection_order
+from .siso_ddf import AMPLITUDE_DESCENDING, DdfPrecompute, ddf_pass
 from .siso_discrete import ext_one_shot
 from .siso_gaussian import SCHEDULES, GaussianPrior, ext_flooding, ext_hybrid
 
@@ -30,13 +30,9 @@ _DETECT_ONE_SHOT = {
     "gaussian-flooding": lambda ch, r, y, pl: ext_flooding(
         ch, y, GaussianPrior(np.tanh(pl / 2.0))),
     "one-shot": lambda ch, r, y, pl: ext_one_shot(ch, r, pl),
-    "ddf": lambda ch, r, y, pl: _ddf_llrs(ch, y, pl),
+    "ddf": lambda ch, r, y, pl: ddf_pass(
+        ch, y, pl, DdfPrecompute.from_channel(ch, AMPLITUDE_DESCENDING))[1],
 }
-
-
-def _ddf_llrs(ch, y, prior_llr):
-    pre = DdfPrecompute.from_channel(ch, detection_order(ch))
-    return ddf_pass(ch, y, prior_llr, pre)[1]
 
 
 def _build_parser():

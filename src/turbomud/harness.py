@@ -27,7 +27,7 @@ from .channel import (ChannelInstance, SymbolBlock, make_equicorrelated,
 from .coding import ConvCode, ConvTurboDecoder, IdentityDecoder
 from .errors import ConfigError
 from .siso_ddf import (AMPLITUDE_DESCENDING, AS_GIVEN, DdfPrecompute,
-                       ddf_pass_block, detection_order)
+                       ddf_pass_block)
 from .siso_discrete import DEFAULT_INNER_ITERS, tanh_sic_block
 from .siso_gaussian import SCHEDULES
 from .varem import DETECTORS as TURBO_DETECTORS
@@ -368,8 +368,9 @@ def _write_text(path, text):
 class _PointContext:
     """Immutable per-SNR-point context shipped to worker processes.
 
-    The decoder, frame length and DDF factors depend only on the config
-    and the point's channel, so each point builds them once for its groups.
+    The decoder, frame length and detection order are the run's, built
+    once by ``run_scenario``; the channel shares the run's geometry, and
+    the DDF factors are built once per point for its groups.
     """
 
     cfg: ScenarioConfig
@@ -377,28 +378,19 @@ class _PointContext:
     snr_index: int
     decoder: object  # ConvTurboDecoder coded, IdentityDecoder uncoded
     T: int           # symbol intervals of one frame
+    order: object    # parsed ddf_order: a policy name or a permutation
     ddf_pre: object  # DdfPrecompute of the uncoded DDF pass, else None
-
-    @classmethod
-    def build(cls, cfg, ch, snr_index):
-        decoder = ConvTurboDecoder(_code(cfg), ch.K, cfg.info_bits,
-                                   master_seed=cfg.seed) \
-            if cfg.coded else IdentityDecoder()
-        T = decoder.n_coded if cfg.coded else cfg.info_bits
-        ddf_pre = DdfPrecompute.from_channel(ch, detection_order(
-            ch, _order_policy(cfg.ddf_order, ch.K))) \
-            if cfg.uncoded_ddf else None
-        return cls(cfg, ch, snr_index, decoder, T, ddf_pre)
 
 
 def _build_spreading(cfg):
+    """The run's channel at unit amplitudes; points copy its geometry."""
     if cfg.channel == "equicorrelated":
-        return make_equicorrelated(cfg.users, cfg.rho).S
+        return make_equicorrelated(cfg.users, cfg.rho)
     return make_random_spreading(cfg.spreading_gain, cfg.users,
-                                 seed=[cfg.seed, 0xC0DE]).S
+                                 seed=[cfg.seed, 0xC0DE])
 
 
-def _point_channel(cfg, S, snr_db):
+def _point_channel(cfg, base, snr_db):
     """Channel at one SNR grid point: swept users at snr_db, pins fixed.
 
     SNR_k = A_k^2 / sigma2; swept users have unit amplitude and the
@@ -411,8 +403,7 @@ def _point_channel(cfg, S, snr_db):
     amps = np.ones(cfg.users)
     for user, db in cfg.snr_fixed.items():
         amps[user - 1] = np.sqrt(10.0 ** (db / 10.0) * sigma2)
-    return ChannelInstance(N=S.shape[0], K=S.shape[1], S=S, a=amps,
-                           sigma2=sigma2)
+    return base.with_params(a=amps, sigma2=sigma2)
 
 
 def _code(cfg):
@@ -467,7 +458,7 @@ def _group_decisions(ctx, obs, rng):
     frames, traj = run_varem(
         ch, obs, cfg.detector, cfg.schedule, J, ctx.decoder, state0,
         update_sigma2=cfg.estimate_sigma2, I=cfg.inner_iterations,
-        order_policy=_order_policy(cfg.ddf_order, ch.K))
+        order_policy=ctx.order)
     em_rows = [(j + 1, traj[j + 1].sigma2_hat,
                 float(np.sqrt(np.mean((traj[j + 1].a_hat - ch.a) ** 2))))
                for j in range(J)] if cfg.estimates else None
@@ -518,7 +509,12 @@ def run_scenario(cfg):
     (config, seed) regardless of worker count.
     """
     cfg.validate()
-    S = _build_spreading(cfg)
+    base = _build_spreading(cfg)
+    decoder = ConvTurboDecoder(_code(cfg), cfg.users, cfg.info_bits,
+                               master_seed=cfg.seed) \
+        if cfg.coded else IdentityDecoder()
+    T = decoder.n_coded if cfg.coded else cfg.info_bits
+    order = _order_policy(cfg.ddf_order, cfg.users)
     report = BerReport()
     group = _group_size(cfg)
     # a round never holds more than _ROUND_FRAMES // group groups
@@ -529,8 +525,11 @@ def run_scenario(cfg):
         pool = ProcessPoolExecutor(size)
     try:
         for si, snr in enumerate(cfg.snr_db):
-            ctx = _PointContext.build(cfg, _point_channel(cfg, S, snr), si)
-            _run_point(ctx, group, report, pool)
+            ch = _point_channel(cfg, base, snr)
+            ddf_pre = DdfPrecompute.from_channel(ch, order) \
+                if cfg.uncoded_ddf else None
+            _run_point(_PointContext(cfg, ch, si, decoder, T, order, ddf_pre),
+                       group, report, pool)
     finally:
         if pool is not None:
             pool.shutdown()

@@ -73,8 +73,10 @@ class DdfPrecompute:
     feedback: np.ndarray
 
     @classmethod
-    def from_channel(cls, ch, order=None):
-        order = np.arange(ch.K) if order is None else np.asarray(order, dtype=int)
+    def from_channel(cls, ch, order=AS_GIVEN):
+        """Factors in the detection order of ``order``, a policy name or a
+        permutation (see ``detection_order``)."""
+        order = detection_order(ch, order)
         Sp = ch.S[:, order]
         ap = ch.a[order]
         F = factor_FtF(Sp.T @ Sp)
@@ -120,7 +122,7 @@ def bind_ddf_hook(obs, order_policy=AMPLITUDE_DESCENDING):
     """Hook for DiscreteTurboLoop: one DDF pass over obs as iteration 1."""
 
     def seed_with_ddf(ch, Mt, llr_dec):
-        pre = DdfPrecompute.from_channel(ch, detection_order(ch, order_policy))
+        pre = DdfPrecompute.from_channel(ch, order_policy)
         Mt[:], llr_pos = ddf_pass_block(ch, obs.y, llr_dec, pre)
         return llr_pos
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coding import LlrFrame
 from .errors import (DegeneratePrior, DimensionMismatch, NotPositiveDefinite,
                      SingularCovariance)
 from .detect_linear import GaussianBelief
@@ -74,8 +75,6 @@ def _turbo_iteration(ch, decoder, schedule, llr_dec, ext_all, ext_user,
     channel of the users that follow.  ``llr_dec`` is left unchanged;
     the frame's ``llr_dec`` is the new decoder state.
     """
-    from .coding import LlrFrame
-
     T, K = llr_dec.shape
     new_dec = np.array(llr_dec, dtype=float)
     info = [None] * K

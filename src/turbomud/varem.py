@@ -91,6 +91,15 @@ def _mstep_amplitudes(S, obs, means, quad, state):
     return spd_solve(quad, rhs)
 
 
+def _gauss_quad(S, means, variances):
+    """sum_t [M_t S^T S M_t + (S^T S) o diag(v_t)], the quadratic term of
+    the free energy in the amplitudes."""
+    R_geo = S.T @ S
+    quad = R_geo * (means.T @ means)  # sum_t M_t S^T S M_t
+    quad += np.diag(np.diagonal(R_geo) * np.sum(variances, axis=0))
+    return quad
+
+
 def _residual_energy(S, obs, means, variances, a):
     """sum_t ||r_t - S diag(m_t) a||^2 + sum_tk dgS_k v_tk a_k^2."""
     resid = obs.r - (means * a) @ S.T
@@ -112,10 +121,8 @@ def mstep_gauss(S, obs, post, state, update_amplitudes=True,
     T = means.shape[0]
     a_hat = state.a_hat
     if update_amplitudes and state.varsigma2 != 0.0:
-        R_geo = S.T @ S
-        quad = R_geo * (means.T @ means)  # sum_t M_t S^T S M_t
-        quad += np.diag(np.diagonal(R_geo) * np.sum(variances, axis=0))
-        a_hat = _mstep_amplitudes(S, obs, means, quad, state)
+        a_hat = _mstep_amplitudes(S, obs, means,
+                                  _gauss_quad(S, means, variances), state)
     elif update_amplitudes:
         a_hat = state.a_tilde.copy()
     sigma2 = state.sigma2_hat
@@ -176,10 +183,7 @@ def em_objective_grad_a(S, obs, post, sigma2, a, a_tilde, varsigma2):
     """Analytic gradient of ``em_objective`` in the amplitude vector."""
     a = np.asarray(a, dtype=float)
     means, variances = post.means, post.variances
-    R_geo = S.T @ S
-    quad = R_geo * (means.T @ means)
-    quad += np.diag(np.diagonal(R_geo) * np.sum(variances, axis=0))
-    g = (quad @ a - np.sum(obs.y * means, axis=0)) / sigma2
+    g = (_gauss_quad(S, means, variances) @ a - np.sum(obs.y * means, axis=0)) / sigma2
     if np.isfinite(varsigma2) and varsigma2 > 0:
         g += (a - np.asarray(a_tilde, dtype=float)) / varsigma2
     return g

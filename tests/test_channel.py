@@ -72,11 +72,12 @@ class TestChannelMatrices:
 
     def test_estimates_share_the_geometry(self, ch):
         est = ch.with_params(a=2.0 * ch.a)
-        assert est.R is ch.R and est.F is ch.F and est.sigma2 == ch.sigma2
-        Rinv = est.Rinv  # built on the copy, then shared by the original
-        assert ch.Rinv is Rinv
-        assert ch.with_params(sigma2=0.5).Rinv is Rinv
-        assert est.with_params(a=ch.a).Rinv is Rinv
+        assert est.sigma2 == ch.sigma2
+        # built once, with the original, and shared by every copy
+        for copied in (est, ch.with_params(sigma2=0.5),
+                       est.with_params(a=ch.a)):
+            for name in ("R", "F", "Rinv"):
+                assert getattr(copied, name) is getattr(ch, name)
 
     def test_estimates_are_validated(self, ch):
         with pytest.raises(ValueError):
@@ -89,11 +90,14 @@ class TestChannelMatrices:
     def test_unpickled_matrices_stay_read_only(self, ch):
         for name in self.MATRICES:
             getattr(ch, name)
-        back = pickle.loads(pickle.dumps(ch))
+        back, est = pickle.loads(pickle.dumps((ch, ch.with_params(a=ch.a))))
         for name in self.MATRICES:
             np.testing.assert_array_equal(getattr(back, name),
                                           getattr(ch, name))
             assert not getattr(back, name).flags.writeable, name
+            assert not getattr(est, name).flags.writeable, name
+        for name in ("R", "F", "Rinv"):  # the copy still shares them
+            assert getattr(est, name) is getattr(back, name)
 
     @pytest.mark.parametrize("name", ["R", "F"])
     def test_R_and_F_are_derived_not_passed(self, ch, name):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -115,9 +116,9 @@ class TestConfigParsing:
         cfg = tiny_coded_cfg(snr_db="-300,300,inf", snr_fixed="2:-300")
         for pin in (-300.0, 300.0):
             cfg = replace(cfg, snr_fixed={2: pin}).validate()
-            S = _build_spreading(cfg)
+            base = _build_spreading(cfg)
             for snr in cfg.snr_db:
-                ch = _point_channel(cfg, S, snr)
+                ch = _point_channel(cfg, base, snr)
                 assert np.isfinite(ch.sigma2) and ch.sigma2 > 0
                 assert np.all(np.isfinite(ch.a)) and np.all(ch.a > 0)
 
@@ -366,11 +367,13 @@ class TestRunScenario:
     @pytest.mark.parametrize("over", [
         dict(info_bits=600, detector="gaussian"),
         dict(coded=False, info_bits=512, detector="ddf_aided")])
-    def test_decoder_and_ddf_factors_built_once_per_point(self, over,
-                                                          monkeypatch):
+    def test_geometry_decoder_and_order_built_once_per_run(self, over,
+                                                           monkeypatch):
         """Two SNR points of 32 frames each run two rounds apiece, yet
-        build one decoder (and one set of DDF factors) per point."""
-        built = []
+        the run builds one channel geometry, one decoder and one parsed
+        detection order; only the DDF factors are built per point, and
+        every point's channel shares the base channel's R, F and R^-1."""
+        built, bases, contexts = [], [], []
 
         def counting(cls):
             class Counting(cls):
@@ -390,14 +393,45 @@ class TestRunScenario:
                                 counting(getattr(harness, name)))
         monkeypatch.setattr(harness.DdfPrecompute, "from_channel",
                             staticmethod(counting_from_channel))
+        build_spreading = harness._build_spreading
+        order_policy = harness._order_policy
+        simulate_group = harness._simulate_group
+
+        def recording_build_spreading(cfg):
+            bases.append(build_spreading(cfg))
+            return bases[-1]
+
+        def counting_order_policy(*args):
+            built.append("order")
+            return order_policy(*args)
+
+        def recording_simulate_group(ctx, trials):
+            contexts.append(ctx)
+            return simulate_group(ctx, trials)
+
+        monkeypatch.setattr(harness, "_build_spreading",
+                            recording_build_spreading)
+        monkeypatch.setattr(harness, "_order_policy", counting_order_policy)
+        monkeypatch.setattr(harness, "_simulate_group",
+                            recording_simulate_group)
         cfg = tiny_coded_cfg(snr_db="3,5", max_frames=32, frame_cap=32,
                              workers=1, **over)
         assert _group_size(cfg) < harness._ROUND_FRAMES
+        built.clear()
         report = run_scenario(cfg)
         assert report.bits(3.0, 1, 1) == 32 * cfg.info_bits
-        expected = ["ConvTurboDecoder"] if cfg.coded else \
-            ["IdentityDecoder", "DdfPrecompute"]
-        assert built == expected * 2
+        # one of the two parses is the validation at the top of run_scenario
+        expected = dict(order=2, ConvTurboDecoder=1) if cfg.coded else \
+            dict(order=2, IdentityDecoder=1, DdfPrecompute=2)
+        assert Counter(built) == expected
+        assert len(bases) == 1
+        points = {ctx.snr_index: ctx for ctx in contexts}
+        assert sorted(points) == [0, 1] and len(contexts) > 2
+        for ctx in contexts:
+            assert ctx is points[ctx.snr_index]  # one context per point
+            assert ctx.decoder is contexts[0].decoder
+            for name in ("R", "F", "Rinv"):
+                assert getattr(ctx.ch, name) is getattr(bases[0], name)
 
 
 class TestSingleUserBound:

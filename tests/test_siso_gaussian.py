@@ -312,9 +312,7 @@ class TestKernelsAgainstInverse:
     def test_indefinite_filter_matrix_raises(self, kernel):
         # a channel copy whose cached R^{-1} is -I: C = diag(a^2 w) - I
         ch = copy.copy(make_equicorrelated(3, 0.4, sigma2=1.0))
-        geometry = copy.copy(ch._geometry)
-        geometry.__dict__["Rinv"] = -np.eye(3)
-        object.__setattr__(ch, "_geometry", geometry)
+        object.__setattr__(ch, "Rinv", -np.eye(3))
         Y = np.ones((4, 3))
         Btilde = np.full((4, 3), 0.5)
         with pytest.raises(NotPositiveDefinite):
