@@ -88,6 +88,11 @@ def configs():
     yield "pooled-gaussian-flooding-coded", dict(CODED, detector="gaussian",
                                                  schedule="flooding",
                                                  workers=2)
+    # EM on a pool of two: the 5 single-frame groups of a point split
+    # unevenly, and the EM rows still reach the report in trial order
+    yield "pooled-em-gaussian-hybrid", dict(
+        dict(CODED, **EM), detector="gaussian", schedule="hybrid", workers=2,
+        max_frames=5, frame_cap=5)
 
 
 def _sha256(path):

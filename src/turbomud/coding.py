@@ -285,14 +285,6 @@ class LlrFrame:
     llr_post: np.ndarray
     info_posterior: list = field(default=None, repr=False)
 
-    @classmethod
-    def from_exchange(cls, llr_mud, llr_dec, info_posterior=None):
-        return cls(llr_mud=np.asarray(llr_mud, dtype=float),
-                   llr_dec=np.asarray(llr_dec, dtype=float),
-                   llr_post=np.asarray(llr_mud, dtype=float)
-                   + np.asarray(llr_dec, dtype=float),
-                   info_posterior=info_posterior)
-
 
 class IdentityDecoder:
     """Pass-through decoder: LLR_dec = LLR_mud (no code constraint)."""

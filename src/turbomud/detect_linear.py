@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SingularCovariance
 from .linalg import spd_inverse, spd_solve
 
 DECORRELATOR = "decorrelator"
@@ -106,7 +106,7 @@ def free_energy_linear(ch, r, mu, target, Sigma=None):
     if Sigma is not None:
         sign, logdet = np.linalg.slogdet(Sigma)
         if sign <= 0:
-            raise np.linalg.LinAlgError("belief covariance not positive definite")
+            raise SingularCovariance("belief covariance not positive definite")
         val += -0.5 * logdet + np.trace(M @ Sigma) / (2.0 * ch.sigma2)
     return float(val)
 

@@ -315,23 +315,23 @@ class BerReport:
         row[1] += float(a_rmse)
         row[2] += 1
 
+    def _totals(self, snr_db, iteration, user):
+        """(bits, errors) of one user's cell, or summed over all users."""
+        hits = [v for (s, i, u), v in self.cells.items()
+                if s == snr_db and i == iteration and user in (None, u)]
+        return sum(v[0] for v in hits), sum(v[1] for v in hits)
+
     def bits(self, snr_db, iteration, user=None):
-        return sum(v[0] for (s, i, u), v in self.cells.items()
-                   if s == snr_db and i == iteration
-                   and (user is None or u == user))
+        return self._totals(snr_db, iteration, user)[0]
 
     def errors(self, snr_db, iteration, user=None):
-        return sum(v[1] for (s, i, u), v in self.cells.items()
-                   if s == snr_db and i == iteration
-                   and (user is None or u == user))
+        return self._totals(snr_db, iteration, user)[1]
 
     def ber(self, snr_db, iteration, user=None):
-        return _ber_ci95(self.bits(snr_db, iteration, user),
-                         self.errors(snr_db, iteration, user))[0]
+        return _ber_ci95(*self._totals(snr_db, iteration, user))[0]
 
     def ci95(self, snr_db, iteration, user=None):
-        return _ber_ci95(self.bits(snr_db, iteration, user),
-                         self.errors(snr_db, iteration, user))[1]
+        return _ber_ci95(*self._totals(snr_db, iteration, user))[1]
 
     def stderr(self, snr_db, iteration, user=None):
         return self.ci95(snr_db, iteration, user) / 1.96
@@ -406,11 +406,7 @@ def _point_channel(cfg, base, snr_db):
     return base.with_params(a=amps, sigma2=sigma2)
 
 
-def _code(cfg):
-    return ConvCode(generators=tuple(cfg.generators.split(",")))
-
-
-def _group_size(cfg):
+def _group_size(cfg, T):
     """Frames per group, from the symbol intervals T of one frame.
 
     EM runs use single frames: the M step and the amplitude prior draw
@@ -418,7 +414,6 @@ def _group_size(cfg):
     """
     if cfg.estimates:
         return 1
-    T = _code(cfg).n_coded(cfg.info_bits) if cfg.coded else cfg.info_bits
     G = 1
     while _ROUND_FRAMES % (2 * G) == 0 and 2 * G * T <= _GROUP_INTERVALS:
         G *= 2
@@ -431,11 +426,11 @@ def _group_decisions(ctx, obs, rng):
     Returns (decisions, em_rows): decisions (J, K, n_counted) is True
     where the sign of the final LLR or belief mean decides -1 (bit 1),
     and a tie at exactly 0 decides +1 (bit 0); em_rows is a list of
-    (iteration, sigma2_hat, a_rmse) or None.  Uncoded DDF runs are one
-    DDF pass, followed for ddf_aided by J - 1 mean-field sweeps.  Every
-    turbo run is one ``run_varem`` call; without EM it starts from its
-    default state, the true parameters, and updates none.  EM runs hold
-    one frame, whose generator ``rng`` draws the amplitude prior.
+    (iteration, sigma2_hat, a_rmse), empty without EM.  Uncoded DDF runs
+    are one DDF pass, followed for ddf_aided by J - 1 mean-field sweeps.
+    Every turbo run is one ``run_varem`` call; without EM it starts from
+    its default state, the true parameters, and updates none.  EM runs
+    hold one frame, whose generator ``rng`` draws the amplitude prior.
     """
     cfg, ch = ctx.cfg, ctx.ch
     J = cfg.outer_iterations
@@ -445,7 +440,7 @@ def _group_decisions(ctx, obs, rng):
         np.less(M, 0, out=decisions[0])
         if cfg.detector == DDF_AIDED:
             tanh_sic_block(ch, obs.r, J - 1, m0=M, signs=decisions[1:])
-        return decisions, None
+        return decisions, []
     state0 = None
     if cfg.estimates:
         a_tilde = np.ones(ch.K) if cfg.varsigma == 0 else \
@@ -461,7 +456,7 @@ def _group_decisions(ctx, obs, rng):
         order_policy=ctx.order)
     em_rows = [(j + 1, traj[j + 1].sigma2_hat,
                 float(np.sqrt(np.mean((traj[j + 1].a_hat - ch.a) ** 2))))
-               for j in range(J)] if cfg.estimates else None
+               for j in range(J)] if cfg.estimates else []
     soft = [np.stack(f.info_posterior) if cfg.coded else f.llr_post.T
             for f in frames]
     return np.array(soft) < 0, em_rows
@@ -473,9 +468,7 @@ def _simulate_group(ctx, trials):
     Each trial draws its bits and chip noise from its own seeds into its
     rows of the group's blocks; one ``receive`` forms the observation for
     a single detector pass and batched decodes.  Returns (errors[J, K],
-    bits per user, {trial: EM rows}).  EM groups hold one trial, and its
-    rows stay keyed by it so the caller reduces them in trial order
-    (float sums must not depend on which process ran which group).
+    bits per user, EM rows); EM groups hold one trial.
     """
     cfg, ch, T, n, F = ctx.cfg, ctx.ch, ctx.T, ctx.cfg.info_bits, len(trials)
     b = np.empty((F * T, ch.K))
@@ -497,7 +490,7 @@ def _simulate_group(ctx, trials):
     decisions, em_rows = _group_decisions(ctx, obs, rng)
     # rows are contiguous, so the count is one pass per (j, k)
     errors = np.count_nonzero(decisions != truth, axis=2)
-    return errors, truth.shape[1], {trial: em_rows} if em_rows else {}
+    return errors, truth.shape[1], em_rows
 
 
 def run_scenario(cfg):
@@ -510,13 +503,14 @@ def run_scenario(cfg):
     """
     cfg.validate()
     base = _build_spreading(cfg)
-    decoder = ConvTurboDecoder(_code(cfg), cfg.users, cfg.info_bits,
-                               master_seed=cfg.seed) \
+    decoder = ConvTurboDecoder(
+        ConvCode(generators=tuple(cfg.generators.split(","))),
+        cfg.users, cfg.info_bits, master_seed=cfg.seed) \
         if cfg.coded else IdentityDecoder()
     T = decoder.n_coded if cfg.coded else cfg.info_bits
     order = _order_policy(cfg.ddf_order, cfg.users)
     report = BerReport()
-    group = _group_size(cfg)
+    group = _group_size(cfg, T)
     # a round never holds more than _ROUND_FRAMES // group groups
     size = min(cfg.workers, _ROUND_FRAMES // group)
     pool = None
@@ -542,25 +536,25 @@ def _run_point(ctx, group, report, pool):
     snr_db = cfg.snr_db[ctx.snr_index]
     done = bits = 0
     errors = np.zeros((cfg.outer_iterations, ctx.ch.K), dtype=np.int64)
-    em_by_trial = {}
+    em_rows = []
     while done < cfg.frame_cap and not (
             done >= cfg.max_frames
             and np.min(np.sum(errors, axis=1)) >= cfg.min_error_events):
         end = min(done + _ROUND_FRAMES, cfg.frame_cap)
         groups = [range(t, min(t + group, end))
                   for t in range(done, end, group)]
+        # both maps yield in submission order and groups go in trial
+        # order, so the float EM sums do not depend on the worker count
         for err, n, em in (pool.map if pool else map)(
                 _simulate_group, [ctx] * len(groups), groups):
             errors += err  # integer counts: exact under any summation order
             bits += n
-            em_by_trial.update(em)
+            em_rows.extend(em)
         done = end
     for (j, k), err in np.ndenumerate(errors):
         report.add_errors(snr_db, j + 1, k + 1, bits, err)
-    # float reductions in trial order, independent of the worker count
-    for trial in sorted(em_by_trial):
-        for (iteration, s2, rmse) in em_by_trial[trial]:
-            report.add_em(snr_db, iteration, s2, rmse)
+    for (iteration, s2, rmse) in em_rows:
+        report.add_em(snr_db, iteration, s2, rmse)
 
 
 def single_user_bound(cfg):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .siso_gaussian import SCHEDULES, _turbo_iteration
+from .siso_gaussian import TurboLoop
 
 # Belief means are clamped into [-1 + MEAN_CLEARANCE, 1 - MEAN_CLEARANCE]
 # after every tanh so the entropy terms stay finite; tanh(LLR_CLAMP / 2)
@@ -183,17 +183,16 @@ def _sweep_block(Mt, users, H, Bh):
     return X
 
 
-class DiscreteTurboLoop:
-    """Stateful mean-field turbo exchange, one outer iteration at a time.
+class DiscreteTurboLoop(TurboLoop):
+    """``TurboLoop`` on the mean-field sweeps.
 
     Flooding runs I serial sweeps over all users, then decodes all
     users with LLR_mud = LLR_pos - LLR_dec.  Sequential and hybrid zero
     user k's decoder LLR, run I sweeps in the rotated order
     (k..K, 1..k-1) and emit user k's extrinsic; sequential decodes user
     k at once, hybrid decodes all users after the last detection.
-    Belief means (users-major, ``Mt``) and decoder LLRs persist across
-    iterations (initialized to zero); the channel is an argument of
-    ``iterate`` so the joint-estimation loop can refresh estimates.
+    Belief means (users-major, ``Mt``) persist across iterations
+    (initialized to zero) next to the decoder LLRs.
 
     ``first_iteration_hook(ch, Mt, llr_dec) -> llr_pos`` optionally
     replaces the inner sweeps of outer iteration 1: it writes the
@@ -201,39 +200,31 @@ class DiscreteTurboLoop:
     posterior LLRs (used by the decision-feedback seeding).
     """
 
-    def __init__(self, obs, decoder, schedule, K, I=DEFAULT_INNER_ITERS,
+    def __init__(self, obs, decoder, schedule, I=DEFAULT_INNER_ITERS,
                  first_iteration_hook=None):
-        if schedule not in SCHEDULES:
-            raise ValueError(f"unknown schedule {schedule!r}")
+        super().__init__(obs, decoder, schedule)
         if I < 1:
             raise ValueError("I must be >= 1")
         self.r = obs.r
-        self.decoder = decoder
-        self.schedule = schedule
         self.I = I
         self.hook = first_iteration_hook
-        T = self.r.shape[0]
-        self.Mt = np.zeros((K, T))
-        self.llr_dec = np.zeros((T, K))
-        self.iteration = 0
+        self.Mt = np.zeros(self.llr_dec.shape[::-1])
 
     def iterate(self, ch):
         # no after_user below, so every posterior call gets this ch
         eta_r = self.r @ ch.SA  # (T, K): eta_k^T r_t
         K = self.Mt.shape[0]
+        hook, self.hook = self.hook, None  # outer iteration 1 only
 
         def posterior(dec, order):
             """Posterior LLRs of the inner sweeps, users-major (K, T)."""
-            if self.iteration == 0 and self.hook is not None:
-                return self.hook(ch, self.Mt, dec)
+            if hook is not None:
+                return hook(ch, self.Mt, dec)
             return 2.0 * _sweep_block(self.Mt, order * self.I, *_fold(
                 dec, eta_r, ch.hollow_gram, ch.sigma2))
 
-        frame = _turbo_iteration(
-            ch, self.decoder, self.schedule, self.llr_dec,
+        return self._exchange(
+            ch, self.schedule,
             lambda ch, dec: posterior(dec, list(range(K))).T - dec,
             lambda ch, work, k: posterior(
                 work, list(range(k, K)) + list(range(k)))[k])
-        self.llr_dec = frame.llr_dec
-        self.iteration += 1
-        return frame

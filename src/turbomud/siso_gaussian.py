@@ -61,41 +61,6 @@ def soft_bits(llr):
     return np.tanh(np.asarray(llr, dtype=float) / 2.0)
 
 
-def _turbo_iteration(ch, decoder, schedule, llr_dec, ext_all, ext_user,
-                     after_user=None):
-    """One outer detector/decoder exchange under ``schedule``.
-
-    The family supplies unclamped extrinsics: ``ext_all(ch, dec)`` of
-    every user given decoder LLRs ``dec``, and ``ext_user(ch, work, k)``
-    of user k given decoder LLRs ``work`` with column k zeroed.  Hybrid
-    detects every user from the previous iteration's decoder LLRs, then
-    decodes all users in one batched decoder call, as flooding does;
-    sequential decodes each user right after detecting it and then
-    calls ``after_user(k, llr_mud_k, llr_dec_k)``, if given, for the
-    channel of the users that follow.  ``llr_dec`` is left unchanged;
-    the frame's ``llr_dec`` is the new decoder state.
-    """
-    T, K = llr_dec.shape
-    new_dec = np.array(llr_dec, dtype=float)
-    info = [None] * K
-    if schedule == FLOODING:
-        llr_mud = clamp_llr(ext_all(ch, llr_dec))
-    else:
-        llr_mud = np.empty((T, K))
-    if schedule == HYBRID:
-        for k in range(K):
-            llr_mud[:, k] = clamp_llr(ext_user(ch, _without_user(llr_dec, k),
-                                               k))
-    for k in range(K) if schedule == SEQUENTIAL else [slice(None)]:
-        if schedule == SEQUENTIAL:
-            llr_mud[:, k] = clamp_llr(ext_user(ch, _without_user(new_dec, k),
-                                               k))
-        new_dec[:, k], info[k] = decoder.decode_user(k, llr_mud[:, k])
-        if schedule == SEQUENTIAL and after_user is not None:
-            ch = after_user(k, llr_mud[:, k], new_dec[:, k])
-    return LlrFrame.from_exchange(llr_mud, new_dec, info)
-
-
 def _without_user(llr_dec, k):
     work = llr_dec.copy()
     work[:, k] = 0.0
@@ -275,35 +240,76 @@ def ext_flooding(ch, y, prior):
                               prior.btilde[None])[0]
 
 
-class GaussianTurboLoop:
+class TurboLoop:
     """Stateful detector/decoder exchange, one outer iteration at a time.
 
     The decoder LLRs, and with them the soft-bit priors, persist across
-    iterations; the channel is an argument of ``iterate`` so the
+    iterations; the channel is an argument of each iteration so the
     joint-estimation loop can refresh amplitude and noise estimates
-    between iterations, or between users with ``after_user``.  The loop
-    owns the kernels' ``work`` buffer, so its calls reuse mapped pages.
+    between iterations, or between users with ``after_user``.  A
+    detector family subclasses it with its own ``iterate``, which hands
+    its two extrinsic functions to ``_exchange``.
     """
 
-    def __init__(self, obs, decoder, schedule, K):
+    def __init__(self, obs, decoder, schedule):
         if schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {schedule!r}")
-        self.Y = obs.y
         self.decoder = decoder
         self.schedule = schedule
-        self.llr_dec = np.zeros((self.Y.shape[0], K))
-        self.work = np.empty((self.Y.shape[0], K, K))
+        self.llr_dec = np.zeros(obs.y.shape)
+
+    def _exchange(self, ch, schedule, ext_all, ext_user, after_user=None):
+        """One outer detector/decoder exchange under ``schedule``.
+
+        The family supplies unclamped extrinsics: ``ext_all(ch, dec)`` of
+        every user given decoder LLRs ``dec``, and ``ext_user(ch, work, k)``
+        of user k given decoder LLRs ``work`` with column k zeroed.  Hybrid
+        detects every user from the previous iteration's decoder LLRs, then
+        decodes all users in one batched decoder call, as flooding does;
+        sequential decodes each user right after detecting it and then
+        calls ``after_user(k, llr_mud_k, llr_dec_k)``, if given, for the
+        channel of the users that follow.  The frame's ``llr_dec`` is the
+        new decoder state.
+        """
+        T, K = self.llr_dec.shape
+        new_dec = np.array(self.llr_dec, dtype=float)
+        info = [None] * K
+        if schedule == FLOODING:
+            llr_mud = clamp_llr(ext_all(ch, self.llr_dec))
+        else:
+            llr_mud = np.empty((T, K))
+        if schedule == HYBRID:
+            for k in range(K):
+                llr_mud[:, k] = clamp_llr(
+                    ext_user(ch, _without_user(self.llr_dec, k), k))
+        for k in range(K) if schedule == SEQUENTIAL else [slice(None)]:
+            if schedule == SEQUENTIAL:
+                llr_mud[:, k] = clamp_llr(
+                    ext_user(ch, _without_user(new_dec, k), k))
+            new_dec[:, k], info[k] = self.decoder.decode_user(k, llr_mud[:, k])
+            if schedule == SEQUENTIAL and after_user is not None:
+                ch = after_user(k, llr_mud[:, k], new_dec[:, k])
+        self.llr_dec = new_dec
+        return LlrFrame(llr_mud, new_dec, llr_mud + new_dec, info)
+
+
+class GaussianTurboLoop(TurboLoop):
+    """``TurboLoop`` on the Gaussian kernels.  It owns their ``work``
+    buffer, so its calls reuse mapped pages."""
+
+    def __init__(self, obs, decoder, schedule):
+        super().__init__(obs, decoder, schedule)
+        self.Y = obs.y
+        self.work = np.empty(self.Y.shape + self.Y.shape[1:])  # (T, K, K)
 
     def iterate(self, ch, after_user=None):
-        """One outer iteration; see ``_turbo_iteration`` for ``after_user``."""
+        """One outer iteration; ``after_user`` as in ``_exchange``."""
         # Leave-one-out extrinsics equal the Gaussian-division ones (module
         # docstring), so hybrid takes the one shared solve, not K solves.
         schedule = FLOODING if self.schedule == HYBRID else self.schedule
         Y, work = self.Y, self.work
-        frame = _turbo_iteration(
-            ch, self.decoder, schedule, self.llr_dec,
+        return self._exchange(
+            ch, schedule,
             lambda ch, dec: flooding_ext_block(ch, Y, soft_bits(dec), work),
             lambda ch, dec, k: loo_ext_block(ch, Y, soft_bits(dec), k, work),
             after_user)
-        self.llr_dec = frame.llr_dec
-        return frame

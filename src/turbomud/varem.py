@@ -226,11 +226,11 @@ def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
         raise ValueError("per-user M-step cadence requires the "
                          "sequential Gaussian detector")
     if detector == "gaussian":
-        loop = GaussianTurboLoop(obs, decoder, schedule, ch_true.K)
+        loop = GaussianTurboLoop(obs, decoder, schedule)
     else:
         hook = bind_ddf_hook(obs, order_policy) \
             if detector == DDF_AIDED else None
-        loop = DiscreteTurboLoop(obs, decoder, schedule, ch_true.K, I=I,
+        loop = DiscreteTurboLoop(obs, decoder, schedule, I=I,
                                  first_iteration_hook=hook)
     state = state0 if state0 is not None else EmState(
         a_hat=ch_true.a, sigma2_hat=ch_true.sigma2, a_tilde=ch_true.a,

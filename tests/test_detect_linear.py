@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from turbomud.channel import SymbolBlock, make_equicorrelated, transmit
-from turbomud.detect_linear import (DECORRELATOR, MMSE, ClipBox, decorrelate,
+from turbomud.detect_linear import (DECORRELATOR, MMSE, ClipBox,
+                                    GaussianBelief, decorrelate,
                                     free_energy_gradient_linear,
                                     free_energy_linear, mmse, pme_alpha, sic)
+from turbomud.errors import SingularCovariance
 from turbomud.oracle import gaussian_conditioning
+from turbomud.siso_gaussian import GaussianPrior, free_energy_gauss
 
 
 def noiseless_obs(ch, b):
@@ -183,3 +186,16 @@ class TestSic:
             callback=lambda mu: trace.append(mu))
         # after the first coordinate update, the remaining entries are 0
         assert np.all(trace[0][1:] == 0.0)
+
+
+def test_indefinite_covariance_raises_singular_covariance():
+    """The linear and the Gaussian-SISO free energies reject a Sigma that
+    is not positive definite with the same package error."""
+    ch = make_equicorrelated(2, 0.5, sigma2=0.5)
+    r, mu = np.array([0.4, -0.3]), np.array([0.2, -0.1])
+    Sigma = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    with pytest.raises(SingularCovariance):
+        free_energy_linear(ch, r, mu, MMSE, Sigma)
+    with pytest.raises(SingularCovariance):
+        free_energy_gauss(ch, r, GaussianPrior(np.zeros(2)),
+                          GaussianBelief(mu, Sigma))

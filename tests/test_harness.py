@@ -221,7 +221,8 @@ def _grouped_id(over):
 
 def test_grouped_configs_stack_frames():
     for over in GROUPED:
-        assert _group_size(tiny_coded_cfg(**over)) == 2
+        cfg = tiny_coded_cfg(**over)
+        assert _group_size(cfg, 1204 if cfg.coded else 1500) == 2
 
 
 class TestRunScenario:
@@ -247,18 +248,17 @@ class TestRunScenario:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_worker_count_invariance(self, tmp_path):
+        """7 single-frame EM groups split unevenly over 2 and 3 workers."""
         cfg = tiny_coded_cfg(snr_db="3", estimate_sigma2=True,
-                             max_frames=3, frame_cap=3)
-        r1 = run_scenario(replace(cfg, workers=1))
-        r2 = run_scenario(replace(cfg, workers=2))
-        p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-        r1.to_csv(p1)
-        r2.to_csv(p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        e1, e2 = tmp_path / "w1em.csv", tmp_path / "w2em.csv"
-        r1.em_to_csv(e1)
-        r2.em_to_csv(e2)
-        assert e1.read_bytes() == e2.read_bytes()
+                             max_frames=7, frame_cap=7)
+        csvs = []
+        for workers in (1, 2, 3):
+            report = run_scenario(replace(cfg, workers=workers))
+            ber, em = tmp_path / f"w{workers}.csv", tmp_path / f"w{workers}.em"
+            report.to_csv(ber)
+            report.em_to_csv(em)
+            csvs.append((ber.read_bytes(), em.read_bytes()))
+        assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
 
     @pytest.mark.parametrize("over", GROUPED, ids=_grouped_id)
     def test_grouped_worker_count_invariance(self, over, tmp_path):
@@ -298,7 +298,7 @@ class TestRunScenario:
         assert sizes == [8, 3]
         assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
         whole_round = tiny_coded_cfg(coded=False, info_bits=64, workers=4)
-        assert _group_size(whole_round) == 16
+        assert _group_size(whole_round, 64) == 16
         run_scenario(whole_round)  # one chunk per round: no pool
         assert sizes == [8, 3]
 
@@ -309,7 +309,7 @@ class TestRunScenario:
         grouped, single = tmp_path / "grouped.csv", tmp_path / "single.csv"
         run_scenario(cfg).to_csv(grouped)
         monkeypatch.setattr(harness, "_GROUP_INTERVALS", 0)
-        assert _group_size(cfg) == 1
+        assert _group_size(cfg, 1204 if cfg.coded else 1500) == 1
         run_scenario(cfg).to_csv(single)
         assert single.read_bytes() == grouped.read_bytes()
 
@@ -416,7 +416,8 @@ class TestRunScenario:
                             recording_simulate_group)
         cfg = tiny_coded_cfg(snr_db="3,5", max_frames=32, frame_cap=32,
                              workers=1, **over)
-        assert _group_size(cfg) < harness._ROUND_FRAMES
+        assert _group_size(cfg, 1204 if cfg.coded else 512) \
+            < harness._ROUND_FRAMES
         built.clear()
         report = run_scenario(cfg)
         assert report.bits(3.0, 1, 1) == 32 * cfg.info_bits

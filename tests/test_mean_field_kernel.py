@@ -213,7 +213,7 @@ def test_ddf_hook_writes_the_users_major_state():
     rng = np.random.default_rng(5)
     b = np.where(rng.standard_normal((40, 4)) > 0, 1.0, -1.0)
     obs = transmit(ch, SymbolBlock(b=b), rng_seed=6)
-    loop = DiscreteTurboLoop(obs, IdentityDecoder(), "flooding", ch.K,
+    loop = DiscreteTurboLoop(obs, IdentityDecoder(), "flooding",
                              first_iteration_hook=bind_ddf_hook(obs))
     loop.iterate(ch)
     pre = DdfPrecompute.from_channel(ch, detection_order(ch))
@@ -221,6 +221,29 @@ def test_ddf_hook_writes_the_users_major_state():
     assert loop.Mt.shape == (4, 40)
     np.testing.assert_array_equal(loop.Mt, m_ddf)
     assert np.any(m_ddf != 0.0)
+
+
+@pytest.mark.parametrize("schedule", ["flooding", "sequential", "hybrid"])
+def test_ddf_seed_runs_in_outer_iteration_1_only(schedule):
+    """The DDF pass replaces the sweeps of every posterior call of outer
+    iteration 1 (one under flooding, one per user otherwise), then never
+    runs again."""
+    ch = make_equicorrelated(3, 0.7, amplitudes=[1.0, 1.5, 0.7], sigma2=0.3)
+    rng = np.random.default_rng(9)
+    b = np.where(rng.standard_normal((20, 3)) > 0, 1.0, -1.0)
+    obs = transmit(ch, SymbolBlock(b=b), rng_seed=10)
+    seed, calls = bind_ddf_hook(obs), []  # calls per outer iteration
+
+    def counting_seed(*args):
+        calls[-1] += 1
+        return seed(*args)
+
+    loop = DiscreteTurboLoop(obs, IdentityDecoder(), schedule,
+                             first_iteration_hook=counting_seed)
+    for _ in range(3):
+        calls.append(0)
+        loop.iterate(ch)
+    assert calls == [1 if schedule == "flooding" else ch.K, 0, 0]
 
 
 @pytest.mark.parametrize("detector", ["discrete", "ddf_aided"])

@@ -22,10 +22,10 @@ def make_setup(K=2, T=50, sigma2=0.1, rho=0.5, seed=0):
 def plain_schedule(ch, obs, detector, schedule, J, decoder, I=6):
     """Reference turbo run: the detector's loop iterated on the true channel."""
     if detector == "gaussian":
-        loop = GaussianTurboLoop(obs, decoder, schedule, ch.K)
+        loop = GaussianTurboLoop(obs, decoder, schedule)
     else:
         hook = bind_ddf_hook(obs) if detector == "ddf_aided" else None
-        loop = DiscreteTurboLoop(obs, decoder, schedule, ch.K, I=I,
+        loop = DiscreteTurboLoop(obs, decoder, schedule, I=I,
                                  first_iteration_hook=hook)
     return [loop.iterate(ch) for _ in range(J)]
 
