@@ -181,9 +181,9 @@ def bcjr_decode(code, channel_llrs, prior_info_llrs=None):
     if n_info < 1:
         raise LengthMismatch("no information positions in channel LLR array")
     info_shape = Lc.shape[:-1] + (n_info,)
-    La = np.zeros(info_shape) if prior_info_llrs is None \
+    La = None if prior_info_llrs is None \
         else np.asarray(prior_info_llrs, dtype=float)
-    if La.shape != info_shape:
+    if La is not None and La.shape != info_shape:
         raise LengthMismatch(f"prior shape {La.shape} does not match the "
                              f"expected {info_shape}")
     signs, mask = code._blocks
@@ -193,7 +193,8 @@ def bcjr_decode(code, channel_llrs, prior_info_llrs=None):
     # x[b, t] = (Lc1, Lc2, La) at step t - pad of row b, 0 on the pad
     x = np.zeros((B, nb * M, 3))
     x[:, pad:, :2] = Lc.reshape(B, n_steps, 2)
-    x[:, pad:pad + n_info, 2] = La.reshape(B, n_info)
+    if La is not None:
+        x[:, pad:pad + n_info, 2] = La.reshape(B, n_info)
     size = np.abs(x).max(axis=(1, 2))
     # NaN fails every comparison, so NaN and +/-inf are rejected too
     if not np.all(size <= LLR_LIMIT):
@@ -214,7 +215,7 @@ def bcjr_decode(code, channel_llrs, prior_info_llrs=None):
         mass = _block_masses(x[redo], signs, mask, pad, tail, log=True)
         llr[redo] = mass[..., 0::2] - mass[..., 1::2]
     posterior = llr[:, pad:, :2].reshape(Lc.shape)
-    info_posterior = llr[:, pad:pad + n_info, 2].reshape(La.shape)
+    info_posterior = llr[:, pad:pad + n_info, 2].reshape(info_shape)
     return BcjrResult(extrinsic=posterior - Lc, posterior=posterior,
                       info_posterior=info_posterior)
 
@@ -225,42 +226,45 @@ def _block_masses(x, signs, mask, pad, tail, log):
     domain, or their logs from the same recursion in the log domain."""
     B, nb, _ = x.shape
     S = 1 << (signs.shape[0] // 3)
-    # q[b, k] = [P_k | P_{nb-1-k}^T]: one step advances alpha and beta
-    q = np.empty((B, nb, 2, S * S))
-    p = np.matmul(x, signs, out=q[:, :, 0]).reshape(B, nb, S, S)
-    p[:, 0, :, np.arange(S) % (1 << pad) > 0] = -np.inf  # pad inputs are 0
+    # q[:, k] = [P_k | P_{nb-1-k}^T], step-major: one step advances alpha
+    # and beta over contiguous memory.  Each product below keeps its
+    # per-row (or per-matrix) shape, because OpenBLAS picks its kernel by
+    # size and a merged product would move ulps.
+    q = np.empty((2, nb, B, S, S))
+    p = q[0]
+    np.matmul(x, signs, out=p.reshape(nb, B, S * S).swapaxes(0, 1))
+    p[0, ..., np.arange(S) % (1 << pad) > 0] = -np.inf  # pad inputs are 0
     if tail:
-        p[:, -1, :, 1:] = -np.inf  # and so are the tail's
+        p[-1, ..., 1:] = -np.inf  # and so are the tail's
     if not log:
         np.exp(p, out=p)
-    q = q.reshape(B, nb, 2, S, S)
-    q[:, :, 1] = p[:, ::-1].swapaxes(-1, -2)
-    # v[k, b] = [alpha_k | beta_{nb-k}], state 0 scaled to 1 (shifted to 0)
-    v = np.full((nb + 1, B, 2, 1, S), -np.inf if log else 0.0)
-    v[0, :, 0, 0, 0] = v[0, :, 1, 0, :1 if tail else S] = 0.0 if log else 1.0
-    w = np.empty((B, 2, 1, S))
-    for k in range(nb):
+    q[1] = p[::-1].swapaxes(-1, -2)
+    # v[k] = [alpha_k | beta_{nb-k}], state 0 scaled to 1 (shifted to 0)
+    v = np.full((nb + 1, 2, B, 1, S), -np.inf if log else 0.0)
+    v[0, 0, :, 0, 0] = v[0, 1, :, 0, :1 if tail else S] = 0.0 if log else 1.0
+    w = np.empty((2, B, 1, S))
+    w0, scale = w[..., :1], np.subtract if log else np.divide
+    for vk, qk, vnext in zip(v[:-1], q.swapaxes(0, 1), v[1:]):
         if log:
-            w = np.logaddexp.reduce(v[k].swapaxes(-1, -2) + q[:, k], axis=-2,
-                                    keepdims=True)
-            np.subtract(w, w[..., :1], out=v[k + 1])
+            np.logaddexp.reduce(vk.swapaxes(-1, -2) + qk, axis=-2,
+                                keepdims=True, out=w)
         else:
-            np.matmul(v[k], q[:, k], out=w)
-            np.divide(w, w[..., :1], out=v[k + 1])
+            np.matmul(vk, qk, out=w)
+        scale(w, w0, out=vnext)
     if not log:
         v /= v.max(axis=-1, keepdims=True)  # so that no joint overflows
-    alpha = v[:-1, :, 0, 0].swapaxes(0, 1)
-    beta = v[-2::-1, :, 1, 0].swapaxes(0, 1)  # beta_{k+1}
+    alpha = v[:-1, 0, :, 0]
+    beta = v[-2::-1, 1, :, 0]  # beta_{k+1}
     if log:
         joint = alpha[..., :, None] + p + beta[..., None, :]
-        joint = joint.reshape(B, nb, S * S)
+        joint = joint.swapaxes(0, 1).reshape(B, nb, S * S)
         mass = np.stack([np.logaddexp.reduce(np.where(c > 0, joint, -np.inf),
                                              axis=-1) for c in mask.T], -1)
     else:
-        joint = q[:, :, 1]  # the beta half is spent
+        joint = q[1]  # the beta half is spent
         np.multiply(alpha[..., :, None], beta[..., None, :], out=joint)
         joint *= p
-        mass = np.matmul(joint.reshape(B, nb, S * S), mask)
+        mass = np.matmul(joint.reshape(nb, B, S * S).swapaxes(0, 1), mask)
     return mass.reshape(B, -1, 6)
 
 
@@ -312,11 +316,12 @@ class ConvTurboDecoder:
         self.n_coded = code.n_coded(n_info)
         self.perms = np.array(user_permutations(self.n_coded, K, master_seed))
         self._inverse = np.argsort(self.perms, axis=1)
+        self._gathers = _flat_gathers(self.perms, self._inverse)
 
     def encode_block(self, info_bits):
         """(n_info, K) 0/1 bits -> (n_coded, K) interleaved +/-1 symbols."""
         coded = encode(self.code, np.asarray(info_bits).T)
-        return np.take_along_axis(coded, self.perms, -1).T.copy()
+        return coded.reshape(-1)[self._gathers[1]].reshape(self.n_coded, -1)
 
     def decode_user(self, k, llr_mud):
         """Channel-domain extrinsics in, channel-domain extrinsics out.
@@ -330,17 +335,30 @@ class ConvTurboDecoder:
         ``(F n_info,)`` or ``(|k|, F n_info)``, frames in input order.
         """
         llr = np.asarray(llr_mud, dtype=float)
-        perms = self.perms[k]
-        frames, rem = divmod(llr.shape[0], self.n_coded)
+        perms, n = self.perms[k], self.n_coded
+        frames, rem = divmod(llr.shape[0], n)
         if llr.T.shape[:-1] != perms.shape[:-1] or rem or not frames:
             raise LengthMismatch(f"LLRs {llr.shape} do not fit users {k!r}")
-        # (|k|, F, n_coded): one row per frame of each user
-        blocks = llr.T.reshape(perms.shape[:-1] + (frames, self.n_coded))
-        res = bcjr_decode(self.code, np.take_along_axis(
-            blocks, self._inverse[k][..., None, :], -1)
-            .reshape(-1, self.n_coded))
-        ext = np.take_along_axis(res.extrinsic.reshape(blocks.shape),
-                                 perms[..., None, :], -1)
-        return (ext.reshape(llr.T.shape).T,
-                res.info_posterior.reshape(perms.shape[:-1]
-                                           + (frames * self.n_info,)))
+        if perms.ndim == 1:  # one user: its permutation and inverse
+            deinterleave, interleave = self._inverse[k], perms
+        elif isinstance(k, slice) and k == slice(None):
+            deinterleave, interleave = self._gathers
+        else:
+            deinterleave, interleave = _flat_gathers(perms, self._inverse[k])
+        # each frame's (|k|, n_coded) rows in code order, frame-major
+        rows = np.take(llr.reshape(frames, perms.size), deinterleave, axis=1)
+        res = bcjr_decode(self.code, rows.reshape(-1, n))
+        ext = np.take(res.extrinsic.reshape(rows.shape), interleave, axis=1)
+        info = res.info_posterior.reshape(frames, perms.size // n, self.n_info)
+        return ext.reshape(llr.shape), info.swapaxes(0, 1).reshape(
+            perms.shape[:-1] + (frames * self.n_info,))
+
+
+def _flat_gathers(perms, inverse):
+    """Flat gathers between a frame's (n, U) channel-order block and its U
+    users' (U, n) code-order rows, both raveled, for interleavers
+    ``perms`` (U, n) and their ``inverse``: the first deinterleaves, the
+    second interleaves back."""
+    users = np.arange(len(perms))[:, None]
+    return ((inverse * len(perms) + users).ravel(),
+            (perms + perms.shape[1] * users).T.ravel())

@@ -409,6 +409,33 @@ class TestBatchedBcjr:
         with pytest.raises(LengthMismatch):
             bcjr_decode(code, np.zeros((2, 3, 20)))
 
+    def test_strided_read_only_inputs(self):
+        # the turbo loop passes column views such as llr_mud[:, k]: rows in
+        # the probability domain, in the log domain, and a mixed batch
+        code = ConvCode(generators=("10011", "11101"))
+        rng = np.random.default_rng(21)
+        n_info = 20
+        n = code.n_coded(n_info)
+        Lc = rng.standard_normal((3, n)) * [[3.0], [100.0], [0.5]]
+        La = rng.standard_normal((3, n_info)) * 2.0
+        base_c, base_a = np.zeros((n, 7)), np.zeros((n_info, 7))
+        base_c[:, 1:7:2], base_a[:, 1:7:2] = Lc.T, La.T
+        cases = [(base_c[:, 1], base_a[:, 1]), (base_c[:, 3], None),
+                 (base_c[:, 1:7:2].T, base_a[:, 1:7:2].T)]
+        before = base_c.tobytes() + base_a.tobytes()
+        for lc, la in cases:
+            lc.flags.writeable = False
+            if la is not None:
+                la.flags.writeable = False
+            got = bcjr_decode(code, lc, la)
+            want = bcjr_decode(code, lc.copy(), None if la is None
+                               else la.copy())
+            for a, b in ((got.extrinsic, want.extrinsic),
+                         (got.posterior, want.posterior),
+                         (got.info_posterior, want.info_posterior)):
+                np.testing.assert_array_equal(a, b)
+        assert base_c.tobytes() + base_a.tobytes() == before
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), L=st.integers(1, 4),
            termination=st.sampled_from([TERMINATED, TRUNCATED]),
@@ -491,6 +518,41 @@ class TestConvTurboDecoder:
             np.testing.assert_array_equal(
                 ext[f * dec.n_coded:(f + 1) * dec.n_coded], ext_f)
             np.testing.assert_array_equal(info[:, f * 30:(f + 1) * 30], info_f)
+
+    @pytest.mark.parametrize("gens", [c.generators for c in SCENARIO_CODES])
+    def test_user_subset_over_stacked_frames(self, gens):
+        dec = ConvTurboDecoder(ConvCode(generators=gens), K=3, n_info=30,
+                               master_seed=5)
+        rng = np.random.default_rng(11)
+        frames = np.clip(rng.standard_normal((3, dec.n_coded, 3)) * 4.0,
+                         -30.0, 30.0)
+        stacked = frames.reshape(-1, 3)
+        for k in ([2, 0], np.array([2, 0]), np.int64(1)):
+            ext, info = dec.decode_user(k, stacked[:, k])
+            assert ext.shape == stacked[:, k].shape
+            ext = ext.reshape(3, dec.n_coded, -1)  # (frame, position, user)
+            info = info.reshape(-1, 3, 30)  # (user, frame, bit)
+            for i, user in enumerate(np.atleast_1d(k)):
+                for f, frame in enumerate(frames):
+                    ext_f, info_f = dec.decode_user(user, frame[:, user])
+                    np.testing.assert_array_equal(ext[f, :, i], ext_f)
+                    np.testing.assert_array_equal(info[i, f], info_f)
+
+    def test_strided_read_only_inputs(self):
+        dec = ConvTurboDecoder(ConvCode(generators=("10011", "11101")), K=3,
+                               n_info=20, master_seed=2)
+        rng = np.random.default_rng(12)
+        # two frames; user 1's LLRs are large enough for the log domain
+        base = rng.standard_normal((2 * dec.n_coded, 6)) * [3, 1, 100, 1, 9, 1]
+        before = base.tobytes()
+        for k, llr in ((slice(None), base[:, ::2]), (1, base[:, 2]),
+                       ([2, 1], base[:, 4:1:-2])):
+            llr.flags.writeable = False
+            got = dec.decode_user(k, llr)
+            want = dec.decode_user(k, llr.copy())
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        assert base.tobytes() == before
 
     def test_decode_user_length_mismatch(self):
         dec = ConvTurboDecoder(ConvCode(generators=("111", "101")), K=2,
