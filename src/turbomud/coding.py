@@ -136,7 +136,7 @@ def encode(code, info_bits):
     for j, gen in enumerate(code.generators):
         for i in (i for i, tap in enumerate(gen) if tap == "1"):
             parity[..., j] ^= padded[..., m - i:m - i + steps]
-    return (1.0 - 2.0 * parity).reshape(bits.shape[:-1] + (-1,))
+    return (1.0 - 2.0 * parity).reshape(bits.shape[:-1] + (2 * steps,))
 
 
 @dataclass(frozen=True)

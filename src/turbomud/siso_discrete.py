@@ -19,8 +19,10 @@ where eta_k and beta_k are the k-th columns of S A and B; dropping the
 serial refinement entirely gives the classical one-shot
 soft-cancellation detector (which no longer guarantees descent).
 Every mean-field update (turbo-loop sweeps, tanh-SIC, ``serial_update``,
-the DDF pass) is one kernel, ``_sweep_block``: the half-LLR form
-LLR_pos/2 on means held users-major, a (K, T) block of T intervals.
+the DDF pass) is one kernel, ``_sweeps``: the half-LLR form LLR_pos/2
+on means held users-major, a (K, T) block of T intervals.  The turbo
+loop runs it on rows it builds once per outer iteration, every other
+caller through ``_sweep_block``.
 """
 
 from dataclasses import dataclass
@@ -164,22 +166,36 @@ def _fold(prior_llr, obs, coupling, sigma2):
     return H, np.divide(coupling.T, sigma2, order="C")
 
 
-def _sweep_block(Mt, users, H, Bh):
+def _sweep_rows(Mt, H, Bh, X):
+    """The per-user rows (Bh_k.dot, H_k, X_k, Mt_k) ``_sweeps`` runs on.
+    They are views, so they stay valid while H, X and Mt change in place.
+    The bound ``dot`` is ``np.dot`` without its dispatch overhead."""
+    return [(bh.dot, h, x, m) for bh, h, x, m in zip(Bh, H, X, Mt)]
+
+
+def _sweeps(rows, users, Mt, tmp):
     """The mean-field update of each k of ``users`` in turn, in place on
     the users-major means Mt over all T intervals: x_k = H_k - Bh_k Mt
     and m_k = clamp_mean(tanh(x_k)), five numpy calls into preallocated
-    rows.  Returns X = LLR_pos/2, set only in the rows of updated users.
+    rows (``tmp``: T floats), with ufuncs and bounds bound to locals.
     """
-    X = np.empty_like(H)
-    tmp = np.empty(H.shape[1])
-    rows = list(zip(Bh, H, X, Mt))
+    subtract, tanh, maximum, minimum = (np.subtract, np.tanh, np.maximum,
+                                        np.minimum)
+    lo, hi = _MEAN_LO, _MEAN_HI
     for k in users:
-        bh, h, x, m = rows[k]
-        np.dot(bh, Mt, out=tmp)
-        np.subtract(h, tmp, out=x)
-        np.tanh(x, out=m)
-        np.maximum(m, _MEAN_LO, out=m)
-        np.minimum(m, _MEAN_HI, out=m)
+        dot, h, x, m = rows[k]
+        dot(Mt, out=tmp)
+        subtract(h, tmp, out=x)
+        tanh(x, out=m)
+        maximum(m, lo, out=m)
+        minimum(m, hi, out=m)
+
+
+def _sweep_block(Mt, users, H, Bh):
+    """``_sweeps`` over fresh rows of H, Bh and Mt.  Returns X = LLR_pos/2,
+    set only in the rows of updated users."""
+    X = np.empty_like(H)
+    _sweeps(_sweep_rows(Mt, H, Bh, X), users, Mt, np.empty(H.shape[1]))
     return X
 
 
@@ -187,7 +203,8 @@ class DiscreteTurboLoop(TurboLoop):
     """``TurboLoop`` on the mean-field sweeps.
 
     Flooding runs I serial sweeps over all users, then decodes all
-    users with LLR_mud = LLR_pos - LLR_dec.  Sequential and hybrid zero
+    users with LLR_mud = LLR_pos - LLR_dec (0 where LLR_dec is +-inf:
+    the trellis fixes that symbol).  Sequential and hybrid zero
     user k's decoder LLR, run I sweeps in the rotated order
     (k..K, 1..k-1) and emit user k's extrinsic; sequential decodes user
     k at once, hybrid decodes all users after the last detection.
@@ -211,20 +228,34 @@ class DiscreteTurboLoop(TurboLoop):
         self.Mt = np.zeros(self.llr_dec.shape[::-1])
 
     def iterate(self, ch):
-        # no after_user below, so every posterior call gets this ch
-        eta_r = self.r @ ch.SA  # (T, K): eta_k^T r_t
-        K = self.Mt.shape[0]
+        # No after_user below, so ch is fixed within the iteration: H's
+        # observation part H0, Bh and the sweep rows are built once, and
+        # each posterior call refreshes H in place with its prior (the
+        # divide-then-add of ``_fold``).  EM may change ch between
+        # iterations, so nothing outlives this one.
+        Mt, I = self.Mt, self.I
+        H0, Bh = _fold(None, self.r @ ch.SA, ch.hollow_gram, ch.sigma2)
+        H, X = np.empty_like(H0), np.empty_like(H0)
+        rows, tmp = _sweep_rows(Mt, H, Bh, X), np.empty(H0.shape[1])
+        users = list(range(len(Mt)))
         hook, self.hook = self.hook, None  # outer iteration 1 only
 
-        def posterior(dec, order):
-            """Posterior LLRs of the inner sweeps, users-major (K, T)."""
-            if hook is not None:
-                return hook(ch, self.Mt, dec)
-            return 2.0 * _sweep_block(self.Mt, order * self.I, *_fold(
-                dec, eta_r, ch.hollow_gram, ch.sigma2))
+        def half_posterior(dec, order):
+            """LLR_pos/2 of the inner sweeps in ``order``, users-major."""
+            np.add(H0, 0.5 * dec.T, out=H)
+            _sweeps(rows, order * I, Mt, tmp)
+            return X
 
-        return self._exchange(
-            ch, self.schedule,
-            lambda ch, dec: posterior(dec, list(range(K))).T - dec,
-            lambda ch, work, k: posterior(
-                work, list(range(k, K)) + list(range(k)))[k])
+        def ext_all(ch, dec):
+            post = hook(ch, Mt, dec) if hook is not None else \
+                2.0 * half_posterior(dec, users)
+            # a +-inf decoder LLR fixes its symbol: extrinsic 0, not inf - inf
+            return np.subtract(post.T, dec, out=np.zeros_like(dec),
+                               where=~np.isinf(dec))
+
+        def ext_user(ch, work, k):
+            if hook is not None:
+                return hook(ch, Mt, work)[k]
+            return 2.0 * half_posterior(work, users[k:] + users[:k])[k]
+
+        return self._exchange(ch, self.schedule, ext_all, ext_user)

@@ -153,6 +153,13 @@ class TestEncode:
             dec.encode_block(info),
             np.take_along_axis(want, dec.perms, -1).T)
 
+    @pytest.mark.parametrize("termination", [TERMINATED, TRUNCATED])
+    def test_empty_batch(self, termination):
+        code = ConvCode(generators=("10011", "11101"),
+                        termination=termination)
+        out = encode(code, np.zeros((0, 40), dtype=int))
+        assert out.shape == (0, code.n_coded(40))
+
     def test_non_binary_info_bits_raise(self):
         code = ConvCode(generators=("111", "101"))
         for bad in ([0, 2, 1], [-1, 0]):

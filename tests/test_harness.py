@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from turbomud import harness
-from turbomud.errors import ConfigError
-from turbomud.harness import (_build_spreading, _group_size, _point_channel,
-                              config_from_dict, parse_config_text,
-                              preset_config, resolve_config, run_scenario,
-                              single_user_bound)
+from turbomud.errors import ConfigError, DegeneratePrior
+from turbomud.harness import (ScenarioConfig, _build_spreading, _group_size,
+                              _point_channel, config_from_dict,
+                              parse_config_text, preset_config,
+                              resolve_config, run_scenario, single_user_bound)
 from turbomud.siso_gaussian import SCHEDULES
 
 
@@ -433,6 +433,95 @@ class TestRunScenario:
             assert ctx.decoder is contexts[0].decoder
             for name in ("R", "F", "Rinv"):
                 assert getattr(ctx.ch, name) is getattr(bases[0], name)
+
+
+def assert_sane_report(cfg, report):
+    """Every (point, iteration, user) cell counts each info bit of every
+    frame once, at a BER in [0, 1]."""
+    frames = cfg.max_frames  # == frame_cap: every point runs them all
+    for snr_db in cfg.snr_db:
+        for j in range(1, cfg.outer_iterations + 1):
+            for k in range(1, cfg.users + 1):
+                assert report.bits(snr_db, j, k) == frames * cfg.info_bits
+                assert 0.0 <= report.ber(snr_db, j, k) <= 1.0
+
+
+# Codes whose trellis fixes some coded symbol, where BCJR rightly returns
+# an infinite LLR: the last tail step of 11,10 and 111,110 sees only
+# zeros, the first step of 11,01 the zero start state; the default code
+# fixes symbols at 2 info bits.
+FIXED_SYMBOL_CODES = [("11,10", 32), ("111,110", 32), ("11,01", 32),
+                      ("10011,11101", 2)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("detector", ["discrete", "ddf_aided"])
+@pytest.mark.parametrize("generators,info_bits", FIXED_SYMBOL_CODES)
+def test_flooding_mean_field_takes_infinite_decoder_llrs(generators,
+                                                         info_bits, detector):
+    """The flooding extrinsic LLR_pos - LLR_dec is 0 where the decoder LLR
+    is infinite, not inf - inf = NaN, which the next decode rejects."""
+    cfg = config_from_dict(dict(
+        users=4, rho=0.7, generators=generators, info_bits=info_bits,
+        detector=detector, schedule="flooding", outer_iterations=3,
+        snr_db="3", seed=1, max_frames=2, min_error_events=0, frame_cap=2))
+    assert_sane_report(cfg, run_scenario(cfg))
+
+
+_DB = st.one_of(st.sampled_from([-300.0, -30.0, 0.0, 3.0, 12.0, 60.0,
+                                 300.0]),
+                st.floats(-300.0, 300.0))
+
+
+@st.composite
+def _runnable_configs(draw):
+    """Small valid configs over every detector, schedule, channel and
+    code (trailing-zero generators included), with extreme SNRs and pins
+    and both kinds of EM."""
+    users = draw(st.integers(1, 6))
+    detector = draw(st.sampled_from(harness.DETECTORS))
+    coded = detector != harness.PLAIN_DDF and draw(st.booleans())
+    length = draw(st.integers(1, 5))
+    gens = draw(st.one_of(
+        st.sampled_from([g for g, _ in FIXED_SYMBOL_CODES] + ["111,101"]),
+        st.lists(st.integers(1, 2**length - 1), min_size=2, max_size=2)
+        .map(lambda g: ",".join(f"{v:0{length}b}" for v in g))))
+    order = draw(st.one_of(
+        st.sampled_from(["amplitude_descending", "as_given"]),
+        st.permutations(range(1, users + 1))
+        .map(lambda p: "custom:" + ",".join(map(str, p)))))
+    # the uncoded DDF pipelines estimate nothing
+    em_allowed = coded or detector not in (harness.PLAIN_DDF, "ddf_aided")
+    return ScenarioConfig(
+        channel=draw(st.sampled_from(["equicorrelated", "random"])),
+        users=users, rho=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        spreading_gain=draw(st.integers(users, 8)), coded=coded,
+        generators=gens, info_bits=draw(st.integers(1, 20)),
+        detector=detector, schedule=draw(st.sampled_from(SCHEDULES)),
+        outer_iterations=1 if detector == harness.PLAIN_DDF
+        else draw(st.integers(1, 3)),
+        inner_iterations=draw(st.integers(1, 3)), ddf_order=order,
+        snr_db=tuple(draw(st.lists(st.one_of(_DB, st.just(math.inf)),
+                                   min_size=1, max_size=2, unique=True))),
+        snr_fixed=draw(st.dictionaries(st.integers(1, users), _DB,
+                                       max_size=2)),
+        varsigma=draw(st.sampled_from([0.0, 0.3])) if em_allowed else 0.0,
+        estimate_sigma2=em_allowed and draw(st.booleans()),
+        seed=draw(st.integers(0, 99)), max_frames=2, min_error_events=0,
+        frame_cap=2).validate()
+
+
+# A fixed example set: the run is reproducible and its cost bounded.
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(cfg=_runnable_configs())
+def test_run_scenario_fuzz(cfg):
+    """Every small valid config runs to a sane report; the one documented
+    runtime error is a Gaussian prior too confident to resolve."""
+    try:
+        report = run_scenario(cfg)
+    except DegeneratePrior:
+        return
+    assert_sane_report(cfg, report)
 
 
 class TestSingleUserBound:

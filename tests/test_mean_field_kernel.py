@@ -1,8 +1,11 @@
 """The fused mean-field update kernel against the per-column formula.
 
 Every mean-field caller (the turbo-loop sweeps, ``tanh_sic_block``,
-``serial_update`` and ``ddf_pass_block``) runs ``_sweep_block`` on a
-users-major (K, T) block with the half-LLR constants folded once.  The
+``serial_update`` and ``ddf_pass_block``) runs the ``_sweeps`` kernel on
+a users-major (K, T) block with the half-LLR constants folded once: the
+turbo loop on rows it builds once per outer iteration (checked bit for
+bit against one ``_fold`` and ``_sweep_block`` per call below), every
+other caller through ``_sweep_block``.  The
 references below keep the earlier per-column update on a (T, K) block,
 
     LLR_pos = LLR_prior + (2/sigma2)(eta^T r - beta_k^T m),
@@ -23,13 +26,15 @@ from scipy.linalg import solve_triangular
 from turbomud.channel import (ChannelInstance, SymbolBlock,
                               make_equicorrelated, make_random_spreading,
                               transmit)
-from turbomud.coding import IdentityDecoder
+from turbomud import varem
+from turbomud.coding import ConvCode, ConvTurboDecoder, IdentityDecoder
 from turbomud.siso_ddf import (DdfPrecompute, bind_ddf_hook, ddf_pass_block,
                                detection_order)
 from turbomud.siso_discrete import (MEAN_CLEARANCE, DiscreteBelief,
                                     DiscreteTurboLoop, _fold, _sweep_block,
                                     clamp_mean, serial_update, tanh_sic_block)
-from turbomud.varem import run_varem
+from turbomud.siso_gaussian import SCHEDULES
+from turbomud.varem import EmState, run_varem
 
 # Tolerance per K, on LLRs relative to max(1, |LLR|) and on means.  The
 # worst gaps measured over these cases, 20 instances each: 4.6e-14 (LLR)
@@ -253,3 +258,84 @@ def test_fewer_than_one_inner_sweep_is_rejected(detector, I):
     obs = transmit(ch, SymbolBlock(b=np.ones((3, 2))), rng_seed=1)
     with pytest.raises(ValueError, match="I must be >= 1"):
         run_varem(ch, obs, detector, "flooding", 1, IdentityDecoder(), I=I)
+
+
+class PerCallFoldLoop(DiscreteTurboLoop):
+    """The earlier composition of ``DiscreteTurboLoop.iterate``: one
+    ``_fold`` and one ``_sweep_block`` call per posterior call, each
+    dividing by sigma2 and allocating H and X again."""
+
+    def iterate(self, ch):
+        eta_r = self.r @ ch.SA
+        K = self.Mt.shape[0]
+
+        def posterior(dec, order):
+            return 2.0 * _sweep_block(self.Mt, order * self.I, *_fold(
+                dec, eta_r, ch.hollow_gram, ch.sigma2))
+
+        return self._exchange(
+            ch, self.schedule,
+            lambda ch, dec: posterior(dec, list(range(K))).T - dec,
+            lambda ch, work, k: posterior(
+                work, list(range(k, K)) + list(range(k)))[k])
+
+
+def turbo_case(coded):
+    """(channel, observation, decoder): K = 32 at rho 0.7 uncoded, where
+    the loop amplifies rounding most, or K = 5 with the default code."""
+    K = 5 if coded else 32
+    ch = make_equicorrelated(K, 0.7, amplitudes=np.linspace(0.8, 1.3, K),
+                             sigma2=0.2)
+    rng = np.random.default_rng(K)
+    if coded:
+        decoder = ConvTurboDecoder(ConvCode(("10011", "11101")), K, 24,
+                                   master_seed=3)
+        b = decoder.encode_block(rng.integers(0, 2, (24, K)))
+    else:
+        decoder = IdentityDecoder()
+        b = np.where(rng.standard_normal((64, K)) > 0, 1.0, -1.0)
+    return ch, transmit(ch, SymbolBlock(b=b), rng_seed=K + 1), decoder
+
+
+def assert_same_frames(want, got):
+    for f_want, f_got in zip(want, got, strict=True):
+        assert np.all(np.isfinite(f_want.llr_dec))
+        assert np.array_equal(f_got.llr_mud, f_want.llr_mud)
+        assert np.array_equal(f_got.llr_dec, f_want.llr_dec)
+
+
+@pytest.mark.parametrize("coded", [False, True])
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_turbo_loop_equals_the_per_call_fold_bit_for_bit(schedule, coded):
+    ch, obs, decoder = turbo_case(coded)
+    loops = [cls(obs, decoder, schedule, I=3)
+             for cls in (PerCallFoldLoop, DiscreteTurboLoop)]
+    for _ in range(2):
+        assert_same_frames(*([loop.iterate(ch)] for loop in loops))
+        assert np.array_equal(loops[1].Mt, loops[0].Mt)
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_em_turbo_loop_equals_the_per_call_fold_bit_for_bit(schedule,
+                                                             monkeypatch):
+    """sigma2 EM changes the channel between iterations; each iteration
+    folds the channel it is given."""
+    ch, obs, decoder = turbo_case(coded=True)
+    state0 = EmState(a_hat=ch.a, sigma2_hat=2.0 * ch.sigma2, a_tilde=ch.a,
+                     varsigma2=0.0)
+    runs, loops = [], []
+    for cls in (PerCallFoldLoop, DiscreteTurboLoop):
+        class Recorded(cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                loops.append(self)
+
+        monkeypatch.setattr(varem, "DiscreteTurboLoop", Recorded)
+        runs.append(run_varem(ch, obs, "discrete", schedule, 3, decoder,
+                              state0, update_sigma2=True, I=3))
+    (want, want_traj), (got, got_traj) = runs
+    assert len({s.sigma2_hat for s in want_traj}) == len(want_traj)
+    assert [s.sigma2_hat for s in got_traj] == \
+        [s.sigma2_hat for s in want_traj]
+    assert_same_frames(want, got)
+    assert np.array_equal(loops[1].Mt, loops[0].Mt)
