@@ -149,9 +149,12 @@ def solve_gauss(ch, r, prior):
 # ----------------------------------------------------------------------
 # Extrinsic kernels over T symbol intervals at once.  A W A is diagonal,
 # so the per-interval filter matrices differ only on the diagonal and
-# are factored by one batched Cholesky call.  Each call builds all of C
-# in ``work`` (None allocates; no output shares it); the turbo loop keeps
-# that (T, K, K) buffer, as a fresh 1 MB C per call faults in new pages.
+# are factored by one batched Cholesky call.  A block whose priors are
+# all equal (decoder LLRs still 0, so w = 1, as in every first flooding
+# iteration) has one C_t, factored once and broadcast over T.  Each call
+# builds C in ``work`` (None allocates; no output shares it); the turbo
+# loop keeps that (T, K, K) buffer, as a fresh 1 MB C per call faults in
+# new pages.
 # ----------------------------------------------------------------------
 
 def _inverse_factors(ch, w_block, work=None):
@@ -161,10 +164,15 @@ def _inverse_factors(ch, w_block, work=None):
     and row k of P_t is X_t^T X_t[:, k].  X overwrites L row by row: row
     i of X needs only row i of L and the rows of X above it.  No pivot
     floor: a pivot below linalg.PIVOT_FLOOR can still be well resolved.
+    When every row of w_block is equal, X is one factor broadcast
+    read-only over T.
     """
     C = np.empty(w_block.shape + (ch.K,)) if work is None else work
     if C.shape != w_block.shape + (ch.K,) or C.dtype != float:
         raise DimensionMismatch(f"work is {C.dtype} {C.shape}, not (T, K, K)")
+    shape = C.shape
+    if shape[0] > 1 and (w_block == w_block[0]).all():
+        w_block, C = w_block[:1], C[:1]
     np.multiply(ch.sigma2, ch.Rinv, out=C)
     idx = np.arange(ch.K)
     C[:, idx, idx] += ch.a**2 * w_block
@@ -175,7 +183,7 @@ def _inverse_factors(ch, w_block, work=None):
     X[:, idx, idx] = 1.0 / X[:, idx, idx]
     for i in range(1, ch.K):
         X[:, i, :i] = -X[:, i, i, None] * (X[:, i, None, :i] @ X[:, :i, :i])[:, 0]
-    return X
+    return X if len(X) == shape[0] else np.broadcast_to(X, shape)
 
 
 def _ext_llr(mu, alpha):

@@ -524,6 +524,29 @@ def test_run_scenario_fuzz(cfg):
     assert_sane_report(cfg, report)
 
 
+# Mean-field detectors lock onto wrong decisions at high SNR: on
+# scenario-i their final BER reads 0 at 8 and 14 dB, then 0.12-0.14 at
+# 17 dB and 0.25-0.27 at 20 and 30 dB.  Deterministic annealing of
+# sigma2 is the planned fix; until it lands these cells fail.
+MEAN_FIELD_COLLAPSE = pytest.mark.xfail(
+    strict=True, reason="mean-field sweeps collapse above 14 dB")
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("detector", [
+    "gaussian", pytest.param("discrete", marks=MEAN_FIELD_COLLAPSE),
+    "ddf_aided"])
+def test_final_ber_does_not_rise_with_snr(detector, schedule):
+    """Scenario-i, 4 frames per point: the final-iteration BER may rise
+    by at most 0.01 from one SNR point to the next."""
+    cfg = replace(preset_config("scenario-i"), detector=detector,
+                  schedule=schedule, snr_db=(8.0, 14.0, 17.0, 20.0, 30.0),
+                  seed=1, max_frames=4, frame_cap=4).validate()
+    report = run_scenario(cfg)
+    ber = [report.ber(snr_db, cfg.outer_iterations) for snr_db in cfg.snr_db]
+    assert all(b <= a + 0.01 for a, b in zip(ber, ber[1:])), ber
+
+
 class TestSingleUserBound:
     def test_uncoded_matches_gaussian_tail(self):
         # SNR = A^2/sigma2: uncoded BPSK error rate is Q(sqrt(snr))

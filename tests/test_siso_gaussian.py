@@ -463,3 +463,80 @@ class TestWorkBuffer:
         # the estimates moved, so later calls saw new sigma2 and amplitudes
         assert traj[-1].sigma2_hat != traj[0].sigma2_hat
         assert not np.array_equal(traj[-1].a_hat, traj[0].a_hat)
+
+
+class TestUniformBlock:
+    """A block whose priors are all equal has one filter matrix C_t.
+
+    ``_inverse_factors`` factors it once and broadcasts the factor over
+    the T intervals.  The reference is the same kernel with every
+    interval factored on its own; both must agree bit for bit.
+    """
+
+    @pytest.fixture
+    def factored_shapes(self, monkeypatch):
+        shapes = []
+        cholesky = np.linalg.cholesky
+
+        def spy(C):
+            shapes.append(C.shape)
+            return cholesky(C)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        return shapes
+
+    @staticmethod
+    def every_interval(monkeypatch, *args):
+        factors = siso_gaussian._inverse_factors
+
+        def per_interval(ch, w_block, work=None):
+            return np.concatenate([factors(ch, w_block[t:t + 1])
+                                   for t in range(len(w_block))])
+
+        with monkeypatch.context() as m:
+            m.setattr(siso_gaussian, "_inverse_factors", per_interval)
+            return TestWorkBuffer.ext(*args)
+
+    def assert_exact(self, monkeypatch, shapes, ch, Y, Btilde, factored_T):
+        T, K = Btilde.shape
+        for k in dict.fromkeys([None, 0, K - 1]):
+            want = self.every_interval(monkeypatch, ch, Y, Btilde, k)
+            for work in (None, np.full((T, K, K), np.nan)):
+                shapes.clear()
+                got = TestWorkBuffer.ext(ch, Y, Btilde, k, work)
+                assert shapes == [(factored_T, K, K)]
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("prior", ["zero", "shared"])
+    @pytest.mark.parametrize("sigma2", [SIGMA2_FLOOR, 1e-3, 1.0])
+    @pytest.mark.parametrize("T", [2, 132])
+    @pytest.mark.parametrize("K", [1, 2, 4, 32])
+    def test_factors_once_and_matches_every_interval(
+            self, monkeypatch, factored_shapes, K, T, sigma2, prior):
+        rng = np.random.default_rng(K * T)
+        ch = make_random_spreading(K + 4, K, seed=K, sigma2=sigma2,
+                                   amplitudes=rng.uniform(0.5, 2.0, size=K))
+        Y = 2.0 * rng.standard_normal((T, K))
+        row = np.zeros(K) if prior == "zero" else rng.uniform(-0.9, 0.9, K)
+        Btilde = np.tile(row, (T, 1))
+        self.assert_exact(monkeypatch, factored_shapes, ch, Y, Btilde, 1)
+
+    @pytest.mark.parametrize("T", [2, 132])
+    def test_one_differing_row_factors_every_interval(
+            self, monkeypatch, factored_shapes, T):
+        rng = np.random.default_rng(T)
+        K = 4
+        ch = make_random_spreading(K + 4, K, seed=K, sigma2=0.3)
+        Y = rng.standard_normal((T, K))
+        Btilde = np.tile(rng.uniform(-0.9, 0.9, K), (T, 1))
+        Btilde[T - 1, 1] = 0.25
+        self.assert_exact(monkeypatch, factored_shapes, ch, Y, Btilde, T)
+
+    @pytest.mark.parametrize("k", [None, 1])
+    def test_indefinite_uniform_block_raises(self, factored_shapes, k):
+        ch = copy.copy(make_equicorrelated(3, 0.4, sigma2=1.0))
+        object.__setattr__(ch, "Rinv", -np.eye(3))
+        factored_shapes.clear()
+        with pytest.raises(NotPositiveDefinite):
+            TestWorkBuffer.ext(ch, np.ones((132, 3)), np.zeros((132, 3)), k)
+        assert factored_shapes == [(1, 3, 3)]

@@ -5,10 +5,11 @@ from turbomud.channel import SymbolBlock, make_equicorrelated, transmit
 from turbomud.coding import ConvCode, ConvTurboDecoder, IdentityDecoder
 from turbomud.siso_ddf import bind_ddf_hook
 from turbomud.siso_discrete import DiscreteTurboLoop
-from turbomud.siso_gaussian import GaussianTurboLoop
-from turbomud.varem import (EmState, PosteriorSummary, em_objective,
-                            em_objective_grad_a, initial_sigma2, mstep_disc,
-                            mstep_gauss, run_varem)
+from turbomud.siso_gaussian import SCHEDULES, GaussianTurboLoop
+from turbomud.varem import (DETECTORS, EmState, PosteriorSummary,
+                            em_objective, em_objective_grad_a,
+                            initial_sigma2, mstep_disc, mstep_gauss,
+                            run_varem)
 
 
 def make_setup(K=2, T=50, sigma2=0.1, rho=0.5, seed=0):
@@ -279,3 +280,63 @@ class TestRunVarem:
                                  update_sigma2=True, I=3)
         assert len(frames) == 3 and len(traj) == 4
         assert traj[-1].sigma2_hat > 0
+
+
+class TestScaleRelation:
+    """Metamorphic relation of a whole ``run_varem`` run: a -> c a and
+    sigma2 -> c^2 sigma2, with the same bits and noise draw, scale the
+    received signal by c and leave every LLR unchanged.  EM estimates
+    scale with it: sigma2_hat by c^2, a_hat by c.
+
+    Bounds: info posteriors within 1e-11 of max(1, |L|) with no decision
+    flip; EM estimates within 1e-12 relative.
+    """
+
+    K, N_INFO, J = 4, 64, 4
+    A_TILDE = np.array([1.1, 0.9, 1.05, 0.95])
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        dec = ConvTurboDecoder(ConvCode(generators=("10011", "11101")),
+                               self.K, self.N_INFO, master_seed=2)
+        info = np.random.default_rng(3).integers(0, 2,
+                                                 size=(self.N_INFO, self.K))
+        return dec, SymbolBlock(b=dec.encode_block(info))
+
+    def run(self, setup, snr_db, c, detector, schedule, em):
+        dec, blk = setup
+        ch = make_equicorrelated(self.K, 0.7, amplitudes=np.full(self.K, c),
+                                 sigma2=c * c * 10.0 ** (-snr_db / 10.0))
+        obs = transmit(ch, blk, rng_seed=4)
+        state0 = None
+        if em:
+            a_tilde = c * self.A_TILDE
+            state0 = EmState(a_hat=a_tilde, a_tilde=a_tilde,
+                             varsigma2=c * c * 0.09,
+                             sigma2_hat=initial_sigma2(obs, a_tilde, ch.N))
+        frames, traj = run_varem(ch, obs, detector, schedule, self.J, dec,
+                                 state0, update_sigma2=em, I=3)
+        return np.stack([np.stack(f.info_posterior) for f in frames]), traj
+
+    @pytest.mark.parametrize("c, em", [
+        (1e3, False), (1e3, True), (1e6, False), (1e6, True), (1e-3, False),
+        pytest.param(1e-3, True, marks=pytest.mark.xfail(
+            strict=True, reason="initial_sigma2 floors its start at the "
+            "absolute SIGMA2_INIT_FLOOR = 1e-3, far above the true "
+            "sigma2 = 5e-7 at 3 dB; hundreds of decisions flip"))])
+    def test_llrs_invariant_and_estimates_scale(self, setup, c, em):
+        for snr_db in (3.0, 8.0):
+            for detector in DETECTORS:
+                for schedule in SCHEDULES:
+                    L, traj = self.run(setup, snr_db, 1.0, detector,
+                                       schedule, em)
+                    Lc, traj_c = self.run(setup, snr_db, c, detector,
+                                          schedule, em)
+                    assert np.array_equal(Lc < 0, L < 0)
+                    assert np.max(np.abs(Lc - L)
+                                  / np.maximum(1.0, np.abs(L))) < 1e-11
+                    for st, st_c in zip(traj, traj_c, strict=True):
+                        assert st_c.sigma2_hat / c**2 == pytest.approx(
+                            st.sigma2_hat, rel=1e-12, abs=0)
+                        np.testing.assert_allclose(st_c.a_hat / c, st.a_hat,
+                                                   rtol=1e-12, atol=0)
