@@ -65,6 +65,12 @@ def configs():
         yield f"em-{det}-{sched}", dict(CODED, **EM, detector=det,
                                         schedule=sched, snr_db="3,30",
                                         info_bits=96)
+    # sigma2-only EM: varsigma = 0 pins the amplitudes to a_tilde
+    for det, sched in (("gaussian", "sequential"), ("discrete", "hybrid"),
+                       ("ddf_aided", "flooding")):
+        yield f"em-sigma2-{det}-{sched}", dict(
+            CODED, **dict(EM, varsigma=0.0), detector=det, schedule=sched,
+            snr_db="3,30", info_bits=96)
     yield "pinned-discrete-hybrid", dict(CODED, detector="discrete",
                                          schedule="hybrid", snr_fixed="1:8")
     yield "random-k6-n8-gaussian-sequential", dict(

@@ -17,7 +17,6 @@ through (R, A, sigma2) and one of r / y / ybar.
 
 from copy import copy
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -38,11 +37,13 @@ class ChannelInstance:
     a : (K,) positive amplitude vector; A = diag(a).
     sigma2 : noise variance per chip (0 allowed for noiseless tests).
     R : (K, K) signature correlation matrix S^T S (unit diagonal).
-    F : (K, K) lower-triangular whitening factor with F^T F = R.
     Rinv : R^{-1}, the sigma2 R^{-1} term of the Gaussian filter matrices.
+    gram : A R A = A^T S^T S A, the quadratic term of every free energy.
+    hollow_gram : gram with a zero diagonal, the mean-field coupling B.
+    SA : S A, whose k-th column eta_k = A_k s_k.
 
-    R, F, Rinv and the cached detector matrices below are derived,
-    read-only.
+    Every derived matrix is built at construction and is read-only;
+    each ``with_params`` copy builds its own last three.
     """
 
     N: int
@@ -51,25 +52,26 @@ class ChannelInstance:
     a: np.ndarray
     sigma2: float
     R: np.ndarray = field(init=False, repr=False, compare=False)
-    F: np.ndarray = field(init=False, repr=False, compare=False)
     Rinv: np.ndarray = field(init=False, repr=False, compare=False)
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
+    hollow_gram: np.ndarray = field(init=False, repr=False, compare=False)
+    SA: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         S = np.asarray(self.S, dtype=float)
         if S.shape != (self.N, self.K):
             raise DimensionMismatch(f"S shape {S.shape} != ({self.N}, {self.K})")
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "R", _read_only(S.T @ S))
         self._set_params(self.a, self.sigma2)
         norms = np.linalg.norm(S, axis=0)
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ValueError("spreading columns must be unit norm")
-        object.__setattr__(self, "S", S)
-        R = S.T @ S
         try:
-            F, Rinv = factor_FtF(R), spd_inverse(R)
+            Rinv = spd_inverse(self.R)
         except Exception as exc:
             raise RankDeficient(f"S^T S not positive definite: {exc}") from None
-        for name, M in (("R", R), ("F", F), ("Rinv", Rinv)):
-            object.__setattr__(self, name, _read_only(M))
+        object.__setattr__(self, "Rinv", _read_only(Rinv))
 
     def _set_params(self, a, sigma2):
         a = np.asarray(a, dtype=float)
@@ -81,52 +83,35 @@ class ChannelInstance:
             raise ValueError("noise variance must be nonnegative")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "sigma2", sigma2)
+        gram = (a[:, None] * self.R) * a[None, :]
+        hollow = gram - np.diag(np.diagonal(gram))
+        for name, M in (("gram", gram), ("hollow_gram", hollow),
+                        ("SA", self.S * a)):
+            object.__setattr__(self, name, _read_only(M))
 
     def __setstate__(self, state):
         """Unpickling: arrays come back writeable, so the derived ones are
         made read-only again."""
         self.__dict__.update(state)
-        for name in ("R", "F", "Rinv") + _SCALED:
-            if name in state:
-                _read_only(state[name])
+        for name in ("R", "Rinv", "gram", "hollow_gram", "SA"):
+            _read_only(state[name])
 
     @property
     def A(self):
         return np.diag(self.a)
-
-    @cached_property
-    def gram(self):
-        """A R A = A^T S^T S A, the quadratic term of every free energy."""
-        return _read_only((self.a[:, None] * self.R) * self.a[None, :])
-
-    @cached_property
-    def hollow_gram(self):
-        """The Gram matrix with a zero diagonal: the mean-field coupling B."""
-        G = self.gram
-        return _read_only(G - np.diag(np.diagonal(G)))
-
-    @cached_property
-    def SA(self):
-        """S A, whose k-th column eta_k = A_k s_k."""
-        return _read_only(self.S * self.a)
 
     def with_params(self, a=None, sigma2=None):
         """Copy of this instance with replaced amplitudes / noise variance.
 
         Used by the joint-estimation loop, which detects with estimated
         parameters over the true spreading geometry: the copy shares S,
-        R, F and R^{-1} with this instance and builds its own
-        amplitude-scaled matrices.
+        R and R^{-1} with this instance and builds gram, hollow_gram and
+        SA from its own amplitudes.
         """
         new = copy(self)
-        for name in _SCALED:
-            new.__dict__.pop(name, None)
         new._set_params(self.a if a is None else a,
                         self.sigma2 if sigma2 is None else float(sigma2))
         return new
-
-
-_SCALED = ("gram", "hollow_gram", "SA")  # cached matrices that depend on a
 
 
 def _read_only(M):

@@ -81,16 +81,6 @@ def initial_sigma2(obs, a_tilde, N):
     return max(est, SIGMA2_INIT_FLOOR)
 
 
-def _mstep_amplitudes(S, obs, means, quad, state):
-    """Shared normal-equation solve for the amplitude update."""
-    rhs = np.sum(obs.y * means, axis=0)  # sum_t diag(m_t) S^T r_t
-    if np.isfinite(state.varsigma2):
-        ridge = state.sigma2_hat / state.varsigma2
-        quad = quad + ridge * np.eye(S.shape[1])
-        rhs = rhs + ridge * state.a_tilde
-    return spd_solve(quad, rhs)
-
-
 def _gauss_quad(S, means, variances):
     """sum_t [M_t S^T S M_t + (S^T S) o diag(v_t)], the quadratic term of
     the free energy in the amplitudes."""
@@ -107,8 +97,7 @@ def _residual_energy(S, obs, means, variances, a):
     return float(np.sum(resid * resid) + np.sum(variances * (dgS * a**2)))
 
 
-def mstep_gauss(S, obs, post, state, update_amplitudes=True,
-                update_sigma2=True):
+def mstep_gauss(S, obs, post, state, update_sigma2=True):
     """Parameter update from Gaussian-belief posterior summaries.
 
     Amplitudes solve { sum_t [M_t S^T S M_t + (S^T S) o Sigma_t]
@@ -118,22 +107,11 @@ def mstep_gauss(S, obs, post, state, update_amplitudes=True,
     energy at the new amplitudes.
     """
     means, variances = post.means, post.variances
-    T = means.shape[0]
-    a_hat = state.a_hat
-    if update_amplitudes and state.varsigma2 != 0.0:
-        a_hat = _mstep_amplitudes(S, obs, means,
-                                  _gauss_quad(S, means, variances), state)
-    elif update_amplitudes:
-        a_hat = state.a_tilde.copy()
-    sigma2 = state.sigma2_hat
-    if update_sigma2:
-        sigma2 = _residual_energy(S, obs, means, variances, a_hat) \
-            / (S.shape[0] * T)
-    return replace(state, a_hat=a_hat, sigma2_hat=sigma2)
+    return _mstep(S, obs, means, variances, state, update_sigma2,
+                  lambda: _gauss_quad(S, means, variances))
 
 
-def mstep_disc(S, obs, post, state, update_amplitudes=True,
-               update_sigma2=True):
+def mstep_disc(S, obs, post, state, update_sigma2=True):
     """Parameter update from factorized binary posterior means.
 
     Amplitudes solve { sum_t [diag(S^T S)
@@ -143,21 +121,34 @@ def mstep_disc(S, obs, post, state, update_amplitudes=True,
     energy to the residual, which vanishes as the beliefs harden.
     """
     means = post.means
-    variances = 1.0 - means**2
-    T = means.shape[0]
-    a_hat = state.a_hat
-    if update_amplitudes and state.varsigma2 != 0.0:
+
+    def quad():
         R_geo = S.T @ S
         dgS = np.diagonal(R_geo)
         hollow = R_geo - np.diag(dgS)
-        quad = hollow * (means.T @ means) + T * np.diag(dgS)
-        a_hat = _mstep_amplitudes(S, obs, means, quad, state)
-    elif update_amplitudes:
+        return hollow * (means.T @ means) + means.shape[0] * np.diag(dgS)
+
+    return _mstep(S, obs, means, 1.0 - means**2, state, update_sigma2, quad)
+
+
+def _mstep(S, obs, means, variances, state, update_sigma2, quad):
+    """Body shared by both M steps: varsigma2 = 0 pins the amplitudes to
+    atilde, any other value solves the normal equations with ``quad()``
+    as their quadratic term; then sigma2 is re-estimated if asked."""
+    if state.varsigma2 == 0.0:
         a_hat = state.a_tilde.copy()
+    else:
+        lhs = quad()
+        rhs = np.sum(obs.y * means, axis=0)  # sum_t diag(m_t) S^T r_t
+        if np.isfinite(state.varsigma2):
+            ridge = state.sigma2_hat / state.varsigma2
+            lhs = lhs + ridge * np.eye(S.shape[1])
+            rhs = rhs + ridge * state.a_tilde
+        a_hat = spd_solve(lhs, rhs)
     sigma2 = state.sigma2_hat
     if update_sigma2:
         sigma2 = _residual_energy(S, obs, means, variances, a_hat) \
-            / (S.shape[0] * T)
+            / (S.shape[0] * means.shape[0])
     return replace(state, a_hat=a_hat, sigma2_hat=sigma2)
 
 
@@ -203,9 +194,10 @@ def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
     1 - b_hat^2, and then runs the closed-form M step.  Returns the
     frame history and the EmState trajectory (initial state included).
 
-    Amplitudes are estimated exactly when ``state.varsigma2 > 0``, and
-    only estimated amplitudes are floored at AMPLITUDE_FLOOR; sigma2 is
-    estimated when ``update_sigma2`` is set.  Every detector shares one
+    Amplitudes are estimated when ``state.varsigma2 > 0``, and each M
+    step pins them to a_tilde when it is 0; only estimated amplitudes
+    are floored at AMPLITUDE_FLOOR.  sigma2 is estimated when
+    ``update_sigma2`` is set.  Every detector shares one
     M step, ``mstep_gauss``: with belief variances 1 - b_hat^2 it is
     the hollow-Gram ``mstep_disc`` up to rounding.  The default
     ``state0`` holds the true ``ch_true.a`` and ``ch_true.sigma2`` with
@@ -235,7 +227,6 @@ def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
     state = state0 if state0 is not None else EmState(
         a_hat=ch_true.a, sigma2_hat=ch_true.sigma2, a_tilde=ch_true.a,
         varsigma2=0.0)
-    update_amplitudes = state.varsigma2 > 0
     ch_est = _estimated_channel(ch_true, state)
     trajectory = [state]
     frames = []
@@ -246,8 +237,7 @@ def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
         nonlocal state, ch_est
         b_hat[:, users] = np.tanh(clamp_llr(llr_mud + llr_dec) / 2.0)
         state = mstep_gauss(ch_true.S, obs, PosteriorSummary.from_means(b_hat),
-                            state, update_amplitudes=update_amplitudes,
-                            update_sigma2=update_sigma2)
+                            state, update_sigma2=update_sigma2)
         ch_est = _estimated_channel(ch_true, state)
         return ch_est
 
@@ -256,7 +246,7 @@ def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
             frame = loop.iterate(ch_est, after_user=mstep_after)
         else:
             frame = loop.iterate(ch_est)
-            if update_amplitudes or update_sigma2:
+            if update_sigma2 or state.varsigma2 > 0:
                 mstep_after(slice(None), frame.llr_mud, frame.llr_dec)
         frames.append(frame)
         trajectory.append(state)

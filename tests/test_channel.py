@@ -7,6 +7,7 @@ from turbomud.channel import (ChannelInstance, SymbolBlock,
                               make_equicorrelated, make_random_spreading,
                               receive, transmit)
 from turbomud.errors import DimensionMismatch, InvalidCorrelation
+from turbomud.linalg import factor_FtF
 
 from test_mean_field_kernel import whiten
 
@@ -37,7 +38,7 @@ class TestMakeEquicorrelated:
 
 
 class TestChannelMatrices:
-    MATRICES = ("R", "F", "gram", "hollow_gram", "SA", "Rinv")
+    MATRICES = ("R", "gram", "hollow_gram", "SA", "Rinv")
 
     @pytest.fixture
     def ch(self):
@@ -76,7 +77,7 @@ class TestChannelMatrices:
         # built once, with the original, and shared by every copy
         for copied in (est, ch.with_params(sigma2=0.5),
                        est.with_params(a=ch.a)):
-            for name in ("R", "F", "Rinv"):
+            for name in ("R", "Rinv"):
                 assert getattr(copied, name) is getattr(ch, name)
 
     def test_estimates_are_validated(self, ch):
@@ -88,19 +89,17 @@ class TestChannelMatrices:
             ch.with_params(sigma2=-1.0)
 
     def test_unpickled_matrices_stay_read_only(self, ch):
-        for name in self.MATRICES:
-            getattr(ch, name)
         back, est = pickle.loads(pickle.dumps((ch, ch.with_params(a=ch.a))))
         for name in self.MATRICES:
             np.testing.assert_array_equal(getattr(back, name),
                                           getattr(ch, name))
             assert not getattr(back, name).flags.writeable, name
             assert not getattr(est, name).flags.writeable, name
-        for name in ("R", "F", "Rinv"):  # the copy still shares them
+        for name in ("R", "Rinv"):  # the copy still shares them
             assert getattr(est, name) is getattr(back, name)
 
-    @pytest.mark.parametrize("name", ["R", "F"])
-    def test_R_and_F_are_derived_not_passed(self, ch, name):
+    @pytest.mark.parametrize("name", MATRICES)
+    def test_matrices_are_derived_not_passed(self, ch, name):
         with pytest.raises(TypeError):
             ChannelInstance(N=ch.N, K=ch.K, S=ch.S, a=ch.a, sigma2=ch.sigma2,
                             **{name: np.eye(ch.K)})
@@ -202,10 +201,10 @@ class TestTransmit:
                                      1.0, -1.0))
         obs = transmit(ch, blk, rng_seed=5)
         # F^T ybar = y = S^T r on every interval
-        np.testing.assert_allclose(whiten(ch, obs.y) @ ch.F, obs.y,
-                                   atol=1e-10)
+        F = factor_FtF(ch.R)
+        np.testing.assert_allclose(whiten(ch, obs.y) @ F, obs.y, atol=1e-10)
         np.testing.assert_allclose(obs.r @ ch.S, obs.y, atol=1e-12)
-        np.testing.assert_allclose(ch.F.T @ ch.F, ch.S.T @ ch.S, atol=1e-10)
+        np.testing.assert_allclose(F.T @ F, ch.S.T @ ch.S, atol=1e-10)
 
     def test_whitened_noise_covariance(self):
         # over many draws with b fixed, cov(ybar - F A b) -> sigma2 I
@@ -214,7 +213,8 @@ class TestTransmit:
         T = 200_000
         b = np.ones((T, 2))
         obs = transmit(ch, SymbolBlock(b=b), rng_seed=7)
-        centered = whiten(ch, obs.y) - (ch.F @ (ch.a * b[0]))[None, :]
+        F = factor_FtF(ch.R)
+        centered = whiten(ch, obs.y) - (F @ (ch.a * b[0]))[None, :]
         cov = centered.T @ centered / T
         np.testing.assert_allclose(cov, sigma2 * np.eye(2),
                                    atol=0.05 * sigma2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from turbomud import detect_linear
 from turbomud.channel import SymbolBlock, make_equicorrelated, transmit
 from turbomud.detect_linear import (DECORRELATOR, MMSE, ClipBox,
                                     GaussianBelief, decorrelate,
@@ -121,6 +122,19 @@ class TestSic:
         clipped = sic(self.ch, r, box=ClipBox(-1.0, 1.0), sweeps=200)
         free = sic(self.ch, r, sweeps=200)
         np.testing.assert_array_equal(clipped, free)
+
+    def test_sweeps_stop_once_converged(self, monkeypatch):
+        ch = make_equicorrelated(3, 0.2, sigma2=0.5)
+        r = np.random.default_rng(7).standard_normal(3)
+
+        def updates():
+            trace = []
+            sic(ch, r, sweeps=500, callback=trace.append)
+            return len(trace)
+
+        assert updates() < 30 * 3
+        monkeypatch.setattr(detect_linear, "CONVERGED_DELTA", -1.0)
+        assert updates() == 500 * 3
 
     def test_first_sweep_hand_unrolled(self):
         ch = make_equicorrelated(2, 0.7, sigma2=0.3)

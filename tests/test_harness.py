@@ -372,7 +372,7 @@ class TestRunScenario:
         """Two SNR points of 32 frames each run two rounds apiece, yet
         the run builds one channel geometry, one decoder and one parsed
         detection order; only the DDF factors are built per point, and
-        every point's channel shares the base channel's R, F and R^-1."""
+        every point's channel shares the base channel's R and R^-1."""
         built, bases, contexts = [], [], []
 
         def counting(cls):
@@ -431,7 +431,7 @@ class TestRunScenario:
         for ctx in contexts:
             assert ctx is points[ctx.snr_index]  # one context per point
             assert ctx.decoder is contexts[0].decoder
-            for name in ("R", "F", "Rinv"):
+            for name in ("R", "Rinv"):
                 assert getattr(ctx.ch, name) is getattr(bases[0], name)
 
 

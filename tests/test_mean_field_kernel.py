@@ -28,6 +28,7 @@ from turbomud.channel import (ChannelInstance, SymbolBlock,
                               transmit)
 from turbomud import varem
 from turbomud.coding import ConvCode, ConvTurboDecoder, IdentityDecoder
+from turbomud.linalg import factor_FtF
 from turbomud.siso_ddf import (DdfPrecompute, bind_ddf_hook, ddf_pass_block,
                                detection_order)
 from turbomud.siso_discrete import (MEAN_CLEARANCE, DiscreteBelief,
@@ -89,7 +90,7 @@ def whiten(ch, y):
     scipy's triangular solver: an independent check of the DDF pass's
     own back-substitution."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    return solve_triangular(ch.F.T, y.T, lower=False).T
+    return solve_triangular(factor_FtF(ch.R).T, y.T, lower=False).T
 
 
 def whiten_in_order(ch, y, order):

@@ -6,6 +6,7 @@ import pytest
 from turbomud.channel import SymbolBlock, make_equicorrelated, transmit
 from turbomud.coding import IdentityDecoder
 from turbomud.errors import InvalidPermutation
+from turbomud.linalg import factor_FtF
 from turbomud.siso_ddf import (DdfPrecompute, ddf_pass, ddf_pass_block,
                                detection_order)
 from turbomud.siso_discrete import DiscreteBelief, free_energy_disc
@@ -49,11 +50,12 @@ class TestDdfPrecompute:
         ch = make_equicorrelated(4, 0.6, amplitudes=[1.0, 2.0, 0.5, 1.0],
                                  sigma2=0.4)
         pre = identity_pre(ch)
-        np.testing.assert_allclose(pre.diag_gain,
-                                   ch.a * np.diagonal(ch.F), rtol=1e-12)
+        F = factor_FtF(ch.R)
+        np.testing.assert_allclose(pre.diag_gain, ch.a * np.diagonal(F),
+                                   rtol=1e-12)
         for k in range(4):
             assert np.all(pre.feedback[k:, k] == 0.0)
-            expected = ch.a[k] * ch.F[k, k] * ch.a[:k] * ch.F[k, :k]
+            expected = ch.a[k] * F[k, k] * ch.a[:k] * F[k, :k]
             np.testing.assert_allclose(pre.feedback[:k, k], expected,
                                        rtol=1e-12)
 

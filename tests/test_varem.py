@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from turbomud.channel import SymbolBlock, make_equicorrelated, transmit
+from turbomud.channel import (ChannelInstance, SymbolBlock,
+                              make_equicorrelated, make_random_spreading,
+                              receive, transmit)
+from turbomud import varem
 from turbomud.coding import ConvCode, ConvTurboDecoder, IdentityDecoder
 from turbomud.siso_ddf import bind_ddf_hook
 from turbomud.siso_discrete import DiscreteTurboLoop
@@ -68,8 +73,8 @@ class TestMstepClosedForms:
         # as means -> +/-1 the variance correction term vanishes
         ch, obs, b = make_setup()
         post = PosteriorSummary.from_means(b * (1.0 - 1e-12))
-        state = mstep_disc(ch.S, obs, post, flat_state(ch),
-                           update_amplitudes=False)
+        state = mstep_disc(ch.S, obs, post,
+                           replace(flat_state(ch), varsigma2=0.0))
         resid = obs.r - b @ ch.S.T
         expected = np.sum(resid**2) / (ch.N * b.shape[0])
         assert abs(state.sigma2_hat - expected) < 1e-9
@@ -227,6 +232,35 @@ class TestRunVarem:
         # varsigma2 = 0 leaves the amplitudes at a_tilde
         assert all(np.array_equal(st.a_hat, np.ones(2)) for st in traj)
 
+    def test_zero_varsigma_m_step_pins_a_hat_to_a_tilde(self):
+        # sigma2-only EM from an a_hat off a_tilde: the first M step
+        # already holds a_tilde, as EmState's varsigma2 = 0 documents
+        ch, obs, b = make_setup(K=2, T=40, sigma2=0.1, seed=17)
+        a_tilde = np.array([1.2, 0.9])
+        state0 = EmState(a_hat=np.array([0.7, 1.4]), sigma2_hat=0.3,
+                         a_tilde=a_tilde, varsigma2=0.0)
+        for detector in DETECTORS:
+            _, traj = run_varem(ch, obs, detector, "flooding", 2,
+                                IdentityDecoder(), state0,
+                                update_sigma2=True, I=2)
+            np.testing.assert_array_equal(traj[0].a_hat, [0.7, 1.4])
+            for st in traj[1:]:
+                np.testing.assert_array_equal(st.a_hat, a_tilde)
+
+    def test_amplitude_floor_applies_to_estimates_only(self):
+        ch = make_equicorrelated(4, 0.3, sigma2=0.2)
+        a_hat = np.array([1.0, -0.05, 1e-9, 2.0])
+        est = varem._estimated_channel(
+            ch, EmState(a_hat=a_hat, sigma2_hat=0.2, a_tilde=np.ones(4),
+                        varsigma2=0.09))
+        np.testing.assert_array_equal(est.a, [1.0, 1e-6, 1e-6, 2.0])
+        # pinned amplitudes (varsigma2 = 0) pass through unfloored
+        pinned = np.array([1.0, 1e-9, 2.0, 3e-7])
+        est = varem._estimated_channel(
+            ch, EmState(a_hat=pinned, sigma2_hat=0.2, a_tilde=pinned,
+                        varsigma2=0.0))
+        np.testing.assert_array_equal(est.a, pinned)
+
     def test_amplitude_refinement_improves_prior(self):
         # noisy prior amplitudes, estimation on: the final estimate
         # should be closer to the truth than the prior was
@@ -266,12 +300,10 @@ class TestRunVarem:
 
     def test_discrete_family_runs(self, monkeypatch):
         # both families share mstep_gauss; mstep_disc is the test reference
-        import turbomud.varem
-
         def unused(*args, **kwargs):
             raise AssertionError("run_varem called mstep_disc")
 
-        monkeypatch.setattr(turbomud.varem, "mstep_disc", unused)
+        monkeypatch.setattr(varem, "mstep_disc", unused)
         ch, obs, b = make_setup(K=3, T=20, sigma2=0.2, rho=0.3, seed=15)
         state0 = EmState(a_hat=np.ones(3), sigma2_hat=0.5,
                          a_tilde=np.ones(3), varsigma2=0.0)
@@ -323,7 +355,16 @@ class TestScaleRelation:
         pytest.param(1e-3, True, marks=pytest.mark.xfail(
             strict=True, reason="initial_sigma2 floors its start at the "
             "absolute SIGMA2_INIT_FLOOR = 1e-3, far above the true "
-            "sigma2 = 5e-7 at 3 dB; hundreds of decisions flip"))])
+            "sigma2 = 5e-7 at 3 dB; hundreds of decisions flip")),
+        pytest.param(1e-6, False, marks=pytest.mark.xfail(
+            strict=True, reason="EmState floors sigma2 at the absolute "
+            "SIGMA2_FLOOR = 1e-9, above the true sigma2 = 5e-13 at 3 dB, "
+            "so detection runs at the floor and decisions flip")),
+        pytest.param(1e-6, True, marks=pytest.mark.xfail(
+            strict=True, reason="EmState floors every sigma2 estimate at "
+            "the absolute SIGMA2_FLOOR = 1e-9 (and initial_sigma2 starts "
+            "at SIGMA2_INIT_FLOOR = 1e-3), above the true sigma2 = 5e-13 "
+            "at 3 dB; decisions flip"))])
     def test_llrs_invariant_and_estimates_scale(self, setup, c, em):
         for snr_db in (3.0, 8.0):
             for detector in DETECTORS:
@@ -340,3 +381,57 @@ class TestScaleRelation:
                             st.sigma2_hat, rel=1e-12, abs=0)
                         np.testing.assert_allclose(st_c.a_hat / c, st.a_hat,
                                                    rtol=1e-12, atol=0)
+
+
+class TestUserRelabelling:
+    """Metamorphic relation of a Gaussian flooding or hybrid run: permuting
+    the users (the columns of S, the amplitudes, the bits and a_tilde)
+    under the same chip noise draw permutes every LLR and EM estimate
+    the same way.  Uncoded, so no interleaver ties a user to its label;
+    mean-field and sequential are left out, as their update order
+    follows the labels.
+
+    Bounds: LLRs within 1e-10 of max(1, |L|) with no decision flip (seen:
+    1.6e-13); EM estimates within 1e-12 relative (seen: 3.8e-15).
+    """
+
+    J = 4
+
+    def run(self, ch, b, noise, schedule, a_tilde):
+        obs = receive(ch, SymbolBlock(b=b), noise.copy())
+        state0 = None if a_tilde is None else EmState(
+            a_hat=a_tilde, a_tilde=a_tilde, varsigma2=0.09,
+            sigma2_hat=initial_sigma2(obs, a_tilde, ch.N))
+        frames, traj = run_varem(ch, obs, "gaussian", schedule, self.J,
+                                 IdentityDecoder(), state0,
+                                 update_sigma2=a_tilde is not None)
+        return np.stack([f.llr_post for f in frames]), traj
+
+    @pytest.mark.parametrize("K, N, T", [(4, 8, 64), (6, 8, 64),
+                                         (32, 40, 32)])
+    @pytest.mark.parametrize("schedule", ["flooding", "hybrid"])
+    @pytest.mark.parametrize("em", [False, True])
+    def test_llrs_and_estimates_permute_with_the_users(self, K, N, T,
+                                                        schedule, em):
+        rng = np.random.default_rng(K)
+        a = rng.uniform(0.6, 1.4, K)
+        ch = make_random_spreading(N, K, seed=K + 10, amplitudes=a,
+                                   sigma2=0.3 if K < 32 else 0.1)
+        b = np.where(rng.standard_normal((T, K)) > 0, 1.0, -1.0)
+        noise = rng.standard_normal((T, N))
+        a_tilde = a * (1.0 + 0.2 * rng.standard_normal(K)) if em else None
+        p = rng.permutation(K)
+        permuted = ChannelInstance(N=N, K=K, S=ch.S[:, p], a=a[p],
+                                   sigma2=ch.sigma2)
+        L, traj = self.run(ch, b, noise, schedule, a_tilde)
+        Lp, traj_p = self.run(permuted, b[:, p], noise, schedule,
+                              None if a_tilde is None else a_tilde[p])
+        want = L[:, :, p]
+        assert np.array_equal(Lp < 0, want < 0)
+        assert np.max(np.abs(Lp - want) / np.maximum(1.0, np.abs(want))) \
+            < 1e-10
+        for st, st_p in zip(traj, traj_p, strict=True):
+            np.testing.assert_allclose(st_p.a_hat, st.a_hat[p], rtol=1e-12,
+                                       atol=0)
+            assert st_p.sigma2_hat == pytest.approx(st.sigma2_hat,
+                                                    rel=1e-12, abs=0)
