@@ -197,11 +197,6 @@ def read_kv_file(path):
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
-def parse_config_text(text):
-    """Flat ``key = value`` lines with # comments -> ScenarioConfig."""
-    return config_from_dict(parse_kv_text(text))
-
-
 def _grid(val):
     return tuple(float(s) for s in val.split(","))
 
@@ -562,6 +557,7 @@ def single_user_bound(cfg):
     solo = replace(cfg, users=1, channel="equicorrelated", rho=0.0,
                    snr_fixed={}, varsigma=0.0, estimate_sigma2=False,
                    detector="gaussian", schedule="flooding",
+                   ddf_order=AMPLITUDE_DESCENDING,
                    outer_iterations=1 if not cfg.coded else
                    cfg.outer_iterations)
     return run_scenario(solo)

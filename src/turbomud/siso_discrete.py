@@ -131,13 +131,6 @@ def ext_one_shot(ch, r, prior_llr):
     return (2.0 / ch.sigma2) * (ch.SA.T @ r - ch.hollow_gram.T @ btilde)
 
 
-def tanh_sic(ch, r, sweeps):
-    """Uncoded hyperbolic-tangent SIC: ``tanh_sic_block`` with T = 1."""
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
-    return DiscreteBelief(m=tanh_sic_block(ch, r, sweeps)[:, 0])
-
-
 def tanh_sic_block(ch, r_block, sweeps, m0=None, *, signs=None):
     """Uncoded serial sweeps over a whole (T, N) received block.
 
@@ -228,11 +221,11 @@ class DiscreteTurboLoop(TurboLoop):
         self.Mt = np.zeros(self.llr_dec.shape[::-1])
 
     def iterate(self, ch):
-        # No after_user below, so ch is fixed within the iteration: H's
-        # observation part H0, Bh and the sweep rows are built once, and
-        # each posterior call refreshes H in place with its prior (the
-        # divide-then-add of ``_fold``).  EM may change ch between
-        # iterations, so nothing outlives this one.
+        # ch is fixed within the iteration: H's observation part H0, Bh
+        # and the sweep rows are built once, and each posterior call
+        # refreshes H in place with its prior (the divide-then-add of
+        # ``_fold``).  EM may change ch between iterations, so nothing
+        # outlives this one.
         Mt, I = self.Mt, self.I
         H0, Bh = _fold(None, self.r @ ch.SA, ch.hollow_gram, ch.sigma2)
         H, X = np.empty_like(H0), np.empty_like(H0)
@@ -246,16 +239,16 @@ class DiscreteTurboLoop(TurboLoop):
             _sweeps(rows, order * I, Mt, tmp)
             return X
 
-        def ext_all(ch, dec):
+        def ext_all(dec):
             post = hook(ch, Mt, dec) if hook is not None else \
                 2.0 * half_posterior(dec, users)
             # a +-inf decoder LLR fixes its symbol: extrinsic 0, not inf - inf
             return np.subtract(post.T, dec, out=np.zeros_like(dec),
                                where=~np.isinf(dec))
 
-        def ext_user(ch, work, k):
+        def ext_user(work, k):
             if hook is not None:
                 return hook(ch, Mt, work)[k]
             return 2.0 * half_posterior(work, users[k:] + users[:k])[k]
 
-        return self._exchange(ch, self.schedule, ext_all, ext_user)
+        return self._exchange(ext_all, ext_user)

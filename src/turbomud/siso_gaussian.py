@@ -252,11 +252,11 @@ class TurboLoop:
     """Stateful detector/decoder exchange, one outer iteration at a time.
 
     The decoder LLRs, and with them the soft-bit priors, persist across
-    iterations; the channel is an argument of each iteration so the
-    joint-estimation loop can refresh amplitude and noise estimates
-    between iterations, or between users with ``after_user``.  A
-    detector family subclasses it with its own ``iterate``, which hands
-    its two extrinsic functions to ``_exchange``.
+    iterations.  The channel is an argument of each iteration, fixed
+    within it, so the joint-estimation loop can refresh amplitude and
+    noise estimates between iterations.  A detector family subclasses
+    it with its own ``iterate(ch)``, which hands two extrinsic functions
+    on that channel to ``_exchange``.
     """
 
     def __init__(self, obs, decoder, schedule):
@@ -266,58 +266,54 @@ class TurboLoop:
         self.schedule = schedule
         self.llr_dec = np.zeros(obs.y.shape)
 
-    def _exchange(self, ch, schedule, ext_all, ext_user, after_user=None):
-        """One outer detector/decoder exchange under ``schedule``.
+    def _exchange(self, ext_all, ext_user):
+        """One outer detector/decoder exchange under ``self.schedule``.
 
-        The family supplies unclamped extrinsics: ``ext_all(ch, dec)`` of
-        every user given decoder LLRs ``dec``, and ``ext_user(ch, work, k)``
-        of user k given decoder LLRs ``work`` with column k zeroed.  Hybrid
-        detects every user from the previous iteration's decoder LLRs, then
-        decodes all users in one batched decoder call, as flooding does;
-        sequential decodes each user right after detecting it and then
-        calls ``after_user(k, llr_mud_k, llr_dec_k)``, if given, for the
-        channel of the users that follow.  The frame's ``llr_dec`` is the
-        new decoder state.
+        The family supplies unclamped extrinsics on one channel:
+        ``ext_all(dec)`` of every user given decoder LLRs ``dec``, and
+        ``ext_user(work, k)`` of user k given decoder LLRs ``work`` with
+        column k zeroed.  Hybrid detects every user from the previous
+        iteration's decoder LLRs, then decodes all users in one batched
+        decoder call, as flooding does; sequential decodes each user
+        right after detecting it.  The frame's ``llr_dec`` is the new
+        decoder state.
         """
         T, K = self.llr_dec.shape
+        schedule = self.schedule
         new_dec = np.array(self.llr_dec, dtype=float)
         info = [None] * K
         if schedule == FLOODING:
-            llr_mud = clamp_llr(ext_all(ch, self.llr_dec))
+            llr_mud = clamp_llr(ext_all(self.llr_dec))
         else:
             llr_mud = np.empty((T, K))
         if schedule == HYBRID:
             for k in range(K):
                 llr_mud[:, k] = clamp_llr(
-                    ext_user(ch, _without_user(self.llr_dec, k), k))
+                    ext_user(_without_user(self.llr_dec, k), k))
         for k in range(K) if schedule == SEQUENTIAL else [slice(None)]:
             if schedule == SEQUENTIAL:
                 llr_mud[:, k] = clamp_llr(
-                    ext_user(ch, _without_user(new_dec, k), k))
+                    ext_user(_without_user(new_dec, k), k))
             new_dec[:, k], info[k] = self.decoder.decode_user(k, llr_mud[:, k])
-            if schedule == SEQUENTIAL and after_user is not None:
-                ch = after_user(k, llr_mud[:, k], new_dec[:, k])
         self.llr_dec = new_dec
         return LlrFrame(llr_mud, new_dec, llr_mud + new_dec, info)
 
 
 class GaussianTurboLoop(TurboLoop):
     """``TurboLoop`` on the Gaussian kernels.  It owns their ``work``
-    buffer, so its calls reuse mapped pages."""
+    buffer, so its calls reuse mapped pages.  Leave-one-out extrinsics
+    equal the Gaussian-division ones (module docstring), so hybrid runs
+    as flooding, on the one shared solve rather than K solves."""
 
     def __init__(self, obs, decoder, schedule):
-        super().__init__(obs, decoder, schedule)
+        super().__init__(obs, decoder,
+                         FLOODING if schedule == HYBRID else schedule)
         self.Y = obs.y
         self.work = np.empty(self.Y.shape + self.Y.shape[1:])  # (T, K, K)
 
-    def iterate(self, ch, after_user=None):
-        """One outer iteration; ``after_user`` as in ``_exchange``."""
-        # Leave-one-out extrinsics equal the Gaussian-division ones (module
-        # docstring), so hybrid takes the one shared solve, not K solves.
-        schedule = FLOODING if self.schedule == HYBRID else self.schedule
+    def iterate(self, ch):
+        """One outer iteration on channel ``ch``."""
         Y, work = self.Y, self.work
         return self._exchange(
-            ch, schedule,
-            lambda ch, dec: flooding_ext_block(ch, Y, soft_bits(dec), work),
-            lambda ch, dec, k: loo_ext_block(ch, Y, soft_bits(dec), k, work),
-            after_user)
+            lambda dec: flooding_ext_block(ch, Y, soft_bits(dec), work),
+            lambda dec, k: loo_ext_block(ch, Y, soft_bits(dec), k, work))

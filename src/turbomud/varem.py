@@ -182,7 +182,7 @@ def em_objective_grad_a(S, obs, post, sigma2, a, a_tilde, varsigma2):
 
 def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
               update_sigma2=False, I=DEFAULT_INNER_ITERS,
-              order_policy=AMPLITUDE_DESCENDING, mstep_per_user=False):
+              order_policy=AMPLITUDE_DESCENDING):
     """Alternate turbo detection (E) and parameter updates (M).
 
     ``detector`` is ``"gaussian"``, ``"discrete"`` (mean-field, I inner
@@ -191,8 +191,9 @@ def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
     Each outer iteration detects and decodes with the current
     (a_hat, sigma2_hat), forms the decoder-informed posterior estimate
     b_hat = tanh(LLR_mud/2 + LLR_dec/2) with belief variances
-    1 - b_hat^2, and then runs the closed-form M step.  Returns the
-    frame history and the EmState trajectory (initial state included).
+    1 - b_hat^2, and then runs the closed-form M step, so the channel
+    is fixed within an iteration.  Returns the frame history and the
+    EmState trajectory (initial state included).
 
     Amplitudes are estimated when ``state.varsigma2 > 0``, and each M
     step pins them to a_tilde when it is 0; only estimated amplitudes
@@ -205,18 +206,9 @@ def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
     re-estimated and the run is the plain turbo schedule.  EmState
     floors sigma2 at SIGMA2_FLOOR: a channel below it is detected at
     the floor.
-
-    ``mstep_per_user`` instead refreshes column k of b_hat and runs the
-    M step right after each user k decodes, so the following users are
-    detected with the new estimates; the trajectory keeps one state per
-    outer iteration.  Only the sequential Gaussian detector supports it.
     """
     if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}")
-    if mstep_per_user and (detector != "gaussian"
-                           or schedule != "sequential"):
-        raise ValueError("per-user M-step cadence requires the "
-                         "sequential Gaussian detector")
     if detector == "gaussian":
         loop = GaussianTurboLoop(obs, decoder, schedule)
     else:
@@ -230,24 +222,14 @@ def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
     ch_est = _estimated_channel(ch_true, state)
     trajectory = [state]
     frames = []
-    b_hat = np.zeros(obs.y.shape)
-
-    def mstep_after(users, llr_mud, llr_dec):
-        """M step after refreshing the posterior means of ``users``."""
-        nonlocal state, ch_est
-        b_hat[:, users] = np.tanh(clamp_llr(llr_mud + llr_dec) / 2.0)
-        state = mstep_gauss(ch_true.S, obs, PosteriorSummary.from_means(b_hat),
-                            state, update_sigma2=update_sigma2)
-        ch_est = _estimated_channel(ch_true, state)
-        return ch_est
-
     for _ in range(J):
-        if mstep_per_user:
-            frame = loop.iterate(ch_est, after_user=mstep_after)
-        else:
-            frame = loop.iterate(ch_est)
-            if update_sigma2 or state.varsigma2 > 0:
-                mstep_after(slice(None), frame.llr_mud, frame.llr_dec)
+        frame = loop.iterate(ch_est)
+        if update_sigma2 or state.varsigma2 > 0:
+            b_hat = np.tanh(clamp_llr(frame.llr_post) / 2.0)
+            state = mstep_gauss(ch_true.S, obs,
+                                PosteriorSummary.from_means(b_hat), state,
+                                update_sigma2=update_sigma2)
+            ch_est = _estimated_channel(ch_true, state)
         frames.append(frame)
         trajectory.append(state)
     return frames, trajectory

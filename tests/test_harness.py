@@ -18,7 +18,7 @@ from turbomud import harness
 from turbomud.errors import ConfigError, DegeneratePrior
 from turbomud.harness import (ScenarioConfig, _build_spreading, _group_size,
                               _point_channel, config_from_dict,
-                              parse_config_text, preset_config,
+                              parse_kv_text, preset_config,
                               resolve_config, run_scenario, single_user_bound)
 from turbomud.siso_gaussian import SCHEDULES
 
@@ -34,7 +34,7 @@ def tiny_coded_cfg(**over):
 
 class TestConfigParsing:
     def test_flat_text_roundtrip(self):
-        cfg = parse_config_text("""
+        cfg = config_from_dict(parse_kv_text("""
             # scenario
             channel = equicorrelated
             users = 4
@@ -43,7 +43,7 @@ class TestConfigParsing:
             snr_db = 1,2,3
             snr_fixed = 2:11
             estimate_sigma2 = true
-        """)
+        """))
         assert cfg.users == 4
         assert cfg.snr_db == (1.0, 2.0, 3.0)
         assert cfg.snr_fixed == {2: 11.0}
@@ -51,7 +51,7 @@ class TestConfigParsing:
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
-            parse_config_text("flux_capacitance = 11")
+            config_from_dict(parse_kv_text("flux_capacitance = 11"))
 
     def test_bad_values(self):
         with pytest.raises(ConfigError, match="rho"):
@@ -184,7 +184,7 @@ def _config_texts(draw):
 def test_config_parser_fuzz(text):
     """Every text is rejected or yields a valid config of finite numbers."""
     try:
-        cfg = parse_config_text(text)
+        cfg = config_from_dict(parse_kv_text(text))
     except ConfigError:
         return
     assert cfg.validate() is cfg
@@ -574,6 +574,19 @@ class TestSingleUserBound:
         a.to_csv(pa)
         b.to_csv(pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_custom_ddf_order_does_not_reach_the_solo_run(self, tmp_path):
+        # a permutation of 1..K is no permutation of the solo run's 1..1;
+        # its Gaussian detector reads no detection order at all
+        cfg = config_from_dict(dict(
+            users=2, coded="false", detector="ddf_aided",
+            ddf_order="custom:2,1", snr_db="4", seed=5, max_frames=2,
+            min_error_events=1, frame_cap=2))
+        paths = tmp_path / "custom.csv", tmp_path / "default.csv"
+        single_user_bound(cfg).to_csv(paths[0])
+        single_user_bound(replace(cfg, ddf_order="amplitude_descending")
+                          ).to_csv(paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_runtime_imports_no_scipy():

@@ -275,9 +275,8 @@ class PerCallFoldLoop(DiscreteTurboLoop):
                 dec, eta_r, ch.hollow_gram, ch.sigma2))
 
         return self._exchange(
-            ch, self.schedule,
-            lambda ch, dec: posterior(dec, list(range(K))).T - dec,
-            lambda ch, work, k: posterior(
+            lambda dec: posterior(dec, list(range(K))).T - dec,
+            lambda work, k: posterior(
                 work, list(range(k, K)) + list(range(k)))[k])
 
 

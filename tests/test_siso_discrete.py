@@ -8,7 +8,7 @@ from turbomud.oracle import _enum_symbols
 from turbomud.siso_discrete import (MEAN_CLEARANCE, DiscreteBelief,
                                     clamp_mean, ext_one_shot,
                                     free_energy_disc, serial_update,
-                                    stationarity_residual, tanh_sic)
+                                    stationarity_residual, tanh_sic_block)
 from turbomud.siso_gaussian import (LLR_CLAMP, VAR_FLOOR, GaussianPrior,
                                     clamp_llr, soft_bits)
 from turbomud.varem import run_varem
@@ -192,17 +192,26 @@ class TestTanhSic:
         ch = make_equicorrelated(3, 0.5, sigma2=0.7)
         rng = np.random.default_rng(8)
         r = rng.standard_normal(3)
-        direct = tanh_sic(ch, r, sweeps=3)
+        direct = tanh_sic_block(ch, r, 3)[:, 0]
         belief = DiscreteBelief(m=np.zeros(3))
         for _ in range(3):
             belief, _ = serial_update(ch, r, np.zeros(3), belief)
-        np.testing.assert_array_equal(direct.m, belief.m)
+        np.testing.assert_array_equal(direct, belief.m)
 
     def test_single_user(self):
         ch = make_equicorrelated(1, 0.0, amplitudes=[0.9], sigma2=0.6)
         r = np.array([0.8])
-        out = tanh_sic(ch, r, sweeps=1)
-        assert abs(out.m[0] - np.tanh(0.9 * r[0] / 0.6)) < 1e-12
+        out = tanh_sic_block(ch, r, 1)[:, 0]
+        assert abs(out[0] - np.tanh(0.9 * r[0] / 0.6)) < 1e-12
+
+    def test_zero_sweeps_return_the_start(self):
+        # uncoded ddf_aided at J = 1 runs J - 1 = 0 sweeps
+        ch = make_equicorrelated(3, 0.5, sigma2=0.7)
+        r = np.random.default_rng(10).standard_normal((4, 3))
+        np.testing.assert_array_equal(tanh_sic_block(ch, r, 0),
+                                      np.zeros((3, 4)))
+        m0 = np.full((3, 4), 0.25)
+        np.testing.assert_array_equal(tanh_sic_block(ch, r, 0, m0), m0)
 
     def test_high_snr_sign_recovery(self):
         sigma2 = 1e-4
@@ -212,8 +221,8 @@ class TestTanhSic:
             b = np.where(rng.standard_normal(2) > 0, 1.0, -1.0)
             obs = transmit(ch, SymbolBlock(b=b[None, :]),
                            rng_seed=int(rng.integers(2**31)))
-            out = tanh_sic(ch, obs.r[0], sweeps=3)
-            np.testing.assert_array_equal(np.sign(out.m), b)
+            out = tanh_sic_block(ch, obs.r[0], 3)[:, 0]
+            np.testing.assert_array_equal(np.sign(out), b)
 
 
 class TestRunScheduleDisc:

@@ -12,7 +12,7 @@ from turbomud.errors import (DegeneratePrior, DimensionMismatch,
                              NotPositiveDefinite)
 from turbomud.linalg import PIVOT_FLOOR
 from turbomud.oracle import wang_poor_oracle
-from turbomud.siso_gaussian import (VAR_FLOOR, GaussianPrior,
+from turbomud.siso_gaussian import (SCHEDULES, VAR_FLOOR, GaussianPrior,
                                     GaussianTurboLoop, ext_flooding,
                                     ext_hybrid, flooding_ext_block,
                                     free_energy_gauss,
@@ -413,10 +413,8 @@ class TestWorkBuffer:
                 self.ext(ch, Y, Btilde, k, work)
         assert not np.any(work)
 
-    @pytest.mark.parametrize("schedule, per_user", [("sequential", True),
-                                                    ("flooding", False)])
-    def test_em_run_equals_unbuffered_run(self, monkeypatch, schedule,
-                                          per_user):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_em_run_equals_unbuffered_run(self, monkeypatch, schedule):
         K, n_info = 4, 24
         dec = ConvTurboDecoder(ConvCode(generators=("111", "101")), K,
                                n_info, master_seed=6)
@@ -439,7 +437,7 @@ class TestWorkBuffer:
 
         def run():
             return run_varem(ch, obs, "gaussian", schedule, 3, dec, state0,
-                             update_sigma2=True, mstep_per_user=per_user)
+                             update_sigma2=True)
 
         frames, traj = run()
         assert buffers[0] is not None

@@ -6,7 +6,7 @@ import pytest
 from turbomud.channel import (ChannelInstance, SymbolBlock,
                               make_equicorrelated, make_random_spreading,
                               receive, transmit)
-from turbomud import varem
+from turbomud import siso_gaussian, varem
 from turbomud.coding import ConvCode, ConvTurboDecoder, IdentityDecoder
 from turbomud.siso_ddf import bind_ddf_hook
 from turbomud.siso_discrete import DiscreteTurboLoop
@@ -275,28 +275,51 @@ class TestRunVarem:
         err1 = np.linalg.norm(traj[-1].a_hat - 1.0)
         assert err1 < err0
 
-    def test_per_user_mstep_cadence(self):
-        ch, obs, b = make_setup(K=2, T=200, sigma2=0.1, rho=0.5, seed=16)
-        state0 = EmState(a_hat=np.ones(2),
-                         sigma2_hat=initial_sigma2(obs, np.ones(2), ch.N),
-                         a_tilde=np.ones(2), varsigma2=0.0)
-        frames, traj = run_varem(ch, obs, "gaussian", "sequential", 3,
-                                 IdentityDecoder(), state0,
-                                 update_sigma2=True, mstep_per_user=True)
-        assert len(frames) == 3
-        assert abs(traj[-1].sigma2_hat - 0.1) < 0.5 * 0.1
-        # with nothing to update and the true parameters, the per-user
-        # M step is a no-op and the plain sequential schedule results
-        frames, _ = run_varem(ch, obs, "gaussian", "sequential", 3,
-                              IdentityDecoder(), mstep_per_user=True)
-        plain = plain_schedule(ch, obs, "gaussian", "sequential", 3,
-                               IdentityDecoder())
-        for got, want in zip(frames, plain, strict=True):
-            np.testing.assert_array_equal(got.llr_mud, want.llr_mud)
-            np.testing.assert_array_equal(got.llr_dec, want.llr_dec)
-        with pytest.raises(ValueError):
-            run_varem(ch, obs, "gaussian", "flooding", 1, IdentityDecoder(),
-                      state0, mstep_per_user=True)
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize("detector", DETECTORS)
+    def test_one_m_step_per_outer_iteration(self, monkeypatch, detector,
+                                            schedule):
+        # sigma2 and amplitude EM: iteration j detects on the channel of
+        # trajectory[j] alone, Gaussian kernel calls included, and one M
+        # step follows each iteration; user 3's prior and estimates sit
+        # near 0, below AMPLITUDE_FLOOR, so the floor is exercised
+        K, n_info, J = 3, 16, 3
+        dec = ConvTurboDecoder(ConvCode(generators=("111", "101")), K,
+                               n_info, master_seed=2)
+        ch = make_equicorrelated(K, 0.5, amplitudes=[1.0, 0.7, 1e-7],
+                                 sigma2=0.3)
+        info = np.random.default_rng(3).integers(0, 2, size=(n_info, K))
+        obs = transmit(ch, SymbolBlock(b=dec.encode_block(info)), rng_seed=4)
+        a_tilde = np.array([1.0, 0.7, 0.0])
+        state0 = EmState(a_hat=a_tilde, a_tilde=a_tilde, sigma2_hat=0.5,
+                         varsigma2=0.09)
+        msteps, seen = [], []  # seen[j]: iterate's channel, kernel channels
+
+        def spy(fn, record):
+            def wrapped(*args, **kwargs):
+                record(args)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(varem, "mstep_gauss",
+                            spy(mstep_gauss, msteps.append))
+        for cls in (GaussianTurboLoop, DiscreteTurboLoop):
+            monkeypatch.setattr(cls, "iterate", spy(
+                cls.iterate, lambda args: seen.append((args[1], []))))
+        for name in ("flooding_ext_block", "loo_ext_block"):
+            monkeypatch.setattr(siso_gaussian, name, spy(
+                getattr(siso_gaussian, name),
+                lambda args: seen[-1][1].append(args[0])))
+        frames, traj = run_varem(ch, obs, detector, schedule, J, dec,
+                                 state0, update_sigma2=True, I=2)
+        assert len(msteps) == J and len(seen) == J and len(traj) == J + 1
+        assert any(min(st.a_hat) < varem.AMPLITUDE_FLOOR for st in traj[1:])
+        for (ch_j, kernel_chs), state in zip(seen, traj):
+            assert ch_j.sigma2 == state.sigma2_hat
+            np.testing.assert_array_equal(
+                ch_j.a, np.maximum(state.a_hat, varem.AMPLITUDE_FLOOR))
+            assert all(c is ch_j for c in kernel_chs)
+            assert bool(kernel_chs) == (detector == "gaussian")
 
     def test_discrete_family_runs(self, monkeypatch):
         # both families share mstep_gauss; mstep_disc is the test reference
