@@ -15,9 +15,9 @@ import numpy as np
 
 from turbomud.channel import SymbolBlock, make_equicorrelated, transmit
 from turbomud.coding import ConvCode, ConvTurboDecoder
-from turbomud.oracle import wang_poor_oracle
 from turbomud.siso_discrete import ext_one_shot
-from turbomud.siso_gaussian import GaussianPrior, ext_flooding, ext_hybrid
+from turbomud.siso_gaussian import (GaussianPrior, ext_flooding, ext_hybrid,
+                                    wang_poor_oracle)
 from turbomud.varem import run_varem
 
 

@@ -147,9 +147,13 @@ def cli_main(argv=None):
         cfg = _apply_overrides(resolve_config(args.config), args)
         report = run_scenario(cfg)
         out = _out_path(args)
-        report.to_csv(out)
-        if report.em:
-            report.em_to_csv(os.path.splitext(out)[0] + "_em.csv")
+        try:
+            report.to_csv(out)
+            if report.em:
+                report.em_to_csv(os.path.splitext(out)[0] + "_em.csv")
+        except OSError as exc:
+            raise TurbomudError(f"cannot write {exc.filename}: "
+                                f"{exc.strerror}") from None
         for snr in cfg.snr_db:
             ber = report.ber(snr, cfg.outer_iterations)
             print(f"snr {snr:g} dB: final-iteration BER = {ber:.3e}")

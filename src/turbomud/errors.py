@@ -34,10 +34,6 @@ class DomainError(TurbomudError):
     open interval (-1, 1), or a non-finite LLR into the decoder."""
 
 
-class TooLarge(TurbomudError):
-    """Problem size exceeds the enumeration guard of an exact reference."""
-
-
 class LengthMismatch(TurbomudError):
     """LLR sequence length inconsistent with the trellis."""
 

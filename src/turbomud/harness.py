@@ -175,8 +175,9 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
 
 
 def parse_kv_text(text):
-    """Flat ``key = value`` lines with # comments -> dict of value strings."""
-    values = {}
+    """Flat ``key = value`` lines with # comments -> dict of value strings.
+    A repeated key is an error: keeping only the last would hide a typo."""
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -184,7 +185,10 @@ def parse_kv_text(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, val = (s.strip() for s in line.split("=", 1))
-        values[key] = val
+        if key in lines:
+            raise ConfigError(f"line {lineno}: {key} repeats line "
+                              f"{lines[key]}")
+        values[key], lines[key] = val, lineno
     return values
 
 
@@ -193,7 +197,7 @@ def read_kv_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_kv_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 

@@ -43,11 +43,6 @@ _MEAN_LO, _MEAN_HI = (np.broadcast_to(b, ()) for b in (
 DEFAULT_INNER_ITERS = 6
 
 
-def clamp_mean(m):
-    """The clamp ``_sweep_block`` applies in place after every tanh."""
-    return np.minimum(np.maximum(m, _MEAN_LO), _MEAN_HI)
-
-
 @dataclass(frozen=True)
 class DiscreteBelief:
     """Factorized binary belief, stored as posterior means in (-1, 1)."""
@@ -169,8 +164,9 @@ def _sweep_rows(Mt, H, Bh, X):
 def _sweeps(rows, users, Mt, tmp):
     """The mean-field update of each k of ``users`` in turn, in place on
     the users-major means Mt over all T intervals: x_k = H_k - Bh_k Mt
-    and m_k = clamp_mean(tanh(x_k)), five numpy calls into preallocated
-    rows (``tmp``: T floats), with ufuncs and bounds bound to locals.
+    and m_k = tanh(x_k) clamped into [_MEAN_LO, _MEAN_HI], five numpy
+    calls into preallocated rows (``tmp``: T floats), with ufuncs and
+    bounds bound to locals.
     """
     subtract, tanh, maximum, minimum = (np.subtract, np.tanh, np.maximum,
                                         np.minimum)

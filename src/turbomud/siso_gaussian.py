@@ -24,7 +24,8 @@ Each extrinsic has one kernel over a (T, K) block of intervals;
 ``ext_flooding`` and ``ext_hybrid`` call it with T = 1.  Both kernels
 form 2 mu / (1 - alpha) in ``_ext_llr``, which raises DegeneratePrior
 when 1 - alpha falls below EXT_VAR_FLOOR.  The independently coded
-two-stage soft-IC + MMSE cross-check is ``oracle.wang_poor_oracle``.
+two-stage soft-IC + MMSE detector (Wang & Poor 1999) is
+``wang_poor_oracle``; ``ext_hybrid`` must match it.
 """
 
 from dataclasses import dataclass
@@ -240,6 +241,34 @@ def ext_hybrid(ch, y, prior):
     Y = np.asarray(y, dtype=float)[None]
     return np.array([loo_ext_block(ch, Y, prior.btilde[None], k)[0]
                      for k in range(ch.K)])
+
+
+def wang_poor_oracle(ch, y, prior):
+    """Two-stage soft-IC + MMSE detector, coded independently.
+
+    Stage one subtracts the remodulated soft estimates of the other
+    users from the matched filter output; stage two applies the
+    residual-interference MMSE filter.  With the filter output z_k
+    modelled as alpha_k b_k + Gaussian noise of variance
+    alpha_k - alpha_k^2, the extrinsic LLR is 2 z_k / (1 - alpha_k).
+    Returns (llr, z); must match ``ext_hybrid``.
+    """
+    y = np.asarray(y, dtype=float)
+    Rinv = spd_inverse(ch.R)
+    Rinv_y = Rinv @ y
+    llr = np.empty(ch.K)
+    z = np.empty(ch.K)
+    for k in range(ch.K):
+        bt_k = prior.btilde.copy()
+        bt_k[k] = 0.0               # own prior forced uninformative
+        C = np.diag(ch.a**2 * (1.0 - bt_k**2)) + ch.sigma2 * Rinv
+        Cinv = spd_inverse(C)
+        z[k] = ch.a[k] * (Cinv[k] @ (Rinv_y - ch.a * bt_k))
+        alpha = ch.a[k] ** 2 * Cinv[k, k]
+        if 1.0 - alpha < EXT_VAR_FLOOR:
+            raise DegeneratePrior(f"1 - alpha = {1 - alpha:.3e} for user {k}")
+        llr[k] = 2.0 * z[k] / (1.0 - alpha)
+    return llr, z
 
 
 def ext_flooding(ch, y, prior):

@@ -1,9 +1,11 @@
-"""Exponential-complexity exact references, for testing only.
+"""Exponential-complexity exact references and test-only helpers.
 
 Enumerates all 2^K symbol vectors to evaluate the true posterior, the
 exact extrinsic messages under both scheduling conventions, and a dense
-grid search over factorized-binary beliefs.  Guarded to small K; never
-used inside the turbo loop.
+grid search over factorized-binary beliefs.  Guarded to small K (a
+larger K raises ValueError); the library never calls them.  Also the
+closed-form Gaussian conditioning the linear detectors are checked
+against, and the mean clamp of the mean-field kernel as a function.
 """
 
 from dataclasses import dataclass
@@ -11,12 +13,16 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DegeneratePrior, TooLarge
-from .linalg import spd_inverse
-from .siso_gaussian import EXT_VAR_FLOOR
+from turbomud.siso_discrete import (_MEAN_HI, _MEAN_LO, MEAN_CLEARANCE,
+                                    _binary_cross_entropy)
 
 ENUM_MAX_USERS = 16
 GRID_MAX_USERS = 3
+
+
+def clamp_mean(m):
+    """The clamp ``_sweep_block`` applies in place after every tanh."""
+    return np.minimum(np.maximum(m, _MEAN_LO), _MEAN_HI)
 
 
 def _enum_symbols(K):
@@ -62,7 +68,7 @@ def exact_posterior(ch, r, prior_llrs=None):
     do not underflow.
     """
     if ch.K > ENUM_MAX_USERS:
-        raise TooLarge(f"enumeration guarded to K <= {ENUM_MAX_USERS}")
+        raise ValueError(f"enumeration guarded to K <= {ENUM_MAX_USERS}")
     if prior_llrs is None:
         prior_llrs = np.zeros(ch.K)
     B = _enum_symbols(ch.K)
@@ -88,7 +94,7 @@ def exact_ext(ch, r, prior_llrs, k):
     computed and cross-checked here before returning.
     """
     if ch.K > ENUM_MAX_USERS:
-        raise TooLarge(f"enumeration guarded to K <= {ENUM_MAX_USERS}")
+        raise ValueError(f"enumeration guarded to K <= {ENUM_MAX_USERS}")
     prior_llrs = np.asarray(prior_llrs, dtype=float)
     B = _enum_symbols(ch.K)
     loglik = _log_likelihood_table(ch, r, B)
@@ -109,34 +115,6 @@ def exact_ext(ch, r, prior_llrs, k):
             f"extrinsic message mismatch: {seq!r} vs {flood!r}"
         )
     return seq
-
-
-def wang_poor_oracle(ch, y, prior):
-    """Two-stage soft-IC + MMSE detector, coded independently.
-
-    Stage one subtracts the remodulated soft estimates of the other
-    users from the matched filter output; stage two applies the
-    residual-interference MMSE filter.  With the filter output z_k
-    modelled as alpha_k b_k + Gaussian noise of variance
-    alpha_k - alpha_k^2, the extrinsic LLR is 2 z_k / (1 - alpha_k).
-    Returns (llr, z); must match ``siso_gaussian.ext_hybrid``.
-    """
-    y = np.asarray(y, dtype=float)
-    Rinv = spd_inverse(ch.R)
-    Rinv_y = Rinv @ y
-    llr = np.empty(ch.K)
-    z = np.empty(ch.K)
-    for k in range(ch.K):
-        bt_k = prior.btilde.copy()
-        bt_k[k] = 0.0               # own prior forced uninformative
-        C = np.diag(ch.a**2 * (1.0 - bt_k**2)) + ch.sigma2 * Rinv
-        Cinv = spd_inverse(C)
-        z[k] = ch.a[k] * (Cinv[k] @ (Rinv_y - ch.a * bt_k))
-        alpha = ch.a[k] ** 2 * Cinv[k, k]
-        if 1.0 - alpha < EXT_VAR_FLOOR:
-            raise DegeneratePrior(f"1 - alpha = {1 - alpha:.3e} for user {k}")
-        llr[k] = 2.0 * z[k] / (1.0 - alpha)
-    return llr, z
 
 
 def gaussian_conditioning(ch, r, prior="standard_normal"):
@@ -176,10 +154,8 @@ def grid_min_Fdisc(ch, r, prior_llrs, grid_step=None):
     the lattice values are per-axis terms and outer products broadcast
     against each other.
     """
-    from .siso_discrete import MEAN_CLEARANCE, _binary_cross_entropy
-
     if ch.K > GRID_MAX_USERS:
-        raise TooLarge(f"grid search guarded to K <= {GRID_MAX_USERS}")
+        raise ValueError(f"grid search guarded to K <= {GRID_MAX_USERS}")
     if grid_step is None:
         grid_step = 1e-3 if ch.K <= 2 else 1e-2
     # uniform lattice plus the belief-clamp boundary: minimizers pinned

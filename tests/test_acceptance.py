@@ -22,13 +22,13 @@ from turbomud.detect_linear import (DECORRELATOR, MMSE, decorrelate,
                                     free_energy_gradient_linear,
                                     free_energy_linear, mmse, sic)
 from turbomud.harness import config_from_dict, run_scenario, single_user_bound
-from turbomud.oracle import (exact_ext, gaussian_conditioning, grid_min_Fdisc,
-                             wang_poor_oracle)
 from turbomud.siso_discrete import (DiscreteBelief, free_energy_disc,
                                     serial_update)
-from turbomud.siso_gaussian import GaussianPrior, ext_hybrid
+from turbomud.siso_gaussian import GaussianPrior, ext_hybrid, wang_poor_oracle
 from turbomud.varem import (EmState, PosteriorSummary, em_objective,
                             em_objective_grad_a, mstep_disc, mstep_gauss)
+
+from references import exact_ext, gaussian_conditioning, grid_min_Fdisc
 
 CRITERION_LINES = []
 

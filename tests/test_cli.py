@@ -36,6 +36,23 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert cli_main(["simulate", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "detect"])
+def test_non_utf8_config_exit_code(tmp_path, capsys, command):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"\xff\xfeusers = 2\nr = 0.3,-0.9\n")
+    assert cli_main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_repeated_config_key_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("users = 4\nrho = 0.5\nusers = 8\n")
+    assert cli_main(["simulate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "line 3" in err and "line 1" in err
+
+
 def test_simulate_writes_deterministic_csv(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("""
@@ -224,6 +241,25 @@ def test_out_dir_env_default(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "mini.cfg.csv").exists()
 
 
+def test_unwritable_out_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text("""
+        channel = equicorrelated
+        users = 1
+        rho = 0.0
+        coded = false
+        info_bits = 16
+        outer_iterations = 1
+        snr_db = 8
+        max_frames = 1
+        frame_cap = 1
+    """)
+    assert cli_main(["simulate", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path}:")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("body", [
     "users = 2\nrho 0.5\nr = 0.3,-0.9\n",           # line without '='
     "users = 2\nr = 0.3,-0.9,0.1\n",                # r longer than N
@@ -239,6 +275,7 @@ def test_out_dir_env_default(tmp_path, monkeypatch, capsys):
     "users = 2\nrho = inf\nr = 0.3,-0.9\n",
     "users = 2\namps = 1,inf\nr = 0.3,-0.9\n",
     "users = 1000000000\nr = 0.3,-0.9\n",          # counts before K x K
+    "users = 2\nr = 0.3,-0.9\nr = 0.1,0.2\n",       # r given twice
 ])
 def test_detect_malformed_instance_exit_code(tmp_path, capsys, body):
     inst = tmp_path / "instance.cfg"

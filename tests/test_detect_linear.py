@@ -8,8 +8,9 @@ from turbomud.detect_linear import (DECORRELATOR, MMSE, ClipBox,
                                     free_energy_gradient_linear,
                                     free_energy_linear, mmse, pme_alpha, sic)
 from turbomud.errors import SingularCovariance
-from turbomud.oracle import gaussian_conditioning
 from turbomud.siso_gaussian import GaussianPrior, free_energy_gauss
+
+from references import gaussian_conditioning
 
 
 def noiseless_obs(ch, b):

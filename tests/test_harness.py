@@ -53,6 +53,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown config key"):
             config_from_dict(parse_kv_text("flux_capacitance = 11"))
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError, match="line 3: users repeats line 1"):
+            parse_kv_text("users = 4\n# comment\nusers = 8")
+
     def test_bad_values(self):
         with pytest.raises(ConfigError, match="rho"):
             config_from_dict(dict(rho=1.5))
@@ -545,6 +549,22 @@ def test_final_ber_does_not_rise_with_snr(detector, schedule):
     report = run_scenario(cfg)
     ber = [report.ber(snr_db, cfg.outer_iterations) for snr_db in cfg.snr_db]
     assert all(b <= a + 0.01 for a, b in zip(ber, ber[1:])), ber
+
+
+@pytest.mark.parametrize("detector", [
+    "gaussian", pytest.param("discrete", marks=MEAN_FIELD_COLLAPSE),
+    "ddf_aided"])
+def test_em_first_iteration_at_high_snr(detector):
+    """The collapse with sigma2 and amplitude EM: K = 4, 30 dB, 8 frames.
+    Mean-field BER per iteration reads 0.188, 0.038, 0.031, 0.0026 and
+    0.001, and the first M step starts from those wrong decisions;
+    gaussian and ddf_aided read 0 throughout.  Iteration 1 may err on
+    1 % of bits."""
+    cfg = replace(preset_config("scenario-i"), detector=detector,
+                  info_bits=96, snr_db=(30.0,), varsigma=0.3,
+                  estimate_sigma2=True, seed=7, max_frames=8,
+                  frame_cap=8).validate()
+    assert run_scenario(cfg).ber(30.0, 1) <= 0.01
 
 
 class TestSingleUserBound:

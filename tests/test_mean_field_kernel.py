@@ -33,9 +33,11 @@ from turbomud.siso_ddf import (DdfPrecompute, bind_ddf_hook, ddf_pass_block,
                                detection_order)
 from turbomud.siso_discrete import (MEAN_CLEARANCE, DiscreteBelief,
                                     DiscreteTurboLoop, _fold, _sweep_block,
-                                    clamp_mean, serial_update, tanh_sic_block)
+                                    serial_update, tanh_sic_block)
 from turbomud.siso_gaussian import SCHEDULES
 from turbomud.varem import EmState, run_varem
+
+from references import clamp_mean
 
 # Tolerance per K, on LLRs relative to max(1, |LLR|) and on means.  The
 # worst gaps measured over these cases, 20 instances each: 4.6e-14 (LLR)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from turbomud.channel import make_equicorrelated
-from turbomud.errors import TooLarge
-from turbomud.oracle import exact_ext, exact_posterior, grid_min_Fdisc
 from turbomud.siso_discrete import serial_update, stationarity_residual
+
+from references import exact_ext, exact_posterior, grid_min_Fdisc
 
 
 def sigmoid(x):
@@ -53,7 +53,7 @@ class TestExactPosterior:
 
     def test_enumeration_guard(self):
         ch = make_equicorrelated(17, 0.0)
-        with pytest.raises(TooLarge):
+        with pytest.raises(ValueError, match="guarded"):
             exact_posterior(ch, np.zeros(17))
 
 

@@ -4,14 +4,15 @@ import pytest
 from turbomud.channel import SymbolBlock, make_equicorrelated, transmit
 from turbomud.coding import IdentityDecoder
 from turbomud.errors import DomainError
-from turbomud.oracle import _enum_symbols
 from turbomud.siso_discrete import (MEAN_CLEARANCE, DiscreteBelief,
-                                    clamp_mean, ext_one_shot,
-                                    free_energy_disc, serial_update,
-                                    stationarity_residual, tanh_sic_block)
+                                    ext_one_shot, free_energy_disc,
+                                    serial_update, stationarity_residual,
+                                    tanh_sic_block)
 from turbomud.siso_gaussian import (LLR_CLAMP, VAR_FLOOR, GaussianPrior,
                                     clamp_llr, soft_bits)
 from turbomud.varem import run_varem
+
+from references import _enum_symbols, clamp_mean
 
 
 def enumeration_kl(ch, r, prior_llr, m):

@@ -11,13 +11,13 @@ from turbomud.detect_linear import GaussianBelief, mmse
 from turbomud.errors import (DegeneratePrior, DimensionMismatch,
                              NotPositiveDefinite)
 from turbomud.linalg import PIVOT_FLOOR
-from turbomud.oracle import wang_poor_oracle
 from turbomud.siso_gaussian import (SCHEDULES, VAR_FLOOR, GaussianPrior,
                                     GaussianTurboLoop, ext_flooding,
                                     ext_hybrid, flooding_ext_block,
                                     free_energy_gauss,
                                     free_energy_gauss_gradient_mu,
-                                    loo_ext_block, solve_gauss)
+                                    loo_ext_block, solve_gauss,
+                                    wang_poor_oracle)
 from turbomud.varem import SIGMA2_FLOOR, EmState, initial_sigma2, run_varem
 
 
