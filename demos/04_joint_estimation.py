@@ -1,10 +1,11 @@
 """Joint amplitude / noise-variance estimation inside the turbo loop.
 
 The receiver starts with no noise-variance knowledge and amplitude
-estimates corrupted by 30% measurement error.  Each outer iteration
-re-detects with the current parameter estimates and then updates them
-in closed form from the decoder-informed posteriors; the per-iteration
-trajectory shows both estimates settling onto the truth.
+estimates corrupted by 30% relative measurement error, drawn as the
+harness draws them: a_tilde_k = a_k (1 + varsigma n_k).  Each outer
+iteration re-detects with the current parameter estimates and then
+updates them in closed form from the decoder-informed posteriors; the
+per-iteration trajectory shows both estimates settling onto the truth.
 """
 
 import numpy as np
@@ -27,24 +28,24 @@ def main():
     obs = transmit(ch, SymbolBlock(b=decoder.encode_block(info)), rng_seed=17)
 
     varsigma = 0.3
-    a_tilde = 1.0 + varsigma * rng.standard_normal(K)
-    state0 = EmState(a_hat=a_tilde.copy(),
+    a_tilde = ch.a * (1.0 + varsigma * rng.standard_normal(K))
+    state0 = EmState(a_hat=a_tilde,
                      sigma2_hat=initial_sigma2(obs, a_tilde, N),
-                     a_tilde=a_tilde, varsigma2=varsigma**2)
+                     a_tilde=a_tilde, varsigma2=varsigma**2,
+                     estimate_sigma2=True)
 
     frames, traj = run_varem(ch, obs, "gaussian", "flooding", J=10,
-                             decoder=decoder, state0=state0,
-                             update_sigma2=True)
+                             decoder=decoder, state0=state0)
 
     truth = 1.0 - 2.0 * info
     print(f"true sigma2 = {sigma2:.4f}; amplitude prior error "
-          f"rms = {np.sqrt(np.mean((a_tilde - 1) ** 2)):.3f}")
+          f"rms = {np.sqrt(np.mean((a_tilde - ch.a) ** 2)):.3f}")
     print("iter   sigma2_hat   amp rmse   info-bit errors")
     for j, frame in enumerate(frames, start=1):
         st = traj[j]
         hard = np.sign(np.stack(frame.info_posterior, axis=1))
         errs = int(np.sum(hard != truth))
-        rmse = np.sqrt(np.mean((st.a_hat - 1.0) ** 2))
+        rmse = np.sqrt(np.mean((st.a_hat - ch.a) ** 2))
         print(f"{j:4d}   {st.sigma2_hat:.4f}       {rmse:.4f}     {errs}")
 
 

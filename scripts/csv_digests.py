@@ -73,6 +73,11 @@ def configs():
             snr_db="3,30", info_bits=96)
     yield "pinned-discrete-hybrid", dict(CODED, detector="discrete",
                                          schedule="hybrid", snr_fixed="1:8")
+    # EM with a pinned user, whose start amplitude is the pinned one
+    for name, em in (("sigma2", dict(EM, varsigma=0.0)), ("sigma2-amp", EM)):
+        yield f"pinned-em-{name}-gaussian-flooding", dict(
+            CODED, **em, users=2, detector="gaussian", schedule="flooding",
+            snr_fixed="2:8", snr_db="14,20")
     yield "random-k6-n8-gaussian-sequential", dict(
         CODED, channel="random", users=6, spreading_gain=8,
         detector="gaussian", schedule="sequential")

@@ -10,6 +10,7 @@ Exit codes: 0 ok, 1 runtime error, 2 usage or config error.
 """
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import replace
@@ -86,6 +87,20 @@ def _out_path(args):
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), f"{stem}.csv")
 
 
+def _check_out(out):
+    """Fail before the run where writing ``out`` must fail: it names a
+    directory, or its nearest existing ancestor is not a directory."""
+    if os.path.isdir(out):
+        raise TurbomudError(f"cannot write {out}: "
+                            f"{os.strerror(errno.EISDIR)}")
+    parent = os.path.dirname(os.path.abspath(out))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise TurbomudError(f"cannot write {out}: "
+                            f"{os.strerror(errno.ENOTDIR)}")
+
+
 def _floats(kv, key, n, default=None):
     """n comma-separated finite floats; n copies of ``default`` if absent."""
     if key not in kv and default is not None:
@@ -145,8 +160,9 @@ def cli_main(argv=None):
         if args.command == "detect":
             return _cmd_detect(args)
         cfg = _apply_overrides(resolve_config(args.config), args)
-        report = run_scenario(cfg)
         out = _out_path(args)
+        _check_out(out)
+        report = run_scenario(cfg)
         try:
             report.to_csv(out)
             if report.em:

@@ -280,23 +280,23 @@ class LlrFrame:
 
     Arrays are (T, K): detector extrinsics (llr_mud), decoder
     extrinsics (llr_dec) and their sum, the posterior.  Per-user
-    info-bit posteriors ride along for error counting when a real
-    decoder is in the loop.
+    info-bit posteriors ride along for error counting.
     """
 
     llr_mud: np.ndarray
     llr_dec: np.ndarray
     llr_post: np.ndarray
-    info_posterior: list = field(default=None, repr=False)
+    info_posterior: list = field(repr=False)
 
 
 class IdentityDecoder:
     """Pass-through decoder: LLR_dec = LLR_mud (no code constraint)."""
 
     def decode_user(self, k, llr_mud):
-        """``ConvTurboDecoder.decode_user`` contract; no info posteriors."""
+        """``ConvTurboDecoder.decode_user`` contract; the info bits are
+        the symbols, so the info posteriors are the input LLRs."""
         llr = np.asarray(llr_mud, dtype=float)
-        return llr, None if llr.ndim == 1 else [None] * llr.shape[1]
+        return llr, llr.T
 
 
 class ConvTurboDecoder:

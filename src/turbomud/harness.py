@@ -71,7 +71,7 @@ class ScenarioConfig:
     ddf_order: str = AMPLITUDE_DESCENDING
     snr_db: tuple = (4.0, 5.0, 6.0)
     snr_fixed: dict = field(default_factory=dict)  # 1-based user -> dB pin
-    varsigma: float = 0.0                # 0 disables amplitude estimation
+    varsigma: float = 0.0                # relative amplitude error; 0: known
     estimate_sigma2: bool = False
     seed: int = 1
     max_frames: int = 100
@@ -427,9 +427,10 @@ def _group_decisions(ctx, obs, rng):
     and a tie at exactly 0 decides +1 (bit 0); em_rows is a list of
     (iteration, sigma2_hat, a_rmse), empty without EM.  Uncoded DDF runs
     are one DDF pass, followed for ddf_aided by J - 1 mean-field sweeps.
-    Every turbo run is one ``run_varem`` call; without EM it starts from
-    its default state, the true parameters, and updates none.  EM runs
-    hold one frame, whose generator ``rng`` draws the amplitude prior.
+    Every turbo run is one ``run_varem`` call from one EmState built
+    from the point's channel: prior a (1 + varsigma n), n drawn from
+    ``rng`` (an EM group's one frame's), and ``initial_sigma2`` when
+    sigma2 is estimated; without EM, the true parameters, none updated.
     """
     cfg, ch = ctx.cfg, ctx.ch
     J = cfg.outer_iterations
@@ -440,24 +441,19 @@ def _group_decisions(ctx, obs, rng):
         if cfg.detector == DDF_AIDED:
             tanh_sic_block(ch, obs.r, J - 1, m0=M, signs=decisions[1:])
         return decisions, []
-    state0 = None
-    if cfg.estimates:
-        a_tilde = np.ones(ch.K) if cfg.varsigma == 0 else \
-            1.0 + rng.standard_normal(ch.K) * cfg.varsigma
-        state0 = EmState(
-            a_hat=a_tilde.copy(),
-            sigma2_hat=initial_sigma2(obs, a_tilde, ch.N)
-            if cfg.estimate_sigma2 else ch.sigma2,
-            a_tilde=a_tilde, varsigma2=cfg.varsigma**2)
+    a_tilde = ch.a * (1.0 + rng.standard_normal(ch.K) * cfg.varsigma)
+    state0 = EmState(
+        a_hat=a_tilde, a_tilde=a_tilde, varsigma2=cfg.varsigma**2,
+        sigma2_hat=initial_sigma2(obs, a_tilde, ch.N)
+        if cfg.estimate_sigma2 else ch.sigma2,
+        estimate_sigma2=cfg.estimate_sigma2)
     frames, traj = run_varem(
         ch, obs, cfg.detector, cfg.schedule, J, ctx.decoder, state0,
-        update_sigma2=cfg.estimate_sigma2, I=cfg.inner_iterations,
-        order_policy=ctx.order)
+        I=cfg.inner_iterations, order_policy=ctx.order)
     em_rows = [(j + 1, traj[j + 1].sigma2_hat,
                 float(np.sqrt(np.mean((traj[j + 1].a_hat - ch.a) ** 2))))
                for j in range(J)] if cfg.estimates else []
-    soft = [np.stack(f.info_posterior) if cfg.coded else f.llr_post.T
-            for f in frames]
+    soft = [np.stack(f.info_posterior) for f in frames]
     return np.array(soft) < 0, em_rows
 
 

@@ -73,7 +73,7 @@ class DdfPrecompute:
     feedback: np.ndarray
 
     @classmethod
-    def from_channel(cls, ch, order=AS_GIVEN):
+    def from_channel(cls, ch, order):
         """Factors in the detection order of ``order``, a policy name or a
         permutation (see ``detection_order``)."""
         order = detection_order(ch, order)

@@ -37,16 +37,19 @@ DETECTORS = ("gaussian", "discrete", DDF_AIDED)
 
 @dataclass(frozen=True)
 class EmState:
-    """Current parameter estimates and the amplitude prior.
+    """Current parameter estimates, the amplitude prior and what EM
+    estimates.
 
     varsigma2 is the variance of the amplitude measurement error:
     numpy.inf encodes a flat prior, 0 pins the estimate to atilde.
+    sigma2 is estimated when estimate_sigma2, a required field, is set.
     """
 
     a_hat: np.ndarray
     sigma2_hat: float
     a_tilde: np.ndarray
     varsigma2: float
+    estimate_sigma2: bool
 
     def __post_init__(self):
         object.__setattr__(self, "a_hat", np.asarray(self.a_hat, dtype=float))
@@ -97,7 +100,7 @@ def _residual_energy(S, obs, means, variances, a):
     return float(np.sum(resid * resid) + np.sum(variances * (dgS * a**2)))
 
 
-def mstep_gauss(S, obs, post, state, update_sigma2=True):
+def mstep_gauss(S, obs, post, state):
     """Parameter update from Gaussian-belief posterior summaries.
 
     Amplitudes solve { sum_t [M_t S^T S M_t + (S^T S) o Sigma_t]
@@ -107,11 +110,11 @@ def mstep_gauss(S, obs, post, state, update_sigma2=True):
     energy at the new amplitudes.
     """
     means, variances = post.means, post.variances
-    return _mstep(S, obs, means, variances, state, update_sigma2,
+    return _mstep(S, obs, means, variances, state,
                   lambda: _gauss_quad(S, means, variances))
 
 
-def mstep_disc(S, obs, post, state, update_sigma2=True):
+def mstep_disc(S, obs, post, state):
     """Parameter update from factorized binary posterior means.
 
     Amplitudes solve { sum_t [diag(S^T S)
@@ -128,13 +131,13 @@ def mstep_disc(S, obs, post, state, update_sigma2=True):
         hollow = R_geo - np.diag(dgS)
         return hollow * (means.T @ means) + means.shape[0] * np.diag(dgS)
 
-    return _mstep(S, obs, means, 1.0 - means**2, state, update_sigma2, quad)
+    return _mstep(S, obs, means, 1.0 - means**2, state, quad)
 
 
-def _mstep(S, obs, means, variances, state, update_sigma2, quad):
+def _mstep(S, obs, means, variances, state, quad):
     """Body shared by both M steps: varsigma2 = 0 pins the amplitudes to
     atilde, any other value solves the normal equations with ``quad()``
-    as their quadratic term; then sigma2 is re-estimated if asked."""
+    as their quadratic term; then sigma2 if ``state.estimate_sigma2``."""
     if state.varsigma2 == 0.0:
         a_hat = state.a_tilde.copy()
     else:
@@ -146,7 +149,7 @@ def _mstep(S, obs, means, variances, state, update_sigma2, quad):
             rhs = rhs + ridge * state.a_tilde
         a_hat = spd_solve(lhs, rhs)
     sigma2 = state.sigma2_hat
-    if update_sigma2:
+    if state.estimate_sigma2:
         sigma2 = _residual_energy(S, obs, means, variances, a_hat) \
             / (S.shape[0] * means.shape[0])
     return replace(state, a_hat=a_hat, sigma2_hat=sigma2)
@@ -181,8 +184,7 @@ def em_objective_grad_a(S, obs, post, sigma2, a, a_tilde, varsigma2):
 
 
 def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
-              update_sigma2=False, I=DEFAULT_INNER_ITERS,
-              order_policy=AMPLITUDE_DESCENDING):
+              I=DEFAULT_INNER_ITERS, order_policy=AMPLITUDE_DESCENDING):
     """Alternate turbo detection (E) and parameter updates (M).
 
     ``detector`` is ``"gaussian"``, ``"discrete"`` (mean-field, I inner
@@ -195,17 +197,15 @@ def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
     is fixed within an iteration.  Returns the frame history and the
     EmState trajectory (initial state included).
 
-    Amplitudes are estimated when ``state.varsigma2 > 0``, and each M
-    step pins them to a_tilde when it is 0; only estimated amplitudes
-    are floored at AMPLITUDE_FLOOR.  sigma2 is estimated when
-    ``update_sigma2`` is set.  Every detector shares one
-    M step, ``mstep_gauss``: with belief variances 1 - b_hat^2 it is
-    the hollow-Gram ``mstep_disc`` up to rounding.  The default
-    ``state0`` holds the true ``ch_true.a`` and ``ch_true.sigma2`` with
-    varsigma2 = 0, so with ``update_sigma2`` off nothing is
-    re-estimated and the run is the plain turbo schedule.  EmState
-    floors sigma2 at SIGMA2_FLOOR: a channel below it is detected at
-    the floor.
+    ``state0`` says what is estimated: the amplitudes when its
+    varsigma2 > 0 (M steps pin them to a_tilde at 0; only estimated
+    amplitudes are floored at AMPLITUDE_FLOOR), sigma2 when its
+    estimate_sigma2 is set, with one M step per outer iteration.  Every
+    detector shares one M step, ``mstep_gauss``: with belief variances
+    1 - b_hat^2 it is the hollow-Gram ``mstep_disc`` up to rounding.
+    The default ``state0`` holds the true parameters and estimates
+    neither: the plain turbo schedule.  EmState floors sigma2 at
+    SIGMA2_FLOOR: a channel below it is detected at the floor.
     """
     if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}")
@@ -218,17 +218,16 @@ def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
                                  first_iteration_hook=hook)
     state = state0 if state0 is not None else EmState(
         a_hat=ch_true.a, sigma2_hat=ch_true.sigma2, a_tilde=ch_true.a,
-        varsigma2=0.0)
+        varsigma2=0.0, estimate_sigma2=False)
     ch_est = _estimated_channel(ch_true, state)
     trajectory = [state]
     frames = []
     for _ in range(J):
         frame = loop.iterate(ch_est)
-        if update_sigma2 or state.varsigma2 > 0:
+        if state.estimate_sigma2 or state.varsigma2 > 0:
             b_hat = np.tanh(clamp_llr(frame.llr_post) / 2.0)
             state = mstep_gauss(ch_true.S, obs,
-                                PosteriorSummary.from_means(b_hat), state,
-                                update_sigma2=update_sigma2)
+                                PosteriorSummary.from_means(b_hat), state)
             ch_est = _estimated_channel(ch_true, state)
         frames.append(frame)
         trajectory.append(state)

@@ -424,7 +424,8 @@ def test_criterion_10_mstep_stationarity():
         state0 = EmState(a_hat=rng.uniform(0.7, 1.3, 3),
                          sigma2_hat=float(rng.uniform(0.1, 0.5)),
                          a_tilde=rng.uniform(0.8, 1.2, 3),
-                         varsigma2=float(rng.uniform(0.02, 0.2)))
+                         varsigma2=float(rng.uniform(0.02, 0.2)),
+                         estimate_sigma2=True)
         for mstep in (mstep_gauss, mstep_disc):
             new = mstep(ch.S, obs, post, state0)
             g = em_objective_grad_a(ch.S, obs, post, state0.sigma2_hat,

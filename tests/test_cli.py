@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from turbomud import cli
 from turbomud.cli import _DETECT_ONE_SHOT, cli_main
 from turbomud.harness import OUT_DIR_ENV
 
@@ -258,6 +259,43 @@ def test_unwritable_out_is_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {tmp_path}:")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("out", ["a_dir", "a_file/x.csv",
+                                 "a_file/sub/x.csv"])
+def test_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch,
+                                             out):
+    # an existing directory, or a path under a regular file, where
+    # _write_text's makedirs fails
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("")
+
+    def no_run(cfg):
+        raise AssertionError("run_scenario started")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    path = tmp_path / out
+    assert cli_main(["simulate", "scenario-i", "--out", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}:")
+    assert len(err.splitlines()) == 1
+
+
+def test_unwritable_em_csv_is_one_error_line_after_the_run(tmp_path,
+                                                           capsys):
+    # the pre-run check covers --out only; the EM trajectory's path is
+    # reported by the post-run handler
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text("users = 1\nrho = 0.0\ncoded = false\ninfo_bits = 16\n"
+                   "outer_iterations = 1\nsnr_db = 8\nmax_frames = 1\n"
+                   "frame_cap = 1\nestimate_sigma2 = true\n")
+    (tmp_path / "run_em.csv").mkdir()
+    out = tmp_path / "run.csv"
+    assert cli_main(["simulate", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / 'run_em.csv'}:")
+    assert len(err.splitlines()) == 1
+    assert out.exists()
 
 
 @pytest.mark.parametrize("body", [

@@ -595,5 +595,7 @@ class TestConvTurboDecoder:
         block = np.arange(6.0).reshape(3, 2)
         ext, info = IdentityDecoder().decode_user(slice(None), block)
         np.testing.assert_array_equal(ext, block)
-        assert info == [None, None]
-        assert IdentityDecoder().decode_user(1, block[:, 1])[1] is None
+        # the identity code's info bits are its symbols
+        np.testing.assert_array_equal(info, block.T)
+        np.testing.assert_array_equal(
+            IdentityDecoder().decode_user(1, block[:, 1])[1], block[:, 1])

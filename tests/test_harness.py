@@ -21,6 +21,7 @@ from turbomud.harness import (ScenarioConfig, _build_spreading, _group_size,
                               parse_kv_text, preset_config,
                               resolve_config, run_scenario, single_user_bound)
 from turbomud.siso_gaussian import SCHEDULES
+from turbomud.varem import run_varem
 
 
 def tiny_coded_cfg(**over):
@@ -565,6 +566,46 @@ def test_em_first_iteration_at_high_snr(detector):
                   estimate_sigma2=True, seed=7, max_frames=8,
                   frame_cap=8).validate()
     assert run_scenario(cfg).ber(30.0, 1) <= 0.01
+
+
+def pinned_em_cfg(**over):
+    """K = 2 at rho 0.7, user 2 pinned at 8 dB, sigma2-only EM."""
+    base = dict(users=2, rho=0.7, coded=True, info_bits=256,
+                detector="gaussian", schedule="flooding", snr_fixed="2:8",
+                snr_db="14,20", estimate_sigma2=True, seed=3, max_frames=4,
+                frame_cap=4, min_error_events=0)
+    base.update(over)
+    return config_from_dict(base)
+
+
+def test_sigma2_em_with_a_pinned_user_finds_sigma2():
+    """EM starts from the point's amplitudes, the pinned user's included,
+    so sigma2-only EM ends within 10 % of the true sigma2.  A start at
+    a = 1 for the pinned user ends 4x above it at 14 dB, 29x at 20 dB."""
+    cfg = pinned_em_cfg()
+    report = run_scenario(cfg)
+    for snr_db in cfg.snr_db:
+        s2, _, n = report.em[(snr_db, cfg.outer_iterations)]
+        assert s2 / n == pytest.approx(10.0 ** (-snr_db / 10.0), rel=0.1)
+
+
+def test_amplitude_prior_error_is_relative_for_pinned_users(monkeypatch):
+    """a_tilde_k = a_k (1 + varsigma n_k): a pinned user's a_tilde / a is
+    the draw 1 + varsigma n_k of the same run without pins."""
+    ratios = []
+
+    def spy(ch, obs, detector, schedule, J, decoder, state0, **kwargs):
+        ratios.append(state0.a_tilde / ch.a)
+        return run_varem(ch, obs, detector, schedule, J, decoder, state0,
+                         **kwargs)
+
+    monkeypatch.setattr(harness, "run_varem", spy)
+    for pins in ("2:8", ""):
+        run_scenario(pinned_em_cfg(snr_fixed=pins, varsigma=0.3,
+                                   snr_db="14", max_frames=1, frame_cap=1))
+    pinned, unpinned = ratios
+    assert not np.allclose(unpinned, 1.0)
+    np.testing.assert_allclose(pinned, unpinned, rtol=1e-15, atol=0)
 
 
 class TestSingleUserBound:

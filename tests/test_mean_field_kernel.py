@@ -324,7 +324,7 @@ def test_em_turbo_loop_equals_the_per_call_fold_bit_for_bit(schedule,
     folds the channel it is given."""
     ch, obs, decoder = turbo_case(coded=True)
     state0 = EmState(a_hat=ch.a, sigma2_hat=2.0 * ch.sigma2, a_tilde=ch.a,
-                     varsigma2=0.0)
+                     varsigma2=0.0, estimate_sigma2=True)
     runs, loops = [], []
     for cls in (PerCallFoldLoop, DiscreteTurboLoop):
         class Recorded(cls):
@@ -334,7 +334,7 @@ def test_em_turbo_loop_equals_the_per_call_fold_bit_for_bit(schedule,
 
         monkeypatch.setattr(varem, "DiscreteTurboLoop", Recorded)
         runs.append(run_varem(ch, obs, "discrete", schedule, 3, decoder,
-                              state0, update_sigma2=True, I=3))
+                              state0, I=3))
     (want, want_traj), (got, got_traj) = runs
     assert len({s.sigma2_hat for s in want_traj}) == len(want_traj)
     assert [s.sigma2_hat for s in got_traj] == \

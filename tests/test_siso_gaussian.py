@@ -424,7 +424,8 @@ class TestWorkBuffer:
         obs = transmit(ch, SymbolBlock(b=dec.encode_block(info)), rng_seed=10)
         a_tilde = np.array([1.2, 0.5, 1.1, 1.0])
         state0 = EmState(a_hat=a_tilde, a_tilde=a_tilde, varsigma2=0.09,
-                         sigma2_hat=initial_sigma2(obs, a_tilde, ch.N))
+                         sigma2_hat=initial_sigma2(obs, a_tilde, ch.N),
+                         estimate_sigma2=True)
 
         buffers = []
         factors = siso_gaussian._inverse_factors
@@ -436,8 +437,7 @@ class TestWorkBuffer:
         monkeypatch.setattr(siso_gaussian, "_inverse_factors", spy)
 
         def run():
-            return run_varem(ch, obs, "gaussian", schedule, 3, dec, state0,
-                             update_sigma2=True)
+            return run_varem(ch, obs, "gaussian", schedule, 3, dec, state0)
 
         frames, traj = run()
         assert buffers[0] is not None

@@ -38,7 +38,8 @@ def plain_schedule(ch, obs, detector, schedule, J, decoder, I=6):
 
 def flat_state(ch, sigma2=1.0):
     return EmState(a_hat=np.ones(ch.K), sigma2_hat=sigma2,
-                   a_tilde=np.ones(ch.K), varsigma2=np.inf)
+                   a_tilde=np.ones(ch.K), varsigma2=np.inf,
+                   estimate_sigma2=True)
 
 
 class TestMstepClosedForms:
@@ -55,7 +56,7 @@ class TestMstepClosedForms:
         post = PosteriorSummary.from_means(0.7 * b)
         a_tilde = np.array([1.3, 0.8])
         state0 = EmState(a_hat=np.ones(2), sigma2_hat=0.1, a_tilde=a_tilde,
-                         varsigma2=1e-14)
+                         varsigma2=1e-14, estimate_sigma2=True)
         for mstep in (mstep_gauss, mstep_disc):
             out = mstep(ch.S, obs, post, state0)
             np.testing.assert_allclose(out.a_hat, a_tilde, atol=1e-9)
@@ -65,7 +66,7 @@ class TestMstepClosedForms:
         post = PosteriorSummary.from_means(0.7 * b)
         a_tilde = np.array([1.3, 0.8])
         state0 = EmState(a_hat=np.ones(2), sigma2_hat=0.1, a_tilde=a_tilde,
-                         varsigma2=0.0)
+                         varsigma2=0.0, estimate_sigma2=True)
         out = mstep_gauss(ch.S, obs, post, state0)
         np.testing.assert_array_equal(out.a_hat, a_tilde)
 
@@ -115,7 +116,7 @@ class TestStationarityAndDescent:
             post = PosteriorSummary.from_means(means)
             state0 = EmState(a_hat=np.ones(3), sigma2_hat=0.25,
                              a_tilde=rng.uniform(0.8, 1.2, 3),
-                             varsigma2=0.09)
+                             varsigma2=0.09, estimate_sigma2=True)
             new = mstep_gauss(ch.S, obs, post, state0)
             g = em_objective_grad_a(ch.S, obs, post, state0.sigma2_hat,
                                     new.a_hat, state0.a_tilde, 0.09)
@@ -166,7 +167,8 @@ class TestStationarityAndDescent:
                 np.tanh(rng.standard_normal(b.shape)))
             state0 = EmState(a_hat=rng.uniform(0.6, 1.4, 3),
                              sigma2_hat=float(rng.uniform(0.05, 1.0)),
-                             a_tilde=np.ones(3), varsigma2=0.09)
+                             a_tilde=np.ones(3), varsigma2=0.09,
+                             estimate_sigma2=True)
             for mstep in (mstep_gauss, mstep_disc):
                 new = mstep(ch.S, obs, post, state0)
                 f0 = em_objective(ch.S, obs, post, state0.sigma2_hat,
@@ -180,7 +182,8 @@ class TestRunVarem:
     def test_pinned_parameters_reduce_to_plain_turbo(self):
         ch, obs, b = make_setup(K=2, T=30, sigma2=0.2, seed=11)
         state0 = EmState(a_hat=np.ones(2), sigma2_hat=0.2,
-                         a_tilde=np.ones(2), varsigma2=0.0)
+                         a_tilde=np.ones(2), varsigma2=0.0,
+                         estimate_sigma2=False)
         frames, traj = run_varem(ch, obs, "gaussian", "flooding", 3,
                                  IdentityDecoder(), state0)
         plain = plain_schedule(ch, obs, "gaussian", "flooding", 3,
@@ -224,10 +227,10 @@ class TestRunVarem:
         ch, obs, b = make_setup(K=2, T=400, sigma2=sigma2, rho=0.4, seed=12)
         state0 = EmState(a_hat=np.ones(2),
                          sigma2_hat=initial_sigma2(obs, np.ones(2), ch.N),
-                         a_tilde=np.ones(2), varsigma2=0.0)
+                         a_tilde=np.ones(2), varsigma2=0.0,
+                         estimate_sigma2=True)
         frames, traj = run_varem(ch, obs, "gaussian", "flooding", 6,
-                                 IdentityDecoder(), state0,
-                                 update_sigma2=True)
+                                 IdentityDecoder(), state0)
         assert abs(traj[-1].sigma2_hat - sigma2) < 0.5 * sigma2
         # varsigma2 = 0 leaves the amplitudes at a_tilde
         assert all(np.array_equal(st.a_hat, np.ones(2)) for st in traj)
@@ -238,11 +241,11 @@ class TestRunVarem:
         ch, obs, b = make_setup(K=2, T=40, sigma2=0.1, seed=17)
         a_tilde = np.array([1.2, 0.9])
         state0 = EmState(a_hat=np.array([0.7, 1.4]), sigma2_hat=0.3,
-                         a_tilde=a_tilde, varsigma2=0.0)
+                         a_tilde=a_tilde, varsigma2=0.0,
+                         estimate_sigma2=True)
         for detector in DETECTORS:
             _, traj = run_varem(ch, obs, detector, "flooding", 2,
-                                IdentityDecoder(), state0,
-                                update_sigma2=True, I=2)
+                                IdentityDecoder(), state0, I=2)
             np.testing.assert_array_equal(traj[0].a_hat, [0.7, 1.4])
             for st in traj[1:]:
                 np.testing.assert_array_equal(st.a_hat, a_tilde)
@@ -252,13 +255,13 @@ class TestRunVarem:
         a_hat = np.array([1.0, -0.05, 1e-9, 2.0])
         est = varem._estimated_channel(
             ch, EmState(a_hat=a_hat, sigma2_hat=0.2, a_tilde=np.ones(4),
-                        varsigma2=0.09))
+                        varsigma2=0.09, estimate_sigma2=False))
         np.testing.assert_array_equal(est.a, [1.0, 1e-6, 1e-6, 2.0])
         # pinned amplitudes (varsigma2 = 0) pass through unfloored
         pinned = np.array([1.0, 1e-9, 2.0, 3e-7])
         est = varem._estimated_channel(
             ch, EmState(a_hat=pinned, sigma2_hat=0.2, a_tilde=pinned,
-                        varsigma2=0.0))
+                        varsigma2=0.0, estimate_sigma2=False))
         np.testing.assert_array_equal(est.a, pinned)
 
     def test_amplitude_refinement_improves_prior(self):
@@ -268,7 +271,8 @@ class TestRunVarem:
         rng = np.random.default_rng(14)
         a_tilde = 1.0 + 0.3 * rng.standard_normal(2)
         state0 = EmState(a_hat=a_tilde.copy(), sigma2_hat=ch.sigma2,
-                         a_tilde=a_tilde, varsigma2=0.09)
+                         a_tilde=a_tilde, varsigma2=0.09,
+                         estimate_sigma2=False)
         frames, traj = run_varem(ch, obs, "gaussian", "flooding", 8,
                                  IdentityDecoder(), state0)
         err0 = np.linalg.norm(a_tilde - 1.0)
@@ -292,7 +296,7 @@ class TestRunVarem:
         obs = transmit(ch, SymbolBlock(b=dec.encode_block(info)), rng_seed=4)
         a_tilde = np.array([1.0, 0.7, 0.0])
         state0 = EmState(a_hat=a_tilde, a_tilde=a_tilde, sigma2_hat=0.5,
-                         varsigma2=0.09)
+                         varsigma2=0.09, estimate_sigma2=True)
         msteps, seen = [], []  # seen[j]: iterate's channel, kernel channels
 
         def spy(fn, record):
@@ -311,7 +315,7 @@ class TestRunVarem:
                 getattr(siso_gaussian, name),
                 lambda args: seen[-1][1].append(args[0])))
         frames, traj = run_varem(ch, obs, detector, schedule, J, dec,
-                                 state0, update_sigma2=True, I=2)
+                                 state0, I=2)
         assert len(msteps) == J and len(seen) == J and len(traj) == J + 1
         assert any(min(st.a_hat) < varem.AMPLITUDE_FLOOR for st in traj[1:])
         for (ch_j, kernel_chs), state in zip(seen, traj):
@@ -329,10 +333,10 @@ class TestRunVarem:
         monkeypatch.setattr(varem, "mstep_disc", unused)
         ch, obs, b = make_setup(K=3, T=20, sigma2=0.2, rho=0.3, seed=15)
         state0 = EmState(a_hat=np.ones(3), sigma2_hat=0.5,
-                         a_tilde=np.ones(3), varsigma2=0.0)
+                         a_tilde=np.ones(3), varsigma2=0.0,
+                         estimate_sigma2=True)
         frames, traj = run_varem(ch, obs, "ddf_aided", "flooding", 3,
-                                 IdentityDecoder(), state0,
-                                 update_sigma2=True, I=3)
+                                 IdentityDecoder(), state0, I=3)
         assert len(frames) == 3 and len(traj) == 4
         assert traj[-1].sigma2_hat > 0
 
@@ -368,9 +372,10 @@ class TestScaleRelation:
             a_tilde = c * self.A_TILDE
             state0 = EmState(a_hat=a_tilde, a_tilde=a_tilde,
                              varsigma2=c * c * 0.09,
-                             sigma2_hat=initial_sigma2(obs, a_tilde, ch.N))
+                             sigma2_hat=initial_sigma2(obs, a_tilde, ch.N),
+                             estimate_sigma2=True)
         frames, traj = run_varem(ch, obs, detector, schedule, self.J, dec,
-                                 state0, update_sigma2=em, I=3)
+                                 state0, I=3)
         return np.stack([np.stack(f.info_posterior) for f in frames]), traj
 
     @pytest.mark.parametrize("c, em", [
@@ -424,10 +429,10 @@ class TestUserRelabelling:
         obs = receive(ch, SymbolBlock(b=b), noise.copy())
         state0 = None if a_tilde is None else EmState(
             a_hat=a_tilde, a_tilde=a_tilde, varsigma2=0.09,
-            sigma2_hat=initial_sigma2(obs, a_tilde, ch.N))
+            sigma2_hat=initial_sigma2(obs, a_tilde, ch.N),
+            estimate_sigma2=True)
         frames, traj = run_varem(ch, obs, "gaussian", schedule, self.J,
-                                 IdentityDecoder(), state0,
-                                 update_sigma2=a_tilde is not None)
+                                 IdentityDecoder(), state0)
         return np.stack([f.llr_post for f in frames]), traj
 
     @pytest.mark.parametrize("K, N, T", [(4, 8, 64), (6, 8, 64),
