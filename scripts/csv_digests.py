@@ -81,6 +81,12 @@ def configs():
     yield "random-k6-n8-gaussian-sequential", dict(
         CODED, channel="random", users=6, spreading_gain=8,
         detector="gaussian", schedule="sequential")
+    # K = 10 random spreading: the Gaussian factors invert by two full
+    # blocks of 4 rows and a two-row tail, shared and leave-one-out
+    for sched in ("flooding", "sequential"):
+        yield f"random-k10-n12-gaussian-{sched}", dict(
+            CODED, channel="random", users=10, spreading_gain=12,
+            detector="gaussian", schedule=sched)
     # scenario-ii's geometry: the K = 32 Gaussian kernels, flooding and
     # (sequential) leave-one-out, under sigma2 + amplitude EM
     for sched in ("flooding", "sequential"):

@@ -146,14 +146,34 @@ class BcjrResult:
     info_posterior: np.ndarray  # information positions only
 
 
-def bcjr_decode(code, channel_llrs, prior_info_llrs=None):
+class BcjrWork:
+    """Transfer matrices q, alpha/beta v, step buffer w and step views of
+    the probability domain for the batch shape last run, rebuilt when it
+    changes.  No result shares them; a pickled one arrives empty."""
+
+    shape = None
+
+    def __reduce__(self):
+        return BcjrWork, ()
+
+    def buffers(self, *shape):
+        if self.shape != shape:
+            B, nb, S = self.shape = shape
+            self.q, self.w = np.empty((2, nb, B, S, S)), np.empty((2, B, 1, S))
+            self.v = v = np.empty((nb + 1, 2, B, 1, S))
+            self.steps = list(zip(v[:-1], self.q.swapaxes(0, 1), v[1:]))
+        return self.q, self.v, self.w, self.steps
+
+
+def bcjr_decode(code, channel_llrs, prior_info_llrs=None, work=None):
     """Exact APP decoding, M = max(memory, 1) trellis steps per block.
 
     ``channel_llrs`` holds one LLR per coded symbol, one block ``(n,)``
     or a batch ``(B, n)``, B >= 0; an optional prior per information bit
     is ``(n_info,)`` or ``(B, n_info)`` to match, and results keep that
     leading shape.  Every input LLR must lie in +/-``LLR_LIMIT`` (else
-    ``DomainError``).
+    ``DomainError``).  ``work`` is a ``BcjrWork`` that the probability
+    domain reuses across calls (None allocates per call).
 
     In M steps every state reaches every state by one path (a look-ahead
     trellis, Black & Meng 1992), so block k is the S x S transfer matrix
@@ -205,14 +225,14 @@ def bcjr_decode(code, channel_llrs, prior_info_llrs=None):
     redo = size > BLOCK_NATS / (4.5 * M)
     if not redo.all():
         rows = ~redo if redo.any() else slice(None)
-        mass = _block_masses(x[rows], signs, mask, pad, tail, log=False)
+        mass = _block_masses(x[rows], signs, mask, pad, tail, work)
         with np.errstate(divide="ignore"):
             llr[rows] = np.log(mass[..., 0::2]) - np.log(mass[..., 1::2])
         low = mass[:, pad:] < SUM_FLOOR
         redo[rows] = (low[..., :4].any(axis=(1, 2))
                       | low[:, :n_info, 4:].any(axis=(1, 2)))
     if redo.any():
-        mass = _block_masses(x[redo], signs, mask, pad, tail, log=True)
+        mass = _block_masses(x[redo], signs, mask, pad, tail, None, log=True)
         llr[redo] = mass[..., 0::2] - mass[..., 1::2]
     posterior = llr[:, pad:, :2].reshape(Lc.shape)
     info_posterior = llr[:, pad:pad + n_info, 2].reshape(info_shape)
@@ -220,7 +240,7 @@ def bcjr_decode(code, channel_llrs, prior_info_llrs=None):
                       info_posterior=info_posterior)
 
 
-def _block_masses(x, signs, mask, pad, tail, log):
+def _block_masses(x, signs, mask, pad, tail, work, log=False):
     """(B, N, 6) +1 and -1 masses of c1, c2 and u at every step of the
     blocks x (B, nb, 3 M), from the block recursion in the probability
     domain, or their logs from the same recursion in the log domain."""
@@ -230,21 +250,21 @@ def _block_masses(x, signs, mask, pad, tail, log):
     # and beta over contiguous memory.  Each product below keeps its
     # per-row (or per-matrix) shape, because OpenBLAS picks its kernel by
     # size and a merged product would move ulps.
-    q = np.empty((2, nb, B, S, S))
+    q, v, w, steps = (BcjrWork() if work is None else work).buffers(B, nb, S)
     p = q[0]
     np.matmul(x, signs, out=p.reshape(nb, B, S * S).swapaxes(0, 1))
-    p[0, ..., np.arange(S) % (1 << pad) > 0] = -np.inf  # pad inputs are 0
+    if pad:
+        p[0, ..., np.arange(S) % (1 << pad) > 0] = -np.inf  # pad inputs are 0
     if tail:
         p[-1, ..., 1:] = -np.inf  # and so are the tail's
     if not log:
         np.exp(p, out=p)
     q[1] = p[::-1].swapaxes(-1, -2)
     # v[k] = [alpha_k | beta_{nb-k}], state 0 scaled to 1 (shifted to 0)
-    v = np.full((nb + 1, 2, B, 1, S), -np.inf if log else 0.0)
+    v[0] = -np.inf if log else 0.0  # the steps below write v[1:]
     v[0, 0, :, 0, 0] = v[0, 1, :, 0, :1 if tail else S] = 0.0 if log else 1.0
-    w = np.empty((2, B, 1, S))
     w0, scale = w[..., :1], np.subtract if log else np.divide
-    for vk, qk, vnext in zip(v[:-1], q.swapaxes(0, 1), v[1:]):
+    for vk, qk, vnext in steps:
         if log:
             np.logaddexp.reduce(vk.swapaxes(-1, -2) + qk, axis=-2,
                                 keepdims=True, out=w)
@@ -317,6 +337,7 @@ class ConvTurboDecoder:
         self.perms = np.array(user_permutations(self.n_coded, K, master_seed))
         self._inverse = np.argsort(self.perms, axis=1)
         self._gathers = _flat_gathers(self.perms, self._inverse)
+        self._work = BcjrWork()  # pool workers build their own
 
     def encode_block(self, info_bits):
         """(n_info, K) 0/1 bits -> (n_coded, K) interleaved +/-1 symbols."""
@@ -347,7 +368,7 @@ class ConvTurboDecoder:
             deinterleave, interleave = _flat_gathers(perms, self._inverse[k])
         # each frame's (|k|, n_coded) rows in code order, frame-major
         rows = np.take(llr.reshape(frames, perms.size), deinterleave, axis=1)
-        res = bcjr_decode(self.code, rows.reshape(-1, n))
+        res = bcjr_decode(self.code, rows.reshape(-1, n), work=self._work)
         ext = np.take(res.extrinsic.reshape(rows.shape), interleave, axis=1)
         info = res.info_posterior.reshape(frames, perms.size // n, self.n_info)
         return ext.reshape(llr.shape), info.swapaxes(0, 1).reshape(

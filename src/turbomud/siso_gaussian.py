@@ -45,6 +45,7 @@ VAR_FLOOR = 1e-6
 LLR_CLAMP = 30.0
 # 1 - alpha below this is treated as a degenerate extrinsic variance.
 EXT_VAR_FLOOR = 1e-12
+INVERSE_BLOCK = 4  # rows per block of the inverse factors (2, 8: slower)
 
 SEQUENTIAL = "sequential"
 FLOODING = "flooding"
@@ -162,11 +163,11 @@ def _inverse_factors(ch, w_block, work=None):
     """X_t = L_t^{-1} of C_t = diag(a^2 w_t) + sigma2 R^{-1} = L_t L_t^T.
 
     P_t = C_t^{-1} = X_t^T X_t: diag(P_t) is the column sums of X_t * X_t
-    and row k of P_t is X_t^T X_t[:, k].  X overwrites L row by row: row
-    i of X needs only row i of L and the rows of X above it.  No pivot
-    floor: a pivot below linalg.PIVOT_FLOOR can still be well resolved.
-    When every row of w_block is equal, X is one factor broadcast
-    read-only over T.
+    and row k of P_t is X_t^T X_t[:, k].  X overwrites L by blocks of
+    INVERSE_BLOCK rows, then row by row: a row recurrence inverts every
+    diagonal block at once, then block row s is -X_ss (L_s,:s X_:s,:s).
+    No pivot floor: a pivot below linalg.PIVOT_FLOOR can still be well
+    resolved.  Equal rows of w_block give one X, broadcast read-only.
     """
     C = np.empty(w_block.shape + (ch.K,)) if work is None else work
     if C.shape != w_block.shape + (ch.K,) or C.dtype != float:
@@ -182,8 +183,16 @@ def _inverse_factors(ch, w_block, work=None):
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from None
     X[:, idx, idx] = 1.0 / X[:, idx, idx]
-    for i in range(1, ch.K):
-        X[:, i, :i] = -X[:, i, i, None] * (X[:, i, None, :i] @ X[:, :i, :i])[:, 0]
+    b, (st, sr, sc) = INVERSE_BLOCK, X.strides
+    full = ch.K - ch.K % b
+    D = np.lib.stride_tricks.as_strided(  # the diagonal blocks
+        X, (len(X), full // b, b, b), (st, b * (sr + sc), sr, sc))
+    for i in range(1, b):  # row i of X needs row i of L and X's rows above
+        D[..., i, :i] = -D[..., i, i, None] * (
+            D[..., i, None, :i] @ D[..., :i, :i])[..., 0, :]
+    ends = [*range(b, full + 1, b), *range(full + 1, ch.K + 1)]
+    for s, e in zip(ends, ends[1:]):
+        X[:, s:e, :s] = X[:, s:e, s:e] @ -(X[:, s:e, :s] @ X[:, :s, :s])
     return X if len(X) == shape[0] else np.broadcast_to(X, shape)
 
 

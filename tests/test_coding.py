@@ -1,3 +1,4 @@
+import pickle
 from itertools import product
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from turbomud import coding
 from turbomud.coding import (BLOCK_NATS, LLR_LIMIT, TERMINATED, TRUNCATED,
                              ConvCode, ConvTurboDecoder, IdentityDecoder,
                              bcjr_decode, encode, user_permutations)
@@ -560,6 +562,50 @@ class TestConvTurboDecoder:
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
         assert base.tobytes() == before
+
+    def test_workspace_equals_fresh_buffers(self, monkeypatch):
+        # the decoder's one BCJR workspace over calls that change the batch
+        # shape: one user, all users on two frames in turn, 4 stacked
+        # frames, two users on a short last group of 3 frames, a batch
+        # whose user 1 takes the log domain (so 2 probability-domain
+        # rows), then one user again
+        dec = ConvTurboDecoder(ConvCode(generators=("10011", "11101")), K=3,
+                               n_info=20, master_seed=4)
+        n = dec.n_coded
+        rng = np.random.default_rng(14)
+        llr = np.clip(rng.standard_normal((4 * n, 3)) * 4.0, -30.0, 30.0)
+        redo = llr[:n] * [1.0, 100.0, 1.0]
+        calls = [(0, llr[:n, 0]), (slice(None), llr[:n]),
+                 (slice(None), llr[n:2 * n]), (slice(None), llr),
+                 ([2, 0], llr[:3 * n, [2, 0]]), (slice(None), redo),
+                 (1, llr[:n, 1])]
+        decode, buffers = coding.bcjr_decode, []
+
+        def spy(code, channel_llrs, prior_info_llrs=None, work=None):
+            got = decode(code, channel_llrs, prior_info_llrs, work=work)
+            want = decode(code, channel_llrs, prior_info_llrs)
+            for field in ("extrinsic", "posterior", "info_posterior"):
+                out = getattr(got, field)
+                np.testing.assert_array_equal(out, getattr(want, field))
+                assert not any(np.shares_memory(out, buf)
+                               for buf in (work.q, work.v, work.w))
+            buffers.append((work, work.shape, work.q))
+            return got
+
+        monkeypatch.setattr(coding, "bcjr_decode", spy)
+        results = [dec.decode_user(k, block) for k, block in calls]
+        assert all(work is dec._work for work, _, _ in buffers)
+        assert [shape[0] for _, shape, _ in buffers] == [1, 3, 3, 12, 6, 2, 1]
+        # a batch of the last call's shape reuses its buffers
+        assert buffers[2][2] is buffers[1][2]
+        assert buffers[3][2] is not buffers[2][2]
+
+        restored = pickle.loads(pickle.dumps(dec))
+        assert vars(restored._work) == {}
+        for (k, block), (ext, info) in zip(calls, results):
+            got = restored.decode_user(k, block)
+            np.testing.assert_array_equal(got[0], ext)
+            np.testing.assert_array_equal(got[1], info)
 
     def test_decode_user_length_mismatch(self):
         dec = ConvTurboDecoder(ConvCode(generators=("111", "101")), K=2,

@@ -278,7 +278,10 @@ class TestKernelsAgainstInverse:
 
     @pytest.mark.parametrize("sigma2", [SIGMA2_FLOOR, 1e-6, 1e-3, 1.0])
     @pytest.mark.parametrize("T", [1, 132])
-    @pytest.mark.parametrize("K", [1, 2, 4, 32])
+    # the factors are inverted by blocks of INVERSE_BLOCK = 4 rows: K = 3
+    # is one partial block; 5, 7 and 9 end one or two blocks with a tail
+    # of 1 to 3 rows; 33 is eight blocks and a one-row tail
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 7, 9, 32, 33])
     def test_matches_inverse(self, K, T, sigma2):
         rng = np.random.default_rng(K * T)
         ch = make_random_spreading(K + 4, K, seed=K, sigma2=sigma2,
