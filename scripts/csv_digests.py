@@ -3,12 +3,11 @@
 Every config below is a small fixed-seed harness run.  The script runs
 them all and prints one ``sha256  name`` line per BER CSV and per EM
 trajectory CSV (``_em.csv``), then one ``sha256  bcjr-<case>`` line per
-case of a fixed seeded ``bcjr_decode`` corpus, over the bytes of its
-extrinsic, posterior and info posterior.  No harness run reaches the
+case of a fixed seeded ``bcjr_decode`` corpus, over the shapes and bytes
+of its extrinsic, posterior and info posterior.  No harness run reaches the
 decoder's log domain (the detectors clamp LLRs at 30, below the
-probability-domain bound, and pass no prior); the corpus does.  A change
-that must not move any result gives the same output under the old and
-the new ``src/``:
+probability-domain bound); the corpus does.  A change that must not move
+any result gives the same output under the old and the new ``src/``:
 
     PYTHONPATH=src python3 scripts/csv_digests.py > new.txt
     PYTHONPATH=/path/to/old/src python3 scripts/csv_digests.py > old.txt
@@ -32,8 +31,8 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 import turbomud  # noqa: E402
-from turbomud.coding import (BLOCK_NATS, LLR_LIMIT, TERMINATED,  # noqa: E402
-                             TRUNCATED, ConvCode, bcjr_decode, encode)
+from turbomud.coding import (BLOCK_NATS, LLR_LIMIT, ConvCode,  # noqa: E402
+                             bcjr_decode, encode)
 from turbomud.harness import config_from_dict, run_scenario  # noqa: E402
 
 # K = 4 at rho 0.7 (scenario-i's geometry and code); the 5 frames of a
@@ -122,35 +121,30 @@ def configs():
 
 
 def bcjr_cases():
-    """(name, code, channel LLRs, prior LLRs or None) of every BCJR case.
+    """(name, code, channel LLRs) of every BCJR case.
 
-    Codes of memory 1 to 4 under both terminations, B = 0, 1, 3 and 32
-    rows of 40 info bits, with and without a prior.  Rows cycle through
-    scales: a codeword with 3 % of its signs flipped, every LLR just over
-    and just under the probability-domain bound BLOCK_NATS / (4.5 M) and
-    at LLR_LIMIT, then Gaussian LLRs of standard deviation 0.5, 3 and 30.
+    Terminated codes of memory 1 to 4, B = 0, 1, 3 and 32 rows of 40 info
+    bits.  Rows cycle through scales: a codeword with 3 % of its signs
+    flipped, every LLR just over and just under the probability-domain
+    bound BLOCK_NATS / (4.5 M) and at LLR_LIMIT, then Gaussian LLRs of
+    standard deviation 0.5, 3 and 30.
     """
     rng = np.random.default_rng(20)
     n_info = 40
     for gens in (("11", "01"), ("111", "101"), ("1101", "1011"),
                  ("10011", "11101")):
-        for termination in (TERMINATED, TRUNCATED):
-            code = ConvCode(generators=gens, termination=termination)
-            bound = BLOCK_NATS / (4.5 * max(code.memory, 1))
-            scales = np.array([bound * (1 + 1e-9), LLR_LIMIT,
-                               bound * (1 - 1e-9), 0.5, 3.0, 30.0])
-            for B in (0, 1, 3, 32):
-                tx = encode(code, rng.integers(0, 2, size=(32, n_info)))[:B]
-                flips = np.where(rng.random(tx.shape) < 0.03, -1.0, 1.0)
-                rows = np.arange(B) % 6
-                Lc = rng.standard_normal(tx.shape)
-                Lc[rows < 3] = (flips * tx)[rows < 3]
-                Lc *= scales[rows, None]
-                La = 3.0 * rng.standard_normal((B, n_info))
-                for prior in (None, La):
-                    yield (f"bcjr-m{code.memory}-{termination}-b{B}-"
-                           f"{'prior' if prior is not None else 'noprior'}",
-                           code, Lc, prior)
+        code = ConvCode(generators=gens)
+        bound = BLOCK_NATS / (4.5 * max(code.memory, 1))
+        scales = np.array([bound * (1 + 1e-9), LLR_LIMIT,
+                           bound * (1 - 1e-9), 0.5, 3.0, 30.0])
+        for B in (0, 1, 3, 32):
+            tx = encode(code, rng.integers(0, 2, size=(32, n_info)))[:B]
+            flips = np.where(rng.random(tx.shape) < 0.03, -1.0, 1.0)
+            rows = np.arange(B) % 6
+            Lc = rng.standard_normal(tx.shape)
+            Lc[rows < 3] = (flips * tx)[rows < 3]
+            Lc *= scales[rows, None]
+            yield f"bcjr-m{code.memory}-b{B}", code, Lc
 
 
 def _sha256(path):
@@ -170,10 +164,12 @@ def main():
                 em = Path(tmp, f"{name}_em.csv")
                 report.em_to_csv(em)
                 print(f"{_sha256(em)}  {em.name}")
-    for name, code, Lc, La in bcjr_cases():
-        res = bcjr_decode(code, Lc, La)
-        data = b"".join(a.tobytes() for a in (
-            res.extrinsic, res.posterior, res.info_posterior))
+    for name, code, Lc in bcjr_cases():
+        res = bcjr_decode(code, Lc)
+        out = (res.extrinsic, res.posterior, res.info_posterior)
+        # the shapes first, so that the empty batches differ by code
+        data = repr([a.shape for a in out]).encode() \
+            + b"".join(a.tobytes() for a in out)
         print(f"{hashlib.sha256(data).hexdigest()}  {name}")
 
 

@@ -7,9 +7,9 @@ map is fixed globally as 0 -> +1, 1 -> -1, and every LLR in the package
 is log p(b = +1) / p(b = -1); the decoder consumes coded-symbol LLRs from
 the detector and returns coded-symbol extrinsic LLRs (posterior minus the
 channel input at the same position), plus info-bit posteriors for error
-counting.  Both ``bcjr_decode`` and ``decode_user`` also take a batch of
-users, and ``decode_user`` frames stacked along its rows, decoded in one
-pass.
+counting.  Every code is terminated and the decoder sees channel LLRs
+only.  ``bcjr_decode`` takes a batch of rows; ``decode_user`` takes one
+user or all users, frames stacked along its rows, decoded in one pass.
 """
 
 from dataclasses import dataclass, field
@@ -18,9 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, LengthMismatch
-
-TERMINATED = "terminated"
-TRUNCATED = "truncated"
 
 # A +1 or -1 mass below this floor may be made of subnormal or zero
 # probability-domain terms, so its row is decoded again in the log domain.
@@ -43,12 +40,11 @@ class ConvCode:
     """Rate-1/2 convolutional code from two binary generator strings.
 
     Generators are MSB first: the leading character multiplies the
-    current input bit.  ``termination`` selects whether the encoder is
-    flushed back to the zero state with tail bits.
+    current input bit.  The encoder is flushed back to the zero state
+    with ``memory`` tail bits.
     """
 
     generators: tuple
-    termination: str = TERMINATED
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -58,17 +54,11 @@ class ConvCode:
             raise ValueError(f"bad generator strings {gens}")
         if len(gens[0]) != len(gens[1]):
             raise ValueError("generators must share one constraint length")
-        if self.termination not in (TERMINATED, TRUNCATED):
-            raise ValueError(f"unknown termination {self.termination!r}")
         object.__setattr__(self, "generators", gens)
 
     @property
-    def constraint_length(self):
-        return len(self.generators[0])
-
-    @property
     def memory(self):
-        return self.constraint_length - 1
+        return len(self.generators[0]) - 1
 
     @property
     def n_states(self):
@@ -76,8 +66,7 @@ class ConvCode:
 
     def n_coded(self, n_info):
         """Coded symbols produced for n_info information bits."""
-        tail = self.memory if self.termination == TERMINATED else 0
-        return 2 * (n_info + tail)
+        return 2 * (n_info + self.memory)
 
     @cached_property
     def _tables(self):
@@ -120,10 +109,10 @@ class ConvCode:
 
 def encode(code, info_bits):
     """Encode 0/1 information bits, one block (n,) or rows (B, n), into
-    +/-1 symbols [c1_0, c2_0, c1_1, c2_1, ...], plus the flushing tail
-    of a terminated code.  Coded bit j at step t is the XOR of u_{t-i}
-    over the taps i of generator j (tap 0 leads; u = 0 outside the
-    block): one shifted XOR per tap over all rows.
+    +/-1 symbols [c1_0, c2_0, c1_1, c2_1, ...], plus the flushing tail.
+    Coded bit j at step t is the XOR of u_{t-i} over the taps i of
+    generator j (tap 0 leads; u = 0 outside the block): one shifted XOR
+    per tap over all rows.
     """
     bits = np.asarray(info_bits, dtype=int)
     if bits.ndim not in (1, 2) or bits.shape[-1] < 1 or np.any(bits & ~1):
@@ -165,22 +154,23 @@ class BcjrWork:
         return self.q, self.v, self.w, self.steps
 
 
-def bcjr_decode(code, channel_llrs, prior_info_llrs=None, work=None):
+def bcjr_decode(code, channel_llrs, *, work=None):
     """Exact APP decoding, M = max(memory, 1) trellis steps per block.
 
-    ``channel_llrs`` holds one LLR per coded symbol, one block ``(n,)``
-    or a batch ``(B, n)``, B >= 0; an optional prior per information bit
-    is ``(n_info,)`` or ``(B, n_info)`` to match, and results keep that
-    leading shape.  Every input LLR must lie in +/-``LLR_LIMIT`` (else
-    ``DomainError``).  ``work`` is a ``BcjrWork`` that the probability
-    domain reuses across calls (None allocates per call).
+    ``channel_llrs`` holds one LLR per coded symbol of the terminated
+    code, one block ``(n,)`` or a batch ``(B, n)``, B >= 0, and results
+    keep that leading shape; the information bits carry no prior.  Every
+    input LLR must lie in +/-``LLR_LIMIT`` (else ``DomainError``).
+    ``work`` is a ``BcjrWork`` that the probability domain reuses across
+    calls (None allocates per call).
 
     In M steps every state reaches every state by one path (a look-ahead
     trellis, Black & Meng 1992), so block k is the S x S transfer matrix
     P_k = exp(G_k), G_k[s, s'] the path's summed branch metrics: one
     matmul of the block's inputs with ``code._blocks`` signs.  Input-0
     steps pad the front so that blocks tile the trellis; alpha starts in
-    state 0, so this is exact under both terminations.  Per block, one
+    state 0, and beta ends there after the tail's input-0 steps (a
+    memory-0 code has no tail and ends in any state).  Per block, one
     matmul and one divide by the state-0 entry advance alpha and beta
     together.  The joints alpha_k P_k beta_{k+1} (alpha and beta scaled to
     a largest entry of 1) times the blocks' sign mask, one matmul per
@@ -196,30 +186,22 @@ def bcjr_decode(code, channel_llrs, prior_info_llrs=None, work=None):
     if Lc.ndim not in (1, 2) or Lc.shape[-1] % 2 != 0:
         raise LengthMismatch("channel LLRs must pair up per trellis step")
     n_steps = Lc.shape[-1] // 2
-    tail = code.memory if code.termination == TERMINATED else 0
+    tail = code.memory
     n_info = n_steps - tail
     if n_info < 1:
         raise LengthMismatch("no information positions in channel LLR array")
-    info_shape = Lc.shape[:-1] + (n_info,)
-    La = None if prior_info_llrs is None \
-        else np.asarray(prior_info_llrs, dtype=float)
-    if La is not None and La.shape != info_shape:
-        raise LengthMismatch(f"prior shape {La.shape} does not match the "
-                             f"expected {info_shape}")
     signs, mask = code._blocks
     M = mask.shape[1] // 6
     pad = -n_steps % M
     nb, B = (n_steps + pad) // M, Lc.size // (2 * n_steps)
-    # x[b, t] = (Lc1, Lc2, La) at step t - pad of row b, 0 on the pad
+    # x[b, t] = (Lc1, Lc2, 0) at step t - pad of row b, 0 on the pad; the
+    # u column keeps the branch-metric product's (B, nb, 3 M) shape
     x = np.zeros((B, nb * M, 3))
     x[:, pad:, :2] = Lc.reshape(B, n_steps, 2)
-    if La is not None:
-        x[:, pad:pad + n_info, 2] = La.reshape(B, n_info)
     size = np.abs(x).max(axis=(1, 2))
     # NaN fails every comparison, so NaN and +/-inf are rejected too
     if not np.all(size <= LLR_LIMIT):
-        raise DomainError(f"channel and prior LLRs must lie in "
-                          f"+/-{LLR_LIMIT:g}")
+        raise DomainError(f"channel LLRs must lie in +/-{LLR_LIMIT:g}")
     x = x.reshape(B, nb, 3 * M)
     llr = np.empty((B, nb * M, 3))
     redo = size > BLOCK_NATS / (4.5 * M)
@@ -235,7 +217,8 @@ def bcjr_decode(code, channel_llrs, prior_info_llrs=None, work=None):
         mass = _block_masses(x[redo], signs, mask, pad, tail, None, log=True)
         llr[redo] = mass[..., 0::2] - mass[..., 1::2]
     posterior = llr[:, pad:, :2].reshape(Lc.shape)
-    info_posterior = llr[:, pad:pad + n_info, 2].reshape(info_shape)
+    info_posterior = llr[:, pad:pad + n_info, 2].reshape(*Lc.shape[:-1],
+                                                         n_info)
     return BcjrResult(extrinsic=posterior - Lc, posterior=posterior,
                       info_posterior=info_posterior)
 
@@ -336,7 +319,12 @@ class ConvTurboDecoder:
         self.n_coded = code.n_coded(n_info)
         self.perms = np.array(user_permutations(self.n_coded, K, master_seed))
         self._inverse = np.argsort(self.perms, axis=1)
-        self._gathers = _flat_gathers(self.perms, self._inverse)
+        # flat gathers between a frame's (n_coded, K) channel-order block
+        # and its users' (K, n_coded) code-order rows, both raveled: the
+        # first deinterleaves, the second interleaves back
+        users = np.arange(K)[:, None]
+        self._gathers = ((self._inverse * K + users).ravel(),
+                         (self.perms + self.n_coded * users).T.ravel())
         self._work = BcjrWork()  # pool workers build their own
 
     def encode_block(self, info_bits):
@@ -347,39 +335,30 @@ class ConvTurboDecoder:
     def decode_user(self, k, llr_mud):
         """Channel-domain extrinsics in, channel-domain extrinsics out.
 
-        ``k`` is one user with ``(F n_coded,)`` LLRs, or an index over
-        users (``slice(None)``, a list, an array) with an
-        ``(F n_coded, |k|)`` block (|k| may be 0): F >= 1 frames stacked
-        along the first axis, each interleaved by the same per-user
-        permutation.  Every frame of every user is decoded in one batched
-        pass.  Extrinsics keep the input shape; info posteriors are
-        ``(F n_info,)`` or ``(|k|, F n_info)``, frames in input order.
+        ``k`` is one user (an int) with ``(F n_coded,)`` LLRs, or
+        ``slice(None)``, all K users, with an ``(F n_coded, K)`` block;
+        any other index raises ``LengthMismatch``.  F >= 1 frames are
+        stacked along the first axis, each interleaved by the same
+        per-user permutation.  Every frame of every user is decoded in one
+        batched pass.  Extrinsics keep the input shape; info posteriors
+        are ``(F n_info,)`` or ``(K, F n_info)``, frames in input order.
         """
         llr = np.asarray(llr_mud, dtype=float)
-        perms, n = self.perms[k], self.n_coded
+        if isinstance(k, slice) and k == slice(None):
+            perms, (deinterleave, interleave) = self.perms, self._gathers
+        elif isinstance(k, (int, np.integer)):
+            perms = self.perms[k]
+            deinterleave, interleave = self._inverse[k], perms
+        else:
+            raise LengthMismatch(f"users {k!r} are neither one nor all")
+        n = self.n_coded
         frames, rem = divmod(llr.shape[0], n)
         if llr.T.shape[:-1] != perms.shape[:-1] or rem or not frames:
             raise LengthMismatch(f"LLRs {llr.shape} do not fit users {k!r}")
-        if perms.ndim == 1:  # one user: its permutation and inverse
-            deinterleave, interleave = self._inverse[k], perms
-        elif isinstance(k, slice) and k == slice(None):
-            deinterleave, interleave = self._gathers
-        else:
-            deinterleave, interleave = _flat_gathers(perms, self._inverse[k])
-        # each frame's (|k|, n_coded) rows in code order, frame-major
+        # each frame's (1 or K, n_coded) rows in code order, frame-major
         rows = np.take(llr.reshape(frames, perms.size), deinterleave, axis=1)
         res = bcjr_decode(self.code, rows.reshape(-1, n), work=self._work)
         ext = np.take(res.extrinsic.reshape(rows.shape), interleave, axis=1)
         info = res.info_posterior.reshape(frames, perms.size // n, self.n_info)
         return ext.reshape(llr.shape), info.swapaxes(0, 1).reshape(
             perms.shape[:-1] + (frames * self.n_info,))
-
-
-def _flat_gathers(perms, inverse):
-    """Flat gathers between a frame's (n, U) channel-order block and its U
-    users' (U, n) code-order rows, both raveled, for interleavers
-    ``perms`` (U, n) and their ``inverse``: the first deinterleaves, the
-    second interleaves back."""
-    users = np.arange(len(perms))[:, None]
-    return ((inverse * len(perms) + users).ravel(),
-            (perms + perms.shape[1] * users).T.ravel())
