@@ -148,10 +148,24 @@ class TestEncode:
             dec.encode_block(info),
             np.take_along_axis(want, dec.perms, -1).T)
 
-    def test_empty_batch(self):
-        code = ConvCode(generators=("10011", "11101"))
+    @pytest.mark.parametrize("gens", WALK_GENERATORS)
+    def test_empty_batch(self, gens):
+        code = ConvCode(generators=gens)
         out = encode(code, np.zeros((0, 40), dtype=int))
         assert out.shape == (0, code.n_coded(40))
+
+    @pytest.mark.parametrize("gens", WALK_GENERATORS)
+    def test_tail_flushes_the_register(self, gens):
+        # memory tail bits leave the register empty: further input-0
+        # steps emit +1 symbols only
+        code = ConvCode(generators=gens)
+        m = len(gens[0]) - 1
+        info = np.random.default_rng(m).integers(0, 2, size=9)
+        out = encode(code, info)
+        assert out.size == code.n_coded(9) == 2 * (9 + m)
+        longer = encode(code, np.concatenate([info, np.zeros(m, dtype=int)]))
+        np.testing.assert_array_equal(longer[:out.size], out)
+        np.testing.assert_array_equal(longer[out.size:], np.ones(2 * m))
 
     def test_non_binary_info_bits_raise(self):
         code = ConvCode(generators=("111", "101"))
@@ -188,7 +202,8 @@ class TestBcjr:
                                        atol=1e-9)
 
     @pytest.mark.parametrize("gens", [("1", "1"), ("11", "10"), ("111", "101"),
-                                      ("1101", "1011"), ("10011", "11101")])
+                                      ("1101", "1011"), ("10011", "11101"),
+                                      ("0111", "0101")])
     def test_every_block_offset_matches_exhaustive_map(self, gens):
         # n_info = 1..9 gives every front pad 0..M-1 of the block trellis,
         # and memory 0 and 1 codes run on blocks of one step
@@ -229,10 +244,12 @@ class TestBcjr:
         np.testing.assert_allclose(res.info_posterior, info_posterior,
                                    rtol=SCATTER_TOL, atol=SCATTER_TOL)
 
-    def test_llrs_at_the_limit_give_correct_signs(self):
+    @pytest.mark.parametrize("gens", [("10011", "11101"), ("1101", "1011"),
+                                      ("111", "101")])
+    def test_llrs_at_the_limit_give_correct_signs(self, gens):
         # channel LLRs of magnitude LLR_LIMIT, a few symbols flipped: the
         # branch metrics stay finite
-        code = ConvCode(generators=("10011", "11101"))
+        code = ConvCode(generators=gens)
         rng = np.random.default_rng(5)
         info = rng.integers(0, 2, size=(3, 40))
         tx = np.array([encode(code, u) for u in info])
@@ -267,10 +284,11 @@ class TestBcjr:
                                        rtol=SCATTER_TOL, atol=SCATTER_TOL)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e308, -1e308])
-    def test_non_finite_input_raises(self, bad):
+    @pytest.mark.parametrize("pos", [4, 22], ids=["info", "tail"])
+    def test_non_finite_input_raises(self, pos, bad):
         code = ConvCode(generators=("111", "101"))
-        Lc = np.ones((3, code.n_coded(10)))
-        Lc[2, 4] = bad
+        Lc = np.ones((3, code.n_coded(10)))  # the tail is symbols 20 to 23
+        Lc[2, pos] = bad
         with pytest.raises(DomainError):  # one row of a batch
             bcjr_decode(code, Lc)
         with pytest.raises(DomainError):  # that row as one block
@@ -299,7 +317,8 @@ class TestBcjr:
 class TestBatchedBcjr:
     """A (B, n) batch decodes bit for bit like its rows one at a time."""
 
-    @pytest.mark.parametrize("gens", [c.generators for c in SCENARIO_CODES])
+    @pytest.mark.parametrize("gens", [c.generators for c in SCENARIO_CODES]
+                             + [("11", "10"), ("1", "1")])
     def test_batch_equals_rows(self, gens):
         code = ConvCode(generators=gens)
         rng = np.random.default_rng(7)
@@ -321,7 +340,8 @@ class TestBatchedBcjr:
                                               row.info_posterior)
 
     @pytest.mark.parametrize("gens", [("10011", "11101"), ("111", "101"),
-                                      ("1101", "1011"), ("11", "01")])
+                                      ("1101", "1011"), ("11", "01"),
+                                      ("1", "1")])
     def test_equals_scatter_reference(self, gens):
         code = ConvCode(generators=gens)
         rng = np.random.default_rng(9)
@@ -369,8 +389,11 @@ class TestBatchedBcjr:
             np.testing.assert_allclose(row.info_posterior, info_posterior,
                                        rtol=SCATTER_TOL, atol=SCATTER_TOL)
 
-    def test_empty_batch(self):
-        code = ConvCode(generators=("10011", "11101"))
+    @pytest.mark.parametrize("gens", [("10011", "11101"), ("111", "101"),
+                                      ("11", "10"), ("1", "1")])
+    def test_empty_batch(self, gens):
+        # memory 0 has no tail, so its recursion ends in any state
+        code = ConvCode(generators=gens)
         n = code.n_coded(12)
         res = bcjr_decode(code, np.zeros((0, n)))
         assert res.extrinsic.shape == res.posterior.shape == (0, n)
@@ -554,8 +577,10 @@ class TestConvTurboDecoder:
             dec.decode_user(0, np.zeros(0))
 
     @pytest.mark.parametrize("k", [[3, 1], [], np.array([0, 1]),
-                                   slice(0, 2)],
-                             ids=["list", "empty", "array", "slice"])
+                                   slice(0, 2), [2], (0, 1), slice(0, 4),
+                                   slice(None, None, -1)],
+                             ids=["list", "empty", "array", "slice", "one",
+                                  "tuple", "every", "reversed"])
     def test_decode_user_rejects_user_subsets(self, k):
         # one user or all users: any other index is refused, even with
         # LLRs shaped for it
@@ -564,6 +589,19 @@ class TestConvTurboDecoder:
         block = np.zeros((dec.n_coded, 4))[:, k]
         with pytest.raises(LengthMismatch):
             dec.decode_user(k, block)
+
+    @pytest.mark.parametrize("frames", [1, 3])
+    def test_all_of_one_user_equals_that_user(self, frames):
+        # with K = 1, all users is user 0 with a trailing user axis
+        dec = ConvTurboDecoder(ConvCode(generators=("111", "101")), K=1,
+                               n_info=10, master_seed=3)
+        llr = np.random.default_rng(frames).standard_normal(
+            (frames * dec.n_coded, 1)) * 4.0
+        ext, info = dec.decode_user(slice(None), llr)
+        assert ext.shape == llr.shape and info.shape == (1, frames * 10)
+        ext_0, info_0 = dec.decode_user(0, llr[:, 0])
+        np.testing.assert_array_equal(ext[:, 0], ext_0)
+        np.testing.assert_array_equal(info[0], info_0)
 
     @pytest.mark.parametrize("K, n_info", [(0, 10), (-1, 10), (2, 0), (2, -3)])
     def test_constructor_rejects_empty_sizes(self, K, n_info):
