@@ -6,8 +6,12 @@ trajectory CSV (``_em.csv``), then one ``sha256  bcjr-<case>`` line per
 case of a fixed seeded ``bcjr_decode`` corpus, over the shapes and bytes
 of its extrinsic, posterior and info posterior.  No harness run reaches the
 decoder's log domain (the detectors clamp LLRs at 30, below the
-probability-domain bound); the corpus does.  A change that must not move
-any result gives the same output under the old and the new ``src/``:
+probability-domain bound); the corpus does.  Last come the
+``llr-<detector>-<schedule>-<coded|uncoded>[-em]`` lines, one per
+``run_varem`` case, over the bytes of every frame's detector, decoder and
+posterior LLRs and info posteriors and of the EM trajectory: these see
+LLR moves that no decision flips.  A change that must not move any result
+gives the same output under the old and the new ``src/``:
 
     PYTHONPATH=src python3 scripts/csv_digests.py > new.txt
     PYTHONPATH=/path/to/old/src python3 scripts/csv_digests.py > old.txt
@@ -31,9 +35,14 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 import turbomud  # noqa: E402
+from turbomud.channel import (SymbolBlock,  # noqa: E402
+                              make_equicorrelated, transmit)
 from turbomud.coding import (BLOCK_NATS, LLR_LIMIT, ConvCode,  # noqa: E402
-                             bcjr_decode, encode)
+                             ConvTurboDecoder, IdentityDecoder, bcjr_decode,
+                             encode)
 from turbomud.harness import config_from_dict, run_scenario  # noqa: E402
+from turbomud.siso_gaussian import SCHEDULES  # noqa: E402
+from turbomud.varem import DETECTORS, EmState, run_varem  # noqa: E402
 
 # K = 4 at rho 0.7 (scenario-i's geometry and code); the 5 frames of a
 # point run as two stacked groups of 2 and a remainder.  20 dB is in the
@@ -147,6 +156,34 @@ def bcjr_cases():
             yield f"bcjr-m{code.memory}-b{B}", code, Lc
 
 
+def llr_cases():
+    """(name, ``run_varem`` positional arguments) of every LLR-level case.
+
+    K = 4 at rho 0.7 with unequal amplitudes, so the DDF order is not the
+    labels', and sigma2 = 0.4; J = 3 outer iterations (I = 2 inner ones
+    is the caller's).  Every detector and schedule runs coded (40 info
+    bits of the 10011,11101 code, master seed 2) and uncoded (40 symbols
+    through ``IdentityDecoder``), with the true parameters and with
+    sigma2 + amplitude EM from a_tilde = 1.1 a, sigma2_hat = 2 sigma2
+    and varsigma^2 = 0.09.
+    """
+    ch = make_equicorrelated(4, 0.7, amplitudes=[0.8, 1.2, 1.0, 0.9],
+                             sigma2=0.4)
+    bits = np.random.default_rng(21).integers(0, 2, size=(40, 4))
+    coder = ConvTurboDecoder(ConvCode(generators=("10011", "11101")), 4, 40,
+                             master_seed=2)
+    em = EmState(a_hat=1.1 * ch.a, a_tilde=1.1 * ch.a, varsigma2=0.09,
+                 sigma2_hat=2.0 * ch.sigma2, estimate_sigma2=True)
+    for kind, decoder, b in (("coded", coder, coder.encode_block(bits)),
+                             ("uncoded", IdentityDecoder(), 1.0 - 2.0 * bits)):
+        obs = transmit(ch, SymbolBlock(b=b), rng_seed=22)
+        for det in DETECTORS:
+            for sched in SCHEDULES:
+                for tag, state0 in (("", None), ("-em", em)):
+                    yield (f"llr-{det}-{sched}-{kind}{tag}",
+                           (ch, obs, det, sched, 3, decoder, state0))
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -170,6 +207,13 @@ def main():
         # the shapes first, so that the empty batches differ by code
         data = repr([a.shape for a in out]).encode() \
             + b"".join(a.tobytes() for a in out)
+        print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+    for name, args in llr_cases():
+        frames, trajectory = run_varem(*args, I=2)
+        out = [a for f in frames for a in (f.llr_mud, f.llr_dec, f.llr_post,
+                                           np.stack(f.info_posterior))]
+        out += [np.append(st.a_hat, st.sigma2_hat) for st in trajectory]
+        data = b"".join(a.tobytes() for a in out)
         print(f"{hashlib.sha256(data).hexdigest()}  {name}")
 
 

@@ -292,13 +292,26 @@ class LlrFrame:
     info_posterior: list = field(repr=False)
 
 
+def _one_or_all(k, llr_mud, K=np.inf):
+    """``llr_mud`` as floats if ``k`` is one user, an int in 0..K-1, with
+    1-D LLRs, or ``slice(None)``, all users, with 2-D LLRs; any other
+    index or rank raises ``LengthMismatch``.  Both decoders check here."""
+    llr = np.asarray(llr_mud, dtype=float)
+    one = isinstance(k, (int, np.integer)) and 0 <= k < K
+    if not (one or isinstance(k, slice) and k == slice(None)):
+        raise LengthMismatch(f"users {k!r} are neither one nor all")
+    if llr.ndim != (1 if one else 2):
+        raise LengthMismatch(f"LLRs {llr.shape} do not fit users {k!r}")
+    return llr
+
+
 class IdentityDecoder:
     """Pass-through decoder: LLR_dec = LLR_mud (no code constraint)."""
 
     def decode_user(self, k, llr_mud):
         """``ConvTurboDecoder.decode_user`` contract; the info bits are
         the symbols, so the info posteriors are the input LLRs."""
-        llr = np.asarray(llr_mud, dtype=float)
+        llr = _one_or_all(k, llr_mud)
         return llr, llr.T
 
 
@@ -335,22 +348,20 @@ class ConvTurboDecoder:
     def decode_user(self, k, llr_mud):
         """Channel-domain extrinsics in, channel-domain extrinsics out.
 
-        ``k`` is one user (an int) with ``(F n_coded,)`` LLRs, or
-        ``slice(None)``, all K users, with an ``(F n_coded, K)`` block;
-        any other index raises ``LengthMismatch``.  F >= 1 frames are
+        ``k`` is one user (an int in 0..K-1) with ``(F n_coded,)`` LLRs,
+        or ``slice(None)``, all K users, with an ``(F n_coded, K)`` block;
+        ``_one_or_all`` refuses any other index or rank.  F >= 1 frames are
         stacked along the first axis, each interleaved by the same
         per-user permutation.  Every frame of every user is decoded in one
         batched pass.  Extrinsics keep the input shape; info posteriors
         are ``(F n_info,)`` or ``(K, F n_info)``, frames in input order.
         """
-        llr = np.asarray(llr_mud, dtype=float)
-        if isinstance(k, slice) and k == slice(None):
+        llr = _one_or_all(k, llr_mud, self.K)
+        if llr.ndim == 2:
             perms, (deinterleave, interleave) = self.perms, self._gathers
-        elif isinstance(k, (int, np.integer)):
+        else:
             perms = self.perms[k]
             deinterleave, interleave = self._inverse[k], perms
-        else:
-            raise LengthMismatch(f"users {k!r} are neither one nor all")
         n = self.n_coded
         frames, rem = divmod(llr.shape[0], n)
         if llr.T.shape[:-1] != perms.shape[:-1] or rem or not frames:

@@ -7,8 +7,8 @@ from (master seed, SNR index, trial index) and run in fixed groups of
 consecutive trials, each group one ``receive`` and one stacked
 detector pass.  A round
 maps one group function over its groups, in process or on a pool, so
-results are bit-for-bit the same for any worker count.  Error counts
-are recorded per (SNR, outer iteration, user) and written as CSV;
+results are bit-for-bit the same for any worker count.  One record
+per SNR point holds its (iteration, user) error counts, written as CSV;
 joint-estimation runs also emit the per-iteration noise-variance and
 amplitude-error trajectories.
 
@@ -297,28 +297,29 @@ def _ber_ci95(bits, errors):
 
 
 class BerReport:
-    """Error counts per (snr_db, iteration, user) plus EM trajectories."""
+    """Per SNR point, bits per user and errors (J, K); EM sums by point."""
 
     def __init__(self):
-        self.cells = {}
+        self.points = {}
         self.em = {}
 
-    def add_errors(self, snr_db, iteration, user, bits, errors):
-        cell = self.cells.setdefault((snr_db, iteration, user), [0, 0])
-        cell[0] += int(bits)
-        cell[1] += int(errors)
-
-    def add_em(self, snr_db, iteration, sigma2_hat, a_rmse):
-        row = self.em.setdefault((snr_db, iteration), [0.0, 0.0, 0])
-        row[0] += float(sigma2_hat)
-        row[1] += float(a_rmse)
-        row[2] += 1
+    def add_point(self, snr_db, bits, errors, em_rows):
+        """Record one SNR point; its EM rows are summed in the order given."""
+        self.points[snr_db] = int(bits), np.array(errors, dtype=np.int64)
+        for iteration, sigma2_hat, a_rmse in em_rows:
+            row = self.em.setdefault((snr_db, iteration), [0.0, 0.0, 0])
+            row[0] += float(sigma2_hat)
+            row[1] += float(a_rmse)
+            row[2] += 1
 
     def _totals(self, snr_db, iteration, user):
-        """(bits, errors) of one user's cell, or summed over all users."""
-        hits = [v for (s, i, u), v in self.cells.items()
-                if s == snr_db and i == iteration and user in (None, u)]
-        return sum(v[0] for v in hits), sum(v[1] for v in hits)
+        """(bits, errors) of one user's cell, or summed over all users;
+        (0, 0) for an SNR, iteration or user the report does not hold."""
+        bits, errors = self.points.get(snr_db, (0, ()))
+        row = errors[int(iteration) - 1] \
+            if iteration in range(1, len(errors) + 1) else ()
+        hits = [int(e) for u, e in enumerate(row, 1) if user in (None, u)]
+        return bits * len(hits), sum(hits)
 
     def bits(self, snr_db, iteration, user=None):
         return self._totals(snr_db, iteration, user)[0]
@@ -337,10 +338,11 @@ class BerReport:
 
     def to_csv(self, path):
         lines = ["snr_db,iteration,user,bits,errors,ber,ci95"]
-        for (s, i, u) in sorted(self.cells):
-            bits, errors = self.cells[(s, i, u)]
-            ber, ci = _ber_ci95(bits, errors)
-            lines.append(f"{s:g},{i},{u},{bits},{errors},{ber:.10e},{ci:.10e}")
+        for s, (bits, errors) in sorted(self.points.items()):
+            for (j, k), err in np.ndenumerate(errors):
+                ber, ci = _ber_ci95(bits, int(err))
+                lines.append(f"{s:g},{j + 1},{k + 1},{bits},{err},"
+                             f"{ber:.10e},{ci:.10e}")
         _write_text(path, "\n".join(lines) + "\n")
 
     def em_to_csv(self, path):
@@ -528,7 +530,6 @@ def run_scenario(cfg):
 def _run_point(ctx, group, report, pool):
     """Run one SNR point in rounds; its totals go to ``report`` once."""
     cfg = ctx.cfg
-    snr_db = cfg.snr_db[ctx.snr_index]
     done = bits = 0
     errors = np.zeros((cfg.outer_iterations, ctx.ch.K), dtype=np.int64)
     em_rows = []
@@ -546,10 +547,7 @@ def _run_point(ctx, group, report, pool):
             bits += n
             em_rows.extend(em)
         done = end
-    for (j, k), err in np.ndenumerate(errors):
-        report.add_errors(snr_db, j + 1, k + 1, bits, err)
-    for (iteration, s2, rmse) in em_rows:
-        report.add_em(snr_db, iteration, s2, rmse)
+    report.add_point(cfg.snr_db[ctx.snr_index], bits, errors, em_rows)
 
 
 def single_user_bound(cfg):

@@ -310,31 +310,29 @@ class TurboLoop:
         The family supplies unclamped extrinsics on one channel:
         ``ext_all(dec)`` of every user given decoder LLRs ``dec``, and
         ``ext_user(work, k)`` of user k given decoder LLRs ``work`` with
-        column k zeroed.  Hybrid detects every user from the previous
-        iteration's decoder LLRs, then decodes all users in one batched
-        decoder call, as flooding does; sequential decodes each user
-        right after detecting it.  The frame's ``llr_dec`` is the new
-        decoder state.
+        column k zeroed.  Sequential and hybrid detect user by user;
+        sequential decodes each user right after detecting it, so under
+        hybrid every user sees the previous iteration's decoder LLRs.
+        Flooding and hybrid decode all users in one batched call.  The
+        frame's ``llr_dec`` is the new decoder state.
         """
         T, K = self.llr_dec.shape
-        schedule = self.schedule
+        decode = self.decoder.decode_user
         new_dec = np.array(self.llr_dec, dtype=float)
         info = [None] * K
-        if schedule == FLOODING:
+        if self.schedule == FLOODING:
             llr_mud = clamp_llr(ext_all(self.llr_dec))
         else:
             llr_mud = np.empty((T, K))
-        if schedule == HYBRID:
             for k in range(K):
                 llr_mud[:, k] = clamp_llr(
-                    ext_user(_without_user(self.llr_dec, k), k))
-        for k in range(K) if schedule == SEQUENTIAL else [slice(None)]:
-            if schedule == SEQUENTIAL:
-                llr_mud[:, k] = clamp_llr(
                     ext_user(_without_user(new_dec, k), k))
-            new_dec[:, k], info[k] = self.decoder.decode_user(k, llr_mud[:, k])
+                if self.schedule == SEQUENTIAL:
+                    new_dec[:, k], info[k] = decode(k, llr_mud[:, k])
+        if self.schedule != SEQUENTIAL:
+            new_dec[:], info = decode(slice(None), llr_mud)
         self.llr_dec = new_dec
-        return LlrFrame(llr_mud, new_dec, llr_mud + new_dec, info)
+        return LlrFrame(llr_mud, new_dec, llr_mud + new_dec, list(info))
 
 
 class GaussianTurboLoop(TurboLoop):

@@ -575,6 +575,18 @@ class TestConvTurboDecoder:
             dec.decode_user(1, np.zeros(3 * dec.n_coded + 2))
         with pytest.raises(LengthMismatch):
             dec.decode_user(0, np.zeros(0))
+        # checked before any shape is read: a 0-d LLR, a user past K - 1
+        # and a negative user, which numpy would take as user K - 1
+        with pytest.raises(LengthMismatch):
+            dec.decode_user(0, 5.0)
+        with pytest.raises(LengthMismatch):
+            dec.decode_user(2, np.zeros(dec.n_coded))
+        with pytest.raises(LengthMismatch):
+            dec.decode_user(-1, np.zeros(dec.n_coded))
+        with pytest.raises(LengthMismatch):  # one user, a 2-D block
+            dec.decode_user(0, np.zeros((dec.n_coded, 1)))
+        with pytest.raises(LengthMismatch):  # all users, one column
+            dec.decode_user(slice(None), np.zeros(2 * dec.n_coded))
 
     @pytest.mark.parametrize("k", [[3, 1], [], np.array([0, 1]),
                                    slice(0, 2), [2], (0, 1), slice(0, 4),
@@ -617,3 +629,13 @@ class TestConvTurboDecoder:
         np.testing.assert_array_equal(info, block.T)
         np.testing.assert_array_equal(
             IdentityDecoder().decode_user(1, block[:, 1])[1], block[:, 1])
+        # one user or all, as ConvTurboDecoder: an int with 1-D LLRs or
+        # slice(None) with a 2-D block; a list, a partial slice, an array,
+        # an int with a 2-D or 0-d block, all users with 1-D LLRs, a
+        # negative user and a float user are refused
+        for k, shape in (([3, 1], (3, 2)), (slice(0, 2), (3, 2)),
+                         (np.array([0, 1]), (3, 2)), (0, (3, 2)),
+                         (slice(None), (3,)), (0, ()), (-1, (3,)),
+                         (1.0, (3,))):
+            with pytest.raises(LengthMismatch):
+                IdentityDecoder().decode_user(k, np.zeros(shape))

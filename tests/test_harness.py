@@ -245,6 +245,22 @@ class TestRunScenario:
         for user in (1, 2):
             assert report.bits(2.0, 1, user) == 64 * 2
 
+    def test_absent_cells_hold_no_bits(self):
+        # an SNR off the grid, an iteration outside 1..J and a user
+        # outside 1..K hold no bits, so their BER and interval are nan
+        report = run_scenario(tiny_coded_cfg(snr_db="2,3"))
+        assert report.bits(3.0, 2, 2) == 64 * 2  # J = K = 2
+        assert report.bits(3.0, np.int64(2), np.int64(1)) == 64 * 2
+        for snr_db, iteration, user in ((4.0, 1, None), (4.0, 1, 1),
+                                        (3.0, 3, None), (3.0, 3, 1),
+                                        (3.0, 0, None), (3.0, -1, 1),
+                                        (3.0, 1, 0), (3.0, 2, 3),
+                                        (3.0, 1, -1)):
+            assert report.bits(snr_db, iteration, user) == 0
+            assert report.errors(snr_db, iteration, user) == 0
+            assert math.isnan(report.ber(snr_db, iteration, user))
+            assert math.isnan(report.ci95(snr_db, iteration, user))
+
     def test_deterministic_csv(self, tmp_path):
         cfg = tiny_coded_cfg(snr_db="3")
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -24,12 +24,12 @@ def test_csv_digests_prints_one_digest_per_output_of_its_matrix():
     names = [line.split("  ")[1] for line in lines]
     assert len(set(names)) == len(names)
     # one BER CSV per config, one EM trajectory per EM config, one line
-    # per BCJR case
+    # per BCJR case and one per LLR-level run_varem case
     spec = importlib.util.spec_from_file_location("csv_digests", CSV_DIGESTS)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     runs = [config_from_dict(dict(script.BASE, **over))
             for _, over in script.configs()]
     expected = sum(1 + cfg.estimates for cfg in runs) \
-        + len(list(script.bcjr_cases()))
+        + len(list(script.bcjr_cases())) + len(list(script.llr_cases()))
     assert len(lines) == expected

@@ -11,6 +11,7 @@ from turbomud.detect_linear import GaussianBelief, mmse
 from turbomud.errors import (DegeneratePrior, DimensionMismatch,
                              NotPositiveDefinite)
 from turbomud.linalg import PIVOT_FLOOR
+from turbomud.siso_discrete import DiscreteTurboLoop
 from turbomud.siso_gaussian import (SCHEDULES, VAR_FLOOR, GaussianPrior,
                                     GaussianTurboLoop, ext_flooding,
                                     ext_hybrid, flooding_ext_block,
@@ -359,6 +360,67 @@ class TestRunSchedule:
             np.testing.assert_allclose(frames[1].llr_mud[t],
                                        np.clip(expected, -30, 30),
                                        rtol=1e-10)
+
+    @pytest.mark.parametrize("coded", [True, False],
+                             ids=["coded", "uncoded"])
+    @pytest.mark.parametrize("family", [GaussianTurboLoop, DiscreteTurboLoop],
+                             ids=["gaussian", "discrete"])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_decoder_call_pattern(self, schedule, family, coded):
+        # per outer iteration, flooding and hybrid decode all users in one
+        # call on the (T, K) block, and sequential decodes users 0..K-1 in
+        # order, one column each.  User k is detected from the decoder
+        # LLRs of the users already decoded in this iteration (none under
+        # hybrid) and the previous iteration's for the rest, column k
+        # zeroed.  Gaussian hybrid runs as flooding: no per-user detection.
+        K, T = 3, 12
+        ch = make_equicorrelated(K, 0.6, amplitudes=[1.0, 0.8, 1.2],
+                                 sigma2=0.5)
+        if coded:
+            decoder = ConvTurboDecoder(ConvCode(("111", "101")), K, 4,
+                                       master_seed=1)
+            rng = np.random.default_rng(15)
+            obs = transmit(ch, SymbolBlock(
+                b=decoder.encode_block(rng.integers(0, 2, (4, K)))), 16)
+        else:
+            decoder = IdentityDecoder()
+            obs = self.make_obs(ch, T, seed=15)
+        loop = family(obs, decoder, schedule)
+        decodes, detects = [], []
+        decode, exchange = decoder.decode_user, loop._exchange
+
+        def spy_decode(k, llr):
+            decodes.append((k, np.shape(llr)))
+            return decode(k, llr)
+
+        def spy_exchange(ext_all, ext_user):
+            def spy_user(work, k):
+                detects.append((k, work.copy()))
+                return ext_user(work, k)
+            return exchange(ext_all, spy_user)
+
+        decoder.decode_user, loop._exchange = spy_decode, spy_exchange
+        for _ in range(3):
+            previous = loop.llr_dec.copy()
+            decodes.clear()
+            detects.clear()
+            frame = loop.iterate(ch)
+            if schedule == "sequential":
+                assert decodes == [(k, (T,)) for k in range(K)]
+                assert all(type(k) is int for k, _ in decodes)
+            else:
+                assert decodes == [(slice(None), (T, K))]
+            if schedule == "flooding" or (
+                    schedule == "hybrid" and family is GaussianTurboLoop):
+                assert detects == []
+                continue
+            assert [k for k, _ in detects] == list(range(K))
+            for k, work in detects:
+                want = previous.copy()
+                if schedule == "sequential":
+                    want[:, :k] = frame.llr_dec[:, :k]
+                want[:, k] = 0.0
+                np.testing.assert_array_equal(work, want)
 
     def test_scenario_shapes(self):
         ch = make_equicorrelated(4, 0.7, sigma2=0.5)
