@@ -63,9 +63,9 @@ def configs():
             for kind, over in (("coded", CODED), ("uncoded", UNCODED)):
                 yield f"{det}-{sched}-{kind}", dict(
                     over, detector=det, schedule=sched)
-    # unequal amplitudes, so the two orders differ
+    # the DDF pass alone; unequal amplitudes, so the two orders differ
     for order in ("amplitude_descending", "as_given"):
-        yield f"ddf-{order}", dict(UNCODED, detector="ddf",
+        yield f"ddf-{order}", dict(UNCODED, detector="ddf_aided",
                                    outer_iterations=1, ddf_order=order,
                                    snr_db="6,10", snr_fixed="2:12,3:9")
     for det, sched in (("gaussian", "hybrid"), ("discrete", "flooding"),

@@ -34,6 +34,7 @@ _DETECT_ONE_SHOT = {
     "ddf": lambda ch, r, y, pl: ddf_pass(
         ch, y, pl, DdfPrecompute.from_channel(ch, AMPLITUDE_DESCENDING))[1],
 }
+_INSTANCE_KEYS = ("users", "rho", "sigma2", "amps", "r", "priors", "detector")
 
 
 def _build_parser():
@@ -114,11 +115,18 @@ def _floats(kv, key, n, default=None):
 
 
 def _cmd_detect(args):
-    """Instance file keys: users, rho, sigma2, amps, r, priors, detector.
+    """Instance file keys: ``_INSTANCE_KEYS``; any other key is an error.
 
     Numbers must be finite and sigma2 > 0; overflowing LLRs are errors.
     """
     kv = read_kv_file(args.config)
+    for key in kv:
+        if key not in _INSTANCE_KEYS:
+            raise ConfigError(f"{key}: unknown config key")
+    kind = kv.get("detector", "gaussian-hybrid")
+    fn = _DETECT_ONE_SHOT.get(kind)
+    if fn is None:
+        raise ConfigError(f"detector: unknown detector {kind!r}")
     try:
         K = int(kv.get("users", 1))
         if K < 1:
@@ -131,8 +139,6 @@ def _cmd_detect(args):
         amps = _floats(kv, "amps", K, 1.0)
         priors = _floats(kv, "priors", K, 0.0)
         ch = make_equicorrelated(K, rho, amplitudes=amps, sigma2=sigma2)
-        kind = kv.get("detector", "gaussian-hybrid")
-        fn = _DETECT_ONE_SHOT[kind]
     except (KeyError, ValueError, InvalidCorrelation) as exc:
         raise ConfigError(f"bad instance description: {exc}") from None
     with np.errstate(all="ignore"):

@@ -30,9 +30,8 @@ from .siso_ddf import (AMPLITUDE_DESCENDING, AS_GIVEN, DdfPrecompute,
                        ddf_pass_block)
 from .siso_discrete import DEFAULT_INNER_ITERS, tanh_sic_block
 from .siso_gaussian import SCHEDULES
-from .varem import DETECTORS as TURBO_DETECTORS
-from .varem import (DDF_AIDED, SIGMA2_FLOOR, EmState, initial_sigma2,
-                    run_varem)
+from .varem import (DDF_AIDED, DETECTORS, SIGMA2_FLOOR, EmState,
+                    initial_sigma2, run_varem)
 
 OUT_DIR_ENV = "TURBOMUD_OUT_DIR"
 
@@ -43,9 +42,6 @@ _ROUND_FRAMES = 16  # stop conditions are checked between rounds
 # _ROUND_FRAMES.  Past it the group arrays outgrow what the allocator
 # reuses, and fresh pages cost more than the per-call overhead saved.
 _GROUP_INTERVALS = 4096
-
-PLAIN_DDF = "ddf"  # the uncoded DDF pass alone, without a turbo loop
-DETECTORS = TURBO_DETECTORS + (PLAIN_DDF,)
 
 # |dB| bound of finite SNRs and pins: every amplitude and noise variance
 # it implies is a finite positive double
@@ -64,7 +60,7 @@ class ScenarioConfig:
     generators: str = "10011,11101"
     info_bits: int = 256                 # per user per frame
     detector: str = "gaussian"
-    schedule: str = "flooding"           # unused by uncoded ddf/ddf_aided
+    schedule: str = "flooding"           # unused by uncoded ddf_aided
     outer_iterations: int = 5            # J
     # I (discrete families); unused by uncoded ddf_aided, one sweep per J
     inner_iterations: int = DEFAULT_INNER_ITERS
@@ -86,8 +82,8 @@ class ScenarioConfig:
 
     @property
     def uncoded_ddf(self):
-        """Plain DDF, or DDF + tanh-SIC: the runs without a turbo loop."""
-        return not self.coded and self.detector in (PLAIN_DDF, DDF_AIDED)
+        """DDF + tanh-SIC: the runs without a turbo loop."""
+        return not self.coded and self.detector == DDF_AIDED
 
     def validate(self):
         if not all(s == np.inf or abs(s) <= DB_LIMIT for s in self.snr_db):
@@ -137,13 +133,9 @@ class ScenarioConfig:
         for k in self.snr_fixed:
             if not 1 <= k <= self.users:
                 raise ConfigError(f"snr_fixed: user {k} out of range")
-        if self.detector == PLAIN_DDF and self.coded:
-            raise ConfigError("detector: plain ddf is supported uncoded only")
-        if self.detector == PLAIN_DDF and self.outer_iterations != 1:
-            raise ConfigError("outer_iterations: plain ddf is a single pass")
         if self.uncoded_ddf and self.estimates:
             raise ConfigError("estimate_sigma2/varsigma: the uncoded "
-                              f"{self.detector} pass estimates nothing")
+                              "ddf_aided pass estimates nothing")
         _order_policy(self.ddf_order, self.users)
         return self
 
@@ -427,8 +419,8 @@ def _group_decisions(ctx, obs, rng):
     Returns (decisions, em_rows): decisions (J, K, n_counted) is True
     where the sign of the final LLR or belief mean decides -1 (bit 1),
     and a tie at exactly 0 decides +1 (bit 0); em_rows is a list of
-    (iteration, sigma2_hat, a_rmse), empty without EM.  Uncoded DDF runs
-    are one DDF pass, followed for ddf_aided by J - 1 mean-field sweeps.
+    (iteration, sigma2_hat, a_rmse), empty without EM.  Uncoded ddf_aided
+    runs are one DDF pass, then J - 1 mean-field sweeps.
     Every turbo run is one ``run_varem`` call from one EmState built
     from the point's channel: prior a (1 + varsigma n), n drawn from
     ``rng`` (an EM group's one frame's), and ``initial_sigma2`` when
@@ -440,7 +432,7 @@ def _group_decisions(ctx, obs, rng):
         M, _ = ddf_pass_block(ch, obs.y, None, ctx.ddf_pre)
         decisions = np.empty((J,) + M.shape, dtype=bool)
         np.less(M, 0, out=decisions[0])
-        if cfg.detector == DDF_AIDED:
+        if J > 1:  # at J = 1, tanh_sic_block would still fold H
             tanh_sic_block(ch, obs.r, J - 1, m0=M, signs=decisions[1:])
         return decisions, []
     a_tilde = ch.a * (1.0 + rng.standard_normal(ch.K) * cfg.varsigma)

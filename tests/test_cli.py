@@ -159,6 +159,21 @@ def test_zero_llrs_decide_bit_zero(tmp_path, capsys):
     assert 0.4 <= float(line.rsplit("=", 1)[1]) <= 0.6
 
 
+def test_plain_ddf_is_not_a_scenario_detector(tmp_path, capsys):
+    """The DDF pass alone is uncoded ddf_aided at one outer iteration;
+    ``ddf`` names only the one-shot detector of ``detect``."""
+    cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
+    for extra, flags in (("detector = ddf\n", []),
+                         ("", ["--detector", "ddf"])):
+        cfg.write_text(_SMALL_RUN + "coded = false\nouter_iterations = 1\n"
+                       + extra)
+        argv = ["simulate", str(cfg), "--out", str(out)] + flags
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == \
+            "config error: detector: unknown detector 'ddf'\n"
+    assert not out.exists()
+
+
 def test_em_settings_keep_the_ddf_pipeline(tmp_path, capsys, monkeypatch):
     """EM on the uncoded DDF path exits 2; coded ddf_aided with EM runs
     and still seeds its first iteration with a DDF pass."""
@@ -173,8 +188,8 @@ def test_em_settings_keep_the_ddf_pipeline(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(siso_ddf, "ddf_pass_block", counting)
     cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
-    for extra in ("detector = ddf\ncoded = false\nouter_iterations = 1\n"
-                  "estimate_sigma2 = true\n",
+    for extra in ("detector = ddf_aided\ncoded = false\n"
+                  "outer_iterations = 1\nestimate_sigma2 = true\n",
                   "detector = ddf_aided\ncoded = false\nvarsigma = 0.3\n"):
         cfg.write_text(_SMALL_RUN + extra)
         assert cli_main(["simulate", str(cfg), "--out", str(out)]) == 2
@@ -314,12 +329,31 @@ def test_unwritable_em_csv_is_one_error_line_after_the_run(tmp_path,
     "users = 2\namps = 1,inf\nr = 0.3,-0.9\n",
     "users = 1000000000\nr = 0.3,-0.9\n",          # counts before K x K
     "users = 2\nr = 0.3,-0.9\nr = 0.1,0.2\n",       # r given twice
+    "users = 2\nrho = 0.5\nsigma = 0.01\nr = 0.3,-0.9\n",  # sigma2 typo
+    "users = 2\nr = 0.3,-0.9\ndetector = nope\n",
 ])
 def test_detect_malformed_instance_exit_code(tmp_path, capsys, body):
     inst = tmp_path / "instance.cfg"
     inst.write_text(body)
     assert cli_main(["detect", str(inst)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("users = 2\nrho = 0.5\nsigma = 0.01\nr = 0.3,-0.9\n",
+     "sigma: unknown config key"),
+    # the first unknown key in file order, before any value is read
+    ("users = 2\nsnr = x\nr = 0.3\nsigma = 0.01\n",
+     "snr: unknown config key"),
+    ("users = 2\nr = 0.3,-0.9\ndetector = nope\n",
+     "detector: unknown detector 'nope'"),
+])
+def test_detect_names_unknown_keys_and_detectors(tmp_path, capsys, body,
+                                                 message):
+    inst = tmp_path / "instance.cfg"
+    inst.write_text(body)
+    assert cli_main(["detect", str(inst)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("body", [

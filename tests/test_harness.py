@@ -95,10 +95,13 @@ class TestConfigParsing:
                 (dict(users="1000000000000", ddf_order="custom:2,1"),
                  "ddf_order"),
                 # EM never switches the uncoded DDF path to another pipeline
-                (dict(detector="ddf", coded="false", outer_iterations="1",
-                      estimate_sigma2="true"), "estimate_sigma2"),
+                (dict(detector="ddf_aided", coded="false",
+                      outer_iterations="1", estimate_sigma2="true"),
+                 "estimate_sigma2"),
                 (dict(detector="ddf_aided", coded="false", varsigma="0.3"),
-                 "varsigma")]:
+                 "varsigma"),
+                # the DDF pass alone is uncoded ddf_aided at J = 1
+                (dict(detector="ddf"), "detector: unknown detector 'ddf'")]:
             with pytest.raises(ConfigError, match=match):
                 config_from_dict(values)
 
@@ -385,6 +388,31 @@ class TestRunScenario:
                 csvs.add(path.read_bytes())
         assert len(csvs) == 1
 
+    @pytest.mark.parametrize("order", ["amplitude_descending",
+                                       "custom:2,1"])
+    def test_uncoded_ddf_aided_at_one_iteration_is_the_ddf_pass(
+            self, order, tmp_path):
+        """ddf_aided at J = 1, the DDF pass alone, writes the rows of
+        iteration 1 of the same run at J = 5, on 1 and 2 workers: 5
+        frames run as groups of 2, 2 and 1."""
+        cfg = tiny_coded_cfg(coded=False, info_bits=1500, rho=0.7,
+                             detector="ddf_aided", ddf_order=order,
+                             snr_fixed="2:11", snr_db="11,16,inf",
+                             max_frames=5, frame_cap=5)
+        rows = {}
+        for J in (1, 5):
+            for workers in (1, 2):
+                path = tmp_path / f"{J}-{workers}.csv"
+                report = run_scenario(replace(cfg, outer_iterations=J,
+                                              workers=workers))
+                report.to_csv(path)
+                rows[J, workers] = [
+                    row for row in path.read_text().splitlines()[1:]
+                    if row.split(",")[1] == "1"]
+        assert len(rows[1, 1]) == 3 * 2 and report.errors(11.0, 1, 2) > 0
+        assert rows[1, 2] == rows[1, 1]
+        assert rows[5, 1] == rows[1, 1] and rows[5, 2] == rows[1, 1]
+
     @pytest.mark.parametrize("over", [
         dict(info_bits=600, detector="gaussian"),
         dict(coded=False, info_bits=512, detector="ddf_aided")])
@@ -501,7 +529,7 @@ def _runnable_configs(draw):
     and both kinds of EM."""
     users = draw(st.integers(1, 6))
     detector = draw(st.sampled_from(harness.DETECTORS))
-    coded = detector != harness.PLAIN_DDF and draw(st.booleans())
+    coded = draw(st.booleans())
     length = draw(st.integers(1, 5))
     gens = draw(st.one_of(
         st.sampled_from([g for g, _ in FIXED_SYMBOL_CODES] + ["111,101"]),
@@ -511,16 +539,15 @@ def _runnable_configs(draw):
         st.sampled_from(["amplitude_descending", "as_given"]),
         st.permutations(range(1, users + 1))
         .map(lambda p: "custom:" + ",".join(map(str, p)))))
-    # the uncoded DDF pipelines estimate nothing
-    em_allowed = coded or detector not in (harness.PLAIN_DDF, "ddf_aided")
+    # the uncoded DDF pipeline estimates nothing
+    em_allowed = coded or detector != "ddf_aided"
     return ScenarioConfig(
         channel=draw(st.sampled_from(["equicorrelated", "random"])),
         users=users, rho=draw(st.sampled_from([0.0, 0.5, 0.9])),
         spreading_gain=draw(st.integers(users, 8)), coded=coded,
         generators=gens, info_bits=draw(st.integers(1, 20)),
         detector=detector, schedule=draw(st.sampled_from(SCHEDULES)),
-        outer_iterations=1 if detector == harness.PLAIN_DDF
-        else draw(st.integers(1, 3)),
+        outer_iterations=draw(st.integers(1, 3)),
         inner_iterations=draw(st.integers(1, 3)), ddf_order=order,
         snr_db=tuple(draw(st.lists(st.one_of(_DB, st.just(math.inf)),
                                    min_size=1, max_size=2, unique=True))),

@@ -3,13 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from turbomud.channel import (ChannelInstance, SymbolBlock,
+from turbomud.channel import (ChannelInstance, Observation, SymbolBlock,
                               make_equicorrelated, make_random_spreading,
                               receive, transmit)
 from turbomud import siso_gaussian, varem
 from turbomud.coding import ConvCode, ConvTurboDecoder, IdentityDecoder
-from turbomud.siso_ddf import bind_ddf_hook
-from turbomud.siso_discrete import DiscreteTurboLoop
+from turbomud.siso_ddf import DdfPrecompute, bind_ddf_hook, ddf_pass_block
+from turbomud.siso_discrete import DiscreteTurboLoop, tanh_sic_block
 from turbomud.siso_gaussian import SCHEDULES, GaussianTurboLoop
 from turbomud.varem import (DETECTORS, EmState, PosteriorSummary,
                             em_objective, em_objective_grad_a,
@@ -463,3 +463,97 @@ class TestUserRelabelling:
                                        atol=0)
             assert st_p.sigma2_hat == pytest.approx(st.sigma2_hat,
                                                     rel=1e-12, abs=0)
+
+
+# A frame's result does not depend on the group it runs in: the harness
+# stacks consecutive frames into one block, and every LLR of a frame must
+# be bit for bit that of the frame run alone.  K = 4 at rho 0.7 with
+# unequal amplitudes, and scenario-ii's K = 32 random-spreading geometry.
+GROUP_FRAMES = 3
+GROUP_GEOMETRIES = {
+    "k4": (lambda: make_equicorrelated(
+        4, 0.7, amplitudes=[0.8, 1.2, 1.0, 0.9], sigma2=0.4),
+        "10011,11101", 40),
+    "k32": (lambda: make_random_spreading(32, 32, seed=[1, 0xC0DE],
+                                          sigma2=0.25), "111,101", 64),
+}
+
+
+def stacked_group(geometry, coded, seed=31):
+    """(channel, decoder, stacked observation, frame length T)."""
+    make_channel, gens, n_info = GROUP_GEOMETRIES[geometry]
+    ch = make_channel()
+    decoder = ConvTurboDecoder(ConvCode(generators=tuple(gens.split(","))),
+                               ch.K, n_info, master_seed=2) \
+        if coded else IdentityDecoder()
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(GROUP_FRAMES, n_info, ch.K))
+    b = np.concatenate([decoder.encode_block(x) for x in bits]) \
+        if coded else 1.0 - 2.0 * bits.reshape(-1, ch.K)
+    noise = rng.standard_normal((len(b), ch.N))
+    obs = receive(ch, SymbolBlock(b=b), noise, frames=GROUP_FRAMES)
+    return ch, decoder, obs, len(b) // GROUP_FRAMES
+
+
+def frame_rows(obs, f, T):
+    rows = slice(f * T, (f + 1) * T)
+    return rows, Observation(r=obs.r[rows], y=obs.y[rows])
+
+
+def same_bits(a, b):
+    return np.ascontiguousarray(a).tobytes() == \
+        np.ascontiguousarray(b).tobytes()
+
+
+_GROUP_CELLS = [(geometry, det, sched, coded)
+                for geometry in GROUP_GEOMETRIES for det in DETECTORS
+                for sched in SCHEDULES for coded in (True, False)]
+
+
+@pytest.mark.parametrize("geometry, detector, schedule, coded", _GROUP_CELLS,
+                         ids=lambda v: v if isinstance(v, str)
+                         else ("coded" if v else "uncoded"))
+def test_stacked_group_gives_each_frame_its_lone_llrs(geometry, detector,
+                                                     schedule, coded):
+    ch, decoder, obs, T = stacked_group(geometry, coded)
+    group, _ = run_varem(ch, obs, detector, schedule, 3, decoder, I=2)
+    for f in range(GROUP_FRAMES):
+        rows, alone_obs = frame_rows(obs, f, T)
+        alone, _ = run_varem(ch, alone_obs, detector, schedule, 3, decoder,
+                             I=2)
+        for j, (g, a) in enumerate(zip(group, alone, strict=True)):
+            for name in ("llr_mud", "llr_dec", "llr_post"):
+                assert same_bits(getattr(g, name)[rows], getattr(a, name)), \
+                    (f, j, name)
+
+
+@pytest.mark.parametrize("geometry", ["near-far-k2", "k32"])
+def test_stacked_group_gives_each_frame_its_lone_ddf_pass(geometry):
+    """The uncoded DDF path: one DDF pass, then tanh-SIC sweeps."""
+    if geometry == "k32":
+        ch, _, obs, T = stacked_group("k32", coded=False)
+    else:  # the ddf-two-user regime: user 2 at 11 dB, user 1 at 17 dB
+        ch = make_equicorrelated(2, 0.7, amplitudes=[10 ** 0.85, 10 ** 0.55],
+                                 sigma2=1.0)
+        T = 500
+        rng = np.random.default_rng(32)
+        b = 1.0 - 2.0 * rng.integers(0, 2, size=(GROUP_FRAMES * T, 2))
+        obs = receive(ch, SymbolBlock(b=b),
+                      rng.standard_normal((len(b), ch.N)),
+                      frames=GROUP_FRAMES)
+    # last user first, so the detection order is not the labels'
+    pre = DdfPrecompute.from_channel(ch, np.arange(ch.K)[::-1])
+    sweeps = 4
+
+    def ddf_then_sic(o):
+        M, L = ddf_pass_block(ch, o.y, None, pre)
+        signs = np.empty((sweeps,) + M.shape, dtype=bool)
+        final = tanh_sic_block(ch, o.r, sweeps, m0=M, signs=signs)
+        return M, L, signs, final
+
+    group = ddf_then_sic(obs)
+    for f in range(GROUP_FRAMES):
+        _, alone_obs = frame_rows(obs, f, T)
+        cols = slice(f * T, (f + 1) * T)
+        for g, a in zip(group, ddf_then_sic(alone_obs), strict=True):
+            assert same_bits(g[..., cols], a), f
