@@ -19,8 +19,8 @@ import numpy as np
 
 from .channel import make_equicorrelated
 from .errors import ConfigError, InvalidCorrelation, TurbomudError
-from .harness import (OUT_DIR_ENV, PRESETS, parse_value, read_kv_file,
-                      resolve_config, run_scenario)
+from .harness import (OUT_DIR_ENV, PRESETS, parse_as, parse_value,
+                      read_kv_file, resolve_config, run_scenario)
 from .siso_ddf import AMPLITUDE_DESCENDING, DdfPrecompute, ddf_pass
 from .siso_discrete import ext_one_shot
 from .siso_gaussian import SCHEDULES, GaussianPrior, ext_flooding, ext_hybrid
@@ -103,10 +103,13 @@ def _check_out(out):
 
 
 def _floats(kv, key, n, default=None):
-    """n comma-separated finite floats; n copies of ``default`` if absent."""
-    if key not in kv and default is not None:
+    """n comma-separated finite floats; n copies of ``default`` if absent
+    (no default: a required key)."""
+    if key not in kv:
+        if default is None:
+            raise ConfigError(f"{key}: missing required key")
         return np.full(n, float(default))
-    vals = np.array([float(s) for s in kv[key].split(",")])
+    vals = np.array([parse_as(float, key, s) for s in kv[key].split(",")])
     if len(vals) != n:
         raise ConfigError(f"{key}: expected {n} values, got {len(vals)}")
     if not np.all(np.isfinite(vals)):
@@ -128,7 +131,7 @@ def _cmd_detect(args):
     if fn is None:
         raise ConfigError(f"detector: unknown detector {kind!r}")
     try:
-        K = int(kv.get("users", 1))
+        K = parse_as(int, "users", kv.get("users", "1"))
         if K < 1:
             raise ConfigError("users: must be >= 1")
         rho = _floats(kv, "rho", 1, 0.0)[0]
@@ -139,7 +142,7 @@ def _cmd_detect(args):
         amps = _floats(kv, "amps", K, 1.0)
         priors = _floats(kv, "priors", K, 0.0)
         ch = make_equicorrelated(K, rho, amplitudes=amps, sigma2=sigma2)
-    except (KeyError, ValueError, InvalidCorrelation) as exc:
+    except (ValueError, InvalidCorrelation) as exc:
         raise ConfigError(f"bad instance description: {exc}") from None
     with np.errstate(all="ignore"):
         y = ch.S.T @ r

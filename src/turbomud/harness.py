@@ -215,15 +215,21 @@ _PARSERS = {tuple: (_grid, "bad grid"), dict: (_pins, "bad pin list"),
             str: (str, "not a string")}
 
 
-def parse_value(key, val):
-    """One config value string -> the typed value of config key ``key``."""
-    if key not in _FIELD_TYPES:
-        raise ConfigError(f"{key}: unknown config key")
-    parse, what = _PARSERS[_FIELD_TYPES[key]]
+def parse_as(kind, key, val):
+    """One value string -> a ``kind`` (a config field type); a value
+    that does not parse is a config error naming ``key``."""
+    parse, what = _PARSERS[kind]
     try:
         return parse(str(val))
     except (KeyError, ValueError):
         raise ConfigError(f"{key}: {what}: {val!r}") from None
+
+
+def parse_value(key, val):
+    """One config value string -> the typed value of config key ``key``."""
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"{key}: unknown config key")
+    return parse_as(_FIELD_TYPES[key], key, val)
 
 
 def config_from_dict(values):

@@ -20,9 +20,11 @@ serial refinement entirely gives the classical one-shot
 soft-cancellation detector (which no longer guarantees descent).
 Every mean-field update (turbo-loop sweeps, tanh-SIC, ``serial_update``,
 the DDF pass) is one kernel, ``_sweeps``: the half-LLR form LLR_pos/2
-on means held users-major, a (K, T) block of T intervals.  The turbo
-loop runs it on rows it builds once per outer iteration, every other
-caller through ``_sweep_block``.
+on means held users-major, a (K, T) block of T intervals.  Its per-user
+rows and scratch are built once per kernel entry: by the turbo loop once
+per outer iteration, by ``tanh_sic_block`` once for all its sweeps, by
+``_sweep_block`` (every other caller) once per call.  What is left per
+update is five numpy calls at their cheapest public dispatch.
 """
 
 from dataclasses import dataclass
@@ -35,10 +37,8 @@ from .siso_gaussian import TurboLoop
 # Belief means are clamped into [-1 + MEAN_CLEARANCE, 1 - MEAN_CLEARANCE]
 # after every tanh so the entropy terms stay finite; tanh(LLR_CLAMP / 2)
 # lies past the clamp, so unclamped and clamped LLRs clamp to one mean.
-# The bounds are read-only 0-d arrays: the ufuncs convert no Python float.
 MEAN_CLEARANCE = 1e-9
-_MEAN_LO, _MEAN_HI = (np.broadcast_to(b, ()) for b in (
-    -1.0 + MEAN_CLEARANCE, 1.0 - MEAN_CLEARANCE))
+_MEAN_LO, _MEAN_HI = -1.0 + MEAN_CLEARANCE, 1.0 - MEAN_CLEARANCE
 
 DEFAULT_INNER_ITERS = 6
 
@@ -137,8 +137,9 @@ def tanh_sic_block(ch, r_block, sweeps, m0=None, *, signs=None):
                   ch.sigma2)
     Mt = np.zeros_like(H) if m0 is None else \
         np.array(m0, dtype=float, order="C")
+    kernel, users = _sweep_kernel(Mt, H, Bh, np.empty_like(H)), range(ch.K)
     for s in range(sweeps):
-        _sweep_block(Mt, range(ch.K), H, Bh)
+        _sweeps(*kernel, users, Mt)
         if signs is not None:
             np.less(Mt, 0, out=signs[s])
     return Mt
@@ -154,37 +155,43 @@ def _fold(prior_llr, obs, coupling, sigma2):
     return H, np.divide(coupling.T, sigma2, order="C")
 
 
-def _sweep_rows(Mt, H, Bh, X):
-    """The per-user rows (Bh_k.dot, H_k, X_k, Mt_k) ``_sweeps`` runs on.
-    They are views, so they stay valid while H, X and Mt change in place.
-    The bound ``dot`` is ``np.dot`` without its dispatch overhead."""
-    return [(bh.dot, h, x, m) for bh, h, x, m in zip(Bh, H, X, Mt)]
+def _sweep_kernel(Mt, H, Bh, X):
+    """What ``_sweeps`` runs on: the per-user rows (Bh_k.dot, H_k, X_k,
+    Mt_k) and the scratch, a ``tmp`` row and the clamp rows, T floats
+    each.  The rows are views, so they stay valid while H, X and Mt
+    change in place.  The bound ``dot`` is ``np.dot`` without its
+    dispatch overhead; against contiguous rows of _MEAN_LO and _MEAN_HI
+    the clamp runs numpy's same-shape loop, not its broadcast loop."""
+    T = H.shape[1]
+    rows = [(bh.dot, h, x, m) for bh, h, x, m in zip(Bh, H, X, Mt)]
+    return rows, (np.empty(T), np.full(T, _MEAN_LO), np.full(T, _MEAN_HI))
 
 
-def _sweeps(rows, users, Mt, tmp):
+def _sweeps(rows, scratch, users, Mt):
     """The mean-field update of each k of ``users`` in turn, in place on
     the users-major means Mt over all T intervals: x_k = H_k - Bh_k Mt
     and m_k = tanh(x_k) clamped into [_MEAN_LO, _MEAN_HI], five numpy
-    calls into preallocated rows (``tmp``: T floats), with ufuncs and
-    bounds bound to locals.
+    calls into preallocated rows, with ufuncs bound to locals.  Outputs
+    are positional where numpy takes them so (``maximum`` and
+    ``minimum`` deprecate a third positional argument).
     """
     subtract, tanh, maximum, minimum = (np.subtract, np.tanh, np.maximum,
                                         np.minimum)
-    lo, hi = _MEAN_LO, _MEAN_HI
+    tmp, lo, hi = scratch
     for k in users:
         dot, h, x, m = rows[k]
-        dot(Mt, out=tmp)
-        subtract(h, tmp, out=x)
-        tanh(x, out=m)
+        dot(Mt, tmp)
+        subtract(h, tmp, x)
+        tanh(x, m)
         maximum(m, lo, out=m)
         minimum(m, hi, out=m)
 
 
 def _sweep_block(Mt, users, H, Bh):
-    """``_sweeps`` over fresh rows of H, Bh and Mt.  Returns X = LLR_pos/2,
-    set only in the rows of updated users."""
+    """``_sweeps`` on a kernel built for this call.  Returns
+    X = LLR_pos/2, set only in the rows of updated users."""
     X = np.empty_like(H)
-    _sweeps(_sweep_rows(Mt, H, Bh, X), users, Mt, np.empty(H.shape[1]))
+    _sweeps(*_sweep_kernel(Mt, H, Bh, X), users, Mt)
     return X
 
 
@@ -218,21 +225,21 @@ class DiscreteTurboLoop(TurboLoop):
 
     def iterate(self, ch):
         # ch is fixed within the iteration: H's observation part H0, Bh
-        # and the sweep rows are built once, and each posterior call
+        # and the sweep kernel are built once, and each posterior call
         # refreshes H in place with its prior (the divide-then-add of
         # ``_fold``).  EM may change ch between iterations, so nothing
         # outlives this one.
         Mt, I = self.Mt, self.I
         H0, Bh = _fold(None, self.r @ ch.SA, ch.hollow_gram, ch.sigma2)
         H, X = np.empty_like(H0), np.empty_like(H0)
-        rows, tmp = _sweep_rows(Mt, H, Bh, X), np.empty(H0.shape[1])
+        kernel = _sweep_kernel(Mt, H, Bh, X)
         users = list(range(len(Mt)))
         hook, self.hook = self.hook, None  # outer iteration 1 only
 
         def half_posterior(dec, order):
             """LLR_pos/2 of the inner sweeps in ``order``, users-major."""
             np.add(H0, 0.5 * dec.T, out=H)
-            _sweeps(rows, order * I, Mt, tmp)
+            _sweeps(*kernel, order * I, Mt)
             return X
 
         def ext_all(dec):

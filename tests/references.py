@@ -5,7 +5,8 @@ exact extrinsic messages under both scheduling conventions, and a dense
 grid search over factorized-binary beliefs.  Guarded to small K (a
 larger K raises ValueError); the library never calls them.  Also the
 closed-form Gaussian conditioning the linear detectors are checked
-against, and the mean clamp of the mean-field kernel as a function.
+against, the mean clamp of the mean-field kernel as a function, and the
+kernel's update in an earlier, frozen form.
 """
 
 from dataclasses import dataclass
@@ -23,6 +24,25 @@ GRID_MAX_USERS = 3
 def clamp_mean(m):
     """The clamp ``_sweep_block`` applies in place after every tanh."""
     return np.minimum(np.maximum(m, _MEAN_LO), _MEAN_HI)
+
+
+# The mean-field update as it was first written: keyword outputs and
+# read-only 0-d clamp bounds.  The kernel is pinned to it bit for bit.
+_FROZEN_LO, _FROZEN_HI = (np.broadcast_to(b, ()) for b in (
+    -1.0 + MEAN_CLEARANCE, 1.0 - MEAN_CLEARANCE))
+
+
+def frozen_sweep_block(Mt, users, H, Bh):
+    """``_sweep_block`` in the frozen five-call form: in place on the
+    users-major means Mt, returns X = LLR_pos/2 (rows of updated users)."""
+    X, tmp = np.empty_like(H), np.empty(H.shape[1])
+    for k in users:
+        Bh[k].dot(Mt, out=tmp)
+        np.subtract(H[k], tmp, out=X[k])
+        np.tanh(X[k], out=Mt[k])
+        np.maximum(Mt[k], _FROZEN_LO, out=Mt[k])
+        np.minimum(Mt[k], _FROZEN_HI, out=Mt[k])
+    return X
 
 
 def _enum_symbols(K):

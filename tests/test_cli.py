@@ -347,6 +347,11 @@ def test_detect_malformed_instance_exit_code(tmp_path, capsys, body):
      "snr: unknown config key"),
     ("users = 2\nr = 0.3,-0.9\ndetector = nope\n",
      "detector: unknown detector 'nope'"),
+    # a missing required key, and values in the scenario parser's wording
+    ("users = 2\n", "r: missing required key"),
+    ("users = x\nr = 0.3\n", "users: not an integer: 'x'"),
+    ("users = 2\nrho = abc\nr = 0.3,-0.9\n", "rho: not a number: 'abc'"),
+    ("users = 2\nr = 0.3,nope\n", "r: not a number: 'nope'"),
 ])
 def test_detect_names_unknown_keys_and_detectors(tmp_path, capsys, body,
                                                  message):

@@ -4,8 +4,10 @@ Every mean-field caller (the turbo-loop sweeps, ``tanh_sic_block``,
 ``serial_update`` and ``ddf_pass_block``) runs the ``_sweeps`` kernel on
 a users-major (K, T) block with the half-LLR constants folded once: the
 turbo loop on rows it builds once per outer iteration (checked bit for
-bit against one ``_fold`` and ``_sweep_block`` per call below), every
-other caller through ``_sweep_block``.  The
+bit against one ``_fold`` and ``_sweep_block`` per call below),
+``tanh_sic_block`` on one kernel for all its sweeps, the others through
+``_sweep_block``.  Every caller is pinned bit for bit to the kernel's
+first, frozen form (``references.frozen_sweep_block``).  The
 references below keep the earlier per-column update on a (T, K) block,
 
     LLR_pos = LLR_prior + (2/sigma2)(eta^T r - beta_k^T m),
@@ -23,10 +25,10 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from turbomud.channel import (ChannelInstance, SymbolBlock,
+from turbomud.channel import (ChannelInstance, Observation, SymbolBlock,
                               make_equicorrelated, make_random_spreading,
                               transmit)
-from turbomud import varem
+from turbomud import siso_ddf, varem
 from turbomud.coding import ConvCode, ConvTurboDecoder, IdentityDecoder
 from turbomud.linalg import factor_FtF
 from turbomud.siso_ddf import (DdfPrecompute, bind_ddf_hook, ddf_pass_block,
@@ -37,7 +39,7 @@ from turbomud.siso_discrete import (MEAN_CLEARANCE, DiscreteBelief,
 from turbomud.siso_gaussian import SCHEDULES
 from turbomud.varem import EmState, run_varem
 
-from references import clamp_mean
+from references import clamp_mean, frozen_sweep_block
 
 # Tolerance per K, on LLRs relative to max(1, |LLR|) and on means.  The
 # worst gaps measured over these cases, 20 instances each: 4.6e-14 (LLR)
@@ -265,15 +267,17 @@ def test_fewer_than_one_inner_sweep_is_rejected(detector, I):
 
 class PerCallFoldLoop(DiscreteTurboLoop):
     """The earlier composition of ``DiscreteTurboLoop.iterate``: one
-    ``_fold`` and one ``_sweep_block`` call per posterior call, each
+    ``_fold`` and one ``sweep_block`` call per posterior call, each
     dividing by sigma2 and allocating H and X again."""
+
+    sweep_block = staticmethod(_sweep_block)
 
     def iterate(self, ch):
         eta_r = self.r @ ch.SA
         K = self.Mt.shape[0]
 
         def posterior(dec, order):
-            return 2.0 * _sweep_block(self.Mt, order * self.I, *_fold(
+            return 2.0 * self.sweep_block(self.Mt, order * self.I, *_fold(
                 dec, eta_r, ch.hollow_gram, ch.sigma2))
 
         return self._exchange(
@@ -341,3 +345,98 @@ def test_em_turbo_loop_equals_the_per_call_fold_bit_for_bit(schedule,
         [s.sigma2_hat for s in want_traj]
     assert_same_frames(want, got)
     assert np.array_equal(loops[1].Mt, loops[0].Mt)
+
+
+# ---------------------------------------------------------------------
+# bit for bit against the frozen five-call form
+# ---------------------------------------------------------------------
+
+BIT_CASES = [(K, T) for K in (4, 32) for T in (1, 64, 4096)]
+CLAMPED = 1.0 - MEAN_CLEARANCE
+
+
+class FrozenKernelLoop(PerCallFoldLoop):
+    """``PerCallFoldLoop`` on the frozen kernel."""
+
+    sweep_block = staticmethod(frozen_sweep_block)
+
+
+def bit_cases(seed, K, T):
+    """random_case inputs, enough of them that both clamp bounds fire
+    in every test below."""
+    rng = np.random.default_rng(seed)
+    return [random_case(rng, K, T) for _ in range(max(1, 64 // T))]
+
+
+def assert_both_bounds_fire(means):
+    means = np.concatenate([np.ravel(m) for m in means])
+    assert np.any(means == CLAMPED) and np.any(means == -CLAMPED)
+
+
+@pytest.mark.parametrize("K,T", BIT_CASES)
+def test_sweep_block_equals_the_frozen_form(K, T):
+    finals = []
+    for ch, r, prior, M0 in bit_cases(61 * K + T, K, T):
+        H, Bh = _fold(prior, r @ ch.SA, ch.hollow_gram, ch.sigma2)
+        order = list(range(K // 2, K)) + list(range(K // 2))
+        Mt_want, Mt_got = np.array(M0.T, order="C"), np.array(M0.T, order="C")
+        want = frozen_sweep_block(Mt_want, order * 2, H, Bh)
+        got = _sweep_block(Mt_got, order * 2, H, Bh)
+        assert np.array_equal(got, want)
+        assert np.array_equal(Mt_got, Mt_want)
+        finals.append(Mt_got)
+    assert_both_bounds_fire(finals)
+
+
+@pytest.mark.parametrize("K,T", BIT_CASES)
+def test_tanh_sic_equals_the_frozen_form(K, T):
+    finals, sweeps = [], 3
+    for ch, r, _, M0 in bit_cases(67 * K + T, K, T):
+        H, Bh = _fold(None, r @ ch.SA, ch.hollow_gram, ch.sigma2)
+        Mt = np.array(M0.T, order="C")
+        want_signs = []
+        for _ in range(sweeps):
+            frozen_sweep_block(Mt, range(K), H, Bh)
+            want_signs.append(Mt < 0)
+        signs = np.empty((sweeps, K, T), dtype=bool)
+        got = tanh_sic_block(ch, r, sweeps, m0=M0.T, signs=signs)
+        assert np.array_equal(got, Mt)
+        assert np.array_equal(signs, np.array(want_signs))
+        finals.append(got)
+    assert_both_bounds_fire(finals)
+
+
+@pytest.mark.parametrize("K,T", BIT_CASES)
+def test_ddf_pass_equals_the_frozen_form(K, T, monkeypatch):
+    finals = []
+    for ch, r, prior, _ in bit_cases(71 * K + T, K, T):
+        pre = DdfPrecompute.from_channel(ch, detection_order(ch))
+        y = r @ ch.S
+        with monkeypatch.context() as patched:
+            patched.setattr(siso_ddf, "_sweep_block", frozen_sweep_block)
+            m_want, pos_want = ddf_pass_block(ch, y, prior, pre)
+        m_got, pos_got = ddf_pass_block(ch, y, prior, pre)
+        assert np.array_equal(m_got, m_want)
+        assert np.array_equal(pos_got, pos_want)
+        finals.append(m_got)
+    assert_both_bounds_fire(finals)
+
+
+@pytest.mark.parametrize("K,T", [(K, T) for K, T in BIT_CASES
+                                 if (K, T) != (32, 4096)])  # runtime
+@pytest.mark.parametrize("schedule", ["sequential", "flooding"])
+def test_turbo_iteration_equals_the_frozen_form(schedule, K, T):
+    """One outer iteration from the case's means, with its priors as the
+    decoder LLRs."""
+    finals = []
+    for ch, r, prior, M0 in bit_cases(73 * K + T, K, T):
+        loops = []
+        for cls in (FrozenKernelLoop, DiscreteTurboLoop):
+            loop = cls(Observation(r=r, y=r @ ch.S), IdentityDecoder(),
+                       schedule, I=2)
+            loop.llr_dec, loop.Mt = prior.copy(), np.array(M0.T, order="C")
+            loops.append(loop)
+        assert_same_frames(*([loop.iterate(ch)] for loop in loops))
+        assert np.array_equal(loops[1].Mt, loops[0].Mt)
+        finals.append(loops[1].Mt)
+    assert_both_bounds_fire(finals)
