@@ -13,7 +13,7 @@ user or all users, frames stacked along its rows, decoded in one pass.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -68,7 +68,8 @@ class ConvCode:
         """Coded symbols produced for n_info information bits."""
         return 2 * (n_info + self.memory)
 
-    @cached_property
+    @property
+    @cache  # one build per equal code, shared by all of them
     def _tables(self):
         """next_state[s, u] and coded symbols out_pm[s, u, 2] in {+1, -1}
         from the register window w = (u << m) | s: the next state is w >> 1
@@ -82,7 +83,8 @@ class ConvCode:
             table.flags.writeable = False  # shared by every call on the code
         return next_state, out_pm
 
-    @cached_property
+    @property
+    @cache
     def _blocks(self):
         """Block-trellis tables.  The block state is the last M = max(memory,
         1) inputs, the newest in bit M - 1, so M steps join each state s to
@@ -136,9 +138,9 @@ class BcjrResult:
 
 
 class BcjrWork:
-    """Transfer matrices q, alpha/beta v, step buffer w and step views of
-    the probability domain for the batch shape last run, rebuilt when it
-    changes.  No result shares them; a pickled one arrives empty."""
+    """The probability domain's transfer matrices q, alpha/beta v, step
+    buffer w, and step and halving views for the batch shape last run,
+    rebuilt when it changes.  No result shares them; a pickle is empty."""
 
     shape = None
 
@@ -151,7 +153,13 @@ class BcjrWork:
             self.q, self.w = np.empty((2, nb, B, S, S)), np.empty((2, B, 1, S))
             self.v = v = np.empty((nb + 1, 2, B, 1, S))
             self.steps = list(zip(v[:-1], self.q.swapaxes(0, 1), v[1:]))
-        return self.q, self.v, self.w, self.steps
+            # np.maximum (a, b, out): v's rows, then each out, halved
+            r, h = v.reshape(-1, S), S // 2
+            self.halves = [(r[:, :h], r[:, h:], np.empty((len(r), h)))]
+            while h > 1:
+                top, h = self.halves[-1][2], h // 2
+                self.halves.append((top[:, :h], top[:, h:], top[:, :h]))
+        return self.q, self.v, self.w, self.steps, self.halves
 
 
 def bcjr_decode(code, channel_llrs, *, work=None):
@@ -198,7 +206,7 @@ def bcjr_decode(code, channel_llrs, *, work=None):
     # u column keeps the branch-metric product's (B, nb, 3 M) shape
     x = np.zeros((B, nb * M, 3))
     x[:, pad:, :2] = Lc.reshape(B, n_steps, 2)
-    size = np.abs(x).max(axis=(1, 2))
+    size = np.abs(Lc.reshape(B, 2 * n_steps)).max(axis=1)
     # NaN fails every comparison, so NaN and +/-inf are rejected too
     if not np.all(size <= LLR_LIMIT):
         raise DomainError(f"channel LLRs must lie in +/-{LLR_LIMIT:g}")
@@ -208,11 +216,14 @@ def bcjr_decode(code, channel_llrs, *, work=None):
     if not redo.all():
         rows = ~redo if redo.any() else slice(None)
         mass = _block_masses(x[rows], signs, mask, pad, tail, work)
+        # the per-row test runs only if some mass is low; fmin skips NaN
+        coded, info = mass[:, pad:, :4], mass[:, pad:pad + n_info, 4:]
+        if any(np.fmin.reduce(m, None) < SUM_FLOOR for m in (coded, info)):
+            redo[rows] = ((coded < SUM_FLOOR).any(axis=(1, 2))
+                          | (info < SUM_FLOOR).any(axis=(1, 2)))
         with np.errstate(divide="ignore"):
-            llr[rows] = np.log(mass[..., 0::2]) - np.log(mass[..., 1::2])
-        low = mass[:, pad:] < SUM_FLOOR
-        redo[rows] = (low[..., :4].any(axis=(1, 2))
-                      | low[:, :n_info, 4:].any(axis=(1, 2)))
+            np.log(mass, out=mass)
+        llr[rows] = mass[..., 0::2] - mass[..., 1::2]
     if redo.any():
         mass = _block_masses(x[redo], signs, mask, pad, tail, None, log=True)
         llr[redo] = mass[..., 0::2] - mass[..., 1::2]
@@ -233,7 +244,7 @@ def _block_masses(x, signs, mask, pad, tail, work, log=False):
     # and beta over contiguous memory.  Each product below keeps its
     # per-row (or per-matrix) shape, because OpenBLAS picks its kernel by
     # size and a merged product would move ulps.
-    q, v, w, steps = (BcjrWork() if work is None else work).buffers(B, nb, S)
+    q, v, w, steps, halves = (work or BcjrWork()).buffers(B, nb, S)
     p = q[0]
     np.matmul(x, signs, out=p.reshape(nb, B, S * S).swapaxes(0, 1))
     if pad:
@@ -254,8 +265,10 @@ def _block_masses(x, signs, mask, pad, tail, work, log=False):
         else:
             np.matmul(vk, qk, out=w)
         scale(w, w0, out=vnext)
-    if not log:
-        v /= v.max(axis=-1, keepdims=True)  # so that no joint overflows
+    if not log:  # v over its largest state, so that no joint overflows
+        for a, b, out in halves:  # exact, and one call per halving
+            np.maximum(a, b, out=out)
+        v /= out.reshape(v.shape[:-1] + (1,))
     alpha = v[:-1, 0, :, 0]
     beta = v[-2::-1, 1, :, 0]  # beta_{k+1}
     if log:

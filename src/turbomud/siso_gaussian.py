@@ -170,19 +170,21 @@ def _inverse_factors(ch, w_block, work=None):
     resolved.  Equal rows of w_block give one X, broadcast read-only.
     """
     C = np.empty(w_block.shape + (ch.K,)) if work is None else work
-    if C.shape != w_block.shape + (ch.K,) or C.dtype != float:
-        raise DimensionMismatch(f"work is {C.dtype} {C.shape}, not (T, K, K)")
+    if (C.shape != w_block.shape + (ch.K,) or C.dtype != float
+            or not C.flags.c_contiguous):
+        raise DimensionMismatch(f"work is {C.dtype} {C.shape}, not a "
+                                "C-contiguous (T, K, K)")
     shape = C.shape
     if shape[0] > 1 and (w_block == w_block[0]).all():
         w_block, C = w_block[:1], C[:1]
     np.multiply(ch.sigma2, ch.Rinv, out=C)
-    idx = np.arange(ch.K)
-    C[:, idx, idx] += ch.a**2 * w_block
+    C.reshape(len(C), -1)[:, ::ch.K + 1] += ch.a**2 * w_block  # diagonals
     try:
         X = np.linalg.cholesky(C)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from None
-    X[:, idx, idx] = 1.0 / X[:, idx, idx]
+    diagonal = X.reshape(len(X), -1)[:, ::ch.K + 1]
+    np.divide(1.0, diagonal, out=diagonal)
     b, (st, sr, sc) = INVERSE_BLOCK, X.strides
     full = ch.K - ch.K % b
     D = np.lib.stride_tricks.as_strided(  # the diagonal blocks
@@ -222,7 +224,7 @@ def flooding_ext_block(ch, Y, Btilde, work=None):
     X = _inverse_factors(ch, w, work)
     diagP = np.einsum("tij,tij->tj", X, X)
     V = Y @ ch.Rinv.T - ch.a * Btilde
-    PV = np.einsum("tij,ti->tj", X, np.einsum("tij,tj->ti", X, V))
+    PV = np.matmul(np.matmul(X, V[..., None]).swapaxes(-1, -2), X)[:, 0]
     mu_check = ch.a * PV + Btilde * ch.a**2 * diagP
     return _ext_llr(mu_check, w * ch.a**2 * diagP)
 

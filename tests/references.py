@@ -5,8 +5,9 @@ exact extrinsic messages under both scheduling conventions, and a dense
 grid search over factorized-binary beliefs.  Guarded to small K (a
 larger K raises ValueError); the library never calls them.  Also the
 closed-form Gaussian conditioning the linear detectors are checked
-against, the mean clamp of the mean-field kernel as a function, and the
-kernel's update in an earlier, frozen form.
+against, the mean clamp of the mean-field kernel as a function, and, in
+earlier frozen forms, that kernel's update, the BCJR decoder and the
+Gaussian flooding read-out.
 """
 
 from dataclasses import dataclass
@@ -14,8 +15,10 @@ from itertools import product
 
 import numpy as np
 
+from turbomud import coding
 from turbomud.siso_discrete import (_MEAN_HI, _MEAN_LO, MEAN_CLEARANCE,
                                     _binary_cross_entropy)
+from turbomud.siso_gaussian import _clamp_soft, _ext_llr, _inverse_factors
 
 ENUM_MAX_USERS = 16
 GRID_MAX_USERS = 3
@@ -43,6 +46,101 @@ def frozen_sweep_block(Mt, users, H, Bh):
         np.maximum(Mt[k], _FROZEN_LO, out=Mt[k])
         np.minimum(Mt[k], _FROZEN_HI, out=Mt[k])
     return X
+
+
+# The BCJR decoder as it was first batched: each alpha/beta row divided by
+# v.max, the per-row low-mass screen on every call, one log per sign
+# group, and the size check over the padded inputs.  ``bcjr_decode`` is
+# pinned to it bit for bit.  Valid inputs only; it reads SUM_FLOOR and
+# BLOCK_NATS from ``coding`` and its masses from ``frozen_block_masses``
+# at call time, so a test can patch either.
+
+def frozen_bcjr_decode(code, channel_llrs):
+    """(extrinsic, posterior, info_posterior) of ``bcjr_decode``."""
+    Lc = np.asarray(channel_llrs, dtype=float)
+    n_steps = Lc.shape[-1] // 2
+    tail = code.memory
+    n_info = n_steps - tail
+    signs, mask = code._blocks
+    M = mask.shape[1] // 6
+    pad = -n_steps % M
+    nb, B = (n_steps + pad) // M, Lc.size // (2 * n_steps)
+    x = np.zeros((B, nb * M, 3))
+    x[:, pad:, :2] = Lc.reshape(B, n_steps, 2)
+    size = np.abs(x).max(axis=(1, 2))
+    x = x.reshape(B, nb, 3 * M)
+    llr = np.empty((B, nb * M, 3))
+    redo = size > coding.BLOCK_NATS / (4.5 * M)
+    if not redo.all():
+        rows = ~redo if redo.any() else slice(None)
+        mass = frozen_block_masses(x[rows], signs, mask, pad, tail)
+        with np.errstate(divide="ignore"):
+            llr[rows] = np.log(mass[..., 0::2]) - np.log(mass[..., 1::2])
+        low = mass[:, pad:] < coding.SUM_FLOOR
+        redo[rows] = (low[..., :4].any(axis=(1, 2))
+                      | low[:, :n_info, 4:].any(axis=(1, 2)))
+    if redo.any():
+        mass = frozen_block_masses(x[redo], signs, mask, pad, tail, log=True)
+        llr[redo] = mass[..., 0::2] - mass[..., 1::2]
+    posterior = llr[:, pad:, :2].reshape(Lc.shape)
+    info_posterior = llr[:, pad:pad + n_info, 2].reshape(*Lc.shape[:-1],
+                                                         n_info)
+    return posterior - Lc, posterior, info_posterior
+
+
+def frozen_block_masses(x, signs, mask, pad, tail, log=False):
+    """``coding._block_masses`` in the frozen form, buffers per call."""
+    B, nb, _ = x.shape
+    S = 1 << (signs.shape[0] // 3)
+    q, w = np.empty((2, nb, B, S, S)), np.empty((2, B, 1, S))
+    v = np.empty((nb + 1, 2, B, 1, S))
+    p = q[0]
+    np.matmul(x, signs, out=p.reshape(nb, B, S * S).swapaxes(0, 1))
+    if pad:
+        p[0, ..., np.arange(S) % (1 << pad) > 0] = -np.inf
+    if tail:
+        p[-1, ..., 1:] = -np.inf
+    if not log:
+        np.exp(p, out=p)
+    q[1] = p[::-1].swapaxes(-1, -2)
+    v[0] = -np.inf if log else 0.0
+    v[0, 0, :, 0, 0] = v[0, 1, :, 0, :1 if tail else S] = 0.0 if log else 1.0
+    w0, scale = w[..., :1], np.subtract if log else np.divide
+    for vk, qk, vnext in zip(v[:-1], q.swapaxes(0, 1), v[1:]):
+        if log:
+            np.logaddexp.reduce(vk.swapaxes(-1, -2) + qk, axis=-2,
+                                keepdims=True, out=w)
+        else:
+            np.matmul(vk, qk, out=w)
+        scale(w, w0, out=vnext)
+    if not log:
+        v /= v.max(axis=-1, keepdims=True)
+    alpha = v[:-1, 0, :, 0]
+    beta = v[-2::-1, 1, :, 0]
+    if log:
+        joint = alpha[..., :, None] + p + beta[..., None, :]
+        joint = joint.swapaxes(0, 1).reshape(B, nb, S * S)
+        mass = np.stack([np.logaddexp.reduce(np.where(c > 0, joint, -np.inf),
+                                             axis=-1) for c in mask.T], -1)
+    else:
+        joint = q[1]
+        np.multiply(alpha[..., :, None], beta[..., None, :], out=joint)
+        joint *= p
+        mass = np.matmul(joint.reshape(nb, B, S * S).swapaxes(0, 1), mask)
+    return mass.reshape(B, -1, 6)
+
+
+def einsum_flooding_ext_block(ch, Y, Btilde):
+    """``flooding_ext_block`` with P V = X^T (X V) read out by the two
+    einsums of its first form."""
+    Btilde = _clamp_soft(Btilde)
+    w = 1.0 - Btilde**2
+    X = _inverse_factors(ch, w)
+    diagP = np.einsum("tij,tij->tj", X, X)
+    V = Y @ ch.Rinv.T - ch.a * Btilde
+    PV = np.einsum("tij,ti->tj", X, np.einsum("tij,tj->ti", X, V))
+    mu_check = ch.a * PV + Btilde * ch.a**2 * diagP
+    return _ext_llr(mu_check, w * ch.a**2 * diagP)
 
 
 def _enum_symbols(K):

@@ -12,6 +12,9 @@ from turbomud.coding import (BLOCK_NATS, LLR_LIMIT, ConvCode,
                              encode, user_permutations)
 from turbomud.errors import DomainError, LengthMismatch
 
+import references
+from references import frozen_bcjr_decode
+
 # The fused decoder shifts each recursion step by its state-0 entry, which
 # can sit 100s of nats from the best state, and sums edge masses by
 # matmul; its worst gap to scatter_bcjr in these tests, relative to
@@ -113,6 +116,16 @@ def trellis_walk_encode(code, info_bits):
 
 WALK_GENERATORS = [("111", "101"), ("10011", "11101"), ("1", "1"),
                    ("11", "10"), ("1101", "1011"), ("0111", "1001")]
+
+
+def test_equal_codes_share_read_only_tables():
+    # every run builds its own code; the tables are built once per process
+    a = ConvCode(generators=("10011", "11101"))
+    b = ConvCode(generators=["10011", "11101"])
+    assert a is not b and a == b
+    for x, y in zip(a._tables + a._blocks, b._tables + b._blocks,
+                    strict=True):
+        assert x is y and not x.flags.writeable
 
 
 class TestEncode:
@@ -443,6 +456,107 @@ class TestBatchedBcjr:
             np.testing.assert_allclose(res.posterior[b], post_ref, atol=1e-9)
             np.testing.assert_allclose(res.info_posterior[b], info_ref,
                                        atol=1e-9)
+
+
+class TestFrozenBcjr:
+    """``bcjr_decode`` equals its frozen form in ``references`` bit for
+    bit: the halving normalisation, the screen that runs per row only
+    when some mass is low, the log of the masses and the size check read
+    from the unpadded input change no output."""
+
+    CODES = [("1", "1"), ("111", "101"), ("10011", "11101")]
+
+    @staticmethod
+    def assert_same(code, Lc, work=None):
+        got = bcjr_decode(code, Lc, work=work)
+        for a, b in zip((got.extrinsic, got.posterior, got.info_posterior),
+                        frozen_bcjr_decode(code, Lc), strict=True):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("gens", CODES)
+    def test_equals_frozen_form(self, gens):
+        # scales 60 and 1e3 send rows to the log domain; one workspace
+        # serves every batch shape in turn
+        code = ConvCode(generators=gens)
+        rng = np.random.default_rng(31)
+        work = coding.BcjrWork()
+        for n_info, B, scale in product((1, 5, 40), (0, 1, 3, 32),
+                                        (0.5, 4.0, 30.0, 60.0, 1e3)):
+            Lc = rng.standard_normal((B, code.n_coded(n_info))) * scale
+            self.assert_same(code, Lc, work)
+            if B:
+                self.assert_same(code, Lc[-1])
+
+    @pytest.fixture
+    def log_rows(self, monkeypatch):
+        """The rows that each decoder sends to the log domain."""
+        seen = {"new": [], "frozen": []}
+
+        def spy(masses, key):
+            def wrapped(x, *args, log=False):
+                if log:
+                    seen[key].append(x.copy())
+                return masses(x, *args, log=log)
+            return wrapped
+
+        monkeypatch.setattr(coding, "_block_masses",
+                            spy(coding._block_masses, "new"))
+        monkeypatch.setattr(references, "frozen_block_masses",
+                            spy(references.frozen_block_masses, "frozen"))
+        return seen
+
+    def test_low_masses_take_the_log_domain(self, monkeypatch, log_rows):
+        # with a floor of 1e-30 the decided rows' losing masses fall below
+        # it, and only the screen can send them to the log domain
+        monkeypatch.setattr(coding, "SUM_FLOOR", 1e-30)
+        code = ConvCode(generators=("10011", "11101"))
+        rng = np.random.default_rng(32)
+        tx = encode(code, rng.integers(0, 2, size=(4, 30)))
+        Lc = tx * [[0.5], [30.0], [3.0], [30.0]]
+        self.assert_same(code, Lc)
+        for key in ("new", "frozen"):
+            [x] = log_rows[key]
+            assert len(x) == 2
+        np.testing.assert_array_equal(*(log_rows[k][0] for k in log_rows))
+
+    @pytest.mark.parametrize("case", ["nan", "nan-row", "nan-and-zero",
+                                      "all-nan", "zero-outside"])
+    def test_nan_masses_give_the_same_redo_set(self, monkeypatch, log_rows,
+                                               case):
+        # fmin skips NaN and the per-row test reads mass < floor as False
+        # on NaN: both screens send the same rows to the log domain
+        n_info = 21  # pad 1 at M = 2; the last two steps are the tail
+
+        def poison(masses):
+            def wrapped(x, signs, mask, pad, tail, *args, log=False):
+                m = masses(x, signs, mask, pad, tail, *args, log=log)
+                if not log:
+                    if case in ("nan", "nan-and-zero"):
+                        m[0, pad + 1, 0] = np.nan
+                    if case == "nan-row":
+                        m[1] = np.nan
+                    if case == "nan-and-zero":
+                        m[2, pad + 2, 4] = 0.0
+                    if case == "all-nan":
+                        m[:] = np.nan
+                    if case == "zero-outside":  # the tail's u, unscreened
+                        m[1, pad + n_info, 5] = 0.0
+                return m
+            return wrapped
+
+        monkeypatch.setattr(coding, "_block_masses",
+                            poison(coding._block_masses))
+        monkeypatch.setattr(references, "frozen_block_masses",
+                            poison(references.frozen_block_masses))
+        code = ConvCode(generators=("111", "101"))
+        rng = np.random.default_rng(33)
+        Lc = rng.standard_normal((3, code.n_coded(n_info))) * 3.0
+        self.assert_same(code, Lc)
+        new, frozen = log_rows["new"], log_rows["frozen"]
+        assert len(new) == len(frozen) == (case == "nan-and-zero")
+        for a, b in zip(new, frozen):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestInterleaving:

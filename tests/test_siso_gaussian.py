@@ -21,6 +21,8 @@ from turbomud.siso_gaussian import (SCHEDULES, VAR_FLOOR, GaussianPrior,
                                     wang_poor_oracle)
 from turbomud.varem import SIGMA2_FLOOR, EmState, initial_sigma2, run_varem
 
+from references import einsum_flooding_ext_block
+
 
 def random_channel(rng, K, equicorrelated=True):
     sigma2 = float(rng.uniform(0.1, 1.0))
@@ -233,6 +235,29 @@ class TestFlooding:
         prior = GaussianPrior(btilde=np.zeros(2))
         with pytest.raises(DegeneratePrior):
             ext_flooding(ch, np.array([0.3, -0.1]), prior)
+
+
+class TestFloodingReadOut:
+    """P V = X^T (X V) by two batched matmuls, against the einsum form."""
+
+    @pytest.mark.parametrize("prior", ["zero", "shared", "mixed"])
+    @pytest.mark.parametrize("K", [4, 32])
+    def test_within_1e12_of_einsum_form(self, K, prior):
+        # the sums run in another order, so LLRs move by ulps; an LLR near
+        # 0 is a cancellation, so the bound is relative to each interval's
+        # largest LLR.  Equal priors take the broadcast factor.
+        rng = np.random.default_rng(40 + K)
+        T = 132
+        for trial in range(6):
+            ch = random_channel(rng, K, equicorrelated=trial % 2 == 0)
+            Y = 2.0 * rng.standard_normal((T, K))
+            Btilde = {"zero": np.zeros((T, K)),
+                      "shared": np.tile(rng.uniform(-0.9, 0.9, K), (T, 1)),
+                      "mixed": rng.uniform(-0.99, 0.99, (T, K))}[prior]
+            got = flooding_ext_block(ch, Y, Btilde)
+            want = einsum_flooding_ext_block(ch, Y, Btilde)
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 class TestBlockPaths:
@@ -473,6 +498,16 @@ class TestWorkBuffer:
         # never silently replaced or written
         ch, Y, Btilde, _ = next(self.call_sequence())
         work = np.zeros(shape, dtype)
+        for k in (None, 2):
+            with pytest.raises(DimensionMismatch):
+                self.ext(ch, Y, Btilde, k, work)
+        assert not np.any(work)
+
+    def test_strided_buffer_raises(self):
+        # the diagonals are written through a reshaped view, which a
+        # strided buffer would silently copy
+        ch, Y, Btilde, _ = next(self.call_sequence())
+        work = np.zeros((7, 5, 10))[..., ::2]
         for k in (None, 2):
             with pytest.raises(DimensionMismatch):
                 self.ext(ch, Y, Btilde, k, work)
