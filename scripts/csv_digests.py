@@ -68,6 +68,11 @@ def configs():
         yield f"ddf-{order}", dict(UNCODED, detector="ddf_aided",
                                    outer_iterations=1, ddf_order=order,
                                    snr_db="6,10", snr_fixed="2:12,3:9")
+    # DDF then tanh-SIC in a custom order, neither the labels' nor the
+    # amplitudes': the whitening reads y's columns in that order
+    yield "ddf_aided-custom-uncoded", dict(
+        UNCODED, detector="ddf_aided", ddf_order="custom:3,1,4,2",
+        snr_db="6,10", snr_fixed="2:12,3:9")
     for det, sched in (("gaussian", "hybrid"), ("discrete", "flooding"),
                        ("ddf_aided", "sequential")):
         yield f"em-{det}-{sched}", dict(CODED, **EM, detector=det,
@@ -109,6 +114,10 @@ def configs():
             UNCODED, channel="random", users=32, spreading_gain=32,
             info_bits=64, outer_iterations=5, snr_db="6",
             detector=det, schedule=sched)
+    # and the uncoded DDF pass then tanh-SIC on it: 31 back-substitution rows
+    yield "random-k32-ddf_aided-uncoded", dict(
+        UNCODED, channel="random", users=32, spreading_gain=32, info_bits=64,
+        snr_db="6", detector="ddf_aided")
     # near-far-k2's regime: K = 2 with user 2 pinned at 11 dB, so the
     # DDF means sit at the clamp; groups of 2 and a remainder
     yield "near-far-ddf_aided", dict(UNCODED, detector="ddf_aided", users=2,

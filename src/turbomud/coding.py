@@ -306,11 +306,13 @@ class LlrFrame:
 
 
 def _one_or_all(k, llr_mud, K=np.inf):
-    """``llr_mud`` as floats if ``k`` is one user, an int in 0..K-1, with
-    1-D LLRs, or ``slice(None)``, all users, with 2-D LLRs; any other
-    index or rank raises ``LengthMismatch``.  Both decoders check here."""
+    """``llr_mud`` as floats if ``k`` is one user, an int in 0..K-1 (not a
+    bool), with 1-D LLRs, or ``slice(None)``, all users, with 2-D LLRs;
+    any other index or rank raises ``LengthMismatch``.  Both decoders
+    check here."""
     llr = np.asarray(llr_mud, dtype=float)
-    one = isinstance(k, (int, np.integer)) and 0 <= k < K
+    one = isinstance(k, (int, np.integer)) and not isinstance(k, bool) \
+        and 0 <= k < K
     if not (one or isinstance(k, slice) and k == slice(None)):
         raise LengthMismatch(f"users {k!r} are neither one nor all")
     if llr.ndim != (1 if one else 2):

@@ -435,7 +435,7 @@ def _group_decisions(ctx, obs, rng):
     cfg, ch = ctx.cfg, ctx.ch
     J = cfg.outer_iterations
     if cfg.uncoded_ddf:
-        M, _ = ddf_pass_block(ch, obs.y, None, ctx.ddf_pre)
+        M, _ = ddf_pass_block(ch, obs.y, None, ctx.ddf_pre, llr=False)
         decisions = np.empty((J,) + M.shape, dtype=bool)
         np.less(M, 0, out=decisions[0])
         if J > 1:  # at J = 1, tanh_sic_block would still fold H
@@ -477,7 +477,8 @@ def _simulate_group(ctx, trials):
             b[rows] = ctx.decoder.encode_block(draw)
             truth[:, cols] = draw.T
         else:  # 1 is bit 0, the symbol +1
-            b[rows] = draw * 2.0 - 1.0
+            np.subtract(np.multiply(draw, 2.0, out=b[rows]), 1.0,
+                        out=b[rows])
             truth[:, cols] = (draw == 0).T
         np.random.default_rng([cfg.seed, ctx.snr_index, trial, 1]) \
             .standard_normal(out=noise[rows])

@@ -97,25 +97,29 @@ def ddf_pass(ch, y, prior_llr, pre):
     return DiscreteBelief(m=m_blk[:, 0]), pos_blk[:, 0] - prior
 
 
-def ddf_pass_block(ch, y, prior_llr, pre):
+def ddf_pass_block(ch, y, prior_llr, pre, *, llr=True):
     """Forward pass over the (T, K) matched-filter rows ``y`` with
     (T, K) priors or None (zero), whitened and swept in ``pre``'s order.
 
     Returns users-major (K, T) means and posterior LLRs in natural user
-    order.
+    order; with ``llr=False`` the LLRs are not formed and come back None.
     """
-    yp = np.asarray(y, dtype=float)[:, pre.order]
-    U = pre.F.T  # ybar = F^{-T} yp^T by back-substitution, users-major
-    ybar = np.empty((ch.K, len(yp)))
-    for i in reversed(range(ch.K)):
-        np.divide(yp[:, i] - U[i, i + 1:] @ ybar[i + 1:], U[i, i], out=ybar[i])
+    y, order, U = np.asarray(y, dtype=float), pre.order, pre.F.T
+    # ybar = F^{-T} y[:, order]^T by back-substitution on y's columns,
+    # users-major; the last detected user has nothing below it
+    ybar = np.empty((ch.K, len(y)))
+    last = ch.K - 1
+    np.divide(y[:, order[last]], U[last, last], out=ybar[last])
+    for i in reversed(range(last)):
+        np.divide(y[:, order[i]] - U[i, i + 1:] @ ybar[i + 1:], U[i, i],
+                  out=ybar[i])
     ybar *= pre.diag_gain[:, None]
-    prior = None if prior_llr is None else np.asarray(prior_llr)[:, pre.order]
-    H, Bh = _fold(prior, ybar.T, pre.feedback, ch.sigma2)
+    prior = None if prior_llr is None else np.asarray(prior_llr)[:, order]
+    H, Bh = _fold(prior, ybar.T, pre.feedback, ch.sigma2, out=ybar)
     Mt = np.zeros_like(H)  # permuted domain, users-major
     X = _sweep_block(Mt, range(ch.K), H, Bh)
-    inverse = np.argsort(pre.order)
-    return Mt[inverse], 2.0 * X[inverse]
+    inverse = np.argsort(order)
+    return Mt[inverse], (2.0 * X[inverse] if llr else None)
 
 
 def bind_ddf_hook(obs, order_policy=AMPLITUDE_DESCENDING):

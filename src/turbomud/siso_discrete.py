@@ -145,11 +145,12 @@ def tanh_sic_block(ch, r_block, sweeps, m0=None, *, signs=None):
     return Mt
 
 
-def _fold(prior_llr, obs, coupling, sigma2):
+def _fold(prior_llr, obs, coupling, sigma2, out=None):
     """``_sweep_block``'s H = (prior_llr/2 + obs/sigma2)^T from (T, K)
-    inputs (prior None: zero), and Bh = coupling^T/sigma2 (the hollow
-    Gram is not symmetric to the bit, so the transpose is explicit)."""
-    H = np.divide(np.transpose(obs), sigma2, order="C")
+    inputs (prior None: zero), into ``out`` if given (it may be obs^T),
+    and Bh = coupling^T/sigma2 (the hollow Gram is not symmetric to the
+    bit, so the transpose is explicit)."""
+    H = np.divide(np.transpose(obs), sigma2, out=out, order="C")
     if prior_llr is not None:
         H += 0.5 * np.transpose(prior_llr)
     return H, np.divide(coupling.T, sigma2, order="C")

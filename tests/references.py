@@ -6,8 +6,8 @@ grid search over factorized-binary beliefs.  Guarded to small K (a
 larger K raises ValueError); the library never calls them.  Also the
 closed-form Gaussian conditioning the linear detectors are checked
 against, the mean clamp of the mean-field kernel as a function, and, in
-earlier frozen forms, that kernel's update, the BCJR decoder and the
-Gaussian flooding read-out.
+earlier frozen forms, that kernel's update, the DDF pass, the BCJR
+decoder and the Gaussian flooding read-out.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ import numpy as np
 
 from turbomud import coding
 from turbomud.siso_discrete import (_MEAN_HI, _MEAN_LO, MEAN_CLEARANCE,
-                                    _binary_cross_entropy)
+                                    _binary_cross_entropy, _fold)
 from turbomud.siso_gaussian import _clamp_soft, _ext_llr, _inverse_factors
 
 ENUM_MAX_USERS = 16
@@ -46,6 +46,28 @@ def frozen_sweep_block(Mt, users, H, Bh):
         np.maximum(Mt[k], _FROZEN_LO, out=Mt[k])
         np.minimum(Mt[k], _FROZEN_HI, out=Mt[k])
     return X
+
+
+# The DDF pass as it was first written on users-major blocks: a permuted
+# copy of y, the full back-substitution loop (an empty product for the
+# last detected user), ``_fold`` into a new H and posterior LLRs always
+# formed.  ``ddf_pass_block`` is pinned to it bit for bit.
+
+def frozen_ddf_pass_block(ch, y, prior_llr, pre):
+    """(means, posterior LLRs) of ``ddf_pass_block``, users-major."""
+    yp = np.asarray(y, dtype=float)[:, pre.order]
+    U = pre.F.T
+    ybar = np.empty((ch.K, len(yp)))
+    for i in reversed(range(ch.K)):
+        np.divide(yp[:, i] - U[i, i + 1:] @ ybar[i + 1:], U[i, i],
+                  out=ybar[i])
+    ybar *= pre.diag_gain[:, None]
+    prior = None if prior_llr is None else np.asarray(prior_llr)[:, pre.order]
+    H, Bh = _fold(prior, ybar.T, pre.feedback, ch.sigma2)
+    Mt = np.zeros_like(H)
+    X = frozen_sweep_block(Mt, range(ch.K), H, Bh)
+    inverse = np.argsort(pre.order)
+    return Mt[inverse], 2.0 * X[inverse]
 
 
 # The BCJR decoder as it was first batched: each alpha/beta row divided by

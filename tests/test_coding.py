@@ -704,16 +704,16 @@ class TestConvTurboDecoder:
 
     @pytest.mark.parametrize("k", [[3, 1], [], np.array([0, 1]),
                                    slice(0, 2), [2], (0, 1), slice(0, 4),
-                                   slice(None, None, -1)],
+                                   slice(None, None, -1), True],
                              ids=["list", "empty", "array", "slice", "one",
-                                  "tuple", "every", "reversed"])
+                                  "tuple", "every", "reversed", "bool"])
     def test_decode_user_rejects_user_subsets(self, k):
         # one user or all users: any other index is refused, even with
-        # LLRs shaped for it
+        # LLRs shaped for it, as an index before any shape is read
         dec = ConvTurboDecoder(ConvCode(generators=("111", "101")), K=4,
                                n_info=10)
         block = np.zeros((dec.n_coded, 4))[:, k]
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LengthMismatch, match="neither one nor all"):
             dec.decode_user(k, block)
 
     @pytest.mark.parametrize("frames", [1, 3])
@@ -746,10 +746,10 @@ class TestConvTurboDecoder:
         # one user or all, as ConvTurboDecoder: an int with 1-D LLRs or
         # slice(None) with a 2-D block; a list, a partial slice, an array,
         # an int with a 2-D or 0-d block, all users with 1-D LLRs, a
-        # negative user and a float user are refused
+        # negative user, a float user and a bool user are refused
         for k, shape in (([3, 1], (3, 2)), (slice(0, 2), (3, 2)),
                          (np.array([0, 1]), (3, 2)), (0, (3, 2)),
                          (slice(None), (3,)), (0, ()), (-1, (3,)),
-                         (1.0, (3,))):
+                         (1.0, (3,)), (True, (3,))):
             with pytest.raises(LengthMismatch):
                 IdentityDecoder().decode_user(k, np.zeros(shape))

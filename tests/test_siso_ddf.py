@@ -12,8 +12,9 @@ from turbomud.siso_ddf import (DdfPrecompute, ddf_pass, ddf_pass_block,
 from turbomud.siso_discrete import DiscreteBelief, free_energy_disc
 from turbomud.varem import run_varem
 
-from test_mean_field_kernel import (DDF_TOL, assert_close, reference_ddf,
-                                    whiten_in_order)
+from references import frozen_ddf_pass_block
+from test_mean_field_kernel import (DDF_TOL, assert_close, random_case,
+                                    reference_ddf, whiten_in_order)
 
 
 def identity_pre(ch):
@@ -76,6 +77,38 @@ class TestDdfPrecompute:
                 ch, whiten_in_order(ch, y, order), prior, pre)
             m_got, pos_got = ddf_pass_block(ch, y, prior, pre)
             assert_close(pos_got.T, pos_want, m_got.T, m_want, DDF_TOL)
+
+
+class TestFrozenForm:
+    """``ddf_pass_block`` whitens from y's columns in detection order,
+    folds H in place and forms LLRs only when asked: every output bit
+    equals the frozen form's (``references.frozen_ddf_pass_block``).
+    K = 1 whitens without the loop; y is also passed as a strided view."""
+
+    @pytest.mark.parametrize("K", [1, 2, 4, 32])
+    @pytest.mark.parametrize("policy", ["amplitude_descending", "as_given",
+                                        "custom"])
+    @pytest.mark.parametrize("prior_kind", ["none", "zero", "random"])
+    def test_outputs_equal_the_frozen_form(self, K, policy, prior_kind):
+        rng = np.random.default_rng([K, len(policy), len(prior_kind)])
+        T = 64
+        for _ in range(4):
+            ch, r, prior, _ = random_case(rng, K, T)
+            prior = {"none": None, "zero": np.zeros((T, K)),
+                     "random": prior}[prior_kind]
+            order = rng.permutation(K) if policy == "custom" else policy
+            pre = DdfPrecompute.from_channel(ch, order)
+            wide = np.empty((T, 2 * K))
+            wide[:, ::2] = r @ ch.S
+            for y in (wide[:, ::2], np.ascontiguousarray(wide[:, ::2])):
+                m_want, pos_want = frozen_ddf_pass_block(ch, y, prior, pre)
+                m_got, pos_got = ddf_pass_block(ch, y, prior, pre)
+                m_only, none = ddf_pass_block(ch, y, prior, pre, llr=False)
+                for got, want in ((m_got, m_want), (pos_got, pos_want),
+                                  (m_only, m_want)):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                assert none is None
 
 
 class TestDdfPass:
