@@ -122,6 +122,11 @@ def configs():
     # DDF means sit at the clamp; groups of 2 and a remainder
     yield "near-far-ddf_aided", dict(UNCODED, detector="ddf_aided", users=2,
                                      snr_fixed="2:11", snr_db="11,17")
+    # snr_db = inf is noiseless: user 2, pinned at -10 dB against the
+    # detection floor, is sent without chip noise and decodes error-free
+    yield "noiseless-pinned-gaussian-flooding", dict(
+        CODED, detector="gaussian", schedule="flooding", users=2,
+        snr_fixed="2:-10", snr_db="inf")
     # on a pool of two: 7 frames make groups of 2, 2, 2 and a short 1
     yield "pooled-ddf_aided-uncoded", dict(UNCODED, detector="ddf_aided",
                                            workers=2, max_frames=7,

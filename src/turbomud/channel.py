@@ -96,10 +96,6 @@ class ChannelInstance:
         for name in ("R", "Rinv", "gram", "hollow_gram", "SA"):
             _read_only(state[name])
 
-    @property
-    def A(self):
-        return np.diag(self.a)
-
     def with_params(self, a=None, sigma2=None):
         """Copy of this instance with replaced amplitudes / noise variance.
 
@@ -194,11 +190,6 @@ def make_random_spreading(N, K, seed, amplitudes=None, sigma2=1.0):
     )
 
 
-def matched_filter(ch, r):
-    """Matched-filter rows of r: y_t = S^T r_t."""
-    return np.atleast_2d(np.asarray(r, dtype=float)) @ ch.S
-
-
 def transmit(ch, blk, rng_seed):
     """Send a symbol block through the channel, deterministic in rng_seed:
     per-chip noise (none on a noiseless channel), then ``receive``."""
@@ -220,4 +211,4 @@ def receive(ch, blk, noise, frames=1):
     if noise is not None:
         r += np.multiply(noise, np.sqrt(ch.sigma2), out=noise).reshape(r.shape)
     return Observation(r=r.reshape(-1, ch.N),
-                       y=matched_filter(ch, r).reshape(-1, ch.K))
+                       y=(r @ ch.S).reshape(-1, ch.K))

@@ -84,7 +84,7 @@ def _apply_overrides(cfg, args):
 def _out_path(args):
     if args.out is not None:
         return args.out
-    stem = os.path.basename(str(args.config)).replace("/", "-") or "run"
+    stem = os.path.basename(str(args.config)) or "run"
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), f"{stem}.csv")
 
 

@@ -116,8 +116,10 @@ class ScenarioConfig:
             raise ConfigError("inner_iterations: must be >= 1")
         if len(self.snr_db) == 0:
             raise ConfigError("snr_db: grid must be nonempty")
-        if len(set(self.snr_db)) != len(self.snr_db):
-            raise ConfigError("snr_db: grid repeats a value")
+        # 0 and -0 are one point; 4 and 4.0000001 are one CSV label
+        if len(set(self.snr_db)) != len(self.snr_db) or \
+                len({f"{s:g}" for s in self.snr_db}) != len(self.snr_db):
+            raise ConfigError("snr_db: grid repeats a value or CSV label")
         if self.info_bits < 1:
             raise ConfigError("info_bits: must be >= 1")
         if self.max_frames < 1 or self.frame_cap < self.max_frames:
@@ -237,10 +239,6 @@ def config_from_dict(values):
     return ScenarioConfig(**kwargs).validate()
 
 
-def load_config(path):
-    return config_from_dict(read_kv_file(path))
-
-
 # ----------------------------------------------------------------------
 # presets
 # ----------------------------------------------------------------------
@@ -278,7 +276,7 @@ def resolve_config(path_or_preset):
     if name.removeprefix("presets/") in PRESETS:
         return preset_config(name)
     if os.path.exists(name):
-        return load_config(name)
+        return config_from_dict(read_kv_file(name))
     raise ConfigError(f"no config file or preset named {name!r}")
 
 
@@ -396,7 +394,9 @@ def _point_channel(cfg, base, snr_db):
     noise variance realizes snr_db, pinned users get the amplitude that
     holds their SNR at the pinned value.  snr_db = inf means a noiseless
     channel; detection then runs at the EM variance floor SIGMA2_FLOOR so
-    LLR scale factors stay finite.
+    LLR scale factors stay finite.  A finite snr_db above
+    10 log10(1 / SIGMA2_FLOOR) = 90 dB is sent and detected at that floor,
+    the same channel as 90 dB.
     """
     sigma2 = max(10.0 ** (-snr_db / 10.0), SIGMA2_FLOOR)
     amps = np.ones(cfg.users)
@@ -460,14 +460,16 @@ def _group_decisions(ctx, obs, rng):
 def _simulate_group(ctx, trials):
     """Simulate one group of consecutive trials at one SNR point.
 
-    Each trial draws its bits and chip noise from its own seeds into its
-    rows of the group's blocks; one ``receive`` forms the observation for
-    a single detector pass and batched decodes.  Returns (errors[J, K],
-    bits per user, EM rows); EM groups hold one trial.
+    Each trial draws its bits and chip noise (none at snr_db = inf, a
+    noiseless point) from its own seeds into its rows of the group's
+    blocks; one ``receive`` forms the observation for a single detector
+    pass and batched decodes.  Returns (errors[J, K], bits per user, EM
+    rows); EM groups hold one trial.
     """
     cfg, ch, T, n, F = ctx.cfg, ctx.ch, ctx.T, ctx.cfg.info_bits, len(trials)
     b = np.empty((F * T, ch.K))
-    noise = np.empty((F * T, ch.N))
+    noise = None if cfg.snr_db[ctx.snr_index] == np.inf \
+        else np.empty((F * T, ch.N))
     truth = np.empty((ch.K, F * n), dtype=bool)  # is bit 1
     for f, trial in enumerate(trials):
         rows, cols = slice(f * T, (f + 1) * T), slice(f * n, (f + 1) * n)
@@ -480,8 +482,9 @@ def _simulate_group(ctx, trials):
             np.subtract(np.multiply(draw, 2.0, out=b[rows]), 1.0,
                         out=b[rows])
             truth[:, cols] = (draw == 0).T
-        np.random.default_rng([cfg.seed, ctx.snr_index, trial, 1]) \
-            .standard_normal(out=noise[rows])
+        if noise is not None:
+            np.random.default_rng([cfg.seed, ctx.snr_index, trial, 1]) \
+                .standard_normal(out=noise[rows])
     obs = receive(ch, SymbolBlock(b=b), noise, frames=F)
     decisions, em_rows = _group_decisions(ctx, obs, rng)
     # rows are contiguous, so the count is one pass per (j, k)

@@ -31,13 +31,13 @@ def _cholesky_lower(M):
     return L
 
 
-def check_symmetric(M, rtol=1e-12):
-    """Validate that M is square and symmetric to relative tolerance."""
+def check_symmetric(M):
+    """Validate that M is square and symmetric to relative tolerance 1e-12."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got shape {M.shape}")
     scale = max(np.max(np.abs(M)), 1.0)
-    if np.max(np.abs(M - M.T)) > rtol * scale:
+    if np.max(np.abs(M - M.T)) > 1e-12 * scale:
         raise DimensionMismatch("matrix is not symmetric")
     return M
 

@@ -91,10 +91,6 @@ class GaussianPrior:
         """Diagonal of W as a vector."""
         return 1.0 - self.btilde**2
 
-    @property
-    def W(self):
-        return np.diag(self.w)
-
 
 def free_energy_gauss(ch, r, prior, q):
     """Free energy of a Gaussian belief against prior and likelihood.

@@ -111,7 +111,7 @@ def mstep_gauss(S, obs, post, state):
     """
     means, variances = post.means, post.variances
     return _mstep(S, obs, means, variances, state,
-                  lambda: _gauss_quad(S, means, variances))
+                  _gauss_quad(S, means, variances))
 
 
 def mstep_disc(S, obs, post, state):
@@ -124,30 +124,25 @@ def mstep_disc(S, obs, post, state):
     energy to the residual, which vanishes as the beliefs harden.
     """
     means = post.means
-
-    def quad():
-        R_geo = S.T @ S
-        dgS = np.diagonal(R_geo)
-        hollow = R_geo - np.diag(dgS)
-        return hollow * (means.T @ means) + means.shape[0] * np.diag(dgS)
-
+    R_geo = S.T @ S
+    dgS = np.diag(np.diagonal(R_geo))
+    quad = (R_geo - dgS) * (means.T @ means) + means.shape[0] * dgS
     return _mstep(S, obs, means, 1.0 - means**2, state, quad)
 
 
 def _mstep(S, obs, means, variances, state, quad):
     """Body shared by both M steps: varsigma2 = 0 pins the amplitudes to
-    atilde, any other value solves the normal equations with ``quad()``
-    as their quadratic term; then sigma2 if ``state.estimate_sigma2``."""
+    atilde, any other value solves the normal equations with ``quad`` as
+    their quadratic term; then sigma2 if ``state.estimate_sigma2``."""
     if state.varsigma2 == 0.0:
         a_hat = state.a_tilde.copy()
     else:
-        lhs = quad()
         rhs = np.sum(obs.y * means, axis=0)  # sum_t diag(m_t) S^T r_t
         if np.isfinite(state.varsigma2):
             ridge = state.sigma2_hat / state.varsigma2
-            lhs = lhs + ridge * np.eye(S.shape[1])
+            quad = quad + ridge * np.eye(S.shape[1])
             rhs = rhs + ridge * state.a_tilde
-        a_hat = spd_solve(lhs, rhs)
+        a_hat = spd_solve(quad, rhs)
     sigma2 = state.sigma2_hat
     if state.estimate_sigma2:
         sigma2 = _residual_energy(S, obs, means, variances, a_hat) \

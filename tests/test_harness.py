@@ -90,6 +90,11 @@ class TestConfigParsing:
                 # repeated pin would keep only the last
                 (dict(snr_db="3,3"), "snr_db"),
                 (dict(snr_db="3,4,3.0"), "snr_db"),
+                # 0 and -0 are one point, though %g prints them apart
+                (dict(snr_db="0,-0"), "repeats a value"),
+                # two points the CSV would label alike (%g: both "4")
+                (dict(snr_db="4,4.0000001"), "CSV label"),
+                (dict(snr_db="inf,299.9999,300"), "CSV label"),
                 (dict(snr_fixed="2:11,2:15"), "snr_fixed"),
                 # the length check comes before list(range(users))
                 (dict(users="1000000000000", ddf_order="custom:2,1"),
@@ -234,12 +239,20 @@ def test_grouped_configs_stack_frames():
 
 
 class TestRunScenario:
-    def test_noiseless_channel_zero_errors(self):
-        cfg = tiny_coded_cfg(snr_db="inf")
+    # user 2 pinned at -10 dB gets its amplitude against the detection
+    # floor SIGMA2_FLOOR, so chip noise at that floor would bury it
+    @pytest.mark.parametrize("over", [
+        dict(),
+        dict(rho=0.7, snr_fixed="2:-10", coded=False, info_bits=512,
+             detector="ddf_aided"),
+        dict(rho=0.7, snr_fixed="2:-10", coded=False, info_bits=512),
+        dict(rho=0.7, snr_fixed="2:-10", info_bits=512)])
+    def test_noiseless_channel_zero_errors(self, over):
+        cfg = tiny_coded_cfg(snr_db="inf", **over)
         report = run_scenario(cfg)
         for it in (1, 2):
             assert report.errors(float("inf"), it) == 0
-            assert report.bits(float("inf"), it) == 2 * 2 * 64
+            assert report.bits(float("inf"), it) == 2 * 2 * cfg.info_bits
 
     def test_error_accounting_exact(self):
         cfg = tiny_coded_cfg(snr_db="2")

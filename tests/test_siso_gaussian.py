@@ -130,11 +130,12 @@ class TestSolveGauss:
         rng = np.random.default_rng(4)
         r = rng.standard_normal(2)
         prior = GaussianPrior(btilde=np.array([0.5, -0.5]))
-        G = ch.A @ ch.R @ ch.A
-        Winv = np.linalg.inv(prior.W)
+        A, W = np.diag(ch.a), np.diag(prior.w)
+        G = A @ ch.R @ A
+        Winv = np.linalg.inv(W)
         mu_ref = prior.btilde + np.linalg.solve(
             G + ch.sigma2 * Winv,
-            ch.A @ ch.S.T @ (r - ch.S @ ch.A @ prior.btilde))
+            A @ ch.S.T @ (r - ch.S @ A @ prior.btilde))
         Sigma_ref = np.linalg.inv(G / ch.sigma2 + Winv)
         out = solve_gauss(ch, r, prior)
         np.testing.assert_allclose(out.mu, mu_ref, atol=1e-12)
