@@ -7,11 +7,12 @@ case of a fixed seeded ``bcjr_decode`` corpus, over the shapes and bytes
 of its extrinsic, posterior and info posterior.  No harness run reaches the
 decoder's log domain (the detectors clamp LLRs at 30, below the
 probability-domain bound); the corpus does.  Last come the
-``llr-<detector>-<schedule>-<coded|uncoded>[-em]`` lines, one per
-``run_varem`` case, over the bytes of every frame's detector, decoder and
-posterior LLRs and info posteriors and of the EM trajectory: these see
-LLR moves that no decision flips.  A change that must not move any result
-gives the same output under the old and the new ``src/``:
+``llr-<detector>-<schedule>-<coded|uncoded>[-em[-reordered]]`` lines,
+one per ``run_varem`` case, over the bytes of every frame's detector,
+decoder and posterior LLRs and info posteriors and of the EM
+trajectory: these see LLR moves that no decision flips.  A change that
+must not move any result gives the same output under the old and the
+new ``src/``:
 
     PYTHONPATH=src python3 scripts/csv_digests.py > new.txt
     PYTHONPATH=/path/to/old/src python3 scripts/csv_digests.py > old.txt
@@ -179,7 +180,10 @@ def llr_cases():
     bits of the 10011,11101 code, master seed 2) and uncoded (40 symbols
     through ``IdentityDecoder``), with the true parameters and with
     sigma2 + amplitude EM from a_tilde = 1.1 a, sigma2_hat = 2 sigma2
-    and varsigma^2 = 0.09.
+    and varsigma^2 = 0.09.  Last, ``ddf_aided`` runs coded under each
+    schedule with that EM from a_tilde = a [1.5, 0.7, 1.0, 1.2], whose
+    amplitude order is not the true one: the DDF seed of iteration 1
+    detects in the estimated channel's order.
     """
     ch = make_equicorrelated(4, 0.7, amplitudes=[0.8, 1.2, 1.0, 0.9],
                              sigma2=0.4)
@@ -196,6 +200,13 @@ def llr_cases():
                 for tag, state0 in (("", None), ("-em", em)):
                     yield (f"llr-{det}-{sched}-{kind}{tag}",
                            (ch, obs, det, sched, 3, decoder, state0))
+    obs = transmit(ch, SymbolBlock(b=coder.encode_block(bits)), rng_seed=22)
+    a_tilde = ch.a * np.array([1.5, 0.7, 1.0, 1.2])
+    reordered = EmState(a_hat=a_tilde, a_tilde=a_tilde, varsigma2=0.09,
+                        sigma2_hat=2.0 * ch.sigma2, estimate_sigma2=True)
+    for sched in SCHEDULES:
+        yield (f"llr-ddf_aided-{sched}-coded-em-reordered",
+               (ch, obs, "ddf_aided", sched, 3, coder, reordered))
 
 
 def _sha256(path):

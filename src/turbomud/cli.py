@@ -89,9 +89,14 @@ def _out_path(args):
 
 
 def _check_out(out):
-    """Fail before the run where writing ``out`` must fail: it names a
-    directory, or its nearest existing ancestor is not a directory."""
-    if os.path.isdir(out):
+    """Fail before the run, creating nothing, where writing ``out`` must
+    fail: it is empty, names a directory (by its last component too: a
+    trailing separator, ``.`` or ``..``), or its nearest existing
+    ancestor is not a directory."""
+    if not out:
+        raise TurbomudError(f"cannot write '': {os.strerror(errno.ENOENT)}")
+    if os.path.isdir(out) or \
+            os.path.basename(out) in ("", os.curdir, os.pardir):
         raise TurbomudError(f"cannot write {out}: "
                             f"{os.strerror(errno.EISDIR)}")
     parent = os.path.dirname(os.path.abspath(out))
@@ -187,8 +192,9 @@ def cli_main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except TurbomudError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TurbomudError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation it refused
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

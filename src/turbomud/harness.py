@@ -187,9 +187,10 @@ def parse_kv_text(text):
 
 
 def read_kv_file(path):
-    """``parse_kv_text`` of a file; unreadable files are config errors."""
+    """``parse_kv_text`` of a UTF-8 file (a leading byte-order mark is
+    dropped); unreadable files are config errors."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse_kv_text(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None

@@ -121,13 +121,3 @@ def ddf_pass_block(ch, y, prior_llr, pre, *, llr=True):
     inverse = np.argsort(order)
     return Mt[inverse], (2.0 * X[inverse] if llr else None)
 
-
-def bind_ddf_hook(obs, order_policy=AMPLITUDE_DESCENDING):
-    """Hook for DiscreteTurboLoop: one DDF pass over obs as iteration 1."""
-
-    def seed_with_ddf(ch, Mt, llr_dec):
-        pre = DdfPrecompute.from_channel(ch, order_policy)
-        Mt[:], llr_pos = ddf_pass_block(ch, obs.y, llr_dec, pre)
-        return llr_pos
-
-    return seed_with_ddf

@@ -208,20 +208,20 @@ class DiscreteTurboLoop(TurboLoop):
     Belief means (users-major, ``Mt``) persist across iterations
     (initialized to zero) next to the decoder LLRs.
 
-    ``first_iteration_hook(ch, Mt, llr_dec) -> llr_pos`` optionally
-    replaces the inner sweeps of outer iteration 1: it writes the
-    users-major belief block Mt in place and returns users-major (K, T)
-    posterior LLRs (used by the decision-feedback seeding).
+    ``seed(llr_dec) -> (means, llr_pos)``, if given, replaces the inner
+    sweeps of every posterior call of outer iteration 1 (the DDF pass of
+    ``ddf_aided``): it returns users-major (K, T) means, which the loop
+    copies into Mt, and posterior LLRs.
     """
 
     def __init__(self, obs, decoder, schedule, I=DEFAULT_INNER_ITERS,
-                 first_iteration_hook=None):
+                 seed=None):
         super().__init__(obs, decoder, schedule)
         if I < 1:
             raise ValueError("I must be >= 1")
         self.r = obs.r
         self.I = I
-        self.hook = first_iteration_hook
+        self.seed = seed
         self.Mt = np.zeros(self.llr_dec.shape[::-1])
 
     def iterate(self, ch):
@@ -235,24 +235,23 @@ class DiscreteTurboLoop(TurboLoop):
         H, X = np.empty_like(H0), np.empty_like(H0)
         kernel = _sweep_kernel(Mt, H, Bh, X)
         users = list(range(len(Mt)))
-        hook, self.hook = self.hook, None  # outer iteration 1 only
+        seed, self.seed = self.seed, None  # outer iteration 1 only
 
-        def half_posterior(dec, order):
-            """LLR_pos/2 of the inner sweeps in ``order``, users-major."""
+        def posterior(dec, order):
+            """Users-major LLR_pos of the seed or the sweeps in ``order``."""
+            if seed is not None:
+                Mt[:], llr_pos = seed(dec)
+                return llr_pos
             np.add(H0, 0.5 * dec.T, out=H)
             _sweeps(*kernel, order * I, Mt)
-            return X
+            return 2.0 * X
 
         def ext_all(dec):
-            post = hook(ch, Mt, dec) if hook is not None else \
-                2.0 * half_posterior(dec, users)
             # a +-inf decoder LLR fixes its symbol: extrinsic 0, not inf - inf
-            return np.subtract(post.T, dec, out=np.zeros_like(dec),
-                               where=~np.isinf(dec))
+            return np.subtract(posterior(dec, users).T, dec,
+                               out=np.zeros_like(dec), where=~np.isinf(dec))
 
         def ext_user(work, k):
-            if hook is not None:
-                return hook(ch, Mt, work)[k]
-            return 2.0 * half_posterior(work, users[k:] + users[:k])[k]
+            return posterior(work, users[k:] + users[:k])[k]
 
         return self._exchange(ext_all, ext_user)

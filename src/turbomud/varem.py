@@ -19,11 +19,12 @@ the free energy never increases.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .linalg import spd_solve
-from .siso_ddf import AMPLITUDE_DESCENDING, bind_ddf_hook
+from .siso_ddf import AMPLITUDE_DESCENDING, DdfPrecompute, ddf_pass_block
 from .siso_discrete import DEFAULT_INNER_ITERS, DiscreteTurboLoop
 from .siso_gaussian import GaussianTurboLoop, clamp_llr
 
@@ -184,7 +185,8 @@ def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
 
     ``detector`` is ``"gaussian"``, ``"discrete"`` (mean-field, I inner
     sweeps per outer iteration) or ``"ddf_aided"`` (mean-field whose
-    first outer iteration is one DDF pass in ``order_policy`` order).
+    first outer iteration is the DDF pass, every call on one
+    ``DdfPrecompute`` in ``order_policy`` order of the starting channel).
     Each outer iteration detects and decodes with the current
     (a_hat, sigma2_hat), forms the decoder-informed posterior estimate
     b_hat = tanh(LLR_mud/2 + LLR_dec/2) with belief variances
@@ -204,17 +206,17 @@ def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
     """
     if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}")
-    if detector == "gaussian":
-        loop = GaussianTurboLoop(obs, decoder, schedule)
-    else:
-        hook = bind_ddf_hook(obs, order_policy) \
-            if detector == DDF_AIDED else None
-        loop = DiscreteTurboLoop(obs, decoder, schedule, I=I,
-                                 first_iteration_hook=hook)
     state = state0 if state0 is not None else EmState(
         a_hat=ch_true.a, sigma2_hat=ch_true.sigma2, a_tilde=ch_true.a,
         varsigma2=0.0, estimate_sigma2=False)
     ch_est = _estimated_channel(ch_true, state)
+    if detector == "gaussian":
+        loop = GaussianTurboLoop(obs, decoder, schedule)
+    else:
+        seed = None if detector != DDF_AIDED else partial(
+            ddf_pass_block, ch_est, obs.y,
+            pre=DdfPrecompute.from_channel(ch_est, order_policy))
+        loop = DiscreteTurboLoop(obs, decoder, schedule, I=I, seed=seed)
     trajectory = [state]
     frames = []
     for _ in range(J):

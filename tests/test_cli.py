@@ -45,6 +45,46 @@ def test_non_utf8_config_exit_code(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+MINI_CFG = ("users = 1\nrho = 0.0\ncoded = false\ninfo_bits = 16\n"
+            "outer_iterations = 1\nsnr_db = 8\nmax_frames = 1\n"
+            "frame_cap = 1\n")
+INSTANCE = "users = 2\nrho = 0.7\nr = 0.3,-0.9\ndetector = one-shot\n"
+
+
+def test_byte_order_mark_is_not_part_of_the_first_key(tmp_path, capsys):
+    # a UTF-8 file that starts with EF BB BF reads as the file without it
+    bom = b"\xef\xbb\xbf"
+    for name, text in (("mini", MINI_CFG), ("instance", INSTANCE)):
+        (tmp_path / f"{name}.cfg").write_text(text)
+        (tmp_path / f"{name}-bom.cfg").write_bytes(bom + text.encode())
+    runs = {}
+    for tag in ("", "-bom"):
+        assert cli_main(["simulate", str(tmp_path / f"mini{tag}.cfg"),
+                         "--out", str(tmp_path / f"run{tag}.csv")]) == 0
+        assert cli_main(["detect", str(tmp_path / f"instance{tag}.cfg")]) == 0
+        runs[tag] = capsys.readouterr()
+        assert runs[tag].err == ""
+    assert runs["-bom"].out == runs[""].out.replace("run.csv", "run-bom.csv")
+    assert (tmp_path / "run-bom.csv").read_bytes() == \
+        (tmp_path / "run.csv").read_bytes()
+
+
+@pytest.mark.parametrize("body", [
+    "users = 1000000000\n",  # the K x K correlation matrix, 6.9 EiB
+    # the interleaver permutation of 2e14 coded bits, 1.4 PiB
+    "users = 2\ncoded = true\ninfo_bits = 100000000000000\n",
+])
+def test_an_allocation_numpy_refuses_is_one_error_line(tmp_path, capsys,
+                                                        body):
+    # sizes past any address space, so numpy refuses them at once
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(body + "snr_db = 8\nmax_frames = 1\nframe_cap = 1\n")
+    assert cli_main(["simulate", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate")
+    assert len(err.splitlines()) == 1
+
+
 def test_repeated_config_key_exit_code(tmp_path, capsys):
     cfg = tmp_path / "twice.cfg"
     cfg.write_text("users = 4\nrho = 0.5\nusers = 8\n")
@@ -177,16 +217,17 @@ def test_plain_ddf_is_not_a_scenario_detector(tmp_path, capsys):
 def test_em_settings_keep_the_ddf_pipeline(tmp_path, capsys, monkeypatch):
     """EM on the uncoded DDF path exits 2; coded ddf_aided with EM runs
     and still seeds its first iteration with a DDF pass."""
-    import turbomud.siso_ddf as siso_ddf
+    import turbomud.varem as varem
 
     calls = []
-    original = siso_ddf.ddf_pass_block
+    original = varem.ddf_pass_block
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args[1].shape)
-        return original(*args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(siso_ddf, "ddf_pass_block", counting)
+    # run_varem binds the seed from its module's name at call time
+    monkeypatch.setattr(varem, "ddf_pass_block", counting)
     cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
     for extra in ("detector = ddf_aided\ncoded = false\n"
                   "outer_iterations = 1\nestimate_sigma2 = true\n",
@@ -294,6 +335,25 @@ def test_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path}:")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("out", ["", "newdir/", "newdir2/sub/", "newdir3/.",
+                                 "newdir4/.."])
+def test_directory_out_path_fails_before_the_run_and_creates_nothing(
+        tmp_path, capsys, monkeypatch, out):
+    # an empty path or one whose last component names a directory: the
+    # write would fail after the run, once makedirs had made its parents
+    monkeypatch.chdir(tmp_path)
+
+    def no_run(cfg):
+        raise AssertionError("run_scenario started")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    assert cli_main(["simulate", "scenario-i", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unwritable_em_csv_is_one_error_line_after_the_run(tmp_path,

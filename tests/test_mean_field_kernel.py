@@ -21,6 +21,8 @@ the next through the coupling, so rounding grows with K and with
 fused kernel 1.2e-12).
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -31,8 +33,7 @@ from turbomud.channel import (ChannelInstance, Observation, SymbolBlock,
 from turbomud import siso_ddf, varem
 from turbomud.coding import ConvCode, ConvTurboDecoder, IdentityDecoder
 from turbomud.linalg import factor_FtF
-from turbomud.siso_ddf import (DdfPrecompute, bind_ddf_hook, ddf_pass_block,
-                               detection_order)
+from turbomud.siso_ddf import DdfPrecompute, ddf_pass_block, detection_order
 from turbomud.siso_discrete import (MEAN_CLEARANCE, DiscreteBelief,
                                     DiscreteTurboLoop, _fold, _sweep_block,
                                     serial_update, tanh_sic_block)
@@ -217,14 +218,20 @@ def test_serial_update_leaves_users_outside_the_order_nan():
         assert np.isfinite(llr[0]) and np.all(np.isnan(llr[1:]))
 
 
-def test_ddf_hook_writes_the_users_major_state():
+def ddf_seed(ch, obs):
+    """The ``ddf_aided`` seed as ``run_varem`` binds it on channel ch."""
+    return partial(ddf_pass_block, ch, obs.y,
+                   pre=DdfPrecompute.from_channel(ch, detection_order(ch)))
+
+
+def test_ddf_seed_writes_the_users_major_state():
     ch = make_equicorrelated(4, 0.7, amplitudes=[1.0, 1.5, 0.7, 1.2],
                              sigma2=0.3)
     rng = np.random.default_rng(5)
     b = np.where(rng.standard_normal((40, 4)) > 0, 1.0, -1.0)
     obs = transmit(ch, SymbolBlock(b=b), rng_seed=6)
     loop = DiscreteTurboLoop(obs, IdentityDecoder(), "flooding",
-                             first_iteration_hook=bind_ddf_hook(obs))
+                             seed=ddf_seed(ch, obs))
     loop.iterate(ch)
     pre = DdfPrecompute.from_channel(ch, detection_order(ch))
     m_ddf, _ = ddf_pass_block(ch, obs.y, np.zeros((40, 4)), pre)
@@ -242,18 +249,45 @@ def test_ddf_seed_runs_in_outer_iteration_1_only(schedule):
     rng = np.random.default_rng(9)
     b = np.where(rng.standard_normal((20, 3)) > 0, 1.0, -1.0)
     obs = transmit(ch, SymbolBlock(b=b), rng_seed=10)
-    seed, calls = bind_ddf_hook(obs), []  # calls per outer iteration
+    seed, calls = ddf_seed(ch, obs), []  # calls per outer iteration
 
     def counting_seed(*args):
         calls[-1] += 1
         return seed(*args)
 
     loop = DiscreteTurboLoop(obs, IdentityDecoder(), schedule,
-                             first_iteration_hook=counting_seed)
+                             seed=counting_seed)
     for _ in range(3):
         calls.append(0)
         loop.iterate(ch)
     assert calls == [1 if schedule == "flooding" else ch.K, 0, 0]
+
+
+@pytest.mark.parametrize("em", [False, True])
+@pytest.mark.parametrize("schedule", ["flooding", "sequential", "hybrid"])
+def test_ddf_aided_builds_one_precompute_per_run(monkeypatch, schedule, em):
+    """Every DDF pass of a ``ddf_aided`` run, one per posterior call of
+    outer iteration 1, shares one precompute of the starting channel;
+    EM's later channels do not rebuild it."""
+    ch = make_equicorrelated(3, 0.7, amplitudes=[1.0, 1.5, 0.7], sigma2=0.3)
+    rng = np.random.default_rng(9)
+    b = np.where(rng.standard_normal((20, 3)) > 0, 1.0, -1.0)
+    obs = transmit(ch, SymbolBlock(b=b), rng_seed=10)
+    state0 = EmState(a_hat=1.1 * ch.a, sigma2_hat=0.5, a_tilde=1.1 * ch.a,
+                     varsigma2=0.09, estimate_sigma2=True) if em else None
+    built = []
+    from_channel = DdfPrecompute.from_channel.__func__
+
+    def counting(cls, *args):
+        built.append(args[0])
+        return from_channel(cls, *args)
+
+    monkeypatch.setattr(DdfPrecompute, "from_channel", classmethod(counting))
+    _, traj = run_varem(ch, obs, "ddf_aided", schedule, 3,
+                        IdentityDecoder(), state0)
+    assert len(built) == 1
+    np.testing.assert_array_equal(built[0].a, traj[0].a_hat)
+    assert built[0].sigma2 == traj[0].sigma2_hat
 
 
 @pytest.mark.parametrize("detector", ["discrete", "ddf_aided"])

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from turbomud.channel import (ChannelInstance, Observation, SymbolBlock,
                               receive, transmit)
 from turbomud import coding, siso_gaussian, varem
 from turbomud.coding import ConvCode, ConvTurboDecoder, IdentityDecoder
-from turbomud.siso_ddf import DdfPrecompute, bind_ddf_hook, ddf_pass_block
+from turbomud.siso_ddf import DdfPrecompute, ddf_pass_block
 from turbomud.siso_discrete import DiscreteTurboLoop, tanh_sic_block
 from turbomud.siso_gaussian import SCHEDULES, GaussianTurboLoop
 from turbomud.varem import (DETECTORS, EmState, PosteriorSummary,
@@ -30,9 +31,10 @@ def plain_schedule(ch, obs, detector, schedule, J, decoder, I=6):
     if detector == "gaussian":
         loop = GaussianTurboLoop(obs, decoder, schedule)
     else:
-        hook = bind_ddf_hook(obs) if detector == "ddf_aided" else None
-        loop = DiscreteTurboLoop(obs, decoder, schedule, I=I,
-                                 first_iteration_hook=hook)
+        seed = None if detector != "ddf_aided" else partial(
+            ddf_pass_block, ch, obs.y,
+            pre=DdfPrecompute.from_channel(ch, "amplitude_descending"))
+        loop = DiscreteTurboLoop(obs, decoder, schedule, I=I, seed=seed)
     return [loop.iterate(ch) for _ in range(J)]
 
 
