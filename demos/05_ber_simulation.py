@@ -8,11 +8,11 @@ written out as CSV.
 
 from dataclasses import replace
 
-from turbomud.harness import preset_config, run_scenario, single_user_bound
+from turbomud.harness import resolve_config, run_scenario, single_user_bound
 
 
 def main():
-    cfg = replace(preset_config("scenario-i"),
+    cfg = replace(resolve_config("scenario-i"),
                   snr_db=(3.0, 4.0, 5.0), max_frames=30, frame_cap=30,
                   min_error_events=1, seed=2)
     report = run_scenario(cfg)

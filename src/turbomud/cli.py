@@ -1,11 +1,13 @@
 """Command-line front end for the simulation harness.
 
 Subcommands:
-  simulate <config|preset>   full scenario run, CSV out
-  sweep    <config|preset>   same with the SNR grid overridden
-  detect   <config>          one-shot detector on a supplied instance
+  simulate <config|preset>   full scenario run, CSV out; --snr, --seed,
+                             --schedule, --detector, --trials override
+                             the config and are checked as config keys
+  detect   <instance>        one-shot detector on a supplied instance
   presets                    list the built-in scenario names
 
+Without --out, the CSV goes to $TURBOMUD_OUT_DIR (default ".").
 Exit codes: 0 ok, 1 runtime error, 2 usage or config error.
 """
 
@@ -18,12 +20,15 @@ from dataclasses import replace
 import numpy as np
 
 from .channel import make_equicorrelated
-from .errors import ConfigError, InvalidCorrelation, TurbomudError
-from .harness import (OUT_DIR_ENV, PRESETS, parse_as, parse_value,
-                      read_kv_file, resolve_config, run_scenario)
+from .errors import (ConfigError, InvalidCorrelation, NotPositiveDefinite,
+                     TurbomudError)
+from .harness import (PRESETS, parse_as, parse_value, read_kv_file,
+                      resolve_config, run_scenario)
 from .siso_ddf import AMPLITUDE_DESCENDING, DdfPrecompute, ddf_pass
 from .siso_discrete import ext_one_shot
-from .siso_gaussian import SCHEDULES, GaussianPrior, ext_flooding, ext_hybrid
+from .siso_gaussian import GaussianPrior, ext_flooding, ext_hybrid
+
+OUT_DIR_ENV = "TURBOMUD_OUT_DIR"
 
 _DETECT_ONE_SHOT = {
     "gaussian-hybrid": lambda ch, r, y, pl: ext_hybrid(
@@ -42,22 +47,16 @@ def _build_parser():
                                 description="multiuser detection simulator")
     sub = p.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("config", help="config file path or preset name")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", default=None, help="CSV output path")
-    common.add_argument("--schedule", default=None,
-                        choices=SCHEDULES)
-    common.add_argument("--detector", default=None)
-    common.add_argument("--trials", type=int, default=None,
-                        help="frame budget override")
-
-    sim = sub.add_parser("simulate", parents=[common],
-                         help="run a full scenario")
-    sweep = sub.add_parser("sweep", parents=[common],
-                           help="run with an overridden SNR grid")
-    sweep.add_argument("--snr", required=True,
-                       help="comma separated SNR grid in dB")
+    sim = sub.add_parser("simulate", help="run a full scenario")
+    sim.add_argument("config", help="config file path or preset name")
+    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--out", default=None, help="CSV output path")
+    sim.add_argument("--schedule", default=None)
+    sim.add_argument("--detector", default=None)
+    sim.add_argument("--trials", type=int, default=None,
+                     help="frame budget override")
+    sim.add_argument("--snr", default=None,
+                     help="comma separated SNR grid in dB")
     det = sub.add_parser("detect", help="one-shot detection of one instance")
     det.add_argument("config", help="instance description file")
     sub.add_parser("presets", help="list built-in scenario presets")
@@ -76,7 +75,7 @@ def _apply_overrides(cfg, args):
         # a hard budget: no error-event top-up past the requested trials
         updates["max_frames"] = args.trials
         updates["frame_cap"] = args.trials
-    if getattr(args, "snr", None) is not None:
+    if args.snr is not None:
         updates["snr_db"] = parse_value("snr_db", args.snr)
     return replace(cfg, **updates).validate() if updates else cfg
 
@@ -135,21 +134,22 @@ def _cmd_detect(args):
     fn = _DETECT_ONE_SHOT.get(kind)
     if fn is None:
         raise ConfigError(f"detector: unknown detector {kind!r}")
-    try:
-        K = parse_as(int, "users", kv.get("users", "1"))
-        if K < 1:
-            raise ConfigError("users: must be >= 1")
-        rho = _floats(kv, "rho", 1, 0.0)[0]
-        sigma2 = _floats(kv, "sigma2", 1, 1.0)[0]
-        if sigma2 <= 0:
-            raise ConfigError("sigma2: must be > 0")
-        r = _floats(kv, "r", K)  # N = K; bounds K before any K-sized array
-        amps = _floats(kv, "amps", K, 1.0)
-        priors = _floats(kv, "priors", K, 0.0)
-        ch = make_equicorrelated(K, rho, amplitudes=amps, sigma2=sigma2)
-    except (ValueError, InvalidCorrelation) as exc:
-        raise ConfigError(f"bad instance description: {exc}") from None
+    K = parse_as(int, "users", kv.get("users", "1"))
+    if K < 1:
+        raise ConfigError("users: must be >= 1")
+    rho = _floats(kv, "rho", 1, 0.0)[0]
+    sigma2 = _floats(kv, "sigma2", 1, 1.0)[0]
+    if sigma2 <= 0:
+        raise ConfigError("sigma2: must be > 0")
+    r = _floats(kv, "r", K)  # N = K; bounds K before any K-sized array
+    amps = _floats(kv, "amps", K, 1.0)
+    priors = _floats(kv, "priors", K, 0.0)
+    # an overflowing instance is reported once below, not warned about
     with np.errstate(all="ignore"):
+        try:
+            ch = make_equicorrelated(K, rho, amplitudes=amps, sigma2=sigma2)
+        except (ValueError, InvalidCorrelation, NotPositiveDefinite) as exc:
+            raise ConfigError(f"bad instance description: {exc}") from None
         y = ch.S.T @ r
         # an overflowed y is reported as such, not passed to the whitening
         llrs = fn(ch, r, y, priors) if np.all(np.isfinite(y)) else y

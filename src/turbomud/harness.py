@@ -25,15 +25,13 @@ import numpy as np
 from .channel import (ChannelInstance, SymbolBlock, make_equicorrelated,
                       make_random_spreading, receive)
 from .coding import ConvCode, ConvTurboDecoder, IdentityDecoder
-from .errors import ConfigError
+from .errors import ConfigError, NotPositiveDefinite, RankDeficient
 from .siso_ddf import (AMPLITUDE_DESCENDING, AS_GIVEN, DdfPrecompute,
                        ddf_pass_block)
 from .siso_discrete import DEFAULT_INNER_ITERS, tanh_sic_block
 from .siso_gaussian import SCHEDULES
 from .varem import (DDF_AIDED, DETECTORS, SIGMA2_FLOOR, EmState,
                     initial_sigma2, run_varem)
-
-OUT_DIR_ENV = "TURBOMUD_OUT_DIR"
 
 _ROUND_FRAMES = 16  # stop conditions are checked between rounds
 
@@ -94,8 +92,10 @@ class ScenarioConfig:
                               f"+/-{DB_LIMIT:g} dB")
         if not np.isfinite(self.rho):
             raise ConfigError("rho: must be finite")
-        if not (np.isfinite(self.varsigma) and self.varsigma >= 0):
-            raise ConfigError("varsigma: must be finite and >= 0")
+        # the EM prior variance is varsigma squared
+        if not (np.isfinite(self.varsigma * self.varsigma)
+                and self.varsigma >= 0):
+            raise ConfigError("varsigma: must be >= 0 with a finite square")
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
         if self.channel not in ("equicorrelated", "random"):
@@ -264,21 +264,17 @@ PRESETS = {
 }
 
 
-def preset_config(name):
-    key = name.removeprefix("presets/")
-    if key not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; try one of "
-                          + ", ".join(sorted(PRESETS)))
-    return config_from_dict(PRESETS[key])
-
-
 def resolve_config(path_or_preset):
+    """The config of a preset name (a ``presets/`` prefix is optional)
+    or, failing that, of a config file path."""
     name = str(path_or_preset)
-    if name.removeprefix("presets/") in PRESETS:
-        return preset_config(name)
+    preset = PRESETS.get(name.removeprefix("presets/"))
+    if preset is not None:
+        return config_from_dict(preset)
     if os.path.exists(name):
         return config_from_dict(read_kv_file(name))
-    raise ConfigError(f"no config file or preset named {name!r}")
+    raise ConfigError(f"no config file or preset named {name!r}; "
+                      f"presets: {', '.join(sorted(PRESETS))}")
 
 
 # ----------------------------------------------------------------------
@@ -381,11 +377,17 @@ class _PointContext:
 
 
 def _build_spreading(cfg):
-    """The run's channel at unit amplitudes; points copy its geometry."""
-    if cfg.channel == "equicorrelated":
-        return make_equicorrelated(cfg.users, cfg.rho)
-    return make_random_spreading(cfg.spreading_gain, cfg.users,
-                                 seed=[cfg.seed, 0xC0DE])
+    """The run's channel at unit amplitudes; points copy its geometry.
+    A geometry that cannot be factored is a config error."""
+    try:
+        if cfg.channel == "equicorrelated":
+            return make_equicorrelated(cfg.users, cfg.rho)
+        return make_random_spreading(cfg.spreading_gain, cfg.users,
+                                     seed=[cfg.seed, 0xC0DE])
+    except (NotPositiveDefinite, RankDeficient) as exc:
+        keys = "rho" if cfg.channel == "equicorrelated" else \
+            "users/spreading_gain"
+        raise ConfigError(f"{keys}: singular channel: {exc}") from None
 
 
 def _point_channel(cfg, base, snr_db):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from turbomud import channel as channel_module
 from turbomud import cli
-from turbomud.cli import _DETECT_ONE_SHOT, cli_main
-from turbomud.harness import OUT_DIR_ENV
+from turbomud.cli import _DETECT_ONE_SHOT, OUT_DIR_ENV, cli_main
 
 
 @pytest.fixture(autouse=True)
@@ -146,7 +146,7 @@ def test_sweep_overrides_grid(tmp_path):
         min_error_events = 1
     """)
     out = tmp_path / "sweep.csv"
-    assert cli_main(["sweep", str(cfg), "--snr", "9", "--out",
+    assert cli_main(["simulate", str(cfg), "--snr", "9", "--out",
                      str(out)]) == 0
     body = out.read_text()
     assert "9," in body and "4," not in body.replace("64,", "")
@@ -154,7 +154,7 @@ def test_sweep_overrides_grid(tmp_path):
 
 @pytest.mark.parametrize("grid", ["1,x", "", "3,3"])
 def test_sweep_bad_snr_grid_exit_code(capsys, grid):
-    assert cli_main(["sweep", "presets/scenario-i", "--snr", grid]) == 2
+    assert cli_main(["simulate", "presets/scenario-i", "--snr", grid]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
 
@@ -162,9 +162,22 @@ def test_sweep_bad_snr_grid_exit_code(capsys, grid):
                                    ["--snr", "3,-inf"], ["--snr=-4000"],
                                    ["--snr=3,4000"]])
 def test_overrides_follow_the_numeric_policy(capsys, flags):
-    argv = ["sweep", "presets/scenario-i", "--snr", "3"] + flags
+    argv = ["simulate", "presets/scenario-i", "--snr", "3"] + flags
     assert cli_main(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_sweep_is_not_a_subcommand(capsys):
+    # the SNR grid override is simulate's --snr
+    assert cli_main(["sweep", "presets/scenario-i", "--snr", "3"]) == 2
+    assert "invalid choice: 'sweep'" in capsys.readouterr().err
+
+
+def test_schedule_override_is_checked_as_a_config_key(capsys):
+    assert cli_main(["simulate", "presets/scenario-i", "--schedule",
+                     "bogus"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: schedule: unknown schedule 'bogus'\n"
 
 
 _SMALL_RUN = """
@@ -188,10 +201,33 @@ def test_pins_beyond_the_db_limit_exit_code(tmp_path, capsys, pins):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_overflowing_varsigma_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_SMALL_RUN + "varsigma = 1e200\n")
+    assert cli_main(["simulate", str(cfg), "--out",
+                     str(tmp_path / "run.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error: varsigma:")
+
+
+@pytest.mark.parametrize("channel, key", [
+    ("channel = equicorrelated\nrho = 0.9999999999999\n", "rho"),
+    ("channel = random\nspreading_gain = 4\n", "users/spreading_gain")])
+def test_singular_channel_exit_code(tmp_path, capsys, monkeypatch, channel,
+                                    key):
+    # the random channel's resampling gives up before its first draw
+    monkeypatch.setattr(channel_module, "_RESAMPLE_CAP", 0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_SMALL_RUN.replace("channel = equicorrelated\n", "")
+                   .replace("rho = 0.5\n", "") + channel)
+    assert cli_main(["simulate", str(cfg), "--out",
+                     str(tmp_path / "run.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
 def test_zero_llrs_decide_bit_zero(tmp_path, capsys):
     """At -300 dB nearly every LLR is exactly 0; a tie decides +1, so
     the BER is about 1/2, not near 1 as when ties count as errors."""
-    argv = ["sweep", "presets/scenario-i", "--snr=-300", "--trials", "1",
+    argv = ["simulate", "presets/scenario-i", "--snr=-300", "--trials", "1",
             "--out", str(tmp_path / "run.csv")]
     assert cli_main(argv) == 0
     line = capsys.readouterr().out.splitlines()[0]
@@ -378,6 +414,8 @@ def test_unwritable_em_csv_is_one_error_line_after_the_run(tmp_path,
     "users = 2\nr = 0.3,-0.9,0.1\n",                # r longer than N
     "users = 2\nr = 0.3,-0.9\npriors = 1\n",        # one prior for two users
     "users = 2\nrho = 1.5\nr = 0.3,-0.9\n",          # rho outside [0, 1)
+    # in [0, 1), but R's last Cholesky pivot is below linalg's floor
+    "users = 2\nrho = 0.9999999999999\nr = 0.3,-0.9\n",
     "users = 0\nr = 0.3\n",                         # no users
     "users = 2\nsigma2 = 0\nr = 0.3,-0.9\ndetector = one-shot\n",
     "users = 2\nsigma2 = 0\nr = 0.3,-0.9\ndetector = ddf\n",
@@ -419,6 +457,16 @@ def test_detect_names_unknown_keys_and_detectors(tmp_path, capsys, body,
     inst.write_text(body)
     assert cli_main(["detect", str(inst)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_detect_overflow_is_one_error_line(tmp_path, capsys):
+    # amplitudes whose Gram matrix overflows warn nothing on the way
+    inst = tmp_path / "instance.cfg"
+    inst.write_text("users = 2\namps = 1e200,1\nr = 0.3,-0.9\n")
+    assert cli_main(["detect", str(inst)]) == 1
+    assert capsys.readouterr().err == \
+        "error: instance overflows double precision\n"
 
 
 @pytest.mark.parametrize("body", [

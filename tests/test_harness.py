@@ -18,8 +18,8 @@ from turbomud import harness
 from turbomud.errors import ConfigError, DegeneratePrior
 from turbomud.harness import (ScenarioConfig, _build_spreading, _group_size,
                               _point_channel, config_from_dict,
-                              parse_kv_text, preset_config,
-                              resolve_config, run_scenario, single_user_bound)
+                              parse_kv_text, resolve_config, run_scenario,
+                              single_user_bound)
 from turbomud.siso_gaussian import SCHEDULES
 from turbomud.varem import run_varem
 
@@ -74,6 +74,9 @@ class TestConfigParsing:
                 (dict(varsigma="inf"), "varsigma"),
                 (dict(varsigma="nan"), "varsigma"),
                 (dict(varsigma="-0.1"), "varsigma"),
+                # the EM prior variance varsigma**2 overflows
+                (dict(varsigma="1e155"), "varsigma"),
+                (dict(varsigma="1e200"), "varsigma"),
                 (dict(snr_fixed="2:nan"), "snr_fixed"),
                 (dict(snr_fixed="2:inf"), "snr_fixed"),
                 # dB values beyond +/-300 over- or underflow the channel
@@ -112,7 +115,7 @@ class TestConfigParsing:
 
     def test_presets_resolve(self):
         for name in ("scenario-i", "scenario-ii", "ddf-two-user"):
-            cfg = preset_config(name)
+            cfg = resolve_config(name)
             assert cfg.validate() is cfg
         cfg = resolve_config("presets/scenario-i")
         assert cfg.users == 4 and cfg.rho == 0.7
@@ -124,6 +127,13 @@ class TestConfigParsing:
     def test_missing_config(self):
         with pytest.raises(ConfigError, match="no config file or preset"):
             resolve_config("/nonexistent/path.cfg")
+
+    def test_unknown_name_lists_the_presets(self):
+        with pytest.raises(ConfigError) as info:
+            resolve_config("nope")
+        assert str(info.value) == ("no config file or preset named 'nope'; "
+                                   "presets: ddf-two-user, scenario-i, "
+                                   "scenario-ii")
 
     def test_db_limits_give_finite_positive_channels(self):
         cfg = tiny_coded_cfg(snr_db="-300,300,inf", snr_fixed="2:-300")
@@ -351,7 +361,7 @@ class TestRunScenario:
         assert single.read_bytes() == grouped.read_bytes()
 
     def test_uncoded_ddf_preset_runs(self):
-        cfg = preset_config("ddf-two-user")
+        cfg = resolve_config("ddf-two-user")
         cfg = replace(cfg, snr_db=(14.0,), info_bits=256, max_frames=2,
                       frame_cap=2, min_error_events=1)
         report = run_scenario(cfg)
@@ -362,7 +372,7 @@ class TestRunScenario:
     def test_scenario_ii_preset_full_size_smoke(self):
         # one frame at the real 32x32 random-spreading size with joint
         # noise/amplitude estimation wired in
-        cfg = replace(preset_config("scenario-ii"), snr_db=(6.0,),
+        cfg = replace(resolve_config("scenario-ii"), snr_db=(6.0,),
                       max_frames=1, frame_cap=1, min_error_events=1)
         report = run_scenario(cfg)
         assert report.bits(6.0, cfg.outer_iterations) == 32 * 256
@@ -600,7 +610,7 @@ MEAN_FIELD_COLLAPSE = pytest.mark.xfail(
 def test_final_ber_does_not_rise_with_snr(detector, schedule):
     """Scenario-i, 4 frames per point: the final-iteration BER may rise
     by at most 0.01 from one SNR point to the next."""
-    cfg = replace(preset_config("scenario-i"), detector=detector,
+    cfg = replace(resolve_config("scenario-i"), detector=detector,
                   schedule=schedule, snr_db=(8.0, 14.0, 17.0, 20.0, 30.0),
                   seed=1, max_frames=4, frame_cap=4).validate()
     report = run_scenario(cfg)
@@ -617,7 +627,7 @@ def test_em_first_iteration_at_high_snr(detector):
     0.001, and the first M step starts from those wrong decisions;
     gaussian and ddf_aided read 0 throughout.  Iteration 1 may err on
     1 % of bits."""
-    cfg = replace(preset_config("scenario-i"), detector=detector,
+    cfg = replace(resolve_config("scenario-i"), detector=detector,
                   info_bits=96, snr_db=(30.0,), varsigma=0.3,
                   estimate_sigma2=True, seed=7, max_frames=8,
                   frame_cap=8).validate()
