@@ -30,7 +30,7 @@ def main():
     varsigma = 0.3
     a_tilde = ch.a * (1.0 + varsigma * rng.standard_normal(K))
     state0 = EmState(a_hat=a_tilde,
-                     sigma2_hat=initial_sigma2(obs, a_tilde, N),
+                     sigma2_hat=initial_sigma2(ch, obs, a_tilde),
                      a_tilde=a_tilde, varsigma2=varsigma**2,
                      estimate_sigma2=True)
 

@@ -160,7 +160,7 @@ def make_equicorrelated(K, rho, amplitudes=None, sigma2=1.0):
     any orthonormal Q is equivalent.
     """
     if not (0.0 <= rho < 1.0):
-        raise InvalidCorrelation(f"rho = {rho} outside [0, 1)")
+        raise InvalidCorrelation(f"{rho} outside [0, 1)")
     R = np.full((K, K), float(rho))
     np.fill_diagonal(R, 1.0)
     S = factor_FtF(R)  # Q = I_K: S^T S = F^T F = R

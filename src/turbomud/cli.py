@@ -20,10 +20,9 @@ from dataclasses import replace
 import numpy as np
 
 from .channel import make_equicorrelated
-from .errors import (ConfigError, InvalidCorrelation, NotPositiveDefinite,
-                     TurbomudError)
-from .harness import (PRESETS, parse_as, parse_value, read_kv_file,
-                      resolve_config, run_scenario)
+from .errors import ConfigError, TurbomudError
+from .harness import (PRESETS, keyed_channel_errors, parse_as, parse_value,
+                      read_kv_file, resolve_config, run_scenario)
 from .siso_ddf import AMPLITUDE_DESCENDING, DdfPrecompute, ddf_pass
 from .siso_discrete import ext_one_shot
 from .siso_gaussian import GaussianPrior, ext_flooding, ext_hybrid
@@ -146,10 +145,8 @@ def _cmd_detect(args):
     priors = _floats(kv, "priors", K, 0.0)
     # an overflowing instance is reported once below, not warned about
     with np.errstate(all="ignore"):
-        try:
+        with keyed_channel_errors():
             ch = make_equicorrelated(K, rho, amplitudes=amps, sigma2=sigma2)
-        except (ValueError, InvalidCorrelation, NotPositiveDefinite) as exc:
-            raise ConfigError(f"bad instance description: {exc}") from None
         y = ch.S.T @ r
         # an overflowed y is reported as such, not passed to the whitening
         llrs = fn(ch, r, y, priors) if np.all(np.isfinite(y)) else y

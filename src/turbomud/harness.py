@@ -18,6 +18,7 @@ when off, starts from the true parameters and updates none of them.
 """
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -25,7 +26,8 @@ import numpy as np
 from .channel import (ChannelInstance, SymbolBlock, make_equicorrelated,
                       make_random_spreading, receive)
 from .coding import ConvCode, ConvTurboDecoder, IdentityDecoder
-from .errors import ConfigError, NotPositiveDefinite, RankDeficient
+from .errors import (ConfigError, InvalidCorrelation, NotPositiveDefinite,
+                     RankDeficient)
 from .siso_ddf import (AMPLITUDE_DESCENDING, AS_GIVEN, DdfPrecompute,
                        ddf_pass_block)
 from .siso_discrete import DEFAULT_INNER_ITERS, tanh_sic_block
@@ -376,18 +378,32 @@ class _PointContext:
     ddf_pre: object  # DdfPrecompute of the uncoded DDF pass, else None
 
 
-def _build_spreading(cfg):
-    """The run's channel at unit amplitudes; points copy its geometry.
-    A geometry that cannot be factored is a config error."""
+@contextmanager
+def keyed_channel_errors(channel="equicorrelated"):
+    """Channel construction whose errors are config errors naming their
+    key: a geometry that cannot be factored names rho (users/
+    spreading_gain for random spreading), a correlation outside [0, 1)
+    rho, and a nonpositive amplitude, the one ValueError a factory
+    raises on checked keys, amps."""
     try:
+        yield
+    except (NotPositiveDefinite, RankDeficient) as exc:
+        keys = "rho" if channel == "equicorrelated" else \
+            "users/spreading_gain"
+        raise ConfigError(f"{keys}: singular channel: {exc}") from None
+    except InvalidCorrelation as exc:
+        raise ConfigError(f"rho: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"amps: {exc}") from None
+
+
+def _build_spreading(cfg):
+    """The run's channel at unit amplitudes; points copy its geometry."""
+    with keyed_channel_errors(cfg.channel):
         if cfg.channel == "equicorrelated":
             return make_equicorrelated(cfg.users, cfg.rho)
         return make_random_spreading(cfg.spreading_gain, cfg.users,
                                      seed=[cfg.seed, 0xC0DE])
-    except (NotPositiveDefinite, RankDeficient) as exc:
-        keys = "rho" if cfg.channel == "equicorrelated" else \
-            "users/spreading_gain"
-        raise ConfigError(f"{keys}: singular channel: {exc}") from None
 
 
 def _point_channel(cfg, base, snr_db):
@@ -447,7 +463,7 @@ def _group_decisions(ctx, obs, rng):
     a_tilde = ch.a * (1.0 + rng.standard_normal(ch.K) * cfg.varsigma)
     state0 = EmState(
         a_hat=a_tilde, a_tilde=a_tilde, varsigma2=cfg.varsigma**2,
-        sigma2_hat=initial_sigma2(obs, a_tilde, ch.N)
+        sigma2_hat=initial_sigma2(ch, obs, a_tilde)
         if cfg.estimate_sigma2 else ch.sigma2,
         estimate_sigma2=cfg.estimate_sigma2)
     frames, traj = run_varem(

@@ -3,8 +3,9 @@
 The turbo detector supplies the approximate posterior over the symbols
 (E step); closed-form coordinate updates of the amplitude vector a and
 noise variance sigma2 minimize the same free energy over the parameters
-(M step).  Over T intervals with belief means m_t and per-user belief
-variances v_t the parameter-dependent part of the free energy is
+(M step).  Over T intervals with factorized binary beliefs of means m_t,
+whose variances are v_t = 1 - m_t^2, the parameter-dependent part of
+the free energy is
 
     F(a, sigma2) = NT/2 log sigma2
                    + 1/(2 sigma2) sum_t [ ||r_t - S diag(m_t) a||^2
@@ -60,20 +61,7 @@ class EmState:
                            max(float(self.sigma2_hat), SIGMA2_FLOOR))
 
 
-@dataclass(frozen=True)
-class PosteriorSummary:
-    """Per-interval belief means (T, K) and variances (T, K)."""
-
-    means: np.ndarray
-    variances: np.ndarray
-
-    @classmethod
-    def from_means(cls, means):
-        means = np.asarray(means, dtype=float)
-        return cls(means=means, variances=1.0 - means**2)
-
-
-def initial_sigma2(obs, a_tilde, N):
+def initial_sigma2(ch, obs, a_tilde):
     """Moment-matched starting noise variance.
 
     Average received energy per chip minus the prior signal-energy
@@ -81,99 +69,93 @@ def initial_sigma2(obs, a_tilde, N):
     """
     r = obs.r
     a_tilde = np.asarray(a_tilde, dtype=float)
-    est = np.mean(np.sum(r * r, axis=1)) / N - a_tilde @ a_tilde / N
+    est = np.mean(np.sum(r * r, axis=1)) / ch.N - a_tilde @ a_tilde / ch.N
     return max(est, SIGMA2_INIT_FLOOR)
 
 
-def _gauss_quad(S, means, variances):
-    """sum_t [M_t S^T S M_t + (S^T S) o diag(v_t)], the quadratic term of
-    the free energy in the amplitudes."""
-    R_geo = S.T @ S
-    quad = R_geo * (means.T @ means)  # sum_t M_t S^T S M_t
-    quad += np.diag(np.diagonal(R_geo) * np.sum(variances, axis=0))
+def _gauss_quad(ch, means):
+    """sum_t [M_t R M_t + R o diag(1 - m_t^2)], the quadratic term of the
+    free energy in the amplitudes."""
+    quad = ch.R * (means.T @ means)  # sum_t M_t R M_t
+    quad += np.diag(np.diagonal(ch.R) * np.sum(1.0 - means**2, axis=0))
     return quad
 
 
-def _residual_energy(S, obs, means, variances, a):
-    """sum_t ||r_t - S diag(m_t) a||^2 + sum_tk dgS_k v_tk a_k^2."""
+def _residual_energy(ch, obs, means, a):
+    """sum_t ||r_t - S diag(m_t) a||^2 + sum_tk dgS_k (1 - m_tk^2) a_k^2."""
+    S = ch.S
     resid = obs.r - (means * a) @ S.T
-    dgS = np.sum(S * S, axis=0)
-    return float(np.sum(resid * resid) + np.sum(variances * (dgS * a**2)))
+    dgS = np.sum(S * S, axis=0)  # diag(R) only up to rounding
+    return float(np.sum(resid * resid)
+                 + np.sum((1.0 - means**2) * (dgS * a**2)))
 
 
-def mstep_gauss(S, obs, post, state):
-    """Parameter update from Gaussian-belief posterior summaries.
+def mstep_gauss(ch, obs, means, state):
+    """Parameter update from Gaussian beliefs with means m_t and
+    variances 1 - m_t^2.
 
-    Amplitudes solve { sum_t [M_t S^T S M_t + (S^T S) o Sigma_t]
+    Amplitudes solve { sum_t [M_t R M_t + R o Sigma_t]
     + (sigma2/varsigma2) I } a = sum_t M_t S^T r_t
     + (sigma2/varsigma2) atilde with diagonal belief covariances
-    Sigma_t = diag(v_t); the noise variance is the averaged residual
-    energy at the new amplitudes.
+    Sigma_t = diag(1 - m_t^2); the noise variance is the averaged
+    residual energy at the new amplitudes.
     """
-    means, variances = post.means, post.variances
-    return _mstep(S, obs, means, variances, state,
-                  _gauss_quad(S, means, variances))
+    return _mstep(ch, obs, means, state, _gauss_quad(ch, means))
 
 
-def mstep_disc(S, obs, post, state):
+def mstep_disc(ch, obs, means, state):
     """Parameter update from factorized binary posterior means.
 
-    Amplitudes solve { sum_t [diag(S^T S)
-    + M_t (S^T S - diag(S^T S)) M_t] + (sigma2/varsigma2) I } a = ...,
-    the hollow-Gram form of the same normal equations with belief
-    variances 1 - m^2; the noise variance adds the (1 - m^2) amplitude
+    Amplitudes solve { sum_t [diag(R) + M_t (R - diag(R)) M_t]
+    + (sigma2/varsigma2) I } a = ..., the hollow-Gram form of the same
+    normal equations; the noise variance adds the (1 - m^2) amplitude
     energy to the residual, which vanishes as the beliefs harden.
     """
-    means = post.means
-    R_geo = S.T @ S
-    dgS = np.diag(np.diagonal(R_geo))
-    quad = (R_geo - dgS) * (means.T @ means) + means.shape[0] * dgS
-    return _mstep(S, obs, means, 1.0 - means**2, state, quad)
+    dgR = np.diag(np.diagonal(ch.R))
+    quad = (ch.R - dgR) * (means.T @ means) + means.shape[0] * dgR
+    return _mstep(ch, obs, means, state, quad)
 
 
-def _mstep(S, obs, means, variances, state, quad):
+def _mstep(ch, obs, means, state, quad):
     """Body shared by both M steps: varsigma2 = 0 pins the amplitudes to
     atilde, any other value solves the normal equations with ``quad`` as
-    their quadratic term; then sigma2 if ``state.estimate_sigma2``."""
+    their quadratic term; then sigma2 if ``state.estimate_sigma2``.
+    Only the channel's geometry is read: the estimates are ``state``'s."""
     if state.varsigma2 == 0.0:
         a_hat = state.a_tilde.copy()
     else:
         rhs = np.sum(obs.y * means, axis=0)  # sum_t diag(m_t) S^T r_t
         if np.isfinite(state.varsigma2):
             ridge = state.sigma2_hat / state.varsigma2
-            quad = quad + ridge * np.eye(S.shape[1])
+            quad = quad + ridge * np.eye(ch.K)
             rhs = rhs + ridge * state.a_tilde
         a_hat = spd_solve(quad, rhs)
     sigma2 = state.sigma2_hat
     if state.estimate_sigma2:
-        sigma2 = _residual_energy(S, obs, means, variances, a_hat) \
-            / (S.shape[0] * means.shape[0])
+        sigma2 = _residual_energy(ch, obs, means, a_hat) \
+            / (ch.N * means.shape[0])
     return replace(state, a_hat=a_hat, sigma2_hat=sigma2)
 
 
-def em_objective(S, obs, post, sigma2, a, a_tilde, varsigma2):
+def em_objective(ch, obs, means, sigma2, a, a_tilde, varsigma2):
     """Parameter-dependent free energy (belief-only terms dropped).
 
     Used by the descent and stationarity tests; differences across
     parameter values equal differences of the full free energy.
     """
     a = np.asarray(a, dtype=float)
-    T = post.means.shape[0]
-    N = S.shape[0]
-    val = 0.5 * N * T * np.log(sigma2) \
-        + _residual_energy(S, obs, post.means, post.variances, a) \
-        / (2.0 * sigma2)
+    val = 0.5 * ch.N * means.shape[0] * np.log(sigma2) \
+        + _residual_energy(ch, obs, means, a) / (2.0 * sigma2)
     if np.isfinite(varsigma2) and varsigma2 > 0:
         d = a - np.asarray(a_tilde, dtype=float)
         val += (d @ d) / (2.0 * varsigma2)
     return float(val)
 
 
-def em_objective_grad_a(S, obs, post, sigma2, a, a_tilde, varsigma2):
+def em_objective_grad_a(ch, obs, means, sigma2, a, a_tilde, varsigma2):
     """Analytic gradient of ``em_objective`` in the amplitude vector."""
     a = np.asarray(a, dtype=float)
-    means, variances = post.means, post.variances
-    g = (_gauss_quad(S, means, variances) @ a - np.sum(obs.y * means, axis=0)) / sigma2
+    g = (_gauss_quad(ch, means) @ a - np.sum(obs.y * means, axis=0)) / sigma2
     if np.isfinite(varsigma2) and varsigma2 > 0:
         g += (a - np.asarray(a_tilde, dtype=float)) / varsigma2
     return g
@@ -223,8 +205,7 @@ def run_varem(ch_true, obs, detector, schedule, J, decoder, state0=None,
         frame = loop.iterate(ch_est)
         if state.estimate_sigma2 or state.varsigma2 > 0:
             b_hat = np.tanh(clamp_llr(frame.llr_post) / 2.0)
-            state = mstep_gauss(ch_true.S, obs,
-                                PosteriorSummary.from_means(b_hat), state)
+            state = mstep_gauss(ch_true, obs, b_hat, state)
             ch_est = _estimated_channel(ch_true, state)
         frames.append(frame)
         trajectory.append(state)

@@ -25,8 +25,8 @@ from turbomud.harness import config_from_dict, run_scenario, single_user_bound
 from turbomud.siso_discrete import (DiscreteBelief, free_energy_disc,
                                     serial_update)
 from turbomud.siso_gaussian import GaussianPrior, ext_hybrid, wang_poor_oracle
-from turbomud.varem import (EmState, PosteriorSummary, em_objective,
-                            em_objective_grad_a, mstep_disc, mstep_gauss)
+from turbomud.varem import (EmState, em_objective, em_objective_grad_a,
+                            mstep_disc, mstep_gauss)
 
 from references import exact_ext, gaussian_conditioning, grid_min_Fdisc
 
@@ -418,16 +418,15 @@ def test_criterion_10_mstep_stationarity():
                                  sigma2=float(rng.uniform(0.1, 0.6)))
         b = np.where(rng.standard_normal((10, 3)) > 0, 1.0, -1.0)
         obs = transmit(ch, SymbolBlock(b=b), rng_seed=int(rng.integers(2**31)))
-        post = PosteriorSummary.from_means(np.tanh(
-            rng.standard_normal((10, 3))))
+        means = np.tanh(rng.standard_normal((10, 3)))
         state0 = EmState(a_hat=rng.uniform(0.7, 1.3, 3),
                          sigma2_hat=float(rng.uniform(0.1, 0.5)),
                          a_tilde=rng.uniform(0.8, 1.2, 3),
                          varsigma2=float(rng.uniform(0.02, 0.2)),
                          estimate_sigma2=True)
         for mstep in (mstep_gauss, mstep_disc):
-            new = mstep(ch.S, obs, post, state0)
-            g = em_objective_grad_a(ch.S, obs, post, state0.sigma2_hat,
+            new = mstep(ch, obs, means, state0)
+            g = em_objective_grad_a(ch, obs, means, state0.sigma2_hat,
                                     new.a_hat, state0.a_tilde,
                                     state0.varsigma2)
             worst_grad = max(worst_grad, float(np.linalg.norm(g)))
@@ -435,7 +434,7 @@ def test_criterion_10_mstep_stationarity():
             h = new.sigma2_hat * 1e-6
 
             def f(s2):
-                return em_objective(ch.S, obs, post, s2, new.a_hat,
+                return em_objective(ch, obs, means, s2, new.a_hat,
                                     state0.a_tilde, state0.varsigma2)
 
             deriv = (f(new.sigma2_hat + h) - f(new.sigma2_hat - h)) / (2 * h)
@@ -443,16 +442,16 @@ def test_criterion_10_mstep_stationarity():
             worst_fd = max(worst_fd, abs(deriv) / scale)
         # amplitude gradient vs finite differences at a random point
         a = rng.uniform(0.7, 1.3, 3)
-        g = em_objective_grad_a(ch.S, obs, post, state0.sigma2_hat, a,
+        g = em_objective_grad_a(ch, obs, means, state0.sigma2_hat, a,
                                 state0.a_tilde, state0.varsigma2)
         h = 1e-6
         for k in range(3):
             ap, am = a.copy(), a.copy()
             ap[k] += h
             am[k] -= h
-            fd = (em_objective(ch.S, obs, post, state0.sigma2_hat, ap,
+            fd = (em_objective(ch, obs, means, state0.sigma2_hat, ap,
                                state0.a_tilde, state0.varsigma2)
-                  - em_objective(ch.S, obs, post, state0.sigma2_hat, am,
+                  - em_objective(ch, obs, means, state0.sigma2_hat, am,
                                  state0.a_tilde, state0.varsigma2)) / (2 * h)
             worst_fd = max(worst_fd, abs(fd - g[k]) / max(1.0, abs(g[k])))
     dt = time.time() - t0

@@ -450,6 +450,12 @@ def test_detect_malformed_instance_exit_code(tmp_path, capsys, body):
     ("users = x\nr = 0.3\n", "users: not an integer: 'x'"),
     ("users = 2\nrho = abc\nr = 0.3,-0.9\n", "rho: not a number: 'abc'"),
     ("users = 2\nr = 0.3,nope\n", "r: not a number: 'nope'"),
+    # channel-construction errors name their key as ``simulate``'s do
+    ("users = 2\nrho = 0.9999999999999\nr = 0.3,-0.9\n",
+     "rho: singular channel: pivot 2.001e-13 at or below 1e-12"),
+    ("users = 2\nrho = 1.5\nr = 0.3,-0.9\n", "rho: 1.5 outside [0, 1)"),
+    ("users = 2\namps = 0,1\nr = 0.3,-0.9\n",
+     "amps: amplitudes must be positive"),
 ])
 def test_detect_names_unknown_keys_and_detectors(tmp_path, capsys, body,
                                                  message):

@@ -525,7 +525,7 @@ class TestWorkBuffer:
         obs = transmit(ch, SymbolBlock(b=dec.encode_block(info)), rng_seed=10)
         a_tilde = np.array([1.2, 0.5, 1.1, 1.0])
         state0 = EmState(a_hat=a_tilde, a_tilde=a_tilde, varsigma2=0.09,
-                         sigma2_hat=initial_sigma2(obs, a_tilde, ch.N),
+                         sigma2_hat=initial_sigma2(ch, obs, a_tilde),
                          estimate_sigma2=True)
 
         buffers = []

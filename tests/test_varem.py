@@ -12,10 +12,9 @@ from turbomud.coding import ConvCode, ConvTurboDecoder, IdentityDecoder
 from turbomud.siso_ddf import DdfPrecompute, ddf_pass_block
 from turbomud.siso_discrete import DiscreteTurboLoop, tanh_sic_block
 from turbomud.siso_gaussian import SCHEDULES, GaussianTurboLoop
-from turbomud.varem import (DETECTORS, EmState, PosteriorSummary,
-                            em_objective, em_objective_grad_a,
-                            initial_sigma2, mstep_disc, mstep_gauss,
-                            run_varem)
+from turbomud.varem import (DETECTORS, EmState, em_objective,
+                            em_objective_grad_a, initial_sigma2,
+                            mstep_disc, mstep_gauss, run_varem)
 
 
 def make_setup(K=2, T=50, sigma2=0.1, rho=0.5, seed=0):
@@ -47,36 +46,35 @@ def flat_state(ch, sigma2=1.0):
 class TestMstepClosedForms:
     def test_perfect_beliefs_flat_prior_residual_variance(self):
         ch, obs, b = make_setup()
-        post = PosteriorSummary(means=b, variances=np.zeros_like(b))
-        state = mstep_gauss(ch.S, obs, post, flat_state(ch))
+        state = mstep_gauss(ch, obs, b, flat_state(ch))
         resid = obs.r - (b * state.a_hat) @ ch.S.T
         expected = np.sum(resid**2) / (ch.N * b.shape[0])
         assert abs(state.sigma2_hat - expected) < 1e-12
 
     def test_tiny_varsigma_pins_amplitudes(self):
         ch, obs, b = make_setup()
-        post = PosteriorSummary.from_means(0.7 * b)
+        means = 0.7 * b
         a_tilde = np.array([1.3, 0.8])
         state0 = EmState(a_hat=np.ones(2), sigma2_hat=0.1, a_tilde=a_tilde,
                          varsigma2=1e-14, estimate_sigma2=True)
         for mstep in (mstep_gauss, mstep_disc):
-            out = mstep(ch.S, obs, post, state0)
+            out = mstep(ch, obs, means, state0)
             np.testing.assert_allclose(out.a_hat, a_tilde, atol=1e-9)
 
     def test_zero_varsigma_pins_exactly(self):
         ch, obs, b = make_setup()
-        post = PosteriorSummary.from_means(0.7 * b)
+        means = 0.7 * b
         a_tilde = np.array([1.3, 0.8])
         state0 = EmState(a_hat=np.ones(2), sigma2_hat=0.1, a_tilde=a_tilde,
                          varsigma2=0.0, estimate_sigma2=True)
-        out = mstep_gauss(ch.S, obs, post, state0)
+        out = mstep_gauss(ch, obs, means, state0)
         np.testing.assert_array_equal(out.a_hat, a_tilde)
 
     def test_hardened_beliefs_recover_residual_estimator(self):
         # as means -> +/-1 the variance correction term vanishes
         ch, obs, b = make_setup()
-        post = PosteriorSummary.from_means(b * (1.0 - 1e-12))
-        state = mstep_disc(ch.S, obs, post,
+        means = b * (1.0 - 1e-12)
+        state = mstep_disc(ch, obs, means,
                            replace(flat_state(ch), varsigma2=0.0))
         resid = obs.r - b @ ch.S.T
         expected = np.sum(resid**2) / (ch.N * b.shape[0])
@@ -86,12 +84,36 @@ class TestMstepClosedForms:
         ch, obs, b = make_setup()
         rng = np.random.default_rng(5)
         means = np.tanh(rng.standard_normal(b.shape))
-        post = PosteriorSummary.from_means(means)
         st = flat_state(ch, sigma2=0.2)
-        g = mstep_gauss(ch.S, obs, post, st)
-        d = mstep_disc(ch.S, obs, post, st)
+        g = mstep_gauss(ch, obs, means, st)
+        d = mstep_disc(ch, obs, means, st)
         np.testing.assert_allclose(g.a_hat, d.a_hat, rtol=1e-12)
         np.testing.assert_allclose(g.sigma2_hat, d.sigma2_hat, rtol=1e-12)
+
+    @pytest.mark.parametrize("varsigma2", [0.0, 0.09, np.inf])
+    @pytest.mark.parametrize("geometry", ["equicorrelated", "random"])
+    def test_only_the_channel_geometry_is_read(self, geometry, varsigma2):
+        # the estimates come from state and the arguments, never from
+        # ch.a or ch.sigma2: a copy with other parameters gives the
+        # same bits
+        ch = make_equicorrelated(3, 0.4, sigma2=0.3) \
+            if geometry == "equicorrelated" \
+            else make_random_spreading(8, 3, seed=2, sigma2=0.3)
+        rng = np.random.default_rng(6)
+        b = np.where(rng.standard_normal((20, 3)) > 0, 1.0, -1.0)
+        obs = transmit(ch, SymbolBlock(b=b), rng_seed=7)
+        other = ch.with_params(a=np.array([0.2, 3.0, 1.7]), sigma2=5.0)
+        means = np.tanh(rng.standard_normal(b.shape))
+        state = EmState(a_hat=np.array([0.9, 1.1, 1.0]), sigma2_hat=0.25,
+                        a_tilde=np.array([1.2, 0.8, 1.0]),
+                        varsigma2=varsigma2, estimate_sigma2=True)
+        for mstep in (mstep_gauss, mstep_disc):
+            x, y = mstep(ch, obs, means, state), mstep(other, obs, means,
+                                                       state)
+            assert np.array_equal(x.a_hat, y.a_hat)
+            assert x.sigma2_hat == y.sigma2_hat
+        args = (obs, means, 0.2, state.a_hat, state.a_tilde, varsigma2)
+        assert em_objective(ch, *args) == em_objective(other, *args)
 
     def test_monte_carlo_estimator_consistency(self):
         # true a = [1, 1], sigma2 = 0.1: with perfect beliefs the
@@ -99,8 +121,7 @@ class TestMstepClosedForms:
         errs_a, errs_s2 = [], []
         for seed in range(10):
             ch, obs, b = make_setup(K=2, T=50, sigma2=0.1, seed=seed)
-            post = PosteriorSummary(means=b, variances=np.zeros_like(b))
-            st = mstep_gauss(ch.S, obs, post, flat_state(ch))
+            st = mstep_gauss(ch, obs, b, flat_state(ch))
             errs_a.append(np.max(np.abs(st.a_hat - 1.0)))
             errs_s2.append(st.sigma2_hat)
         # std err of a_hat ~ sigma/sqrt(T) ~ 0.045; allow 3 sigma
@@ -115,30 +136,28 @@ class TestStationarityAndDescent:
             ch, obs, b = make_setup(K=3, T=10, sigma2=0.3, rho=0.4,
                                     seed=seed)
             means = np.tanh(rng.standard_normal(b.shape))
-            post = PosteriorSummary.from_means(means)
             state0 = EmState(a_hat=np.ones(3), sigma2_hat=0.25,
                              a_tilde=rng.uniform(0.8, 1.2, 3),
                              varsigma2=0.09, estimate_sigma2=True)
-            new = mstep_gauss(ch.S, obs, post, state0)
-            g = em_objective_grad_a(ch.S, obs, post, state0.sigma2_hat,
+            new = mstep_gauss(ch, obs, means, state0)
+            g = em_objective_grad_a(ch, obs, means, state0.sigma2_hat,
                                     new.a_hat, state0.a_tilde, 0.09)
             assert np.linalg.norm(g) < 1e-8
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
         ch, obs, b = make_setup(K=3, T=10, sigma2=0.3, rho=0.4, seed=3)
-        post = PosteriorSummary.from_means(np.tanh(rng.standard_normal(
-            b.shape)))
+        means = np.tanh(rng.standard_normal(b.shape))
         a = rng.uniform(0.7, 1.3, 3)
-        args = (ch.S, obs, post, 0.2, a, np.ones(3), 0.25)
+        args = (ch, obs, means, 0.2, a, np.ones(3), 0.25)
         g = em_objective_grad_a(*args)
         h = 1e-6
         for k in range(3):
             ap, am = a.copy(), a.copy()
             ap[k] += h
             am[k] -= h
-            fd = (em_objective(ch.S, obs, post, 0.2, ap, np.ones(3), 0.25)
-                  - em_objective(ch.S, obs, post, 0.2, am, np.ones(3), 0.25)
+            fd = (em_objective(ch, obs, means, 0.2, ap, np.ones(3), 0.25)
+                  - em_objective(ch, obs, means, 0.2, am, np.ones(3), 0.25)
                   ) / (2 * h)
             assert abs(fd - g[k]) <= 1e-4 * max(1.0, abs(g[k]))
 
@@ -147,13 +166,12 @@ class TestStationarityAndDescent:
         # of F in sigma2 around the returned value
         rng = np.random.default_rng(9)
         ch, obs, b = make_setup(K=3, T=10, sigma2=0.3, seed=4)
-        post = PosteriorSummary.from_means(np.tanh(rng.standard_normal(
-            b.shape)))
-        st = mstep_gauss(ch.S, obs, post, flat_state(ch, sigma2=0.2))
+        means = np.tanh(rng.standard_normal(b.shape))
+        st = mstep_gauss(ch, obs, means, flat_state(ch, sigma2=0.2))
         s2 = st.sigma2_hat
 
         def f(sig2):
-            return em_objective(ch.S, obs, post, sig2, st.a_hat,
+            return em_objective(ch, obs, means, sig2, st.a_hat,
                                 st.a_tilde, st.varsigma2)
 
         h = s2 * 1e-5
@@ -165,17 +183,16 @@ class TestStationarityAndDescent:
         rng = np.random.default_rng(10)
         for seed in range(10):
             ch, obs, b = make_setup(K=3, T=12, sigma2=0.4, seed=seed)
-            post = PosteriorSummary.from_means(
-                np.tanh(rng.standard_normal(b.shape)))
+            means = np.tanh(rng.standard_normal(b.shape))
             state0 = EmState(a_hat=rng.uniform(0.6, 1.4, 3),
                              sigma2_hat=float(rng.uniform(0.05, 1.0)),
                              a_tilde=np.ones(3), varsigma2=0.09,
                              estimate_sigma2=True)
             for mstep in (mstep_gauss, mstep_disc):
-                new = mstep(ch.S, obs, post, state0)
-                f0 = em_objective(ch.S, obs, post, state0.sigma2_hat,
+                new = mstep(ch, obs, means, state0)
+                f0 = em_objective(ch, obs, means, state0.sigma2_hat,
                                   state0.a_hat, state0.a_tilde, 0.09)
-                f1 = em_objective(ch.S, obs, post, new.sigma2_hat,
+                f1 = em_objective(ch, obs, means, new.sigma2_hat,
                                   new.a_hat, state0.a_tilde, 0.09)
                 assert f1 <= f0 + 1e-10 * max(1.0, abs(f0))
 
@@ -228,7 +245,7 @@ class TestRunVarem:
         sigma2 = 0.15
         ch, obs, b = make_setup(K=2, T=400, sigma2=sigma2, rho=0.4, seed=12)
         state0 = EmState(a_hat=np.ones(2),
-                         sigma2_hat=initial_sigma2(obs, np.ones(2), ch.N),
+                         sigma2_hat=initial_sigma2(ch, obs, np.ones(2)),
                          a_tilde=np.ones(2), varsigma2=0.0,
                          estimate_sigma2=True)
         frames, traj = run_varem(ch, obs, "gaussian", "flooding", 6,
@@ -374,7 +391,7 @@ class TestScaleRelation:
             a_tilde = c * self.A_TILDE
             state0 = EmState(a_hat=a_tilde, a_tilde=a_tilde,
                              varsigma2=c * c * 0.09,
-                             sigma2_hat=initial_sigma2(obs, a_tilde, ch.N),
+                             sigma2_hat=initial_sigma2(ch, obs, a_tilde),
                              estimate_sigma2=True)
         frames, traj = run_varem(ch, obs, detector, schedule, self.J, dec,
                                  state0, I=3)
@@ -431,7 +448,7 @@ class TestUserRelabelling:
         obs = receive(ch, SymbolBlock(b=b), noise.copy())
         state0 = None if a_tilde is None else EmState(
             a_hat=a_tilde, a_tilde=a_tilde, varsigma2=0.09,
-            sigma2_hat=initial_sigma2(obs, a_tilde, ch.N),
+            sigma2_hat=initial_sigma2(ch, obs, a_tilde),
             estimate_sigma2=True)
         frames, traj = run_varem(ch, obs, "gaussian", schedule, self.J,
                                  IdentityDecoder(), state0)
@@ -488,7 +505,7 @@ class TestCodedUserRelabelling:
         obs = receive(ch, SymbolBlock(b=b), noise.copy())
         state0 = None if a_tilde is None else EmState(
             a_hat=a_tilde, a_tilde=a_tilde, varsigma2=0.09,
-            sigma2_hat=initial_sigma2(obs, a_tilde, ch.N),
+            sigma2_hat=initial_sigma2(ch, obs, a_tilde),
             estimate_sigma2=True)
         return run_varem(ch, obs, "gaussian", "flooding", self.J, decoder,
                          state0)
