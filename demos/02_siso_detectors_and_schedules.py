@@ -16,8 +16,7 @@ import numpy as np
 from turbomud.channel import SymbolBlock, make_equicorrelated, transmit
 from turbomud.coding import ConvCode, ConvTurboDecoder
 from turbomud.siso_discrete import ext_one_shot
-from turbomud.siso_gaussian import (GaussianPrior, ext_flooding, ext_hybrid,
-                                    wang_poor_oracle)
+from turbomud.siso_gaussian import ext_flooding, ext_hybrid, wang_poor_oracle
 from turbomud.varem import run_varem
 
 
@@ -26,13 +25,14 @@ def main():
     ch = make_equicorrelated(4, rho=0.7, sigma2=0.3)
     r = rng.standard_normal(4)
     y = ch.S.T @ r
-    prior = GaussianPrior(btilde=np.array([0.6, -0.2, 0.0, 0.8]))
+    btilde = np.array([0.6, -0.2, 0.0, 0.8])  # decoder soft bits tanh(L/2)
 
-    # single-interval forms: the block kernels called with T = 1
-    hyb = ext_hybrid(ch, y, prior)
-    two_stage, _ = wang_poor_oracle(ch, y, prior)
-    flood = ext_flooding(ch, y, prior)
-    osh = ext_one_shot(ch, r, 2 * np.arctanh(prior.btilde))
+    # single-interval forms: the block kernels called with T = 1, on the
+    # soft bits as a plain array (the one-shot detector takes the LLRs)
+    hyb = ext_hybrid(ch, y, btilde)
+    two_stage, _ = wang_poor_oracle(ch, y, btilde)
+    flood = ext_flooding(ch, y, btilde)
+    osh = ext_one_shot(ch, r, 2 * np.arctanh(btilde))
 
     print("extrinsic LLRs for one symbol interval, informative priors:")
     print(f"  hybrid (free-energy path) : {np.round(hyb, 4)}")

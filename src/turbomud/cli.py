@@ -25,15 +25,15 @@ from .harness import (PRESETS, keyed_channel_errors, parse_as, parse_value,
                       read_kv_file, resolve_config, run_scenario)
 from .siso_ddf import AMPLITUDE_DESCENDING, DdfPrecompute, ddf_pass
 from .siso_discrete import ext_one_shot
-from .siso_gaussian import GaussianPrior, ext_flooding, ext_hybrid
+from .siso_gaussian import ext_flooding, ext_hybrid
 
 OUT_DIR_ENV = "TURBOMUD_OUT_DIR"
 
 _DETECT_ONE_SHOT = {
     "gaussian-hybrid": lambda ch, r, y, pl: ext_hybrid(
-        ch, y, GaussianPrior(np.tanh(pl / 2.0))),
+        ch, y, np.tanh(pl / 2.0)),
     "gaussian-flooding": lambda ch, r, y, pl: ext_flooding(
-        ch, y, GaussianPrior(np.tanh(pl / 2.0))),
+        ch, y, np.tanh(pl / 2.0)),
     "one-shot": lambda ch, r, y, pl: ext_one_shot(ch, r, pl),
     "ddf": lambda ch, r, y, pl: ddf_pass(
         ch, y, pl, DdfPrecompute.from_channel(ch, AMPLITUDE_DESCENDING))[1],
@@ -148,8 +148,10 @@ def _cmd_detect(args):
         with keyed_channel_errors():
             ch = make_equicorrelated(K, rho, amplitudes=amps, sigma2=sigma2)
         y = ch.S.T @ r
-        # an overflowed y is reported as such, not passed to the whitening
-        llrs = fn(ch, r, y, priors) if np.all(np.isfinite(y)) else y
+        # an overflowed y or Gram matrix A R A is reported as such, not
+        # passed to a detector
+        inputs = np.concatenate([y, ch.gram.ravel()])
+        llrs = fn(ch, r, y, priors) if np.all(np.isfinite(inputs)) else inputs
     if not np.all(np.isfinite(llrs)):
         raise TurbomudError("instance overflows double precision")
     for k, llr in enumerate(llrs, start=1):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidPermutation
 from .linalg import factor_FtF
-from .siso_discrete import DiscreteBelief, _fold, _sweep_block
+from .siso_discrete import _fold, _sweep_block
 
 AMPLITUDE_DESCENDING = "amplitude_descending"
 AS_GIVEN = "as_given"
@@ -90,11 +90,11 @@ def ddf_pass(ch, y, prior_llr, pre):
     """Single decision-feedback forward pass over one symbol interval.
 
     ``ddf_pass_block`` with T = 1 on the matched-filter vector ``y``;
-    returns the belief and the extrinsic LLRs in natural user order.
+    returns the means and the extrinsic LLRs in natural user order.
     """
     prior = np.asarray(prior_llr, dtype=float)
     m_blk, pos_blk = ddf_pass_block(ch, np.atleast_2d(y), prior[None], pre)
-    return DiscreteBelief(m=m_blk[:, 0]), pos_blk[:, 0] - prior
+    return m_blk[:, 0], pos_blk[:, 0] - prior
 
 
 def ddf_pass_block(ch, y, prior_llr, pre, *, llr=True):

@@ -27,8 +27,6 @@ per outer iteration, by ``tanh_sic_block`` once for all its sweeps, by
 update is five numpy calls at their cheapest public dispatch.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -43,19 +41,6 @@ _MEAN_LO, _MEAN_HI = -1.0 + MEAN_CLEARANCE, 1.0 - MEAN_CLEARANCE
 DEFAULT_INNER_ITERS = 6
 
 
-@dataclass(frozen=True)
-class DiscreteBelief:
-    """Factorized binary belief, stored as posterior means in (-1, 1)."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if np.any(np.abs(m) >= 1.0):
-            raise DomainError("belief means must lie strictly inside (-1, 1)")
-        object.__setattr__(self, "m", m)
-
-
 def _binary_cross_entropy(m, btilde):
     """sum_k (1+-m)/2 log[(1+-m)/(1+-btilde)], elementwise over last axis."""
     p, q = 1.0 + m, 1.0 - m
@@ -63,12 +48,16 @@ def _binary_cross_entropy(m, btilde):
     return 0.5 * np.sum(p * np.log(p / pb) + q * np.log(q / qb), axis=-1)
 
 
-def free_energy_disc(ch, r, prior_llr, q):
-    """Mean-field free energy; equals the enumeration KL exactly.
+def free_energy_disc(ch, r, prior_llr, m):
+    """Mean-field free energy of the belief means m; equals the
+    enumeration KL exactly.
 
-    The prior means are btilde_k = tanh(prior_llr_k / 2).
+    The prior means are btilde_k = tanh(prior_llr_k / 2).  Means must lie
+    strictly inside (-1, 1), where log(1 +- m) is finite.
     """
-    m = (q if isinstance(q, DiscreteBelief) else DiscreteBelief(m=q)).m
+    m = np.asarray(m, dtype=float)
+    if np.any(np.abs(m) >= 1.0):
+        raise DomainError("belief means must lie strictly inside (-1, 1)")
     r = np.asarray(r, dtype=float)
     btilde = np.tanh(np.asarray(prior_llr, dtype=float) / 2.0)
     data = r @ r - 2.0 * (ch.a * (ch.S.T @ r)) @ m + m @ ch.hollow_gram @ m \
@@ -94,24 +83,25 @@ def stationarity_residual(ch, r, prior_llr, m):
     return lhs - rhs
 
 
-def serial_update(ch, r, prior_llr, q, order=None, callback=None):
-    """One full coordinate-descent sweep in the given user order.
+def serial_update(ch, r, prior_llr, m, order=None, callback=None):
+    """One full coordinate-descent sweep from the means m in the given
+    user order.
 
     Each coordinate is set to its exact conditional minimizer
     m_k = tanh(LLR_pos(b_k)/2), so the free energy cannot increase.
-    Returns the updated belief and the sweep's posterior LLRs, NaN for
+    Returns the updated means and the sweep's posterior LLRs, NaN for
     users ``order`` leaves out.  ``callback(m)`` runs after every single
     coordinate update.  ``_sweep_block`` with T = 1, one user at a time.
     """
     H, Bh = _fold(np.atleast_2d(prior_llr), np.atleast_2d(r) @ ch.SA,
                   ch.hollow_gram, ch.sigma2)
-    Mt = np.array([q.m if isinstance(q, DiscreteBelief) else q], dtype=float).T
+    Mt = np.array([m], dtype=float).T
     llr_pos = np.full(ch.K, np.nan)
     for k in range(ch.K) if order is None else order:
         llr_pos[k] = 2.0 * _sweep_block(Mt, [k], H, Bh)[k, 0]
         if callback is not None:
             callback(Mt[:, 0].copy())
-    return DiscreteBelief(m=Mt[:, 0]), llr_pos
+    return Mt[:, 0], llr_pos
 
 
 def ext_one_shot(ch, r, prior_llr):

@@ -21,14 +21,14 @@ mean-field sweeps feed a user's own prior back to it through the other
 users' beliefs.
 
 Each extrinsic has one kernel over a (T, K) block of intervals;
-``ext_flooding`` and ``ext_hybrid`` call it with T = 1.  Both kernels
-form 2 mu / (1 - alpha) in ``_ext_llr``, which raises DegeneratePrior
-when 1 - alpha falls below EXT_VAR_FLOOR.  The independently coded
-two-stage soft-IC + MMSE detector (Wang & Poor 1999) is
-``wang_poor_oracle``; ``ext_hybrid`` must match it.
+``ext_flooding`` and ``ext_hybrid`` call it with T = 1.  Every form
+takes the soft bits btilde as a plain array and clamps them with
+``_clamp_soft`` (idempotent), so 1 - btilde^2 >= VAR_FLOOR.  Both
+kernels form 2 mu / (1 - alpha) in ``_ext_llr``, which raises
+DegeneratePrior when 1 - alpha falls below EXT_VAR_FLOOR or is NaN.
+The independently coded two-stage soft-IC + MMSE detector (Wang &
+Poor 1999) is ``wang_poor_oracle``; ``ext_hybrid`` must match it.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,27 +74,10 @@ def _clamp_soft(btilde):
     return np.clip(np.asarray(btilde, dtype=float), -lim, lim)
 
 
-@dataclass(frozen=True)
-class GaussianPrior:
-    """Soft-bit prior means with their implied diagonal variances.
-
-    btilde is clamped so that W_kk = 1 - btilde_k^2 >= 1e-6.
-    """
-
-    btilde: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "btilde", _clamp_soft(self.btilde))
-
-    @property
-    def w(self):
-        """Diagonal of W as a vector."""
-        return 1.0 - self.btilde**2
-
-
-def free_energy_gauss(ch, r, prior, q):
+def free_energy_gauss(ch, r, btilde, q):
     """Free energy of a Gaussian belief against prior and likelihood.
 
+    The prior is N(btilde, diag(1 - btilde^2)) of the clamped soft bits.
     Convention: all additive constants are kept, so the value equals
     the KL divergence from Q to the complete likelihood p(b)p(r|b)
     exactly (integral form), not just up to a constant.
@@ -105,10 +88,9 @@ def free_energy_gauss(ch, r, prior, q):
     sign, logdet_S = np.linalg.slogdet(Sigma)
     if sign <= 0:
         raise SingularCovariance("belief covariance not positive definite")
-    w = prior.w
-    if np.any(w <= 0):
-        raise SingularCovariance("prior variances must be positive")
-    dm = mu - prior.btilde
+    btilde = _clamp_soft(btilde)
+    w = 1.0 - btilde**2
+    dm = mu - btilde
     resid = r - ch.S @ (ch.a * mu)
     return float(
         -0.5 * logdet_S
@@ -120,14 +102,7 @@ def free_energy_gauss(ch, r, prior, q):
     )
 
 
-def free_energy_gauss_gradient_mu(ch, r, prior, mu):
-    """Analytic gradient of ``free_energy_gauss`` in the belief mean."""
-    mu = np.asarray(mu, dtype=float)
-    rhs = ch.a * (ch.S.T @ np.asarray(r, dtype=float))
-    return (ch.gram @ mu - rhs) / ch.sigma2 + (mu - prior.btilde) / prior.w
-
-
-def solve_gauss(ch, r, prior):
+def solve_gauss(ch, r, btilde):
     """Exact minimizer of the Gaussian free energy.
 
     mu    = btilde + (A^T S^T S A + sigma2 W^{-1})^{-1} A^T S^T (r - S A btilde)
@@ -135,10 +110,11 @@ def solve_gauss(ch, r, prior):
     """
     r = np.asarray(r, dtype=float)
     G = ch.gram
-    w = prior.w
+    btilde = _clamp_soft(btilde)
+    w = 1.0 - btilde**2
     M = G + ch.sigma2 * np.diag(1.0 / w)
-    rhs = ch.a * (ch.S.T @ (r - ch.S @ (ch.a * prior.btilde)))
-    mu = prior.btilde + spd_solve(M, rhs)
+    rhs = ch.a * (ch.S.T @ (r - ch.S @ (ch.a * btilde)))
+    mu = btilde + spd_solve(M, rhs)
     Sigma = spd_inverse(G / ch.sigma2 + np.diag(1.0 / w)) if ch.sigma2 > 0 else \
         np.zeros((ch.K, ch.K))
     return GaussianBelief(mu=mu, Sigma=Sigma)
@@ -174,12 +150,12 @@ def _inverse_factors(ch, w_block, work=None):
     if shape[0] > 1 and (w_block == w_block[0]).all():
         w_block, C = w_block[:1], C[:1]
     np.multiply(ch.sigma2, ch.Rinv, out=C)
-    C.reshape(len(C), -1)[:, ::ch.K + 1] += ch.a**2 * w_block  # diagonals
+    C.reshape(len(C), ch.K * ch.K)[:, ::ch.K + 1] += ch.a**2 * w_block
     try:
         X = np.linalg.cholesky(C)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from None
-    diagonal = X.reshape(len(X), -1)[:, ::ch.K + 1]
+    diagonal = X.reshape(len(X), ch.K * ch.K)[:, ::ch.K + 1]
     np.divide(1.0, diagonal, out=diagonal)
     b, (st, sr, sc) = INVERSE_BLOCK, X.strides
     full = ch.K - ch.K % b
@@ -197,11 +173,12 @@ def _inverse_factors(ch, w_block, work=None):
 def _ext_llr(mu, alpha):
     """Extrinsic LLR 2 mu / (1 - alpha), the one degenerate-variance policy.
 
-    An extrinsic variance 1 - alpha below EXT_VAR_FLOOR leaves the
-    symbol unresolvable and raises DegeneratePrior; it is never clamped.
+    An extrinsic variance 1 - alpha below EXT_VAR_FLOOR, or NaN, leaves
+    the symbol unresolvable and raises DegeneratePrior; it is never
+    clamped.
     """
     ext_var = 1.0 - alpha
-    if np.any(ext_var < EXT_VAR_FLOOR):
+    if not np.all(ext_var >= EXT_VAR_FLOOR):
         raise DegeneratePrior(f"extrinsic variance {np.min(ext_var):.3e} "
                               f"below {EXT_VAR_FLOOR:.0e}")
     return 2.0 * mu / ext_var
@@ -237,7 +214,7 @@ def loo_ext_block(ch, Y, Btilde, k, work=None):
     return _ext_llr(mu, ch.a[k] ** 2 * Pk[:, k])
 
 
-def ext_hybrid(ch, y, prior):
+def ext_hybrid(ch, y, btilde):
     """Leave-one-out extrinsic LLRs of one interval from matched filter y.
 
     For each user k the prior of b_k is ignored (mean 0, variance 1)
@@ -245,12 +222,11 @@ def ext_hybrid(ch, y, prior):
     2 mu'_k / (1 - alpha_k).  All K users see the same incoming priors.
     ``loo_ext_block`` with T = 1, once per user.
     """
-    Y = np.asarray(y, dtype=float)[None]
-    return np.array([loo_ext_block(ch, Y, prior.btilde[None], k)[0]
-                     for k in range(ch.K)])
+    Y, B = np.asarray(y, dtype=float)[None], np.asarray(btilde)[None]
+    return np.array([loo_ext_block(ch, Y, B, k)[0] for k in range(ch.K)])
 
 
-def wang_poor_oracle(ch, y, prior):
+def wang_poor_oracle(ch, y, btilde):
     """Two-stage soft-IC + MMSE detector, coded independently.
 
     Stage one subtracts the remodulated soft estimates of the other
@@ -260,28 +236,28 @@ def wang_poor_oracle(ch, y, prior):
     alpha_k - alpha_k^2, the extrinsic LLR is 2 z_k / (1 - alpha_k).
     Returns (llr, z); must match ``ext_hybrid``.
     """
-    y = np.asarray(y, dtype=float)
+    y, btilde = np.asarray(y, dtype=float), _clamp_soft(btilde)
     Rinv = spd_inverse(ch.R)
     Rinv_y = Rinv @ y
     llr = np.empty(ch.K)
     z = np.empty(ch.K)
     for k in range(ch.K):
-        bt_k = prior.btilde.copy()
+        bt_k = btilde.copy()
         bt_k[k] = 0.0               # own prior forced uninformative
         C = np.diag(ch.a**2 * (1.0 - bt_k**2)) + ch.sigma2 * Rinv
         Cinv = spd_inverse(C)
         z[k] = ch.a[k] * (Cinv[k] @ (Rinv_y - ch.a * bt_k))
         alpha = ch.a[k] ** 2 * Cinv[k, k]
-        if 1.0 - alpha < EXT_VAR_FLOOR:
+        if not 1.0 - alpha >= EXT_VAR_FLOOR:  # NaN fails too
             raise DegeneratePrior(f"1 - alpha = {1 - alpha:.3e} for user {k}")
         llr[k] = 2.0 * z[k] / (1.0 - alpha)
     return llr, z
 
 
-def ext_flooding(ch, y, prior):
+def ext_flooding(ch, y, btilde):
     """Flooding extrinsic LLRs of one interval: ``flooding_ext_block``."""
     return flooding_ext_block(ch, np.asarray(y, dtype=float)[None],
-                              prior.btilde[None])[0]
+                              np.asarray(btilde)[None])[0]
 
 
 class TurboLoop:

@@ -22,9 +22,8 @@ from turbomud.detect_linear import (DECORRELATOR, MMSE, decorrelate,
                                     free_energy_gradient_linear,
                                     free_energy_linear, mmse, sic)
 from turbomud.harness import config_from_dict, run_scenario, single_user_bound
-from turbomud.siso_discrete import (DiscreteBelief, free_energy_disc,
-                                    serial_update)
-from turbomud.siso_gaussian import GaussianPrior, ext_hybrid, wang_poor_oracle
+from turbomud.siso_discrete import free_energy_disc, serial_update
+from turbomud.siso_gaussian import ext_hybrid, wang_poor_oracle
 from turbomud.varem import (EmState, em_objective, em_objective_grad_a,
                             mstep_disc, mstep_gauss)
 
@@ -60,7 +59,7 @@ def test_criterion_01_hybrid_equals_two_stage_detector():
         K = int(rng.choice([2, 4, 8]))
         ch = random_channel(rng, K)
         y = rng.standard_normal(K) * 2.0
-        prior = GaussianPrior(btilde=rng.uniform(-0.95, 0.95, K))
+        prior = rng.uniform(-0.95, 0.95, K)
         a = ext_hybrid(ch, y, prior)
         b, _ = wang_poor_oracle(ch, y, prior)
         worst = max(worst, float(np.max(np.abs(a - b)
@@ -123,10 +122,9 @@ def test_criterion_03_monotone_free_energy_descent():
         updates += len(energies)
 
         prior = rng.standard_normal(K) * 2.0
-        belief = DiscreteBelief(m=rng.uniform(-0.9, 0.9, K))
+        belief = rng.uniform(-0.9, 0.9, K)
         energies = [free_energy_disc(ch, r, prior, belief)]
-        cb = lambda m: energies.append(
-            free_energy_disc(ch, r, prior, DiscreteBelief(m=m)))
+        cb = lambda m: energies.append(free_energy_disc(ch, r, prior, m))
         for _ in range(8):
             belief, _ = serial_update(ch, r, prior, belief, callback=cb)
         d = np.diff(energies)
@@ -201,20 +199,20 @@ def test_criterion_05_mean_field_fixed_point():
         r = rng.standard_normal(2)
         prior = rng.standard_normal(2)
         m_grid = grid_min_Fdisc(ch, r, prior, grid_step=step)
-        belief = DiscreteBelief(m=np.clip(m_grid, -0.999, 0.999))
+        belief = np.clip(m_grid, -0.999, 0.999)
         llr_pos = None
         for _ in range(20000):
             new, llr_pos = serial_update(ch, r, prior, belief)
-            moved = float(np.max(np.abs(new.m - belief.m)))
+            moved = float(np.max(np.abs(new - belief)))
             belief = new
             if moved < 1e-15:
                 break
         # fixed-point gap in the LLR domain: the posterior LLRs carry
         # the left-hand side without the lossy m -> atanh(m) roundtrip
         rhs = prior + (2.0 / ch.sigma2) * (ch.SA.T @ r - ch.hollow_gram.T
-                                           @ belief.m)
+                                           @ belief)
         worst_resid = max(worst_resid, float(np.max(np.abs(llr_pos - rhs))))
-        worst_move = max(worst_move, float(np.max(np.abs(belief.m - m_grid))))
+        worst_move = max(worst_move, float(np.max(np.abs(belief - m_grid))))
     dt = time.time() - t0
     report(5, worst_resid < 1e-8 and worst_move <= step and dt < 120.0,
            f"residual {worst_resid:.2e}, distance to grid min "

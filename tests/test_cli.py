@@ -467,12 +467,15 @@ def test_detect_names_unknown_keys_and_detectors(tmp_path, capsys, body,
 
 @pytest.mark.filterwarnings("error")
 def test_detect_overflow_is_one_error_line(tmp_path, capsys):
-    # amplitudes whose Gram matrix overflows warn nothing on the way
+    # amplitudes whose Gram matrix overflows warn nothing on the way, and
+    # every detector reports them alike
     inst = tmp_path / "instance.cfg"
-    inst.write_text("users = 2\namps = 1e200,1\nr = 0.3,-0.9\n")
-    assert cli_main(["detect", str(inst)]) == 1
-    assert capsys.readouterr().err == \
-        "error: instance overflows double precision\n"
+    for detector in sorted(_DETECT_ONE_SHOT):
+        inst.write_text("users = 2\namps = 1e200,1\nr = 0.3,-0.9\n"
+                        f"detector = {detector}\n")
+        assert cli_main(["detect", str(inst)]) == 1
+        assert capsys.readouterr().err == \
+            "error: instance overflows double precision\n"
 
 
 @pytest.mark.parametrize("body", [

@@ -8,7 +8,7 @@ from turbomud.detect_linear import (DECORRELATOR, MMSE, ClipBox,
                                     free_energy_gradient_linear,
                                     free_energy_linear, mmse, pme_alpha, sic)
 from turbomud.errors import SingularCovariance
-from turbomud.siso_gaussian import GaussianPrior, free_energy_gauss
+from turbomud.siso_gaussian import free_energy_gauss
 
 from references import gaussian_conditioning
 
@@ -212,5 +212,4 @@ def test_indefinite_covariance_raises_singular_covariance():
     with pytest.raises(SingularCovariance):
         free_energy_linear(ch, r, mu, MMSE, Sigma)
     with pytest.raises(SingularCovariance):
-        free_energy_gauss(ch, r, GaussianPrior(np.zeros(2)),
-                          GaussianBelief(mu, Sigma))
+        free_energy_gauss(ch, r, np.zeros(2), GaussianBelief(mu, Sigma))

@@ -73,3 +73,15 @@ def test_negation_negates_extrinsics(seed):
                                           err_msg=name)
         np.testing.assert_array_equal(ext_one_shot(ch, -r[0], -prior[0]),
                                       -ext_one_shot(ch, r[0], prior[0]))
+
+
+@pytest.mark.parametrize("K", [1, 4, 33])
+def test_empty_block_gives_empty_outputs(K):
+    # T = 0 intervals: every kernel returns its output with no rows
+    # (K = 33 runs the inverse factors' full blocks and their tail)
+    ch = make_random_spreading(K + 2, K, seed=K)
+    r, prior = np.zeros((0, ch.N)), np.zeros((0, K))
+    one = kernels(ch, np.ones((1, ch.N)), np.ones((1, ch.N)) @ ch.S,
+                  np.zeros((1, K)))
+    for name, got in kernels(ch, r, r @ ch.S, prior).items():
+        assert got.shape == (0,) + one[name].shape[1:], name

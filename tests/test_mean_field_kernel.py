@@ -34,9 +34,9 @@ from turbomud import siso_ddf, varem
 from turbomud.coding import ConvCode, ConvTurboDecoder, IdentityDecoder
 from turbomud.linalg import factor_FtF
 from turbomud.siso_ddf import DdfPrecompute, ddf_pass_block, detection_order
-from turbomud.siso_discrete import (MEAN_CLEARANCE, DiscreteBelief,
-                                    DiscreteTurboLoop, _fold, _sweep_block,
-                                    serial_update, tanh_sic_block)
+from turbomud.siso_discrete import (MEAN_CLEARANCE, DiscreteTurboLoop,
+                                    _fold, _sweep_block, serial_update,
+                                    tanh_sic_block)
 from turbomud.siso_gaussian import SCHEDULES
 from turbomud.varem import EmState, run_varem
 
@@ -164,9 +164,8 @@ def test_tanh_sic_and_serial_update_match_the_formula(K, T):
     order = list(rng.permutation(K))
     M_ref = M0[:1].copy()
     want = reference_sweep(ch, r[:1] @ ch.SA, prior[:1], M_ref, order)
-    belief, llr = serial_update(ch, r[0], prior[0], DiscreteBelief(M0[0]),
-                                order=order)
-    assert_close(llr, want[0], belief.m, M_ref[0], TOL[K])
+    belief, llr = serial_update(ch, r[0], prior[0], M0[0], order=order)
+    assert_close(llr, want[0], belief, M_ref[0], TOL[K])
 
 
 @pytest.mark.parametrize("K,T", CASES)
@@ -214,7 +213,7 @@ def test_serial_update_leaves_users_outside_the_order_nan():
     for _ in range(3):
         np.full(3, 7.77e77)  # leave junk in freed memory
         _, llr = serial_update(ch, np.array([0.3, -0.2, 0.1]), np.zeros(3),
-                               DiscreteBelief(np.zeros(3)), order=[0])
+                               np.zeros(3), order=[0])
         assert np.isfinite(llr[0]) and np.all(np.isnan(llr[1:]))
 
 

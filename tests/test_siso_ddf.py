@@ -9,7 +9,7 @@ from turbomud.errors import InvalidPermutation
 from turbomud.linalg import factor_FtF
 from turbomud.siso_ddf import (DdfPrecompute, ddf_pass, ddf_pass_block,
                                detection_order)
-from turbomud.siso_discrete import DiscreteBelief, free_energy_disc
+from turbomud.siso_discrete import free_energy_disc
 from turbomud.varem import run_varem
 
 from references import frozen_ddf_pass_block
@@ -117,7 +117,7 @@ class TestDdfPass:
         pre = identity_pre(ch)
         y = np.array([0.6])  # one user: ybar = y
         belief, ext = ddf_pass(ch, y, np.zeros(1), pre)
-        assert abs(belief.m[0] - np.tanh(1.4 * y[0] / 0.5)) < 1e-12
+        assert abs(belief[0] - np.tanh(1.4 * y[0] / 0.5)) < 1e-12
         assert abs(ext[0] - 2 * 1.4 * y[0] / 0.5) < 1e-12
 
     def test_two_user_noiseless_limit_signs(self):
@@ -126,7 +126,7 @@ class TestDdfPass:
         obs = transmit(ch, SymbolBlock(b=b[None, :]), rng_seed=3)
         pre = identity_pre(ch)
         belief, _ = ddf_pass(ch, obs.y[0], np.zeros(2), pre)
-        np.testing.assert_array_equal(np.sign(belief.m), b)
+        np.testing.assert_array_equal(np.sign(belief), b)
 
     def test_extrinsic_excludes_prior(self):
         ch = make_equicorrelated(2, 0.7, sigma2=0.4)
@@ -148,8 +148,8 @@ class TestDdfPass:
         belief, _ = ddf_pass(ch, y, np.zeros(4), pre)
         bumped = y + 10.0 * pre.F[3]  # later user only
         belief2, _ = ddf_pass(ch, bumped, np.zeros(4), pre)
-        np.testing.assert_array_equal(belief.m[:3], belief2.m[:3])
-        assert belief.m[3] != belief2.m[3]
+        np.testing.assert_array_equal(belief[:3], belief2[:3])
+        assert belief[3] != belief2[3]
 
     def test_orthogonal_codes_reduce_to_scaled_matched_filter(self):
         # F = I: no feedback at all, every user is a lone tanh decision
@@ -159,7 +159,7 @@ class TestDdfPass:
         assert np.all(pre.feedback == 0.0)
         y = np.array([0.3, -0.2, 0.9])  # F = I: ybar = y
         belief, _ = ddf_pass(ch, y, np.zeros(3), pre)
-        np.testing.assert_allclose(belief.m, np.tanh(ch.a * y / 0.6),
+        np.testing.assert_allclose(belief, np.tanh(ch.a * y / 0.6),
                                    rtol=1e-12)
 
     def test_permuted_order_unpermutes_outputs(self):
@@ -170,7 +170,7 @@ class TestDdfPass:
         b = np.array([1.0, -1.0])
         obs = transmit(ch, SymbolBlock(b=b[None, :]), rng_seed=5)
         belief, _ = ddf_pass(ch, obs.y[0], np.zeros(2), pre)
-        np.testing.assert_array_equal(np.sign(belief.m), b)
+        np.testing.assert_array_equal(np.sign(belief), b)
 
 
 class TestFreeEnergySeeding:
@@ -189,8 +189,7 @@ class TestFreeEnergySeeding:
                            rng_seed=int(rng.integers(2**31)))
             belief, _ = ddf_pass(ch, obs.y[0], np.zeros(4), pre)
             f_ddf = free_energy_disc(ch, obs.r[0], np.zeros(4), belief)
-            f_zero = free_energy_disc(ch, obs.r[0], np.zeros(4),
-                                      DiscreteBelief(np.zeros(4)))
+            f_zero = free_energy_disc(ch, obs.r[0], np.zeros(4), np.zeros(4))
             wins += f_ddf <= f_zero
         assert wins / trials >= 0.95
 

@@ -12,11 +12,9 @@ from turbomud.errors import (DegeneratePrior, DimensionMismatch,
                              NotPositiveDefinite)
 from turbomud.linalg import PIVOT_FLOOR
 from turbomud.siso_discrete import DiscreteTurboLoop
-from turbomud.siso_gaussian import (SCHEDULES, VAR_FLOOR, GaussianPrior,
-                                    GaussianTurboLoop, ext_flooding,
-                                    ext_hybrid, flooding_ext_block,
-                                    free_energy_gauss,
-                                    free_energy_gauss_gradient_mu,
+from turbomud.siso_gaussian import (SCHEDULES, VAR_FLOOR, GaussianTurboLoop,
+                                    _clamp_soft, ext_flooding, ext_hybrid,
+                                    flooding_ext_block, free_energy_gauss,
                                     loo_ext_block, solve_gauss,
                                     wang_poor_oracle)
 from turbomud.varem import SIGMA2_FLOOR, EmState, initial_sigma2, run_varem
@@ -37,7 +35,7 @@ def random_channel(rng, K, equicorrelated=True):
 
 
 def random_prior(rng, K):
-    return GaussianPrior(btilde=rng.uniform(-0.95, 0.95, size=K))
+    return rng.uniform(-0.95, 0.95, size=K)
 
 
 def inv_reference(ch, Y, Btilde, k=None):
@@ -78,7 +76,7 @@ class TestFreeEnergyGauss:
         sigma2 = 0.7
         ch = make_equicorrelated(1, 0.0, sigma2=sigma2)
         r = np.array([0.4])
-        prior = GaussianPrior(btilde=np.zeros(1))
+        prior = np.zeros(1)
         mu, s = 0.3, 0.2
         q = GaussianBelief(mu=np.array([mu]), Sigma=np.array([[s]]))
         w = 1.0
@@ -114,49 +112,58 @@ class TestSolveGauss:
         rng = np.random.default_rng(2)
         ch = random_channel(rng, 4)
         r = rng.standard_normal(ch.N)
-        out = solve_gauss(ch, r, GaussianPrior(btilde=np.zeros(4)))
+        out = solve_gauss(ch, r, np.zeros(4))
         np.testing.assert_allclose(out.mu, mmse(ch, r).mu, atol=1e-12)
 
     def test_saturated_prior_dominates(self):
         rng = np.random.default_rng(3)
         ch = random_channel(rng, 3)
         r = rng.standard_normal(ch.N)
-        prior = GaussianPrior(btilde=np.array([1.0, -1.0, 1.0]))  # floored
+        prior = np.array([1.0, -1.0, 1.0])  # floored
         out = solve_gauss(ch, r, prior)
-        np.testing.assert_allclose(out.mu, prior.btilde, atol=1e-3)
+        np.testing.assert_allclose(out.mu, prior, atol=1e-3)
 
     def test_matches_direct_formula(self):
         ch = make_equicorrelated(2, 0.7, sigma2=0.5)
         rng = np.random.default_rng(4)
         r = rng.standard_normal(2)
-        prior = GaussianPrior(btilde=np.array([0.5, -0.5]))
-        A, W = np.diag(ch.a), np.diag(prior.w)
+        prior = np.array([0.5, -0.5])
+        A, W = np.diag(ch.a), np.diag(1.0 - prior**2)
         G = A @ ch.R @ A
         Winv = np.linalg.inv(W)
-        mu_ref = prior.btilde + np.linalg.solve(
+        mu_ref = prior + np.linalg.solve(
             G + ch.sigma2 * Winv,
-            A @ ch.S.T @ (r - ch.S @ A @ prior.btilde))
+            A @ ch.S.T @ (r - ch.S @ A @ prior))
         Sigma_ref = np.linalg.inv(G / ch.sigma2 + Winv)
         out = solve_gauss(ch, r, prior)
         np.testing.assert_allclose(out.mu, mu_ref, atol=1e-12)
         np.testing.assert_allclose(out.Sigma, Sigma_ref, atol=1e-12)
 
     def test_gradient_at_minimizer(self):
+        # central differences of the free energy in mu vanish at the
+        # minimizer; F is quadratic in mu, so they are exact but for
+        # rounding, about eps |F| / h (worst norm here 8.7e-10)
         rng = np.random.default_rng(5)
+        h = 1e-5
         for _ in range(20):
             ch = random_channel(rng, 4, equicorrelated=False)
             r = rng.standard_normal(ch.N)
             prior = random_prior(rng, 4)
             out = solve_gauss(ch, r, prior)
-            g = free_energy_gauss_gradient_mu(ch, r, prior, out.mu)
-            assert np.linalg.norm(g) < 1e-8
+
+            def f(mu):
+                return free_energy_gauss(
+                    ch, r, prior, GaussianBelief(mu=mu, Sigma=out.Sigma))
+            g = [(f(out.mu + h * e) - f(out.mu - h * e)) / (2.0 * h)
+                 for e in np.eye(4)]
+            assert np.linalg.norm(g) < 1e-6
 
 
 class TestHybridAgainstTwoStage:
     def test_single_user_matched_filter_llr(self):
         ch = make_equicorrelated(1, 0.0, amplitudes=[1.3], sigma2=0.4)
         y = np.array([0.7])
-        prior = GaussianPrior(btilde=np.array([0.6]))
+        prior = np.array([0.6])
         for llr in (ext_hybrid(ch, y, prior),
                     wang_poor_oracle(ch, y, prior)[0]):
             assert abs(llr[0] - 2.0 * 1.3 * y[0] / 0.4) < 1e-10
@@ -165,7 +172,7 @@ class TestHybridAgainstTwoStage:
         rng = np.random.default_rng(6)
         ch = random_channel(rng, 4)
         y = rng.standard_normal(4)
-        prior = GaussianPrior(btilde=np.zeros(4))
+        prior = np.zeros(4)
         a = ext_hybrid(ch, y, prior)
         b, _ = wang_poor_oracle(ch, y, prior)
         np.testing.assert_allclose(a, b, rtol=1e-10)
@@ -184,8 +191,8 @@ class TestHybridAgainstTwoStage:
             # the soft-IC filter output equals the VFEM mean component of
             # the minimizer under user k's leave-one-out prior
             r = ch.S @ np.linalg.solve(ch.R, y)  # S^T r = y
-            mu = [solve_gauss(ch, r, GaussianPrior(
-                btilde=np.where(np.arange(K) == k, 0.0, prior.btilde))).mu[k]
+            mu = [solve_gauss(ch, r, np.where(np.arange(K) == k, 0.0,
+                                              prior)).mu[k]
                   for k in range(K)]
             assert np.max(np.abs(mu - z)) < 1e-12 * max(1.0, np.max(np.abs(z)))
 
@@ -195,7 +202,7 @@ class TestFlooding:
         rng = np.random.default_rng(9)
         ch = random_channel(rng, 4)
         y = rng.standard_normal(4)
-        prior = GaussianPrior(btilde=np.zeros(4))
+        prior = np.zeros(4)
         np.testing.assert_allclose(ext_flooding(ch, y, prior),
                                    ext_hybrid(ch, y, prior), rtol=1e-10)
         # with informative priors too: the own prior moves only C_kk,
@@ -213,7 +220,7 @@ class TestFlooding:
     def test_single_user_prior_independent(self):
         ch = make_equicorrelated(1, 0.0, amplitudes=[1.1], sigma2=0.3)
         y = np.array([-0.4])
-        vals = [ext_flooding(ch, y, GaussianPrior(btilde=np.array([b])))[0]
+        vals = [ext_flooding(ch, y, np.array([b]))[0]
                 for b in (-0.8, 0.0, 0.9)]
         np.testing.assert_allclose(vals, 2.0 * 1.1 * y[0] / 0.3, rtol=1e-10)
 
@@ -226,14 +233,14 @@ class TestFlooding:
             prior = random_prior(rng, 4)
             q = solve_gauss(ch, r, prior)
             direct = (2.0 * q.mu / np.diagonal(q.Sigma)
-                      - 2.0 * prior.btilde / prior.w)
+                      - 2.0 * prior / (1.0 - prior**2))
             got = ext_flooding(ch, ch.S.T @ r, prior)
             scale = np.maximum(np.abs(direct), 1.0)
             assert np.max(np.abs(got - direct) / scale) < 1e-10
 
     def test_degenerate_prior_raises(self):
         ch = make_equicorrelated(2, 0.0, sigma2=1e-16)
-        prior = GaussianPrior(btilde=np.zeros(2))
+        prior = np.zeros(2)
         with pytest.raises(DegeneratePrior):
             ext_flooding(ch, np.array([0.3, -0.1]), prior)
 
@@ -285,6 +292,53 @@ class TestBlockPaths:
                 flooding_ext_block(ch, Y, Btilde)
             else:
                 loo_ext_block(ch, Y, Btilde, 0)
+
+
+    @pytest.mark.parametrize("form", ["flooding", "loo", "ext_flooding",
+                                      "ext_hybrid", "wang_poor_oracle"])
+    def test_nan_soft_bit_raises(self, form):
+        # NaN fails every comparison, so the floor test is one that NaN
+        # fails too: a NaN soft bit raises instead of giving NaN LLRs
+        ch = make_equicorrelated(3, 0.3, sigma2=0.5)
+        y = np.array([0.3, -0.1, 0.8])
+        btilde = np.array([0.2, np.nan, -0.4])
+        with pytest.raises(DegeneratePrior):
+            {"flooding": lambda: flooding_ext_block(ch, y[None], btilde[None]),
+             "loo": lambda: loo_ext_block(ch, y[None], btilde[None], 0),
+             "ext_flooding": lambda: ext_flooding(ch, y, btilde),
+             "ext_hybrid": lambda: ext_hybrid(ch, y, btilde),
+             "wang_poor_oracle": lambda: wang_poor_oracle(ch, y, btilde),
+             }[form]()
+
+
+class TestSoftBitClamp:
+    """Every single-interval form clamps its soft bits itself, so +-1
+    give bit for bit what ``_clamp_soft`` of them gives."""
+
+    @pytest.mark.parametrize("form", ["solve_gauss", "free_energy_gauss",
+                                      "ext_flooding", "ext_hybrid",
+                                      "wang_poor_oracle"])
+    def test_unit_soft_bits_equal_clamped_ones(self, form):
+        ch = make_random_spreading(6, 4, seed=3, sigma2=0.3,
+                                   amplitudes=[1.0, 0.7, 1.3, 2.0])
+        r = np.random.default_rng(8).standard_normal(6)
+        y = ch.S.T @ r
+        btilde = np.array([1.0, -1.0, 0.3, 1.0])
+        assert not np.array_equal(_clamp_soft(btilde), btilde)
+        q = solve_gauss(ch, r, _clamp_soft(btilde))
+
+        def solved(b):
+            out = solve_gauss(ch, r, b)
+            return np.concatenate([out.mu, out.Sigma.ravel()])
+        run = {
+            "solve_gauss": solved,
+            "free_energy_gauss": lambda b: free_energy_gauss(ch, r, b, q),
+            "ext_flooding": lambda b: ext_flooding(ch, y, b),
+            "ext_hybrid": lambda b: ext_hybrid(ch, y, b),
+            "wang_poor_oracle": lambda b: np.concatenate(
+                wang_poor_oracle(ch, y, b)),
+        }[form]
+        np.testing.assert_array_equal(run(btilde), run(_clamp_soft(btilde)))
 
 
 class TestKernelsAgainstInverse:
@@ -381,8 +435,7 @@ class TestRunSchedule:
                               IdentityDecoder())
         priors = np.tanh(np.clip(frames[0].llr_dec, -30, 30) / 2.0)
         for t in range(4):
-            expected = ext_hybrid(ch, obs.y[t],
-                                  GaussianPrior(btilde=priors[t]))
+            expected = ext_hybrid(ch, obs.y[t], priors[t])
             np.testing.assert_allclose(frames[1].llr_mud[t],
                                        np.clip(expected, -30, 30),
                                        rtol=1e-10)
